@@ -22,5 +22,7 @@ pub use modelstore::{ModelArtifact, ModelStore};
 pub use pit::{naive_latest_join, point_in_time_join, LabelEvent, PitFeature, TrainingSet};
 pub use quality::{ColumnProfile, FeatureQualityReport, QualityIssue};
 pub use registry::{FeatureDef, FeatureRegistry, FeatureSetDef, FeatureSpec};
-pub use serving::{FeatureServer, FeatureVector, StalenessPolicy};
+pub use serving::{
+    stale_error, FeatureServer, FeatureVector, RowSink, StaleRefused, StalenessPolicy,
+};
 pub use store::FeatureStore;

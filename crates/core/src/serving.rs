@@ -3,7 +3,7 @@
 //! data is updated over time").
 
 use fstore_common::{Duration, EntityKey, FsError, ReadEpoch, Result, Timestamp, Value};
-use fstore_storage::OnlineStore;
+use fstore_storage::{FeatureId, OnlineStore};
 use std::sync::Arc;
 
 /// Supplies the publication epoch a served vector should be stamped with —
@@ -49,6 +49,41 @@ impl FeatureVector {
             .map(|v| v.as_f64().unwrap_or(null_fill))
             .collect()
     }
+}
+
+/// Where [`FeatureServer::read_row`] puts a served row: one call per
+/// requested feature, in request order. `value` is what the staleness
+/// policy decided to serve (`Null` for a missing feature, or a stale one
+/// under [`StalenessPolicy::NullOnStale`]) and is borrowed from the store
+/// — a sink copies or encodes it before returning; `age` is the stored
+/// value's age (`None` = missing); `stale` marks missing or over max age.
+pub trait RowSink {
+    fn slot(&mut self, index: usize, value: &Value, age: Option<Duration>, stale: bool);
+}
+
+/// A [`FeatureVector`] whose `features` are filled in collects its own row.
+impl RowSink for FeatureVector {
+    fn slot(&mut self, index: usize, value: &Value, age: Option<Duration>, stale: bool) {
+        self.values.push(value.clone());
+        self.ages.push(age);
+        if stale {
+            self.stale.push(self.features[index].clone());
+        }
+    }
+}
+
+/// [`FeatureServer::read_row`] refused the row under
+/// [`StalenessPolicy::FailOnStale`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaleRefused;
+
+/// The error a refused row is reported as, naming the stale features.
+pub fn stale_error<'a>(entity: &str, stale: impl Iterator<Item = &'a str>) -> FsError {
+    let names: Vec<&str> = stale.collect();
+    FsError::Storage(format!(
+        "stale/missing features for {entity}: {}",
+        names.join(", ")
+    ))
 }
 
 /// The serving layer over the online store.
@@ -99,8 +134,62 @@ impl FeatureServer {
         self
     }
 
-    fn current_epoch(&self) -> ReadEpoch {
+    /// The epoch a read answered now should be stamped with. Serving layers
+    /// resolve it once per response and pass it to every row they emit.
+    pub fn current_epoch(&self) -> ReadEpoch {
         self.epoch_source.as_ref().map_or(ReadEpoch::ZERO, |f| f())
+    }
+
+    /// Resolve a request's feature names to the online store's ids, once
+    /// per request, into a reusable buffer (see
+    /// [`OnlineStore::resolve_into`]).
+    pub fn resolve_into<S: AsRef<str>>(&self, features: &[S], ids: &mut Vec<Option<FeatureId>>) {
+        self.online.resolve_into(features, ids);
+    }
+
+    /// The one read algorithm: visit `entity`'s row under the shard read
+    /// lock and hand each requested feature to `sink`, in request order,
+    /// with `max_age` and the staleness policy already applied. Every
+    /// other read entry point — [`serve_at`](Self::serve_at),
+    /// [`serve_batch_at`](Self::serve_batch_at), the network server's
+    /// typed and direct-to-frame paths — is this function with a
+    /// different sink.
+    ///
+    /// `Err(StaleRefused)` means the policy is
+    /// [`StalenessPolicy::FailOnStale`] and at least one slot was stale;
+    /// the sink has then seen the whole row (its stale flags name the
+    /// culprits for [`stale_error`]) and the caller must discard it.
+    pub fn read_row<S: RowSink>(
+        &self,
+        group: &str,
+        entity: &str,
+        ids: &[Option<FeatureId>],
+        now: Timestamp,
+        sink: &mut S,
+    ) -> std::result::Result<(), StaleRefused> {
+        let mut any_stale = false;
+        self.online
+            .visit_row(group, entity, ids, |index, entry| match entry {
+                None => {
+                    any_stale = true;
+                    sink.slot(index, &Value::Null, None, true);
+                }
+                Some(e) => {
+                    let age = e.age(now);
+                    let stale = self.max_age.is_some_and(|m| age > m);
+                    any_stale |= stale;
+                    if stale && self.policy == StalenessPolicy::NullOnStale {
+                        sink.slot(index, &Value::Null, Some(age), true);
+                    } else {
+                        sink.slot(index, &e.value, Some(age), stale);
+                    }
+                }
+            });
+        if any_stale && self.policy == StalenessPolicy::FailOnStale {
+            Err(StaleRefused)
+        } else {
+            Ok(())
+        }
     }
 
     /// Assemble a feature vector for `entity` at `now`, stamped with the
@@ -126,45 +215,35 @@ impl FeatureServer {
         now: Timestamp,
         epoch: ReadEpoch,
     ) -> Result<FeatureVector> {
-        let entries = self.online.get_many(group, entity, features);
-        let mut values = Vec::with_capacity(features.len());
-        let mut ages = Vec::with_capacity(features.len());
-        let mut stale = Vec::new();
-        for (name, entry) in features.iter().zip(entries) {
-            match entry {
-                None => {
-                    stale.push(name.to_string());
-                    values.push(Value::Null);
-                    ages.push(None);
-                }
-                Some(e) => {
-                    let age = e.age(now);
-                    let is_stale = self.max_age.is_some_and(|m| age > m);
-                    if is_stale {
-                        stale.push(name.to_string());
-                    }
-                    ages.push(Some(age));
-                    match (is_stale, self.policy) {
-                        (true, StalenessPolicy::NullOnStale) => values.push(Value::Null),
-                        _ => values.push(e.value),
-                    }
-                }
-            }
-        }
-        if !stale.is_empty() && self.policy == StalenessPolicy::FailOnStale {
-            return Err(FsError::Storage(format!(
-                "stale/missing features for {entity}: {}",
-                stale.join(", ")
-            )));
-        }
-        Ok(FeatureVector {
+        let mut ids = Vec::new();
+        self.resolve_into(features, &mut ids);
+        self.serve_resolved(group, entity, features, &ids, now, epoch)
+    }
+
+    fn serve_resolved(
+        &self,
+        group: &str,
+        entity: &EntityKey,
+        features: &[&str],
+        ids: &[Option<FeatureId>],
+        now: Timestamp,
+        epoch: ReadEpoch,
+    ) -> Result<FeatureVector> {
+        let mut vector = FeatureVector {
             entity: entity.clone(),
             features: features.iter().map(|s| s.to_string()).collect(),
-            values,
-            ages,
-            stale,
+            values: Vec::with_capacity(features.len()),
+            ages: Vec::with_capacity(features.len()),
+            stale: Vec::new(),
             epoch,
-        })
+        };
+        match self.read_row(group, entity.as_str(), ids, now, &mut vector) {
+            Ok(()) => Ok(vector),
+            Err(StaleRefused) => Err(stale_error(
+                entity.as_str(),
+                vector.stale.iter().map(String::as_str),
+            )),
+        }
     }
 
     /// Serve many entities (batch scoring path). The epoch is resolved once,
@@ -188,9 +267,11 @@ impl FeatureServer {
         now: Timestamp,
         epoch: ReadEpoch,
     ) -> Result<Vec<FeatureVector>> {
+        let mut ids = Vec::new();
+        self.resolve_into(features, &mut ids);
         entities
             .iter()
-            .map(|e| self.serve_at(group, e, features, now, epoch))
+            .map(|e| self.serve_resolved(group, e, features, &ids, now, epoch))
             .collect()
     }
 }

@@ -87,7 +87,7 @@ mod tests {
     use crate::protocol::Request;
     use std::time::Instant;
 
-    fn job() -> (Job, crossbeam::channel::Receiver<crate::protocol::Response>) {
+    fn job() -> (Job, crossbeam::channel::Receiver<crate::batch::Reply>) {
         let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
         (
             Job {

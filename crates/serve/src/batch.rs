@@ -2,24 +2,38 @@
 //!
 //! When a worker claims a job it also drains whatever else is already
 //! queued (up to a cap) and coalesces single-entity `GetFeatures` lookups
-//! that share a `(group, feature-list)` key into one
-//! `FeatureServer::serve_batch` call — one pass over the online store's
-//! shard locks instead of N. `SearchNearest` requests coalesce the same
-//! way on `(table, k, options)`: the worker resolves the index snapshot
-//! `Arc` once and runs the whole group as one multi-query pass, so a swap
+//! that share a `(group, feature-list)` key: the worker resolves the
+//! feature ids, the clock and the epoch once for the group, then encodes
+//! each member's row straight into its own response frame. `SearchNearest`
+//! requests coalesce the same way on `(table, k, options)`: the worker
+//! resolves the index snapshot `Arc` once and runs the whole group as one
+//! multi-query pass, so a swap
 //! cannot land between members of a batch. Under light load the drain
 //! comes back empty and requests run singly with no added latency; no
 //! timers are involved.
 
 use crate::protocol::{Request, Response, SearchOptions};
+use bytes::BytesMut;
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// A finished job's answer on its way to the connection's writer thread.
+pub enum Reply {
+    /// A feature read, encoded by the worker straight from the store into
+    /// a frame from the server's pool; the writer sends it and returns
+    /// the buffer. Read frames are small and uniform, so the buffers that
+    /// circulate between workers and writers stay small.
+    Frame(BytesMut),
+    /// Everything else, encoded by the writer into its own buffer — bulk
+    /// answers (replication deltas, snapshots) cost the connection that
+    /// asked for them, not a worker or the shared pool.
+    Typed(Response),
+}
 
 /// One admitted request plus the channel its response travels back on.
 pub struct Job {
     pub request: Request,
-    pub reply: Sender<Response>,
+    pub reply: Sender<Reply>,
     /// When admission accepted the job; latency is measured from here so
     /// queue wait shows up in the percentiles.
     pub accepted_at: Instant,
@@ -31,22 +45,44 @@ pub struct Job {
 }
 
 /// A coalesced group of single-entity lookups: same group, same features.
+/// The key is not copied out — it is read off the first member.
 pub struct FeatureBatch {
-    pub group: String,
-    pub features: Vec<String>,
-    /// The member jobs; every request is `GetFeatures` for this key.
+    /// The member jobs (never empty); every request is `GetFeatures` for
+    /// this batch's `(group, features)`.
     pub jobs: Vec<Job>,
+}
+
+impl FeatureBatch {
+    /// The `(group, features)` every member shares.
+    pub fn key(&self) -> (&str, &[String]) {
+        match &self.jobs[0].request {
+            Request::GetFeatures {
+                group, features, ..
+            } => (group, features),
+            _ => unreachable!("plan() only batches GetFeatures"),
+        }
+    }
 }
 
 /// A coalesced group of vector searches: same table, same k, same options.
 /// Every member resolves one index snapshot and runs as one multi-query
 /// pass against it.
 pub struct SearchBatch {
-    pub table: String,
-    pub k: u32,
-    pub options: SearchOptions,
-    /// The member jobs; every request is `SearchNearest` on this table.
+    /// The member jobs (never empty); every request is `SearchNearest` for
+    /// this batch's `(table, k, options)`.
     pub jobs: Vec<Job>,
+}
+
+impl SearchBatch {
+    /// The `(table, k, options)` every member shares.
+    pub fn key(&self) -> (&str, u32, SearchOptions) {
+        match &self.jobs[0].request {
+            Request::SearchNearest {
+                table, k, options, ..
+            } => (table, *k, *options),
+            _ => unreachable!("plan() only batches SearchNearest"),
+        }
+    }
 }
 
 /// The worker's execution plan for one drain.
@@ -72,58 +108,43 @@ pub fn drain(rx: &Receiver<Job>, first: Job, max: usize) -> Vec<Job> {
 }
 
 /// Partition drained jobs into coalesced feature batches and singles.
-/// Order within each output bucket follows arrival order.
+/// Groups form in first-arrival order and keep arrival order within. A
+/// job joins the group whose first member's key equals its own, compared
+/// in place: a drain is at most `max_batch` jobs over a handful of
+/// distinct keys, so the scan is short and planning allocates per group,
+/// not per job.
 pub fn plan(jobs: Vec<Job>) -> Plan {
-    let mut by_key: BTreeMap<(String, Vec<String>), Vec<Job>> = BTreeMap::new();
-    let mut by_search: BTreeMap<(String, u32, SearchOptions), Vec<Job>> = BTreeMap::new();
+    let mut batches: Vec<FeatureBatch> = Vec::new();
+    let mut searches: Vec<SearchBatch> = Vec::new();
     let mut singles = Vec::new();
     for job in jobs {
         match &job.request {
             Request::GetFeatures {
                 group, features, ..
             } => {
-                by_key
-                    .entry((group.clone(), features.clone()))
-                    .or_default()
-                    .push(job);
+                let key = (group.as_str(), features.as_slice());
+                match batches.iter_mut().find(|b| b.key() == key) {
+                    Some(batch) => batch.jobs.push(job),
+                    None => batches.push(FeatureBatch { jobs: vec![job] }),
+                }
             }
             Request::SearchNearest {
                 table, k, options, ..
             } => {
-                by_search
-                    .entry((table.clone(), *k, *options))
-                    .or_default()
-                    .push(job);
+                let key = (table.as_str(), *k, *options);
+                match searches.iter_mut().find(|b| b.key() == key) {
+                    Some(batch) => batch.jobs.push(job),
+                    None => searches.push(SearchBatch { jobs: vec![job] }),
+                }
             }
             _ => singles.push(job),
         }
     }
-    let mut batches = Vec::new();
-    for ((group, features), jobs) in by_key {
-        if jobs.len() >= 2 {
-            batches.push(FeatureBatch {
-                group,
-                features,
-                jobs,
-            });
-        } else {
-            // A batch of one gains nothing; keep the single-request path.
-            singles.extend(jobs);
-        }
-    }
-    let mut searches = Vec::new();
-    for ((table, k, options), jobs) in by_search {
-        if jobs.len() >= 2 {
-            searches.push(SearchBatch {
-                table,
-                k,
-                options,
-                jobs,
-            });
-        } else {
-            singles.extend(jobs);
-        }
-    }
+    // A batch of one gains nothing; keep the single-request path.
+    let (batches, lone): (Vec<_>, Vec<_>) = batches.into_iter().partition(|b| b.jobs.len() >= 2);
+    singles.extend(lone.into_iter().flat_map(|b| b.jobs));
+    let (searches, lone): (Vec<_>, Vec<_>) = searches.into_iter().partition(|b| b.jobs.len() >= 2);
+    singles.extend(lone.into_iter().flat_map(|b| b.jobs));
     Plan {
         batches,
         searches,
@@ -166,8 +187,9 @@ mod tests {
         ];
         let plan = plan(jobs);
         assert_eq!(plan.batches.len(), 1);
-        assert_eq!(plan.batches[0].group, "user");
-        assert_eq!(plan.batches[0].features, vec!["a", "b"]);
+        let (group, features) = plan.batches[0].key();
+        assert_eq!(group, "user");
+        assert_eq!(features, ["a", "b"]);
         assert_eq!(plan.batches[0].jobs.len(), 2);
         assert_eq!(plan.singles.len(), 3);
     }
@@ -202,9 +224,7 @@ mod tests {
         ];
         let plan = plan(jobs);
         assert_eq!(plan.searches.len(), 1);
-        assert_eq!(plan.searches[0].table, "emb");
-        assert_eq!(plan.searches[0].k, 10);
-        assert_eq!(plan.searches[0].options, ef);
+        assert_eq!(plan.searches[0].key(), ("emb", 10, ef));
         assert_eq!(plan.searches[0].jobs.len(), 2);
         assert_eq!(plan.singles.len(), 4);
         assert!(plan.batches.is_empty());

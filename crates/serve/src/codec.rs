@@ -283,12 +283,27 @@ enum Fill {
 /// (`None` blocks forever — an idle keep-alive connection is not a
 /// fault), but once a frame has started the rest must arrive within
 /// `frame_timeout`, enforced as a hard deadline via `set_read_timeout`.
+/// The reader remembers the timeout it last applied and skips the
+/// `setsockopt` when the next read wants the same one — which is every
+/// read of a connection whose frames arrive whole.
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     end: usize,
     allocs: u64,
     bytes_rx: u64,
+    /// The socket's current `SO_RCVTIMEO` as set by this reader (`None` =
+    /// not set yet). Nothing else may change the socket's read timeout.
+    applied_timeout: Option<Option<Duration>>,
+}
+
+/// Time left until `deadline` for the next socket read (`Some(None)` =
+/// unbounded), or `None` once it has lapsed.
+fn time_left(deadline: Option<Instant>) -> Option<Option<Duration>> {
+    match deadline {
+        None => Some(None),
+        Some(d) => d.checked_duration_since(Instant::now()).map(Some),
+    }
 }
 
 impl FrameReader {
@@ -299,6 +314,7 @@ impl FrameReader {
             end: 0,
             allocs: 0,
             bytes_rx: 0,
+            applied_timeout: None,
         }
     }
 
@@ -339,18 +355,25 @@ impl FrameReader {
         }
     }
 
-    /// One socket read into spare room, bounded by `deadline`.
-    fn fill(&mut self, socket: &TcpStream, deadline: Option<Instant>) -> std::io::Result<Fill> {
-        match deadline {
-            Some(d) => {
-                let Some(remaining) = d.checked_duration_since(Instant::now()) else {
-                    return Ok(Fill::TimedOut);
-                };
-                // set_read_timeout(Some(0)) is an error; clamp to 1 ms.
-                socket.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            }
-            None => socket.set_read_timeout(None)?,
+    /// Bound the socket's next read by `timeout`, skipping the syscall
+    /// when that bound is already in force.
+    fn apply_timeout(
+        &mut self,
+        socket: &TcpStream,
+        timeout: Option<Duration>,
+    ) -> std::io::Result<()> {
+        // set_read_timeout(Some(0)) is an error; clamp to 1 ms.
+        let timeout = timeout.map(|t| t.max(Duration::from_millis(1)));
+        if self.applied_timeout != Some(timeout) {
+            socket.set_read_timeout(timeout)?;
+            self.applied_timeout = Some(timeout);
         }
+        Ok(())
+    }
+
+    /// One socket read into spare room, giving up after `timeout`.
+    fn fill(&mut self, socket: &TcpStream, timeout: Option<Duration>) -> std::io::Result<Fill> {
+        self.apply_timeout(socket, timeout)?;
         loop {
             match (&mut (&*socket)).read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(Fill::Eof),
@@ -384,8 +407,9 @@ impl FrameReader {
         self.start = 0;
         self.end = 0;
         self.ensure_room(4 * 1024);
-        let deadline = idle_timeout.map(|t| Instant::now() + t);
-        Ok(Some(self.fill(socket, deadline)?))
+        // The idle phase is exactly one read, so its bound is the timeout
+        // itself — the same value every time, hence no syscall.
+        Ok(Some(self.fill(socket, idle_timeout)?))
     }
 
     /// Read one frame. `socket` must be the same fd this reader always
@@ -424,7 +448,10 @@ impl FrameReader {
             } else {
                 self.ensure_room(4 * 1024);
             }
-            match self.fill(socket, deadline)? {
+            let Some(timeout) = time_left(deadline) else {
+                return Ok(FrameEvent::TimedOut);
+            };
+            match self.fill(socket, timeout)? {
                 Fill::Got => {}
                 Fill::Eof => {
                     return Err(std::io::Error::new(
@@ -462,7 +489,10 @@ impl FrameReader {
         let deadline = frame_timeout.map(|t| Instant::now() + t);
         while self.buffered() < 4 {
             self.ensure_room(4 * 1024);
-            match self.fill(socket, deadline)? {
+            let Some(timeout) = time_left(deadline) else {
+                return Ok(OwnedFrameEvent::TimedOut);
+            };
+            match self.fill(socket, timeout)? {
                 Fill::Got => {}
                 Fill::Eof => {
                     return Err(std::io::Error::new(
@@ -488,15 +518,10 @@ impl FrameReader {
         // Read the rest straight into the owned buffer, deadline-bounded.
         let mut filled = have;
         while filled < len {
-            match deadline {
-                Some(d) => {
-                    let Some(remaining) = d.checked_duration_since(Instant::now()) else {
-                        return Ok(OwnedFrameEvent::TimedOut);
-                    };
-                    socket.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-                }
-                None => socket.set_read_timeout(None)?,
-            }
+            let Some(timeout) = time_left(deadline) else {
+                return Ok(OwnedFrameEvent::TimedOut);
+            };
+            self.apply_timeout(socket, timeout)?;
             match (&mut (&*socket)).read(&mut payload[filled..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
@@ -838,6 +863,43 @@ mod tests {
             FrameEvent::TimedOut => {}
             other => panic!("expected TimedOut, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn idle_wait_is_unbounded_again_after_a_deadline_bounded_read() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut tx = TcpStream::connect(addr).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+
+        let mut wire = Vec::new();
+        write_frame_vectored(&mut wire, b"split").unwrap();
+        tx.write_all(&wire[..3]).unwrap();
+        tx.flush().unwrap();
+        // The sender finishes the first frame only after the reader has
+        // had to wait for it mid-frame (a read bounded by the frame
+        // deadline), then stays quiet for longer than that deadline
+        // before starting the second frame.
+        let frame_timeout = Duration::from_millis(60);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            tx.write_all(&wire[3..]).unwrap();
+            tx.flush().unwrap();
+            std::thread::sleep(frame_timeout * 3);
+            write_frame_vectored(&mut tx, b"late").unwrap();
+            tx
+        });
+        let mut reader = FrameReader::new();
+        for want in [&b"split"[..], &b"late"[..]] {
+            match reader
+                .read_frame(&rx, MAX_FRAME_LEN, None, Some(frame_timeout))
+                .unwrap()
+            {
+                FrameEvent::Frame(p) => assert_eq!(p, want),
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        drop(t.join().unwrap());
     }
 
     #[test]

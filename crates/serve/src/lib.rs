@@ -80,6 +80,6 @@ pub use protocol::{
 pub use repl::{ReplLogState, ReplProvider};
 pub use retry::{classify, ErrorClass, RetryPolicy, RetryingClient};
 pub use server::{
-    atomic_clock, fixed_clock, start, Clock, PromoteHook, ServeConfig, ServeConfigBuilder,
-    ServeEngine, ServerHandle, WriteProvider, WriteState,
+    atomic_clock, fixed_clock, start, Clock, PromoteHook, ReadScratch, ServeConfig,
+    ServeConfigBuilder, ServeEngine, ServerHandle, WriteProvider, WriteState,
 };

@@ -19,7 +19,7 @@
 use crate::codec::{put_str, put_str_seq, Reader};
 use bytes::{BufMut, Bytes, BytesMut};
 use fstore_common::{ComponentKind, DeltaRecord, Duration, Timestamp, Value, VectorBuf};
-use fstore_core::FeatureVector;
+use fstore_core::{FeatureVector, RowSink};
 use std::io::Read;
 
 pub use crate::codec::{
@@ -451,6 +451,18 @@ impl From<&FeatureVector> for WireVector {
             ages_ms: v.ages.iter().map(|a| a.map(Duration::as_millis)).collect(),
             stale: v.stale.clone(),
             epoch: v.epoch.as_u64(),
+        }
+    }
+}
+
+/// A [`WireVector`] whose `features` are filled in collects its own row —
+/// the typed twin of [`RowEncoder`].
+impl RowSink for WireVector {
+    fn slot(&mut self, index: usize, value: &Value, age: Option<Duration>, stale: bool) {
+        self.values.push(value.clone());
+        self.ages_ms.push(age.map(Duration::as_millis));
+        if stale {
+            self.stale.push(self.features[index].clone());
         }
     }
 }
@@ -959,15 +971,101 @@ fn put_vector(buf: &mut BytesMut, v: &WireVector) {
     }
     buf.put_u32(v.ages_ms.len() as u32);
     for age in &v.ages_ms {
-        match age {
-            None => buf.put_u8(0),
-            Some(ms) => {
-                buf.put_u8(1);
-                buf.put_i64(*ms);
-            }
-        }
+        put_age(buf, *age);
     }
     put_str_seq(buf, &v.stale);
+}
+
+fn put_age(buf: &mut BytesMut, age_ms: Option<i64>) {
+    match age_ms {
+        None => buf.put_u8(0),
+        Some(ms) => {
+            buf.put_u8(1);
+            buf.put_i64(ms);
+        }
+    }
+}
+
+/// Streams served rows into a response frame in exactly the byte layout a
+/// [`WireVector`] encodes to, without building one: values are encoded
+/// straight from the store's memory as the row is visited, while the age
+/// bytes and stale indices — which the layout places *after* all values —
+/// wait in reusable scratch. One encoder per worker; at steady state it
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RowEncoder {
+    /// `put_str_seq(features)` + the value count: identical for every row
+    /// of one request, so encoded once in [`begin`](RowEncoder::begin).
+    feature_block: BytesMut,
+    ages: BytesMut,
+    stale: Vec<u32>,
+}
+
+impl RowEncoder {
+    /// Start a request for `features`; every following
+    /// [`put_row`](RowEncoder::put_row) must pass the same list.
+    pub(crate) fn begin(&mut self, features: &[String]) {
+        self.feature_block.clear();
+        put_str_seq(&mut self.feature_block, features);
+        self.feature_block.put_u32(features.len() as u32);
+    }
+
+    /// Append one row to `buf`. `fill` must call [`RowSink::slot`] exactly
+    /// once per feature, in order; when it fails, `buf` is left holding a
+    /// partial row (the caller truncates it) and
+    /// [`stale_names`](RowEncoder::stale_names) still names the slots
+    /// flagged so far.
+    pub(crate) fn put_row<E>(
+        &mut self,
+        buf: &mut BytesMut,
+        entity: &str,
+        epoch: u64,
+        features: &[String],
+        fill: impl FnOnce(&mut RowWriter<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        put_str(buf, entity);
+        buf.put_u64(epoch);
+        buf.put_slice(&self.feature_block);
+        self.ages.clear();
+        self.stale.clear();
+        fill(&mut RowWriter {
+            buf,
+            ages: &mut self.ages,
+            stale: &mut self.stale,
+        })?;
+        buf.put_u32(features.len() as u32);
+        buf.put_slice(&self.ages);
+        buf.put_u32(self.stale.len() as u32);
+        for name in self.stale_names(features) {
+            put_str(buf, name);
+        }
+        Ok(())
+    }
+
+    /// The features the last row flagged stale.
+    pub(crate) fn stale_names<'a>(
+        &'a self,
+        features: &'a [String],
+    ) -> impl Iterator<Item = &'a str> {
+        self.stale.iter().map(|&i| features[i as usize].as_str())
+    }
+}
+
+/// The [`RowSink`] half of a [`RowEncoder`]: one row being written.
+pub(crate) struct RowWriter<'a> {
+    buf: &'a mut BytesMut,
+    ages: &'a mut BytesMut,
+    stale: &'a mut Vec<u32>,
+}
+
+impl RowSink for RowWriter<'_> {
+    fn slot(&mut self, index: usize, value: &Value, age: Option<Duration>, stale: bool) {
+        put_value(self.buf, value);
+        put_age(self.ages, age.map(Duration::as_millis));
+        if stale {
+            self.stale.push(index as u32);
+        }
+    }
 }
 
 fn take_value(r: &mut Reader<'_>) -> Result<Value, WireError> {

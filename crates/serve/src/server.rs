@@ -11,11 +11,12 @@
 //!       │                        │ recv + opportunistic drain
 //!       │                        ▼
 //!       └──────────────▶ worker pool (batch coalescing, FeatureServer /
-//!                                     EmbeddingStore, metrics)
+//!                                     EmbeddingStore, metrics; feature
+//!                                     reads encoded store ─▶ pooled frame)
 //!                                │ reply (per-request slot)
 //!                                ▼
 //!                        connection writer threads (one per socket):
-//!                          pop slots in order ─▶ pooled encode ─▶ frame out
+//!                          pop slots in order ─▶ (encode the rest) ─▶ frame out
 //! ```
 //!
 //! Connection threads never execute store code. Each connection is a
@@ -29,17 +30,19 @@
 //! finish every admitted job before exiting.
 
 use crate::admission::{AdmissionController, AdmitReject};
-use crate::batch::{self, Job};
+use crate::batch::{self, Job, Reply};
 use crate::catalog::{CatalogError, IndexCatalog, SearchOutcome};
-use crate::codec::{write_frame_vectored, FrameEvent, FrameReader};
+use crate::codec::{write_frame_vectored, FrameEvent, FramePool, FrameReader};
 use crate::metrics::ServingMetrics;
-use crate::protocol::{ErrorCode, Request, Response, WireDelta, WireVector};
+use crate::protocol::{ErrorCode, Request, Response, RowEncoder, WireDelta, WireVector};
 use crate::repl::{check_snapshot_len, ReplProvider};
+use bytes::{BufMut, BytesMut};
 use crossbeam::channel::{bounded, Receiver};
 use fstore_common::DeltaQuery;
 use fstore_common::{EntityKey, FsError, Timestamp, Value};
-use fstore_core::FeatureServer;
+use fstore_core::{stale_error, FeatureServer, StaleRefused};
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
+use fstore_storage::FeatureId;
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -393,6 +396,24 @@ impl WriteState {
     }
 }
 
+/// The per-response constants of a feature read.
+#[derive(Debug, Default)]
+struct ReadContext {
+    ids: Vec<Option<FeatureId>>,
+    now: Timestamp,
+    epoch: u64,
+}
+
+/// A worker's reusable state for [`ServeEngine::read_into`]: the resolved
+/// request and the row encoder's scratch. It grows to the widest request
+/// seen and is then reused, which is what makes the read path
+/// allocation-free at steady state.
+#[derive(Debug, Default)]
+pub struct ReadScratch {
+    read: ReadContext,
+    rows: RowEncoder,
+}
+
 /// Everything a worker needs to answer requests.
 pub struct ServeEngine {
     server: FeatureServer,
@@ -479,6 +500,127 @@ impl ServeEngine {
         (self.clock)()
     }
 
+    /// Fix what every row of one read response shares — the feature ids,
+    /// the clock and the epoch are each resolved exactly once, so a
+    /// response (single, wire batch or coalesced batch) is internally
+    /// consistent.
+    fn begin_read(&self, features: &[String], read: &mut ReadContext) {
+        self.server.resolve_into(features, &mut read.ids);
+        read.now = self.now();
+        read.epoch = self.server.current_epoch().as_u64();
+    }
+
+    /// One row as a typed [`WireVector`] (the vector is its own sink).
+    fn wire_vector(
+        &self,
+        group: &str,
+        entity: &str,
+        features: &[String],
+        read: &ReadContext,
+    ) -> Result<WireVector, FsError> {
+        let mut vector = WireVector {
+            entity: entity.to_string(),
+            features: features.to_vec(),
+            values: Vec::with_capacity(features.len()),
+            ages_ms: Vec::with_capacity(features.len()),
+            stale: Vec::new(),
+            epoch: read.epoch,
+        };
+        match self
+            .server
+            .read_row(group, entity, &read.ids, read.now, &mut vector)
+        {
+            Ok(()) => Ok(vector),
+            Err(StaleRefused) => Err(stale_error(entity, vector.stale.iter().map(String::as_str))),
+        }
+    }
+
+    /// One row encoded straight from the store into `buf`. On a refusal
+    /// `buf` holds a partial row for the caller to truncate.
+    fn put_row(
+        &self,
+        group: &str,
+        entity: &str,
+        features: &[String],
+        scratch: &mut ReadScratch,
+        buf: &mut BytesMut,
+    ) -> Result<(), FsError> {
+        let ReadScratch { read, rows } = scratch;
+        rows.put_row(buf, entity, read.epoch, features, |row| {
+            self.server
+                .read_row(group, entity, &read.ids, read.now, row)
+        })
+        .map_err(|StaleRefused| stale_error(entity, rows.stale_names(features)))
+    }
+
+    /// Answer a feature read as encoded response bytes appended to `buf`,
+    /// in one pass from the store's shard memory to the frame: no
+    /// `FeatureVector`, no `WireVector`, and — once `scratch` has warmed
+    /// up — no allocation. The bytes equal
+    /// `self.handle(request, ..).encode_into(buf)` exactly. Returns whether
+    /// the answer is a success (`false` = an error response was written).
+    /// Requests other than `GetFeatures`/`GetFeaturesBatch` take the typed
+    /// path.
+    pub fn read_into(
+        &self,
+        request: &Request,
+        scratch: &mut ReadScratch,
+        buf: &mut BytesMut,
+    ) -> bool {
+        match request {
+            Request::GetFeatures {
+                group,
+                entity,
+                features,
+            } => {
+                self.begin_read_into(features, scratch);
+                self.put_features(group, entity, features, scratch, buf)
+            }
+            Request::GetFeaturesBatch {
+                group,
+                entities,
+                features,
+            } => {
+                self.begin_read_into(features, scratch);
+                let start = buf.len();
+                buf.put_u8(2);
+                buf.put_u32(entities.len() as u32);
+                let written = entities
+                    .iter()
+                    .try_for_each(|entity| self.put_row(group, entity, features, scratch, buf));
+                rows_or_error(buf, start, written)
+            }
+            other => {
+                let response = self.handle(other, 0, false);
+                response.encode_into(buf);
+                !matches!(response, Response::Error { .. })
+            }
+        }
+    }
+
+    /// One whole `Features` response for a read already begun in
+    /// `scratch` — what a single `GetFeatures` and each member of a
+    /// coalesced batch both are.
+    fn put_features(
+        &self,
+        group: &str,
+        entity: &str,
+        features: &[String],
+        scratch: &mut ReadScratch,
+        buf: &mut BytesMut,
+    ) -> bool {
+        let start = buf.len();
+        buf.put_u8(1);
+        let written = self.put_row(group, entity, features, scratch, buf);
+        rows_or_error(buf, start, written)
+    }
+
+    /// Start a read response in a worker's reusable scratch.
+    fn begin_read_into(&self, features: &[String], scratch: &mut ReadScratch) {
+        self.begin_read(features, &mut scratch.read);
+        scratch.rows.begin(features);
+    }
+
     /// Answer one request. Total: every failure becomes a wire error.
     pub fn handle(&self, request: &Request, queue_depth: u32, draining: bool) -> Response {
         match request {
@@ -491,12 +633,10 @@ impl ServeEngine {
                 entity,
                 features,
             } => {
-                let refs: Vec<&str> = features.iter().map(String::as_str).collect();
-                match self
-                    .server
-                    .serve(group, &EntityKey::new(entity.clone()), &refs, self.now())
-                {
-                    Ok(v) => Response::Features(WireVector::from(&v)),
+                let mut read = ReadContext::default();
+                self.begin_read(features, &mut read);
+                match self.wire_vector(group, entity, features, &read) {
+                    Ok(v) => Response::Features(v),
                     Err(e) => fs_error_response(&e),
                 }
             }
@@ -505,11 +645,14 @@ impl ServeEngine {
                 entities,
                 features,
             } => {
-                let keys: Vec<EntityKey> =
-                    entities.iter().map(|e| EntityKey::new(e.clone())).collect();
-                let refs: Vec<&str> = features.iter().map(String::as_str).collect();
-                match self.server.serve_batch(group, &keys, &refs, self.now()) {
-                    Ok(vs) => Response::FeaturesBatch(vs.iter().map(WireVector::from).collect()),
+                let mut read = ReadContext::default();
+                self.begin_read(features, &mut read);
+                match entities
+                    .iter()
+                    .map(|entity| self.wire_vector(group, entity, features, &read))
+                    .collect()
+                {
+                    Ok(vs) => Response::FeaturesBatch(vs),
                     Err(e) => fs_error_response(&e),
                 }
             }
@@ -673,6 +816,19 @@ fn search_response(result: Result<SearchOutcome, CatalogError>) -> Response {
     }
 }
 
+/// Close a directly encoded read response: on a refusal, replace whatever
+/// rows were written since `start` with the error response.
+fn rows_or_error(buf: &mut BytesMut, start: usize, written: Result<(), FsError>) -> bool {
+    match written {
+        Ok(()) => true,
+        Err(e) => {
+            buf.truncate(start);
+            fs_error_response(&e).encode_into(buf);
+            false
+        }
+    }
+}
+
 /// Map a store error onto a wire error code.
 fn fs_error_response(e: &FsError) -> Response {
     let code = match e {
@@ -762,7 +918,17 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
             let config = config.clone();
             std::thread::Builder::new()
                 .name(format!("fstore-serve-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &engine, &metrics, &draining, &config))
+                .spawn(move || {
+                    Worker {
+                        rx: &rx,
+                        engine: &engine,
+                        metrics: &metrics,
+                        draining: &draining,
+                        pool: metrics.frame_pool(),
+                        scratch: ReadScratch::default(),
+                    }
+                    .run(&config)
+                })
                 .expect("spawn worker")
         })
         .collect();
@@ -829,9 +995,9 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
 /// A reply slot already holding its response — used for refusals decided
 /// on the reader thread (bad frames, admission rejects), which must still
 /// flow through the writer's ordered queue so responses never reorder.
-fn ready(response: Response) -> Receiver<Response> {
+fn ready(response: Response) -> Receiver<Reply> {
     let (tx, rx) = bounded(1);
-    let _ = tx.send(response);
+    let _ = tx.send(Reply::Typed(response));
     rx
 }
 
@@ -850,7 +1016,7 @@ fn connection_loop(
         return;
     };
     let _ = write_half.set_write_timeout(config.write_timeout);
-    let (slot_tx, slot_rx) = bounded::<Receiver<Response>>(config.pipeline_depth.max(1));
+    let (slot_tx, slot_rx) = bounded::<Receiver<Reply>>(config.pipeline_depth.max(1));
     let writer = {
         let metrics = admission.shared_metrics();
         std::thread::Builder::new()
@@ -943,23 +1109,41 @@ fn connection_loop(
 }
 
 /// Per-socket writer: pop reply slots in request order, wait on each one,
-/// encode into a pooled buffer, and write the frame vectored (header +
-/// payload, one syscall, no copy). Popping in push order is the entire
+/// and write its frame vectored (header + payload, one syscall, no copy).
+/// A feature read arrives already encoded in a pooled frame, which goes
+/// back to the pool here; any other response is encoded into this
+/// connection's own reusable buffer. Popping in push order is the entire
 /// ordering guarantee — responses leave the socket in exactly the order
 /// requests arrived, so the wire needs no correlation IDs.
-fn writer_loop(stream: &TcpStream, slots: &Receiver<Receiver<Response>>, metrics: &ServingMetrics) {
+fn writer_loop(stream: &TcpStream, slots: &Receiver<Receiver<Reply>>, metrics: &ServingMetrics) {
     let pool = metrics.frame_pool();
+    let mut own = BytesMut::new();
     let mut w = stream;
     for slot in slots.iter() {
-        let response = match slot.recv() {
-            Ok(response) => response,
-            Err(_) => Response::error(ErrorCode::Internal, "worker dropped the request"),
+        let reply = slot.recv().unwrap_or_else(|_| {
+            Reply::Typed(Response::error(
+                ErrorCode::Internal,
+                "worker dropped the request",
+            ))
+        });
+        let pooled = match reply {
+            Reply::Frame(frame) => Some(frame),
+            Reply::Typed(response) => {
+                own.clear();
+                response.encode_into(&mut own);
+                None
+            }
         };
-        let mut buf = pool.get();
-        response.encode_into(&mut buf);
-        let result = write_frame_vectored(&mut w, buf.as_slice());
-        metrics.record_wire_tx(4 + buf.len() as u64, 1);
-        pool.put(buf);
+        let payload = pooled.as_ref().unwrap_or(&own);
+        let result = write_frame_vectored(&mut w, payload.as_slice());
+        metrics.record_wire_tx(4 + payload.len() as u64, 1);
+        match pooled {
+            Some(frame) => pool.put(frame),
+            // One huge answer (a snapshot) must not pin its buffer to an
+            // otherwise quiet connection forever.
+            None if own.capacity() > MAX_RETAINED_WRITE_BUFFER => own = BytesMut::new(),
+            None => {}
+        }
         if result.is_err() {
             // Peer stopped reading; drop the remaining slots (their
             // workers' replies go nowhere) and let the reader find out
@@ -969,129 +1153,154 @@ fn writer_loop(stream: &TcpStream, slots: &Receiver<Receiver<Response>>, metrics
     }
 }
 
-/// Worker: claim one job, drain the queue opportunistically, coalesce,
-/// execute, reply, record.
-fn worker_loop(
-    rx: &Receiver<Job>,
-    engine: &ServeEngine,
-    metrics: &ServingMetrics,
-    draining: &AtomicBool,
-    config: &ServeConfig,
-) {
-    while let Ok(first) = rx.recv() {
-        if let Some(delay) = config.handler_delay {
-            std::thread::sleep(delay);
-        }
-        let jobs = batch::drain(rx, first, config.max_batch.max(1));
-        // Deadline check at dequeue: a job whose budget lapsed while it
-        // sat in the queue is shed unexecuted — its caller has already
-        // timed out, so running it would only delay live requests.
-        let now = Instant::now();
-        let (jobs, expired): (Vec<Job>, Vec<Job>) = jobs
-            .into_iter()
-            .partition(|j| j.deadline.is_none_or(|d| d > now));
-        for job in expired {
-            metrics.record_deadline_shed();
-            finish(
-                metrics,
-                job,
-                Response::error(
-                    ErrorCode::DeadlineExceeded,
-                    "deadline budget expired before a worker dequeued the request",
-                ),
-            );
-        }
-        let plan = batch::plan(jobs);
-        let is_draining = draining.load(Ordering::Acquire);
+/// Most capacity a connection writer keeps between responses.
+const MAX_RETAINED_WRITE_BUFFER: usize = 1024 * 1024;
 
-        for batch in plan.batches {
-            metrics.record_batch(batch.jobs.len());
-            let keys: Vec<EntityKey> = batch
-                .jobs
-                .iter()
-                .map(|j| match &j.request {
-                    Request::GetFeatures { entity, .. } => EntityKey::new(entity.clone()),
-                    _ => unreachable!("plan() only batches GetFeatures"),
-                })
-                .collect();
-            let refs: Vec<&str> = batch.features.iter().map(String::as_str).collect();
-            match engine
-                .server
-                .serve_batch(&batch.group, &keys, &refs, engine.now())
-            {
-                Ok(vectors) => {
-                    for (job, vector) in batch.jobs.into_iter().zip(&vectors) {
-                        finish(metrics, job, Response::Features(WireVector::from(vector)));
-                    }
-                }
-                // A batch fails as a unit (e.g. FailOnStale tripped by one
-                // member); re-serve singly to preserve per-request answers.
-                Err(_) => {
-                    for job in batch.jobs {
-                        let response = engine.handle(&job.request, rx.len() as u32, is_draining);
-                        finish(metrics, job, response);
-                    }
-                }
-            }
-        }
-        for batch in plan.searches {
-            metrics.record_batch(batch.jobs.len());
-            let outcome = engine.index_catalog().and_then(|catalog| {
-                let queries: Vec<Vec<f32>> = batch
-                    .jobs
-                    .iter()
-                    .map(|j| match &j.request {
-                        Request::SearchNearest { query, .. } => query.clone(),
-                        _ => unreachable!("plan() only batches SearchNearest"),
-                    })
-                    .collect();
-                catalog
-                    .search_many(
-                        &batch.table,
-                        &queries,
-                        batch.k as usize,
-                        &batch.options.to_params(),
-                    )
-                    .ok()
-            });
-            match outcome {
-                Some(results) => {
-                    for (job, result) in batch.jobs.into_iter().zip(results) {
-                        finish(metrics, job, search_response(result));
-                    }
-                }
-                // No catalog or no snapshot: re-serve singly so each job
-                // gets the same typed error the single path produces.
-                None => {
-                    for job in batch.jobs {
-                        let response = engine.handle(&job.request, rx.len() as u32, is_draining);
-                        finish(metrics, job, response);
-                    }
-                }
-            }
-        }
-        for job in plan.singles {
-            let response = engine.handle(&job.request, rx.len() as u32, is_draining);
-            finish(metrics, job, response);
-        }
-    }
+/// One worker thread's state.
+struct Worker<'a> {
+    rx: &'a Receiver<Job>,
+    engine: &'a ServeEngine,
+    metrics: &'a ServingMetrics,
+    draining: &'a AtomicBool,
+    pool: Arc<FramePool>,
+    scratch: ReadScratch,
 }
 
-/// Reply and record one finished job.
-fn finish(metrics: &ServingMetrics, job: Job, response: Response) {
-    let ok = !matches!(response, Response::Error { .. });
-    let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
-    metrics.record(job.request.endpoint(), latency_ms, ok);
-    // E21's embedding phase asserts this stays flat: a response whose
-    // vector owns a private buffer means the store path copied.
-    if let Response::Embedding { vector, .. } = &response {
-        if !vector.is_shared() {
-            metrics.record_embed_copy();
+impl Worker<'_> {
+    /// Claim one job, drain the queue opportunistically, coalesce,
+    /// execute, reply, record — until the queue closes.
+    fn run(&mut self, config: &ServeConfig) {
+        while let Ok(first) = self.rx.recv() {
+            if let Some(delay) = config.handler_delay {
+                std::thread::sleep(delay);
+            }
+            let jobs = batch::drain(self.rx, first, config.max_batch.max(1));
+            // Deadline check at dequeue: a job whose budget lapsed while it
+            // sat in the queue is shed unexecuted — its caller has already
+            // timed out, so running it would only delay live requests.
+            let now = Instant::now();
+            let (jobs, expired): (Vec<Job>, Vec<Job>) = jobs
+                .into_iter()
+                .partition(|j| j.deadline.is_none_or(|d| d > now));
+            for job in expired {
+                self.metrics.record_deadline_shed();
+                self.finish_typed(
+                    job,
+                    Response::error(
+                        ErrorCode::DeadlineExceeded,
+                        "deadline budget expired before a worker dequeued the request",
+                    ),
+                );
+            }
+            let plan = batch::plan(jobs);
+
+            for batch in plan.batches {
+                self.metrics.record_batch(batch.jobs.len());
+                // Ids, clock and epoch are fixed once for the group; each
+                // member then gets its own frame, so one member's
+                // FailOnStale refusal never touches the others' answers.
+                self.engine
+                    .begin_read_into(batch.key().1, &mut self.scratch);
+                for job in batch.jobs {
+                    let Request::GetFeatures {
+                        group,
+                        entity,
+                        features,
+                    } = &job.request
+                    else {
+                        unreachable!("plan() only batches GetFeatures")
+                    };
+                    let mut frame = self.pool.get();
+                    let ok = self.engine.put_features(
+                        group,
+                        entity,
+                        features,
+                        &mut self.scratch,
+                        &mut frame,
+                    );
+                    self.finish(job, Reply::Frame(frame), ok);
+                }
+            }
+            for batch in plan.searches {
+                self.metrics.record_batch(batch.jobs.len());
+                let (table, k, options) = batch.key();
+                let outcome = self.engine.index_catalog().and_then(|catalog| {
+                    let queries: Vec<Vec<f32>> = batch
+                        .jobs
+                        .iter()
+                        .map(|j| match &j.request {
+                            Request::SearchNearest { query, .. } => query.clone(),
+                            _ => unreachable!("plan() only batches SearchNearest"),
+                        })
+                        .collect();
+                    catalog
+                        .search_many(table, &queries, k as usize, &options.to_params())
+                        .ok()
+                });
+                match outcome {
+                    Some(results) => {
+                        for (job, result) in batch.jobs.into_iter().zip(results) {
+                            self.finish_typed(job, search_response(result));
+                        }
+                    }
+                    // No catalog or no snapshot: re-serve singly so each
+                    // job gets the same typed error the single path
+                    // produces.
+                    None => batch.jobs.into_iter().for_each(|job| self.answer(job)),
+                }
+            }
+            plan.singles.into_iter().for_each(|job| self.answer(job));
         }
     }
-    // The connection may already be gone; its loss is not the worker's
-    // problem.
-    let _ = job.reply.send(response);
+
+    /// Execute one job on its own. Feature reads encode straight into the
+    /// frame; everything else goes through the typed `handle`.
+    fn answer(&mut self, job: Job) {
+        match &job.request {
+            Request::GetFeatures { .. } | Request::GetFeaturesBatch { .. } => {
+                let mut frame = self.pool.get();
+                let ok = self
+                    .engine
+                    .read_into(&job.request, &mut self.scratch, &mut frame);
+                self.finish(job, Reply::Frame(frame), ok);
+            }
+            request => {
+                // Only `Health` reports the queue depth, and reading it
+                // locks the job queue — nothing else pays for that.
+                let queue_depth = match request {
+                    Request::Health => self.rx.len() as u32,
+                    _ => 0,
+                };
+                let draining = self.draining.load(Ordering::Acquire);
+                let response = self.engine.handle(request, queue_depth, draining);
+                self.finish_typed(job, response);
+            }
+        }
+    }
+
+    /// Reply and record one finished job.
+    fn finish(&self, job: Job, reply: Reply, ok: bool) {
+        let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
+        self.metrics.record(job.request.endpoint(), latency_ms, ok);
+        // The connection may already be gone; its loss is not the worker's
+        // problem, but a frame still belongs to the pool.
+        if let Err(crossbeam::channel::SendError(Reply::Frame(frame))) = job.reply.send(reply) {
+            self.pool.put(frame);
+        }
+    }
+
+    /// [`finish`](Self::finish) for a typed response.
+    fn finish_typed(&self, job: Job, response: Response) {
+        // E21's embedding phase asserts this stays flat: a response whose
+        // vector owns a private buffer means the store path copied.
+        if let Response::Embedding { vector, .. } = &response {
+            if !vector.is_shared() {
+                self.metrics.record_embed_copy();
+            }
+        }
+        let ok = !matches!(response, Response::Error { .. });
+        self.finish(job, Reply::Typed(response), ok);
+    }
 }
 
 #[cfg(test)]

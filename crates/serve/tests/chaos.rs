@@ -4,6 +4,8 @@
 //! corruption, and bounded waits against stalled peers on both sides of
 //! the wire.
 
+mod common;
+
 use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_serve::fault::FaultyProxy;
@@ -78,6 +80,7 @@ fn get_u1() -> Request {
 /// bare FeatureClient on the dead connection fails.
 #[test]
 fn failover_client_survives_a_server_kill_and_restart() {
+    let _watchdog = common::watchdog("failover_client_survives_a_server_kill_and_restart");
     let handle = start_server("127.0.0.1:0");
     let addr = handle.addr().to_string();
 
@@ -126,6 +129,7 @@ fn failover_client_survives_a_server_kill_and_restart() {
 /// skip the dead endpoint.
 #[test]
 fn reads_fail_over_to_a_follower_when_the_leader_stays_down() {
+    let _watchdog = common::watchdog("reads_fail_over_to_a_follower_when_the_leader_stays_down");
     let leader = start_server("127.0.0.1:0");
     let follower = start_server("127.0.0.1:0");
     let leader_addr = leader.addr().to_string();
@@ -167,6 +171,7 @@ fn reads_fail_over_to_a_follower_when_the_leader_stays_down() {
 /// typed wire errors — never a hang, a panic, or a wrong answer.
 #[test]
 fn garbage_frames_yield_typed_decode_errors_not_hangs() {
+    let _watchdog = common::watchdog("garbage_frames_yield_typed_decode_errors_not_hangs");
     let handle = start_server("127.0.0.1:0");
     let proxy = FaultyProxy::start(handle.addr(), 0xc0_44_07).unwrap();
     let faults = proxy.faults();
@@ -206,6 +211,7 @@ fn garbage_frames_yield_typed_decode_errors_not_hangs() {
 /// slow-loris containment property.
 #[test]
 fn stalled_sender_is_cut_off_and_does_not_wedge_the_server() {
+    let _watchdog = common::watchdog("stalled_sender_is_cut_off_and_does_not_wedge_the_server");
     let engine = ServeEngine::new(FeatureServer::new(online_store()), fixed_clock(NOW));
     let config = ServeConfig::builder()
         .addr("127.0.0.1:0")
@@ -251,6 +257,7 @@ fn stalled_sender_is_cut_off_and_does_not_wedge_the_server() {
 /// the client: its read timeout fires in bounded time.
 #[test]
 fn stalled_server_trips_the_client_read_timeout() {
+    let _watchdog = common::watchdog("stalled_server_trips_the_client_read_timeout");
     let handle = start_server("127.0.0.1:0");
     let proxy = FaultyProxy::start(handle.addr(), 0x57a11).unwrap();
     let faults = proxy.faults();
@@ -287,6 +294,7 @@ fn stalled_server_trips_the_client_read_timeout() {
 /// admission, so every request must come back shed — deterministically.
 #[test]
 fn expired_deadline_budgets_are_shed_with_a_typed_error() {
+    let _watchdog = common::watchdog("expired_deadline_budgets_are_shed_with_a_typed_error");
     let handle = start_server("127.0.0.1:0");
     let addr = handle.addr().to_string();
 

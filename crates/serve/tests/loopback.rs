@@ -2,6 +2,8 @@
 //! clients over real sockets, responses checked against direct in-process
 //! `FeatureServer` / `EmbeddingTable` calls.
 
+mod common;
+
 use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingProvenance, EmbeddingTable};
@@ -55,6 +57,8 @@ fn embedding_db() -> EmbeddingDb {
 
 #[test]
 fn concurrent_clients_match_direct_calls_and_shutdown_is_graceful() {
+    let _watchdog =
+        common::watchdog("concurrent_clients_match_direct_calls_and_shutdown_is_graceful");
     let online = online_store();
     let direct = FeatureServer::new(Arc::clone(&online));
     let embeddings = embedding_db();
@@ -183,6 +187,7 @@ fn concurrent_clients_match_direct_calls_and_shutdown_is_graceful() {
 
 #[test]
 fn unknown_embedding_and_bad_requests_get_typed_errors() {
+    let _watchdog = common::watchdog("unknown_embedding_and_bad_requests_get_typed_errors");
     let online = online_store();
     let engine = ServeEngine::new(FeatureServer::new(online), fixed_clock(NOW));
     let handle = start(engine, ServeConfig::default()).unwrap();
@@ -200,6 +205,7 @@ fn unknown_embedding_and_bad_requests_get_typed_errors() {
 
 #[test]
 fn load_shedding_returns_overloaded_and_counts_sheds() {
+    let _watchdog = common::watchdog("load_shedding_returns_overloaded_and_counts_sheds");
     let online = online_store();
     let engine = ServeEngine::new(FeatureServer::new(online), fixed_clock(NOW));
     // Queue depth 1, a single slow worker: concurrent clients must
@@ -281,6 +287,7 @@ fn load_shedding_returns_overloaded_and_counts_sheds() {
 /// not wedge the server.
 #[test]
 fn malformed_frames_close_or_error_without_wedging_the_server() {
+    let _watchdog = common::watchdog("malformed_frames_close_or_error_without_wedging_the_server");
     use fstore_serve::{write_frame, FrameEvent, FrameReader, Response, MAX_FRAME_LEN};
     use std::io::Write;
     use std::net::TcpStream;

@@ -11,6 +11,8 @@
 //! generated per case) so a single server + proxy pair is shared across
 //! every case instead of rebinding loopback sockets 48 times.
 
+mod common;
+
 use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_serve::fault::FaultyProxy;
@@ -100,6 +102,7 @@ fn schedule_strategy(max_burst: usize) -> impl Strategy<Value = Vec<Vec<usize>>>
 
 #[test]
 fn pipelined_bursts_answer_in_order_or_fail_typed_under_cuts() {
+    let _watchdog = common::watchdog("pipelined_bursts_answer_in_order_or_fail_typed_under_cuts");
     let server = start_server();
     let proxy = FaultyProxy::start(server.addr(), 0xE21_0001).unwrap();
     let faults = proxy.faults();
@@ -159,6 +162,7 @@ fn pipelined_bursts_answer_in_order_or_fail_typed_under_cuts() {
 /// pipelined path has no probabilistic behavior of its own.
 #[test]
 fn pipelined_bursts_roundtrip_cleanly_without_faults() {
+    let _watchdog = common::watchdog("pipelined_bursts_roundtrip_cleanly_without_faults");
     let server = start_server();
     let addr = server.addr();
 

@@ -5,6 +5,8 @@
 //! anything other than an explicit `Overloaded`, and recall after the
 //! swap must not be worse than before it.
 
+mod common;
+
 use fstore_common::{Rng, Timestamp, Xoshiro256};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingProvenance, EmbeddingTable};
@@ -89,6 +91,7 @@ fn query_points(seed: u64, count: usize, store: &EmbeddingDb) -> Vec<Vec<f32>> {
 
 #[test]
 fn search_endpoints_answer_over_the_wire_with_typed_errors() {
+    let _watchdog = common::watchdog("search_endpoints_answer_over_the_wire_with_typed_errors");
     let (_store, catalog, engine) = serving_stack();
     let handle = start(engine, ServeConfig::default()).unwrap();
     let mut client = FeatureClient::connect(handle.addr()).unwrap();
@@ -141,6 +144,8 @@ fn search_endpoints_answer_over_the_wire_with_typed_errors() {
 
 #[test]
 fn concurrent_searches_survive_two_index_swaps_without_dropped_requests() {
+    let _watchdog =
+        common::watchdog("concurrent_searches_survive_two_index_swaps_without_dropped_requests");
     let (store, catalog, engine) = serving_stack();
     // Start on a deliberately low-recall IVF so the post-swap indexes have
     // headroom to improve on the baseline.
@@ -290,6 +295,7 @@ fn concurrent_searches_survive_two_index_swaps_without_dropped_requests() {
 
 #[test]
 fn coalesced_search_batches_agree_with_single_requests() {
+    let _watchdog = common::watchdog("coalesced_search_batches_agree_with_single_requests");
     let (store, catalog, engine) = serving_stack();
     catalog.build("emb", &IndexSpec::Flat).unwrap();
     // One slow worker forces concurrent identical-(table,k,options)

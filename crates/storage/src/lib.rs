@@ -25,6 +25,6 @@ pub mod snapshot;
 pub use column::{Column, NullBitmap};
 pub use db::OfflineDb;
 pub use offline::{OfflineStore, ScanRequest, ScanResult, ScanStats, TableConfig};
-pub use online::{OnlineEntry, OnlineStore, OnlineStoreStats};
+pub use online::{FeatureId, OnlineEntry, OnlineStore, OnlineStoreStats};
 pub use predicate::{CmpOp, Predicate};
 pub use segment::{Segment, SegmentBuilder, ZoneMap};

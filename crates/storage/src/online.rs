@@ -6,11 +6,33 @@
 //! policies and the monitors can measure feature freshness (§2.2.3).
 //! Shards are guarded by `parking_lot::RwLock`, routed by a fast hash of
 //! `(group, entity)`.
+//!
+//! # Layout
+//!
+//! Feature names are interned per store into an append-only
+//! `name ↔ FeatureId` table, and each entity keeps its features in one
+//! contiguous row of `(FeatureId, OnlineEntry)` slots: no hash table per
+//! entity and no name string per stored value. A lookup walks
+//! `shard → group → entity → row` on borrowed `&str`s and never allocates
+//! a key. Rows are scanned linearly — feature groups hold a handful to a
+//! few dozen features, where a scan of adjacent slots beats a hash probe.
+//!
+//! The name table only grows: an id, once handed out, stays valid for the
+//! store's lifetime, so readers resolve a request's names once
+//! ([`OnlineStore::resolve_into`]) and then visit any number of rows
+//! ([`OnlineStore::visit_row`]) without touching a string. Its size is
+//! bounded by the number of *distinct feature names* ever written (a
+//! schema-sized quantity), not by entities or writes; sweeping expired
+//! values does not shrink it.
+//!
+//! Lock order: the name table's lock is never held together with a shard
+//! lock — names are resolved (or interned) first, then the shard is taken.
 
 use fstore_common::hash::{fx_hash_one, FxHashMap};
 use fstore_common::{Duration, EntityKey, Timestamp, Value};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One stored feature value and the instant it was written.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +48,55 @@ impl OnlineEntry {
     }
 }
 
-type EntityRow = FxHashMap<String, OnlineEntry>;
-type Shard = FxHashMap<(String, String), EntityRow>;
+/// A feature name interned by one [`OnlineStore`]. Ids are meaningful only
+/// to the store that issued them and never change or expire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FeatureId(u32);
+
+/// The append-only `name ↔ id` table. Both directions share one `Arc<str>`
+/// per name.
+#[derive(Debug, Default)]
+struct NameTable {
+    ids: FxHashMap<Arc<str>, FeatureId>,
+    names: Vec<Arc<str>>,
+}
+
+impl NameTable {
+    fn id(&self, name: &str) -> Option<FeatureId> {
+        self.ids.get(name).copied()
+    }
+
+    fn name(&self, id: FeatureId) -> &str {
+        &self.names[id.0 as usize]
+    }
+
+    fn intern(&mut self, name: &str) -> FeatureId {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = FeatureId(u32::try_from(self.names.len()).expect("fewer than 2^32 feature names"));
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Slot {
+    id: FeatureId,
+    entry: OnlineEntry,
+}
+
+/// One entity's features, in first-write order.
+type Row = Vec<Slot>;
+/// `group → entity → row`. Nesting by group (a handful per store) keeps
+/// every level a plain `&str` lookup.
+type Shard = FxHashMap<Box<str>, FxHashMap<Box<str>, Row>>;
+
+fn find(row: &[Slot], id: FeatureId) -> Option<&OnlineEntry> {
+    row.iter().find(|s| s.id == id).map(|s| &s.entry)
+}
 
 /// Hit/miss/write counters (monotonic, lock-free).
 #[derive(Debug, Default)]
@@ -50,10 +119,11 @@ impl OnlineStoreStats {
 }
 
 /// The sharded in-memory store. Keys are `(feature group, entity)`; each
-/// entity row maps feature name → [`OnlineEntry`].
+/// entity row holds one [`OnlineEntry`] per written feature.
 #[derive(Debug)]
 pub struct OnlineStore {
     shards: Vec<RwLock<Shard>>,
+    names: RwLock<NameTable>,
     stats: OnlineStoreStats,
 }
 
@@ -69,6 +139,7 @@ impl OnlineStore {
         let n = shards.max(1).next_power_of_two();
         OnlineStore {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
+            names: RwLock::default(),
             stats: OnlineStoreStats::default(),
         }
     }
@@ -78,9 +149,76 @@ impl OnlineStore {
     }
 
     #[inline]
-    fn shard_for(&self, group: &str, entity: &EntityKey) -> &RwLock<Shard> {
-        let h = fx_hash_one(&(group, entity.as_str()));
+    fn shard_for(&self, group: &str, entity: &str) -> &RwLock<Shard> {
+        let h = fx_hash_one(&(group, entity));
         &self.shards[(h as usize) & (self.shards.len() - 1)]
+    }
+
+    /// Resolve feature names to this store's ids, into a caller-owned
+    /// buffer (cleared first) so a serving loop reuses one allocation. A
+    /// name no write has ever used resolves to `None` — a guaranteed miss.
+    pub fn resolve_into<S: AsRef<str>>(&self, features: &[S], ids: &mut Vec<Option<FeatureId>>) {
+        ids.clear();
+        let names = self.names.read();
+        ids.extend(features.iter().map(|f| names.id(f.as_ref())));
+    }
+
+    /// Ids for names about to be written, interning the new ones. The
+    /// steady state (every name already known) takes only the read lock.
+    fn intern_all<'a>(&self, features: impl Iterator<Item = &'a str> + Clone) -> Vec<FeatureId> {
+        {
+            let names = self.names.read();
+            let known: Option<Vec<FeatureId>> = features.clone().map(|f| names.id(f)).collect();
+            if let Some(ids) = known {
+                return ids;
+            }
+        }
+        let mut names = self.names.write();
+        features.map(|f| names.intern(f)).collect()
+    }
+
+    /// Upsert `ids[i] → values[i]` into one entity's row under a single
+    /// shard write lock.
+    fn write_row(
+        &self,
+        group: &str,
+        entity: &str,
+        ids: &[FeatureId],
+        values: impl Iterator<Item = Value>,
+        now: Timestamp,
+    ) {
+        let upsert = |row: &mut Row| {
+            for (&id, value) in ids.iter().zip(values) {
+                let entry = OnlineEntry {
+                    value,
+                    written_at: now,
+                };
+                match row.iter_mut().find(|s| s.id == id) {
+                    Some(slot) => slot.entry = entry,
+                    None => row.push(Slot { id, entry }),
+                }
+            }
+        };
+        if ids.is_empty() {
+            // Rows are never empty (the sweep drops the ones it drains).
+            return;
+        }
+        let mut shard = self.shard_for(group, entity).write();
+        if !shard.contains_key(group) {
+            shard.insert(group.into(), FxHashMap::default());
+        }
+        let rows = shard.get_mut(group).expect("group inserted above");
+        match rows.get_mut(entity) {
+            Some(row) => upsert(row),
+            None => {
+                let mut row = Row::with_capacity(ids.len());
+                upsert(&mut row);
+                rows.insert(entity.into(), row);
+            }
+        }
+        self.stats
+            .writes
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
     }
 
     /// Write one feature value for an entity.
@@ -92,19 +230,8 @@ impl OnlineStore {
         value: Value,
         now: Timestamp,
     ) {
-        let shard = self.shard_for(group, entity);
-        let mut guard = shard.write();
-        let row = guard
-            .entry((group.to_string(), entity.as_str().to_string()))
-            .or_default();
-        row.insert(
-            feature.to_string(),
-            OnlineEntry {
-                value,
-                written_at: now,
-            },
-        );
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+        let ids = self.intern_all(std::iter::once(feature));
+        self.write_row(group, entity.as_str(), &ids, std::iter::once(value), now);
     }
 
     /// Write several features of one entity under a single shard lock.
@@ -115,37 +242,57 @@ impl OnlineStore {
         values: &[(&str, Value)],
         now: Timestamp,
     ) {
-        let shard = self.shard_for(group, entity);
-        let mut guard = shard.write();
-        let row = guard
-            .entry((group.to_string(), entity.as_str().to_string()))
-            .or_default();
-        for (feature, value) in values {
-            row.insert(
-                feature.to_string(),
-                OnlineEntry {
-                    value: value.clone(),
-                    written_at: now,
-                },
-            );
+        let ids = self.intern_all(values.iter().map(|(feature, _)| *feature));
+        self.write_row(
+            group,
+            entity.as_str(),
+            &ids,
+            values.iter().map(|(_, value)| value.clone()),
+            now,
+        );
+    }
+
+    /// Visit the requested features of one entity under the shard read
+    /// lock: `visit(i, entry)` is called once per `ids[i]`, in order, with
+    /// the stored entry borrowed in place (`None` = unknown name, unknown
+    /// entity, or feature never written for it). Nothing is cloned or
+    /// allocated; keep `visit` short — it runs under the lock.
+    pub fn visit_row(
+        &self,
+        group: &str,
+        entity: &str,
+        ids: &[Option<FeatureId>],
+        mut visit: impl FnMut(usize, Option<&OnlineEntry>),
+    ) {
+        let mut hits = 0u64;
+        {
+            let shard = self.shard_for(group, entity).read();
+            let row: &[Slot] = shard
+                .get(group)
+                .and_then(|rows| rows.get(entity))
+                .map_or(&[], Vec::as_slice);
+            for (i, id) in ids.iter().enumerate() {
+                let entry = id.and_then(|id| find(row, id));
+                hits += u64::from(entry.is_some());
+                visit(i, entry);
+            }
         }
-        self.stats
-            .writes
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
+        let misses = ids.len() as u64 - hits;
+        if hits > 0 {
+            self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        if misses > 0 {
+            self.stats.misses.fetch_add(misses, Ordering::Relaxed);
+        }
     }
 
     /// Point lookup of one feature.
     pub fn get(&self, group: &str, entity: &EntityKey, feature: &str) -> Option<OnlineEntry> {
-        let shard = self.shard_for(group, entity);
-        let guard = shard.read();
-        let found = guard
-            .get(&(group.to_string(), entity.as_str().to_string()))
-            .and_then(|row| row.get(feature))
-            .cloned();
-        match &found {
-            Some(_) => self.stats.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.stats.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let id = self.names.read().id(feature);
+        let mut found = None;
+        self.visit_row(group, entity.as_str(), &[id], |_, entry| {
+            found = entry.cloned()
+        });
         found
     }
 
@@ -157,33 +304,30 @@ impl OnlineStore {
         entity: &EntityKey,
         features: &[&str],
     ) -> Vec<Option<OnlineEntry>> {
-        let shard = self.shard_for(group, entity);
-        let guard = shard.read();
-        let row = guard.get(&(group.to_string(), entity.as_str().to_string()));
-        let out: Vec<Option<OnlineEntry>> = features
-            .iter()
-            .map(|f| row.and_then(|r| r.get(*f)).cloned())
-            .collect();
-        let hits = out.iter().filter(|e| e.is_some()).count() as u64;
-        self.stats.hits.fetch_add(hits, Ordering::Relaxed);
-        self.stats
-            .misses
-            .fetch_add(features.len() as u64 - hits, Ordering::Relaxed);
+        let mut ids = Vec::new();
+        self.resolve_into(features, &mut ids);
+        let mut out = Vec::with_capacity(features.len());
+        self.visit_row(group, entity.as_str(), &ids, |_, entry| {
+            out.push(entry.cloned())
+        });
         out
     }
 
     /// All feature entries of an entity (for skew monitors and debugging).
     pub fn get_row(&self, group: &str, entity: &EntityKey) -> Option<Vec<(String, OnlineEntry)>> {
-        let shard = self.shard_for(group, entity);
-        let guard = shard.read();
-        guard
-            .get(&(group.to_string(), entity.as_str().to_string()))
-            .map(|row| {
-                let mut v: Vec<(String, OnlineEntry)> =
-                    row.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                v
-            })
+        let row: Row = self
+            .shard_for(group, entity.as_str())
+            .read()
+            .get(group)?
+            .get(entity.as_str())?
+            .clone();
+        let names = self.names.read();
+        let mut v: Vec<(String, OnlineEntry)> = row
+            .into_iter()
+            .map(|s| (names.name(s.id).to_string(), s.entry))
+            .collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        Some(v)
     }
 
     /// Delete entries written before `now - ttl`; returns how many were
@@ -193,12 +337,15 @@ impl OnlineStore {
         let mut evicted = 0usize;
         for shard in &self.shards {
             let mut guard = shard.write();
-            for row in guard.values_mut() {
-                let before = row.len();
-                row.retain(|_, e| e.written_at >= cutoff);
-                evicted += before - row.len();
+            for rows in guard.values_mut() {
+                rows.retain(|_, row| {
+                    let before = row.len();
+                    row.retain(|s| s.entry.written_at >= cutoff);
+                    evicted += before - row.len();
+                    !row.is_empty()
+                });
             }
-            guard.retain(|_, row| !row.is_empty());
+            guard.retain(|_, rows| !rows.is_empty());
         }
         self.stats
             .expired
@@ -210,7 +357,13 @@ impl OnlineStore {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().values().map(|r| r.len()).sum::<usize>())
+            .map(|s| {
+                s.read()
+                    .values()
+                    .flat_map(|rows| rows.values())
+                    .map(Vec::len)
+                    .sum::<usize>()
+            })
             .sum()
     }
 
@@ -224,20 +377,30 @@ impl OnlineStore {
     /// export — replication's delta replay makes that benign (puts are
     /// idempotent overwrites).
     pub fn export_rows(&self) -> Vec<(String, String, String, OnlineEntry)> {
-        let mut out = Vec::new();
+        let mut slots = Vec::new();
         for shard in &self.shards {
             let guard = shard.read();
-            for ((group, entity), row) in guard.iter() {
-                for (feature, entry) in row.iter() {
-                    out.push((
-                        group.clone(),
-                        entity.clone(),
-                        feature.clone(),
-                        entry.clone(),
-                    ));
+            for (group, rows) in guard.iter() {
+                for (entity, row) in rows {
+                    slots.extend(
+                        row.iter()
+                            .map(|s| (group.clone(), entity.clone(), s.clone())),
+                    );
                 }
             }
         }
+        let names = self.names.read();
+        let mut out: Vec<(String, String, String, OnlineEntry)> = slots
+            .into_iter()
+            .map(|(group, entity, s)| {
+                (
+                    group.into(),
+                    entity.into(),
+                    names.name(s.id).to_string(),
+                    s.entry,
+                )
+            })
+            .collect();
         out.sort_by(|a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)));
         out
     }
@@ -245,14 +408,15 @@ impl OnlineStore {
     /// Snapshot of all current values of one feature across entities in a
     /// group — the "live" side of training/serving-skew monitoring.
     pub fn feature_snapshot(&self, group: &str, feature: &str) -> Vec<(EntityKey, OnlineEntry)> {
+        let Some(id) = self.names.read().id(feature) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
         for shard in &self.shards {
             let guard = shard.read();
-            for ((g, entity), row) in guard.iter() {
-                if g == group {
-                    if let Some(e) = row.get(feature) {
-                        out.push((EntityKey::new(entity.clone()), e.clone()));
-                    }
+            for (entity, row) in guard.get(group).into_iter().flatten() {
+                if let Some(e) = find(row, id) {
+                    out.push((EntityKey::new(&**entity), e.clone()));
                 }
             }
         }
