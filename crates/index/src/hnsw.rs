@@ -1,12 +1,15 @@
 //! HNSW — hierarchical navigable small world graph (Malkov & Yashunin),
-//! the graph-index family of the E9 sweep. Greedy descent through sparse
-//! upper layers, beam (`ef`) search in the base layer.
+//! the graph-index family of the E9 sweep. One beam search serves every
+//! layer: width 1 (a greedy descent) through the sparse upper layers, width
+//! `ef` in the base layer.
 
-use crate::flat::FlatIndex;
-use crate::{check_query, l2_sq, Hit, SearchParams, VectorIndex};
+use crate::flat::{FlatIndex, Scored};
+use crate::kernel::l2_sq;
+use crate::{check_query, Hit, SearchParams, VectorIndex};
 use fstore_common::{FsError, Result, Rng, Xoshiro256};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// HNSW build/search parameters.
@@ -32,296 +35,328 @@ impl Default for HnswConfig {
     }
 }
 
-/// One node's adjacency per layer.
-struct Node {
-    /// neighbors[l] = neighbor ids at layer l (l <= level)
-    neighbors: Vec<Vec<u32>>,
-}
-
 /// The HNSW graph index.
 pub struct HnswIndex {
-    dim: usize,
     config: HnswConfig,
-    data: Vec<Vec<f32>>,
-    nodes: Vec<Node>,
-    entry: usize,
+    rows: FlatIndex,
+    graph: Graph,
+}
+
+/// `upper_at` of a node that lives on layer 0 alone.
+const NO_UPPER: u32 = u32::MAX;
+
+/// The adjacency, apart from the vectors so that a build can read rows
+/// while it rewires links. A record is a link count followed by that many
+/// node ids, at a fixed stride, so expanding a node reads one short run of
+/// ids and then the rows they name.
+struct Graph {
+    m: usize,
+    /// Layer 0: node `n`'s record of `2m + 1` slots starts at `n * (2m + 1)`.
+    base: Vec<u32>,
+    /// Layers 1 and up, for the few nodes that reach them: node `n`'s
+    /// layer-`l` record of `m + 1` slots starts at
+    /// `upper_at[n] + (l - 1) * (m + 1)`.
+    upper: Vec<u32>,
+    upper_at: Vec<u32>,
+    entry: u32,
     max_level: usize,
 }
 
-/// Min-heap by distance (via reversed Ord on a max-heap).
-struct Candidate(f32, u32);
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1
-    }
-}
-impl Eq for Candidate {}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap pops the smallest distance first
-        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-    }
-}
-
-/// Max-heap by distance for bounded result sets.
-struct Farthest(f32, u32);
-impl PartialEq for Farthest {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1
-    }
-}
-impl Eq for Farthest {}
-impl PartialOrd for Farthest {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Farthest {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// Everything a walk needs besides the index, kept per thread and reused:
+/// a search allocates nothing but the hits it returns.
+#[derive(Default)]
+struct Scratch {
+    /// `seen[n] == stamp` marks node `n` visited in the current walk, so
+    /// bumping `stamp` unmarks every node at once.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Nodes still to expand, nearest first.
+    frontier: BinaryHeap<Reverse<Scored>>,
+    /// The best `ef` nodes met so far, farthest at the root.
+    best: BinaryHeap<Scored>,
+    /// The not-yet-seen neighbours of the node being expanded, and their
+    /// distances from one kernel call.
+    ids: Vec<u32>,
+    distances: Vec<f32>,
+    /// What the last walk kept, nearest first.
+    found: Vec<Scored>,
+    /// Build only: the links chosen from `found`, and the passed-over rest.
+    selected: Vec<u32>,
+    pruned: Vec<u32>,
 }
 
-impl HnswIndex {
-    pub fn build(data: Vec<Vec<f32>>, config: HnswConfig) -> Result<Self> {
-        let dim = data.first().map_or(0, Vec::len);
-        if dim == 0 {
-            return Err(FsError::Index("HNSW needs non-empty vectors".into()));
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    /// Start a walk over an index of `nodes` nodes with nothing marked.
+    fn begin(&mut self, nodes: usize) {
+        if self.seen.len() < nodes {
+            self.seen.resize(nodes, 0);
         }
-        if data.iter().any(|v| v.len() != dim) {
-            return Err(FsError::Index("ragged vectors".into()));
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Stamps from 2^32 walks ago would read as fresh marks.
+            self.seen.fill(0);
+            self.stamp = 1;
         }
-        if config.m < 2 || config.ef_construction == 0 || config.ef_search == 0 {
-            return Err(FsError::Index(
-                "HNSW params must be positive (m >= 2)".into(),
-            ));
-        }
-        let mut index = HnswIndex {
-            dim,
-            config,
-            data: Vec::with_capacity(data.len()),
-            nodes: Vec::with_capacity(data.len()),
-            entry: 0,
-            max_level: 0,
-        };
-        let mut rng = Xoshiro256::seeded(config.seed);
-        let ml = 1.0 / (config.m as f64).ln();
-        for v in data {
-            let level = (-(rng.next_f64().max(1e-12)).ln() * ml) as usize;
-            index.insert(v, level);
-        }
-        Ok(index)
+        self.frontier.clear();
+        self.best.clear();
     }
 
-    fn insert(&mut self, vector: Vec<f32>, level: usize) {
-        let id = self.data.len() as u32;
-        self.data.push(vector);
-        self.nodes.push(Node {
-            neighbors: vec![Vec::new(); level + 1],
-        });
-        if id == 0 {
-            self.entry = 0;
-            self.max_level = level;
-            return;
-        }
-        let query = self.data[id as usize].clone();
-
-        // phase 1: greedy descent through layers above `level`
-        let mut ep = self.entry as u32;
-        for l in ((level + 1)..=self.max_level).rev() {
-            ep = self.greedy_closest(&query, ep, l);
-        }
-
-        // phase 2: beam search + connect at each layer from min(level, max) down
-        for l in (0..=level.min(self.max_level)).rev() {
-            let found = self.search_layer(&query, ep, l, self.config.ef_construction);
-            let max_links = if l == 0 {
-                self.config.m * 2
-            } else {
-                self.config.m
-            };
-            let candidates: Vec<(u32, f32)> =
-                found.iter().map(|&(node, d)| (node as u32, d)).collect();
-            let selected = self.select_neighbors(&candidates, max_links);
-            for &n in &selected {
-                self.nodes[id as usize].neighbors[l].push(n);
-                self.nodes[n as usize].neighbors[l].push(id);
-                // prune the neighbor if it now has too many links
-                if self.nodes[n as usize].neighbors[l].len() > max_links {
-                    self.prune(n, l, max_links);
-                }
-            }
-            if let Some(&(best, _)) = found.first() {
-                ep = best as u32;
-            }
-        }
-
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = id as usize;
-        }
-    }
-
-    /// Heuristic neighbor selection (Malkov & Yashunin, Alg. 4): walk the
-    /// candidates in distance order and keep one only if it is closer to
-    /// the base point than to every already-kept neighbor. This preserves
-    /// links in *diverse directions* (including long-range inter-cluster
-    /// edges) instead of letting one tight cluster monopolize the budget —
-    /// without it, clustered data fragments the graph into islands and
-    /// recall plateaus. Pruned candidates backfill any remaining slots.
-    fn select_neighbors(&self, candidates: &[(u32, f32)], max_links: usize) -> Vec<u32> {
-        let mut selected: Vec<(u32, f32)> = Vec::with_capacity(max_links);
-        let mut pruned: Vec<u32> = Vec::new();
-        for &(cand, d_base) in candidates {
+    /// Heuristic neighbor selection (Malkov & Yashunin, Alg. 4) of up to
+    /// `max_links` of `found` into `selected`: walk the candidates in
+    /// distance order and keep one only if it is closer to the base point
+    /// than to every already-kept neighbor. This preserves links in
+    /// *diverse directions* (including long-range inter-cluster edges)
+    /// instead of letting one tight cluster monopolize the budget — without
+    /// it, clustered data fragments the graph into islands and recall
+    /// plateaus. Pruned candidates backfill any remaining slots.
+    fn select_neighbors(&mut self, rows: &FlatIndex, max_links: usize) {
+        let (selected, pruned) = (&mut self.selected, &mut self.pruned);
+        selected.clear();
+        pruned.clear();
+        for &Scored(d_base, cand) in &self.found {
             if selected.len() >= max_links {
                 break;
             }
             let diverse = selected
                 .iter()
-                .all(|&(s, _)| l2_sq(&self.data[cand as usize], &self.data[s as usize]) > d_base);
+                .all(|&kept| l2_sq(rows.row(cand), rows.row(kept)) > d_base);
             if diverse {
-                selected.push((cand, d_base));
+                selected.push(cand);
             } else {
                 pruned.push(cand);
             }
         }
-        let mut out: Vec<u32> = selected.into_iter().map(|(n, _)| n).collect();
-        for n in pruned {
-            if out.len() >= max_links {
-                break;
-            }
-            out.push(n);
-        }
-        out
+        let spare = max_links - selected.len();
+        selected.extend(pruned.iter().take(spare));
     }
+}
 
-    /// Re-select the neighbors of an overfull `node` at layer `l` with the
-    /// same diversity heuristic.
-    fn prune(&mut self, node: u32, l: usize, max_links: usize) {
-        let v = self.data[node as usize].clone();
-        let mut nbrs = std::mem::take(&mut self.nodes[node as usize].neighbors[l]);
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        let mut cands: Vec<(u32, f32)> = nbrs
-            .into_iter()
-            .map(|n| (n, l2_sq(&self.data[n as usize], &v)))
-            .collect();
-        cands.sort_by(|a, b| a.1.total_cmp(&b.1));
-        self.nodes[node as usize].neighbors[l] = self.select_neighbors(&cands, max_links);
-    }
-
-    /// Greedy walk to the locally closest node at layer `l`.
-    fn greedy_closest(&self, query: &[f32], start: u32, l: usize) -> u32 {
-        let mut current = start;
-        let mut current_d = l2_sq(&self.data[current as usize], query);
-        loop {
-            let mut improved = false;
-            for &n in &self.nodes[current as usize].neighbors[l] {
-                let d = l2_sq(&self.data[n as usize], query);
-                if d < current_d {
-                    current = n;
-                    current_d = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return current;
-            }
+impl Graph {
+    fn new(m: usize, nodes: usize) -> Self {
+        Graph {
+            m,
+            base: vec![0; nodes * (2 * m + 1)],
+            upper: Vec::new(),
+            upper_at: vec![NO_UPPER; nodes],
+            entry: 0,
+            max_level: 0,
         }
     }
 
-    /// Beam search at layer `l`; returns up to `ef` hits ascending.
-    fn search_layer(&self, query: &[f32], entry: u32, l: usize, ef: usize) -> Vec<Hit> {
-        let mut visited = vec![false; self.data.len()];
-        let mut candidates = BinaryHeap::new(); // min by distance
-        let mut results: BinaryHeap<Farthest> = BinaryHeap::new(); // max by distance
-        let d0 = l2_sq(&self.data[entry as usize], query);
-        visited[entry as usize] = true;
-        candidates.push(Candidate(d0, entry));
-        results.push(Farthest(d0, entry));
+    fn max_links(&self, l: usize) -> usize {
+        if l == 0 {
+            self.m * 2
+        } else {
+            self.m
+        }
+    }
 
-        while let Some(Candidate(d, node)) = candidates.pop() {
-            let worst = results.peek().map_or(f32::INFINITY, |f| f.0);
-            if d > worst && results.len() >= ef {
+    /// Node `node`'s neighbours at layer `l` (at most the node's level).
+    fn links(&self, node: u32, l: usize) -> &[u32] {
+        let record = match l {
+            0 => &self.base[node as usize * (2 * self.m + 1)..],
+            _ => &self.upper[self.upper_at[node as usize] as usize + (l - 1) * (self.m + 1)..],
+        };
+        &record[1..=record[0] as usize]
+    }
+
+    /// Node `node`'s whole layer-`l` record: the count, then every slot.
+    fn record_mut(&mut self, node: u32, l: usize) -> &mut [u32] {
+        let slots = self.max_links(l) + 1;
+        match l {
+            0 => &mut self.base[node as usize * slots..][..slots],
+            _ => {
+                &mut self.upper[self.upper_at[node as usize] as usize + (l - 1) * slots..][..slots]
+            }
+        }
+    }
+
+    fn set_links(&mut self, node: u32, l: usize, links: &[u32]) {
+        let record = self.record_mut(node, l);
+        record[0] = links.len() as u32;
+        record[1..=links.len()].copy_from_slice(links);
+    }
+
+    /// Add node `id` (a row the graph does not hold yet) with links on
+    /// layers `0..=level`.
+    fn insert(&mut self, rows: &FlatIndex, id: u32, level: usize, ef: usize, s: &mut Scratch) {
+        if level > 0 {
+            self.upper_at[id as usize] =
+                u32::try_from(self.upper.len()).expect("upper layers outgrew 32-bit offsets");
+            self.upper
+                .resize(self.upper.len() + level * (self.m + 1), 0);
+        }
+        if id == 0 {
+            self.max_level = level;
+            return;
+        }
+        let query = rows.row(id);
+
+        // phase 1: greedy (width-1) descent through layers above `level`
+        let mut ep = self.entry;
+        for l in ((level + 1)..=self.max_level).rev() {
+            self.search_layer(rows, query, ep, l, 1, s);
+            ep = s.found[0].1;
+        }
+
+        // phase 2: beam search + connect at each layer from min(level, max) down
+        for l in (0..=level.min(self.max_level)).rev() {
+            self.search_layer(rows, query, ep, l, ef, s);
+            ep = s.found[0].1;
+            s.select_neighbors(rows, self.max_links(l));
+            self.set_links(id, l, &s.selected);
+            // `link` reuses the scratch lists, so walk the stored record.
+            for i in 0..self.links(id, l).len() {
+                let neighbor = self.links(id, l)[i];
+                self.link(rows, neighbor, l, id, s);
+            }
+        }
+
+        if level > self.max_level {
+            self.max_level = level;
+            self.entry = id;
+        }
+    }
+
+    /// Give `node` a layer-`l` link to the new node `id`. A full record is
+    /// re-selected from its links plus `id` by the same diversity rule.
+    fn link(&mut self, rows: &FlatIndex, node: u32, l: usize, id: u32, s: &mut Scratch) {
+        let max_links = self.max_links(l);
+        let record = self.record_mut(node, l);
+        let count = record[0] as usize;
+        if count < max_links {
+            record[0] += 1;
+            record[count + 1] = id;
+            return;
+        }
+        s.ids.clear();
+        s.ids.extend_from_slice(&record[1..]);
+        s.ids.push(id);
+        s.distances.resize(s.ids.len(), 0.0);
+        rows.distances(rows.row(node), &s.ids, &mut s.distances);
+        s.found.clear();
+        let scored = s.distances.iter().zip(&s.ids);
+        s.found.extend(scored.map(|(&d, &n)| Scored(d, n)));
+        s.found.sort_unstable();
+        s.select_neighbors(rows, max_links);
+        self.set_links(node, l, &s.selected);
+    }
+
+    /// Beam search at layer `l`; leaves up to `ef` hits in `s.found`,
+    /// ascending.
+    fn search_layer(
+        &self,
+        rows: &FlatIndex,
+        query: &[f32],
+        entry: u32,
+        l: usize,
+        ef: usize,
+        s: &mut Scratch,
+    ) {
+        s.begin(rows.len());
+        let d0 = l2_sq(rows.row(entry), query);
+        s.seen[entry as usize] = s.stamp;
+        s.frontier.push(Reverse(Scored(d0, entry)));
+        s.best.push(Scored(d0, entry));
+
+        while let Some(Reverse(Scored(d, node))) = s.frontier.pop() {
+            let worst = s.best.peek().map_or(f32::INFINITY, |w| w.0);
+            if d > worst && s.best.len() >= ef {
                 break;
             }
-            for &n in &self.nodes[node as usize].neighbors[l] {
-                if visited[n as usize] {
-                    continue;
+            s.ids.clear();
+            for &n in self.links(node, l) {
+                if s.seen[n as usize] != s.stamp {
+                    s.seen[n as usize] = s.stamp;
+                    s.ids.push(n);
                 }
-                visited[n as usize] = true;
-                let dn = l2_sq(&self.data[n as usize], query);
-                let worst = results.peek().map_or(f32::INFINITY, |f| f.0);
-                if results.len() < ef || dn < worst {
-                    candidates.push(Candidate(dn, n));
-                    results.push(Farthest(dn, n));
-                    if results.len() > ef {
-                        results.pop();
+            }
+            s.distances.resize(s.ids.len(), 0.0);
+            rows.distances(query, &s.ids, &mut s.distances);
+            for (&n, &dn) in s.ids.iter().zip(&s.distances) {
+                let worst = s.best.peek().map_or(f32::INFINITY, |w| w.0);
+                if s.best.len() < ef || dn < worst {
+                    s.frontier.push(Reverse(Scored(dn, n)));
+                    s.best.push(Scored(dn, n));
+                    if s.best.len() > ef {
+                        s.best.pop();
                     }
                 }
             }
         }
-        let mut hits: Vec<Hit> = results
-            .into_iter()
-            .map(|Farthest(d, n)| (n as usize, d))
-            .collect();
-        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        hits
+        s.found.clear();
+        s.found.extend(s.best.drain());
+        s.found.sort_unstable();
     }
+}
 
-    /// Two-argument form kept one release for source compatibility; new
-    /// code should call [`VectorIndex::search`] with [`SearchParams`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::default())
-    }
-
-    /// Explicit-beam form kept one release for source compatibility; new
-    /// code should pass [`SearchParams::with_ef`] to [`VectorIndex::search`].
-    pub fn search_with_ef(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::with_ef(ef))
+impl HnswIndex {
+    pub fn build(data: Vec<Vec<f32>>, config: HnswConfig) -> Result<Self> {
+        let rows = FlatIndex::build(data)?;
+        if config.m < 2 || config.ef_construction == 0 || config.ef_search == 0 {
+            return Err(FsError::Index(
+                "HNSW params must be positive (m >= 2)".into(),
+            ));
+        }
+        let mut graph = Graph::new(config.m, rows.len());
+        let mut rng = Xoshiro256::seeded(config.seed);
+        let ml = 1.0 / (config.m as f64).ln();
+        SCRATCH.with_borrow_mut(|s| {
+            for id in 0..rows.len() as u32 {
+                let level = (-(rng.next_f64().max(1e-12)).ln() * ml) as usize;
+                graph.insert(&rows, id, level, config.ef_construction, s);
+            }
+        });
+        Ok(HnswIndex {
+            config,
+            rows,
+            graph,
+        })
     }
 
     fn search_beam(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Hit>> {
-        check_query(self.dim, self.len(), query, k)?;
+        let k = check_query(self.dim(), self.len(), query, k)?;
         if ef == 0 {
             return Err(FsError::Index("ef must be positive".into()));
         }
-        let mut ep = self.entry as u32;
-        for l in (1..=self.max_level).rev() {
-            ep = self.greedy_closest(query, ep, l);
-        }
-        let mut hits = self.search_layer(query, ep, 0, ef.max(k));
-        hits.truncate(k);
-        Ok(hits)
+        let graph = &self.graph;
+        SCRATCH.with_borrow_mut(|s| {
+            let mut ep = graph.entry;
+            for l in (1..=graph.max_level).rev() {
+                graph.search_layer(&self.rows, query, ep, l, 1, s);
+                ep = s.found[0].1;
+            }
+            graph.search_layer(&self.rows, query, ep, 0, ef.max(k), s);
+            let nearest = s.found.iter().take(k);
+            Ok(nearest.map(|&Scored(d, n)| (n as usize, d)).collect())
+        })
     }
 
     pub fn max_level(&self) -> usize {
-        self.max_level
+        self.graph.max_level
     }
 }
 
 impl VectorIndex for HnswIndex {
     fn len(&self) -> usize {
-        self.data.len()
+        self.rows.len()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     fn vector(&self, id: usize) -> Option<&[f32]> {
-        self.data.get(id).map(Vec::as_slice)
+        self.rows.vector(id)
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<Vec<Hit>> {
         if params.exhaustive {
-            check_query(self.dim, self.len(), query, k)?;
-            return Ok(FlatIndex::top_k(&self.data, None, query, k));
+            return self.rows.search(query, k, params);
         }
         self.search_beam(query, k, params.ef.unwrap_or(self.config.ef_search))
     }
@@ -330,7 +365,10 @@ impl VectorIndex for HnswIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatIndex;
+
+    fn search(idx: &dyn VectorIndex, query: &[f32], k: usize) -> Result<Vec<Hit>> {
+        idx.search(query, k, &SearchParams::default())
+    }
 
     fn random_data(n: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = Xoshiro256::seeded(seed);
@@ -365,7 +403,7 @@ mod tests {
     fn exact_on_tiny_data() {
         let data: Vec<Vec<f32>> = (0..20).map(|i| vec![i as f32]).collect();
         let idx = HnswIndex::build(data, HnswConfig::default()).unwrap();
-        let hits = idx.search(&[7.2], 3).unwrap();
+        let hits = search(&idx, &[7.2], 3).unwrap();
         assert_eq!(hits[0].0, 7);
         assert_eq!(hits[1].0, 8);
         assert_eq!(hits[2].0, 6);
@@ -381,9 +419,9 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..30 {
             let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            let truth: Vec<usize> = flat.search(&q, 10).unwrap().iter().map(|h| h.0).collect();
+            let truth: Vec<usize> = search(&flat, &q, 10).unwrap().iter().map(|h| h.0).collect();
             let got: Vec<usize> = hnsw
-                .search_with_ef(&q, 10, 64)
+                .search(&q, 10, &SearchParams::with_ef(64))
                 .unwrap()
                 .iter()
                 .map(|h| h.0)
@@ -415,9 +453,9 @@ mod tests {
             let mut hit = 0;
             let mut total = 0;
             for q in &queries {
-                let truth: Vec<usize> = flat.search(q, 10).unwrap().iter().map(|h| h.0).collect();
+                let truth: Vec<usize> = search(&flat, q, 10).unwrap().iter().map(|h| h.0).collect();
                 let got: Vec<usize> = hnsw
-                    .search_with_ef(q, 10, ef)
+                    .search(q, 10, &SearchParams::with_ef(ef))
                     .unwrap()
                     .iter()
                     .map(|h| h.0)
@@ -439,21 +477,21 @@ mod tests {
         let a = HnswIndex::build(data.clone(), HnswConfig::default()).unwrap();
         let b = HnswIndex::build(data, HnswConfig::default()).unwrap();
         let q = vec![0.5f32; 8];
-        assert_eq!(a.search(&q, 5).unwrap(), b.search(&q, 5).unwrap());
+        assert_eq!(search(&a, &q, 5).unwrap(), search(&b, &q, 5).unwrap());
     }
 
     #[test]
     fn query_validation() {
         let idx = HnswIndex::build(random_data(50, 4, 7), HnswConfig::default()).unwrap();
-        assert!(idx.search(&[1.0], 3).is_err());
-        assert!(idx.search(&[0.0; 4], 0).is_err());
-        assert!(idx.search_with_ef(&[0.0; 4], 3, 0).is_err());
+        assert!(search(&idx, &[1.0], 3).is_err());
+        assert!(search(&idx, &[0.0; 4], 0).is_err());
+        assert!(idx.search(&[0.0; 4], 3, &SearchParams::with_ef(0)).is_err());
     }
 
     #[test]
     fn single_point_index() {
         let idx = HnswIndex::build(vec![vec![1.0, 2.0]], HnswConfig::default()).unwrap();
-        let hits = idx.search(&[1.0, 2.0], 5).unwrap();
+        let hits = search(&idx, &[1.0, 2.0], 5).unwrap();
         assert_eq!(hits, vec![(0, 0.0)]);
     }
 }

@@ -2,9 +2,9 @@
 //! dataset into `nlist` cells; a query scans only the `nprobe` nearest
 //! cells. The classic recall/latency dial of Faiss/Milvus-style systems.
 
-use crate::flat::FlatIndex;
+use crate::flat::{check_rows, FlatIndex};
 use crate::kmeans::kmeans;
-use crate::{check_query, l2_sq, Hit, SearchParams, VectorIndex};
+use crate::{check_query, Hit, SearchParams, VectorIndex};
 use fstore_common::{FsError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -33,22 +33,17 @@ impl Default for IvfConfig {
 
 /// The inverted-file index.
 pub struct IvfIndex {
-    dim: usize,
     config: IvfConfig,
-    centroids: Vec<Vec<f32>>,
-    lists: Vec<Vec<usize>>,
-    data: Vec<Vec<f32>>,
+    /// One row per cell.
+    centroids: FlatIndex,
+    /// Row ids per cell.
+    lists: Vec<Vec<u32>>,
+    rows: FlatIndex,
 }
 
 impl IvfIndex {
     pub fn build(data: Vec<Vec<f32>>, config: IvfConfig) -> Result<Self> {
-        let dim = data.first().map_or(0, Vec::len);
-        if dim == 0 {
-            return Err(FsError::Index("IVF needs non-empty vectors".into()));
-        }
-        if data.iter().any(|v| v.len() != dim) {
-            return Err(FsError::Index("ragged vectors".into()));
-        }
+        check_rows(&data)?;
         if config.nprobe == 0 || config.nlist == 0 {
             return Err(FsError::Index("nlist and nprobe must be positive".into()));
         }
@@ -56,51 +51,30 @@ impl IvfIndex {
         let (centroids, assignment) = kmeans(&data, nlist, config.train_iters, config.seed)?;
         let mut lists = vec![Vec::new(); nlist];
         for (id, &cell) in assignment.iter().enumerate() {
-            lists[cell].push(id);
+            lists[cell].push(id as u32);
         }
         Ok(IvfIndex {
-            dim,
             config,
-            centroids,
+            centroids: FlatIndex::build(centroids)?,
             lists,
-            data,
+            rows: FlatIndex::build(data)?,
         })
     }
 
-    /// Two-argument form kept one release for source compatibility; new
-    /// code should call [`VectorIndex::search`] with [`SearchParams`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::default())
-    }
-
-    /// Explicit-probe form kept one release for source compatibility; new
-    /// code should pass [`SearchParams::with_nprobe`] to
-    /// [`VectorIndex::search`].
-    pub fn search_with_probes(&self, query: &[f32], k: usize, nprobe: usize) -> Result<Vec<Hit>> {
-        VectorIndex::search(self, query, k, &SearchParams::with_nprobe(nprobe))
-    }
-
     fn search_probes(&self, query: &[f32], k: usize, nprobe: usize) -> Result<Vec<Hit>> {
-        check_query(self.dim, self.len(), query, k)?;
+        let k = check_query(self.dim(), self.len(), query, k)?;
         if nprobe == 0 {
             return Err(FsError::Index("nprobe must be positive".into()));
         }
-        // rank cells by centroid distance
-        let mut cells: Vec<(usize, f32)> = self
+        // The cells to scan are the `nprobe` nearest centroids.
+        let cells = self
             .centroids
-            .iter()
-            .enumerate()
-            .map(|(c, cent)| (c, l2_sq(cent, query)))
-            .collect();
-        cells.sort_by(|a, b| a.1.total_cmp(&b.1));
+            .search(query, nprobe, &SearchParams::default())?;
         let mut candidates = Vec::new();
-        for &(cell, _) in cells.iter().take(nprobe.min(cells.len())) {
+        for (cell, _) in cells {
             candidates.extend_from_slice(&self.lists[cell]);
         }
-        if candidates.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(FlatIndex::top_k(&self.data, Some(&candidates), query, k))
+        Ok(self.rows.top_k(Some(&candidates), query, k))
     }
 
     /// Fraction of the dataset a probe setting scans on average (cost model).
@@ -116,21 +90,20 @@ impl IvfIndex {
 
 impl VectorIndex for IvfIndex {
     fn len(&self) -> usize {
-        self.data.len()
+        self.rows.len()
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.rows.dim()
     }
 
     fn vector(&self, id: usize) -> Option<&[f32]> {
-        self.data.get(id).map(Vec::as_slice)
+        self.rows.vector(id)
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<Vec<Hit>> {
         if params.exhaustive {
-            check_query(self.dim, self.len(), query, k)?;
-            return Ok(FlatIndex::top_k(&self.data, None, query, k));
+            return self.rows.search(query, k, params);
         }
         self.search_probes(query, k, params.nprobe.unwrap_or(self.config.nprobe))
     }
@@ -187,8 +160,8 @@ mod tests {
         let mut rng = Xoshiro256::seeded(3);
         for _ in 0..20 {
             let q: Vec<f32> = (0..8).map(|_| rng.normal() as f32).collect();
-            let exact = flat.search(&q, 5).unwrap();
-            let probed = ivf.search_with_probes(&q, 5, 16).unwrap();
+            let exact = flat.search(&q, 5, &SearchParams::default()).unwrap();
+            let probed = ivf.search(&q, 5, &SearchParams::with_nprobe(16)).unwrap();
             assert_eq!(
                 exact.iter().map(|h| h.0).collect::<Vec<_>>(),
                 probed.iter().map(|h| h.0).collect::<Vec<_>>()
@@ -216,9 +189,14 @@ mod tests {
             let mut hit = 0;
             let mut total = 0;
             for q in &queries {
-                let truth: Vec<usize> = flat.search(q, 10).unwrap().iter().map(|h| h.0).collect();
+                let truth: Vec<usize> = flat
+                    .search(q, 10, &SearchParams::default())
+                    .unwrap()
+                    .iter()
+                    .map(|h| h.0)
+                    .collect();
                 let got: Vec<usize> = ivf
-                    .search_with_probes(q, 10, nprobe)
+                    .search(q, 10, &SearchParams::with_nprobe(nprobe))
                     .unwrap()
                     .iter()
                     .map(|h| h.0)
@@ -257,6 +235,8 @@ mod tests {
     fn probe_zero_rejected() {
         let data = random_data(20, 4, 7);
         let ivf = IvfIndex::build(data, IvfConfig::default()).unwrap();
-        assert!(ivf.search_with_probes(&[0.0; 4], 3, 0).is_err());
+        assert!(ivf
+            .search(&[0.0; 4], 3, &SearchParams::with_nprobe(0))
+            .is_err());
     }
 }

@@ -9,18 +9,22 @@
 //! * [`IvfIndex`] — k-means inverted file with `nprobe` search;
 //! * [`HnswIndex`] — hierarchical navigable small world graph.
 //!
-//! All indexes speak squared-L2 over `f32` vectors; cosine search is L2
-//! over unit-normalized vectors (see [`normalize_all`]).
+//! All indexes speak squared-L2 over `f32` vectors, computed by the one
+//! [`kernel`] and stored as one contiguous row-major block per index;
+//! cosine search is L2 over unit-normalized vectors (see
+//! [`normalize_all`]).
 
 pub mod flat;
 pub mod hnsw;
 pub mod ivf;
+pub mod kernel;
 pub mod kmeans;
 pub mod recall;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfConfig, IvfIndex};
+pub use kernel::{l2_sq, l2_sq_portable, l2_sq_rows};
 pub use kmeans::kmeans;
 pub use recall::recall_at_k;
 
@@ -88,18 +92,6 @@ pub trait VectorIndex {
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<Vec<Hit>>;
 }
 
-/// Squared L2 distance.
-#[inline]
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        let d = x - y;
-        acc += d * d;
-    }
-    acc
-}
-
 /// Unit-normalize every vector (cosine search = L2 on the result).
 pub fn normalize_all(data: &mut [Vec<f32>]) {
     for v in data {
@@ -112,7 +104,10 @@ pub fn normalize_all(data: &mut [Vec<f32>]) {
     }
 }
 
-pub(crate) fn check_query(dim: usize, len: usize, query: &[f32], k: usize) -> Result<()> {
+/// Validates a search and returns `k` clamped to `len`: no more hits than
+/// rows exist, and `k` comes off the wire, so nothing may be sized by it
+/// unclamped.
+pub(crate) fn check_query(dim: usize, len: usize, query: &[f32], k: usize) -> Result<usize> {
     if query.len() != dim {
         return Err(FsError::Index(format!(
             "query dim {} != index dim {dim}",
@@ -125,18 +120,12 @@ pub(crate) fn check_query(dim: usize, len: usize, query: &[f32], k: usize) -> Re
     if len == 0 {
         return Err(FsError::Index("index is empty".into()));
     }
-    Ok(())
+    Ok(k.min(len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn l2_sq_known() {
-        assert_eq!(l2_sq(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(l2_sq(&[1.0], &[1.0]), 0.0);
-    }
 
     #[test]
     fn normalize_all_units_and_zeros() {

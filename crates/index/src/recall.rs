@@ -138,7 +138,7 @@ mod tests {
                 let data = random_data(n, 4, seed);
                 let flat = FlatIndex::build(data).unwrap();
                 let q = random_data(1, 4, seed + 1).pop().unwrap();
-                let hits = flat.search(&q, k).unwrap();
+                let hits = flat.search(&q, k, &SearchParams::default()).unwrap();
                 prop_assert_eq!(hits.len(), k.min(n));
                 for w in hits.windows(2) {
                     prop_assert!(w[0].1 <= w[1].1);

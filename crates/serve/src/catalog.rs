@@ -313,7 +313,7 @@ impl IndexCatalog {
     pub fn search_many(
         &self,
         table: &str,
-        queries: &[Vec<f32>],
+        queries: &[&[f32]],
         k: usize,
         params: &SearchParams,
     ) -> Result<Vec<Result<SearchOutcome, CatalogError>>, CatalogError> {
@@ -361,15 +361,14 @@ impl IndexCatalog {
                 table: table.to_string(),
                 key: key.to_string(),
             })?;
-        let query: Vec<f32> = snapshot
+        let query = snapshot
             .index
             .vector(row)
-            .expect("key_to_row rows are in range")
-            .to_vec();
+            .expect("key_to_row rows are in range");
         // Ask for one extra: the query's own row comes back at distance 0.
         let hits = snapshot
             .index
-            .search(&query, k.saturating_add(1), params)
+            .search(query, k.saturating_add(1), params)
             .map_err(CatalogError::Failed)?;
         Ok(outcome(&snapshot, hits, Some(row)))
     }

@@ -1225,11 +1225,11 @@ impl Worker<'_> {
                 self.metrics.record_batch(batch.jobs.len());
                 let (table, k, options) = batch.key();
                 let outcome = self.engine.index_catalog().and_then(|catalog| {
-                    let queries: Vec<Vec<f32>> = batch
+                    let queries: Vec<&[f32]> = batch
                         .jobs
                         .iter()
                         .map(|j| match &j.request {
-                            Request::SearchNearest { query, .. } => query.clone(),
+                            Request::SearchNearest { query, .. } => query.as_slice(),
                             _ => unreachable!("plan() only batches SearchNearest"),
                         })
                         .collect();

@@ -143,6 +143,42 @@ fn search_endpoints_answer_over_the_wire_with_typed_errors() {
 }
 
 #[test]
+fn a_huge_k_is_answered_with_every_row_by_every_family() {
+    // `k` is a u32 off the wire; nothing may be sized by it before it is
+    // clamped to the row count (a flat scan once reserved a k-entry heap).
+    let _watchdog = common::watchdog("a_huge_k_is_answered_with_every_row_by_every_family");
+    let (store, catalog, engine) = serving_stack();
+    let handle = start(engine, ServeConfig::default()).unwrap();
+    let mut client = FeatureClient::connect(handle.addr()).unwrap();
+    let query = &query_points(3, 1, &store)[0];
+    let exhaustive = SearchOptions {
+        exhaustive: true,
+        ..SearchOptions::default()
+    };
+    for spec in [
+        IndexSpec::Flat,
+        IndexSpec::Ivf(IvfConfig {
+            nprobe: 64,
+            ..IvfConfig::default()
+        }),
+        IndexSpec::Hnsw(HnswConfig::default()),
+    ] {
+        catalog.build("emb", &spec).unwrap();
+        for options in [SearchOptions::default(), exhaustive] {
+            let got = client
+                .search_nearest("emb", query, u32::MAX, options)
+                .unwrap();
+            assert_eq!(got.hits.len(), N, "{} {options:?}", spec.kind());
+            let got = client
+                .search_nearest_by_key("emb", "e7", u32::MAX, options)
+                .unwrap();
+            assert_eq!(got.hits.len(), N - 1, "{} {options:?} by key", spec.kind());
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn concurrent_searches_survive_two_index_swaps_without_dropped_requests() {
     let _watchdog =
         common::watchdog("concurrent_searches_survive_two_index_swaps_without_dropped_requests");
