@@ -1,31 +1,57 @@
 //! Checkpoints: the durable base state the WAL replays on top of.
 //!
-//! A checkpoint directory holds the four components in their natural
-//! at-rest forms — the offline store in the binary columnar segment format
+//! A checkpoint directory holds the four components in binary at-rest
+//! forms — the offline store as columnar segments
 //! ([`OfflineStore::save_binary`]), each embedding version as a raw-vector
-//! blob, and the online rows / index build instructions as JSON. A
-//! `MANIFEST.json` names the live checkpoint and the component epochs it
-//! was captured at; it is swapped with a temp-file-plus-rename, so the
-//! manifest either names a complete checkpoint or the previous one — never
-//! a half-written directory. Stale checkpoint directories and rotated WAL
-//! files are only garbage-collected *after* the swap.
+//! blob, and online rows plus index builds as one [`encode_online_bin`]
+//! file. A `MANIFEST.json` names the live checkpoint and the component
+//! epochs it was captured at; it is swapped with a temp-file-plus-rename,
+//! so the manifest either names a complete checkpoint or the previous one
+//! — never a half-written directory. Stale checkpoint directories and
+//! rotated WAL files are only garbage-collected *after* the swap.
 //!
 //! Layout under the durability directory:
 //!
 //! ```text
-//! MANIFEST.json            → { repl_epoch, component epochs }
-//! checkpoint-<epoch>/      offline.bin, emb-<i>.blob, online.json, indexes.json
+//! MANIFEST.json            → { version: 2, repl_epoch, component epochs }
+//! checkpoint-<epoch>/      offline.bin, emb-<i>.blob, online.bin
 //! wal-<epoch>.log          the WAL since that checkpoint
 //! ```
 
-use crate::codec::{IndexBuild, OnlineRow, VersionRepr};
+use crate::codec::{
+    crc_block, decode_block, put_index_builds, put_online_rows, take_index_builds,
+    take_online_rows, FullSnapshot, IndexBuild, OnlineRows,
+};
 use crate::fseb::{decode_blob, encode_blob};
+use bytes::BytesMut;
 use fstore_common::{FsError, Result};
 use fstore_storage::OfflineStore;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-const MANIFEST_VERSION: u32 = 1;
+/// v2: online rows and index builds moved from JSON into `online.bin`.
+const MANIFEST_VERSION: u32 = 2;
+
+/// File magic of `online.bin`.
+pub const ONLINE_MAGIC: &[u8; 4] = b"FSOR";
+
+/// Encode `online.bin`: the online row block, then the index builds, in
+/// the [full snapshot](crate::codec::encode_snapshot) encodings, as one
+/// CRC block.
+pub fn encode_online_bin(online: &OnlineRows, indexes: &[IndexBuild]) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    put_online_rows(&mut buf, online);
+    put_index_builds(&mut buf, indexes);
+    crc_block::encode(ONLINE_MAGIC, &buf)
+}
+
+/// Decode [`encode_online_bin`] bytes; anything but an intact file is
+/// [`FsError::Corruption`].
+pub fn decode_online_bin(bytes: &[u8]) -> Result<(OnlineRows, Vec<IndexBuild>)> {
+    decode_block(ONLINE_MAGIC, "online.bin", bytes, |r| {
+        Ok((take_online_rows(r)?, take_index_builds(r)?))
+    })
+}
 
 /// The durable root's commit record: which checkpoint is live and the
 /// epochs its components were captured at.
@@ -40,18 +66,9 @@ pub struct Manifest {
     pub index_epoch: u64,
 }
 
-/// Everything a checkpoint persists (and recovery loads back).
-#[derive(Debug, Clone)]
-pub struct CheckpointData {
-    pub repl_epoch: u64,
-    pub offline: OfflineStore,
-    pub offline_epoch: u64,
-    pub embeddings: Vec<VersionRepr>,
-    pub embeddings_epoch: u64,
-    pub online: Vec<OnlineRow>,
-    pub indexes: Vec<IndexBuild>,
-    pub index_epoch: u64,
-}
+/// Everything a checkpoint persists (and recovery loads back): exactly a
+/// full snapshot at the checkpoint's WAL sequence.
+pub type CheckpointData = FullSnapshot;
 
 fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
     std::fs::write(path, bytes)
@@ -149,16 +166,8 @@ impl CheckpointStore {
             )?;
         }
         write_file(
-            &tmp_dir.join("online.json"),
-            serde_json::to_string(&data.online)
-                .map_err(|e| FsError::Serde(e.to_string()))?
-                .as_bytes(),
-        )?;
-        write_file(
-            &tmp_dir.join("indexes.json"),
-            serde_json::to_string(&data.indexes)
-                .map_err(|e| FsError::Serde(e.to_string()))?
-                .as_bytes(),
+            &tmp_dir.join("online.bin"),
+            &encode_online_bin(&data.online, &data.indexes),
         )?;
 
         if final_dir.exists() {
@@ -197,11 +206,7 @@ impl CheckpointStore {
             }
             embeddings.push(decode_blob(&read_file(&path)?)?);
         }
-        let online: Vec<OnlineRow> = serde_json::from_slice(&read_file(&dir.join("online.json"))?)
-            .map_err(|e| FsError::Corruption(format!("unparseable online.json: {e}")))?;
-        let indexes: Vec<IndexBuild> =
-            serde_json::from_slice(&read_file(&dir.join("indexes.json"))?)
-                .map_err(|e| FsError::Corruption(format!("unparseable indexes.json: {e}")))?;
+        let (online, indexes) = decode_online_bin(&read_file(&dir.join("online.bin"))?)?;
         Ok(Some(CheckpointData {
             repl_epoch: manifest.repl_epoch,
             offline,
@@ -240,10 +245,11 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstore_common::{Schema, Timestamp, Value, ValueType};
+    use crate::codec::VersionRepr;
+    use fstore_common::{EntityKey, Schema, Timestamp, Value, ValueType};
     use fstore_embed::EmbeddingProvenance;
     use fstore_serve::IndexSpec;
-    use fstore_storage::TableConfig;
+    use fstore_storage::{OnlineStore, TableConfig};
 
     fn tmp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fstore_ckpt_tests").join(name);
@@ -257,6 +263,14 @@ mod tests {
             .create_table("t", TableConfig::new(Schema::of(&[("x", ValueType::Int)])))
             .unwrap();
         offline.append("t", &[Value::Int(7)]).unwrap();
+        let online = OnlineStore::default();
+        online.put(
+            "user",
+            &EntityKey::new("u1"),
+            "score",
+            Value::Float(0.5),
+            Timestamp::millis(9),
+        );
         CheckpointData {
             repl_epoch,
             offline,
@@ -272,13 +286,7 @@ mod tests {
                 consumers: vec!["ranker".into()],
             }],
             embeddings_epoch: 2,
-            online: vec![OnlineRow {
-                group: "user".into(),
-                entity: "u1".into(),
-                feature: "score".into(),
-                value: Value::Float(0.5),
-                written_at: Timestamp::millis(9),
-            }],
+            online: OnlineRows::capture(&online),
             indexes: vec![IndexBuild {
                 table: "emb".into(),
                 spec: IndexSpec::Flat,
@@ -359,7 +367,7 @@ mod tests {
             offline_epoch: 0,
             embeddings: Vec::new(),
             embeddings_epoch: 0,
-            online: Vec::new(),
+            online: OnlineRows::default(),
             indexes: Vec::new(),
             index_epoch: 0,
         };
@@ -367,5 +375,20 @@ mod tests {
         let loaded = store.load().unwrap().unwrap();
         assert!(loaded.offline.table_names().is_empty());
         assert!(loaded.embeddings.is_empty());
+    }
+
+    #[test]
+    fn a_v1_root_is_an_unsupported_manifest() {
+        let store = CheckpointStore::open(tmp_root("v1")).unwrap();
+        store.write(&sample_data(3)).unwrap();
+        let path = store.dir().join("MANIFEST.json");
+        let v1 = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"version\": 2", "\"version\": 1");
+        std::fs::write(&path, v1).unwrap();
+        match store.load() {
+            Err(FsError::Storage(e)) => assert!(e.contains("unsupported manifest v1"), "{e}"),
+            other => panic!("a v1 root loaded as {other:?}"),
+        }
     }
 }

@@ -1,14 +1,16 @@
-//! Delta and snapshot payloads: what crosses the wire *and* what lands in
-//! the write-ahead log.
+//! Delta and snapshot payloads: what crosses the wire *and* what lands on
+//! disk.
 //!
 //! The publication log ([`fstore_common::PubLog`]) and the WAL both store
-//! bodies as opaque JSON strings; this module defines the per-component
-//! body types, the diff functions publish hooks use to produce them, and
-//! the apply functions followers and crash recovery use to replay them.
-//! (It lives here rather than in `fstore-repl` so durability does not
-//! depend on replication; `fstore-repl` re-exports it.) Three invariants
-//! keep at-least-once delivery — and WAL replay over a checkpoint, which
-//! is the same re-delivery problem — safe:
+//! delta bodies as opaque JSON strings; this module defines the
+//! per-component body types, the publish tap that diffs publications into
+//! them, and the apply functions followers and crash recovery use to
+//! replay them. Full snapshots — what a follower bootstraps from and what
+//! a checkpoint holds — are binary (see [`encode_snapshot`]). (It lives
+//! here rather than in `fstore-repl` so durability does not depend on
+//! replication; `fstore-repl` re-exports it.) Three invariants keep
+//! at-least-once delivery — and WAL replay over a checkpoint, which is the
+//! same re-delivery problem — safe:
 //!
 //! * **applies are idempotent** — re-delivering a delta a follower already
 //!   holds is a no-op (appends carry their start row, version installs
@@ -22,16 +24,24 @@
 //!
 //! [`DeltaRecord`]: fstore_common::DeltaRecord
 
+use crate::fseb::{decode_blob, encode_blob};
+use crate::leader::LeaderParts;
+use bytes::{BufMut, BytesMut};
 use fstore_common::{
     ComponentKind, DeltaRecord, EntityKey, FieldDef, FsError, ReadEpoch, Result, Schema, Timestamp,
-    Value, ValueType,
+    Value, ValueType, Versioned,
 };
 use fstore_embed::{
     EmbeddingDb, EmbeddingProvenance, EmbeddingStore, EmbeddingTable, EmbeddingVersion,
 };
-use fstore_serve::{IndexCatalog, IndexMap, IndexSpec};
+use fstore_index::{HnswConfig, IvfConfig};
+use fstore_serve::codec::{put_str, put_str_seq, Reader};
+use fstore_serve::protocol::{put_value, take_value};
+use fstore_serve::{IndexCatalog, IndexMap, IndexSpec, WireError};
 use fstore_storage::{OfflineDb, OfflineStore, OnlineStore, ScanRequest, TableConfig};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Encode any body as its wire JSON.
@@ -349,89 +359,397 @@ pub struct OnlineDelta {
     pub features: Vec<(String, Value, Timestamp)>,
 }
 
-/// Replay an online delta (puts overwrite, hence idempotent).
+/// The encoded body of one online write — what the WAL and the
+/// publication log both carry, encoded once.
+pub fn online_body(
+    group: &str,
+    entity: &EntityKey,
+    values: &[(&str, Value)],
+    now: Timestamp,
+) -> Result<String> {
+    encode(&OnlineDelta {
+        group: group.to_string(),
+        entity: entity.as_str().to_string(),
+        features: values
+            .iter()
+            .map(|(f, v)| ((*f).to_string(), v.clone(), now))
+            .collect(),
+    })
+}
+
+/// Replay an online delta (puts overwrite, hence idempotent): one row write
+/// — one shard lock — per run of features sharing a write timestamp.
 pub fn apply_online(store: &OnlineStore, delta: &OnlineDelta) {
     let entity = EntityKey::new(delta.entity.clone());
-    for (feature, value, written_at) in &delta.features {
-        store.put(&delta.group, &entity, feature, value.clone(), *written_at);
+    for run in delta.features.chunk_by(|a, b| a.2 == b.2) {
+        let values: Vec<(&str, Value)> = run.iter().map(|(f, v, _)| (&f[..], v.clone())).collect();
+        store.put_row(&delta.group, &entity, &values, run[0].2);
     }
 }
 
-/// One online KV row in flattened form (bootstrap snapshots only; steady
-/// state ships [`OnlineDelta`]s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OnlineRow {
-    pub group: String,
-    pub entity: String,
-    pub feature: String,
-    pub value: Value,
-    pub written_at: Timestamp,
+/// Every online row as one packed row block — each feature name once in a
+/// name table, then per entity its group, key, and `(feature id, value,
+/// written_at)` slots: the at-rest twin of the online store's rows, carried
+/// by full snapshots and checkpoints. Every feature id indexes the name
+/// table; `capture` and the decoder, the only constructors, ensure it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OnlineRows {
+    names: Vec<String>,
+    rows: Vec<EntityRow>,
 }
 
-/// Capture every online row.
-pub fn export_online(store: &OnlineStore) -> Vec<OnlineRow> {
-    store
-        .export_rows()
-        .into_iter()
-        .map(|(group, entity, feature, entry)| OnlineRow {
-            group,
-            entity,
-            feature,
-            value: entry.value,
-            written_at: entry.written_at,
-        })
-        .collect()
+#[derive(Debug, Clone, PartialEq)]
+struct EntityRow {
+    group: String,
+    entity: String,
+    slots: Vec<(u32, Value, Timestamp)>,
+}
+
+impl OnlineRows {
+    /// Every row of `store`, ordered by group, entity and feature, so equal
+    /// stores produce equal blocks.
+    pub fn capture(store: &OnlineStore) -> OnlineRows {
+        let mut block = OnlineRows::default();
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        for (group, entity, feature, entry) in store.export_rows() {
+            let next = count(block.names.len());
+            let id = *ids.entry(feature).or_insert_with_key(|name| {
+                block.names.push(name.clone());
+                next
+            });
+            if !block
+                .rows
+                .last()
+                .is_some_and(|r| r.group == group && r.entity == entity)
+            {
+                block.rows.push(EntityRow {
+                    group,
+                    entity,
+                    slots: Vec::new(),
+                });
+            }
+            let row = block.rows.last_mut().expect("a row was pushed above");
+            row.slots.push((id, entry.value, entry.written_at));
+        }
+        block
+    }
+
+    /// Write every slot into `store`. Puts overwrite, so installing over
+    /// state that already holds some of these rows is idempotent.
+    pub fn install(self, store: &OnlineStore) {
+        for row in self.rows {
+            let entity = EntityKey::new(row.entity);
+            for (id, value, written_at) in row.slots {
+                let feature = &self.names[id as usize];
+                store.put(&row.group, &entity, feature, value, written_at);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Publish tap
+// ---------------------------------------------------------------------------
+
+/// Hook the publish path of every cell-backed component: each later
+/// publication is diffed against the one before it and handed to `sink`
+/// as `(component, component epoch, body)` — even an empty diff, since the
+/// epoch bump itself is state a replica must reproduce. A diff or encode
+/// that fails ships the component's full state instead: correct, only
+/// larger, because applies upsert.
+pub fn tap_publications(
+    parts: &LeaderParts,
+    sink: impl Fn(ComponentKind, u64, String) + Clone + Send + Sync + 'static,
+) {
+    parts.offline.add_publish_hook(tap(
+        parts.offline.snapshot(),
+        ComponentKind::Offline,
+        diff_offline,
+        sink.clone(),
+    ));
+    parts.embeddings.add_publish_hook(tap(
+        parts.embeddings.snapshot(),
+        ComponentKind::Embeddings,
+        |base, new| Ok(diff_embeddings(base, new)),
+        sink.clone(),
+    ));
+    parts.indexes.add_publish_hook(tap(
+        parts.indexes.current().value,
+        ComponentKind::Index,
+        |base, new| Ok(diff_indexes(base, new)),
+        sink,
+    ));
+}
+
+fn tap<T: Default + Send + Sync + 'static, D: Serialize + 'static>(
+    base: Arc<T>,
+    component: ComponentKind,
+    diff: fn(&T, &T) -> Result<D>,
+    sink: impl Fn(ComponentKind, u64, String) + Send + Sync + 'static,
+) -> impl Fn(&Versioned<T>) + Send + Sync + 'static {
+    let base = Mutex::new(base);
+    move |v| {
+        // Held across `sink`: a component's deltas sink in publication order.
+        let mut base = base.lock();
+        let body = diff(&base, &v.value)
+            .and_then(|delta| encode(&delta))
+            .or_else(|_| encode(&diff(&T::default(), &v.value)?))
+            .expect("a published component's full state encodes");
+        sink(component, v.epoch.as_u64(), body);
+        *base = Arc::clone(&v.value);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Full snapshot
 // ---------------------------------------------------------------------------
 
+/// File magic of an encoded [`FullSnapshot`].
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"FSNP";
+
 /// The leader's complete replicable state at one replication epoch: what a
-/// follower bootstraps (or falls back) from. Component epochs ride along
-/// so the follower installs each cell at exactly the leader's epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// follower bootstraps (or falls back) from, and what a checkpoint holds.
+/// Component epochs ride along so a reader installs each cell at exactly
+/// the epoch it was captured at.
+#[derive(Debug, Clone)]
 pub struct FullSnapshot {
     /// Replication epoch: every delta with `seq <= repl_epoch` is folded in.
     pub repl_epoch: u64,
+    pub offline: OfflineStore,
     pub offline_epoch: u64,
-    /// [`OfflineStore::snapshot_json`] payload (the durability format).
-    pub offline_json: String,
-    pub embeddings_epoch: u64,
     pub embeddings: Vec<VersionRepr>,
-    pub online: Vec<OnlineRow>,
-    pub index_epoch: u64,
+    pub embeddings_epoch: u64,
+    pub online: OnlineRows,
     pub indexes: Vec<IndexBuild>,
+    pub index_epoch: u64,
 }
 
-/// Capture a [`FullSnapshot`] of four live components at `repl_epoch`.
+/// Encode a snapshot as one CRC block in the wire codec's big-endian
+/// primitives (`value` is the wire's tagged value, `str` is `len u32 |
+/// UTF-8`):
 ///
-/// Callers pin `repl_epoch` however their log requires (the replication
-/// leader captures under [`PubLog::frozen`], the durable leader under its
-/// WAL lock); a publication that installs concurrently will be re-delivered
-/// as a later delta, and applies are idempotent, so readers converge.
-///
-/// [`PubLog::frozen`]: fstore_common::PubLog::frozen
-pub fn capture_snapshot(
-    repl_epoch: u64,
-    offline: &OfflineDb,
-    embeddings: &EmbeddingDb,
-    online: &OnlineStore,
-    indexes: &IndexCatalog,
-) -> Result<FullSnapshot> {
-    let off = offline.read();
-    let emb = embeddings.read();
-    let idx = indexes.current();
-    Ok(FullSnapshot {
-        repl_epoch,
-        offline_epoch: off.epoch.as_u64(),
-        offline_json: off.value.snapshot_json()?,
-        embeddings_epoch: emb.epoch.as_u64(),
-        embeddings: diff_embeddings(&EmbeddingStore::new(), &emb.value).versions,
-        online: export_online(online),
-        index_epoch: idx.epoch.as_u64(),
-        indexes: diff_indexes(&IndexMap::default(), &idx.value).builds,
+/// ```text
+/// "FSNP" | crc32(body) u32 LE | body
+/// body   := repl, offline, embeddings, index epoch (u64 each)
+///           | len u32 | FSTB offline store | count u32, (len u32 | FSEB blob)…
+///           | rows | builds
+/// rows   := count u32, name str… | entities u32, then per entity: group str
+///           | key str | slots u32, (feature id u32 | value | written_at i64)…
+/// builds := count u32, then per build: table str | spec tag u8 (0 flat;
+///           1 ivf, 2 hnsw: + 3 sizes u64 + seed u64) | version u32 | generation u64
+/// ```
+pub fn encode_snapshot(snapshot: &FullSnapshot) -> Result<Vec<u8>> {
+    let mut buf = BytesMut::new();
+    for epoch in [
+        snapshot.repl_epoch,
+        snapshot.offline_epoch,
+        snapshot.embeddings_epoch,
+        snapshot.index_epoch,
+    ] {
+        buf.put_u64(epoch);
+    }
+    put_blob(&mut buf, &snapshot.offline.encode_binary());
+    buf.put_u32(count(snapshot.embeddings.len()));
+    for version in &snapshot.embeddings {
+        put_blob(&mut buf, &encode_blob(version)?);
+    }
+    put_online_rows(&mut buf, &snapshot.online);
+    put_index_builds(&mut buf, &snapshot.indexes);
+    Ok(crc_block::encode(SNAPSHOT_MAGIC, &buf))
+}
+
+/// Decode [`encode_snapshot`] bytes: anything but an intact snapshot is
+/// [`FsError::Corruption`], and no count reserves beyond the input's length.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<FullSnapshot> {
+    decode_block(SNAPSHOT_MAGIC, "full snapshot", bytes, |r| {
+        let [repl_epoch, offline_epoch, embeddings_epoch, index_epoch] =
+            [r.take_u64()?, r.take_u64()?, r.take_u64()?, r.take_u64()?];
+        let offline = OfflineStore::decode_binary(&r.take_blob()?)?;
+        let n = r.take_u32()? as usize;
+        let mut embeddings = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            embeddings.push(decode_blob(&r.take_blob()?)?);
+        }
+        Ok(FullSnapshot {
+            repl_epoch,
+            offline,
+            offline_epoch,
+            embeddings,
+            embeddings_epoch,
+            online: take_online_rows(r)?,
+            indexes: take_index_builds(r)?,
+            index_epoch,
+        })
     })
+}
+
+/// A binary body that failed to decode, whichever layer noticed.
+pub(crate) struct Corrupt(String);
+
+impl From<WireError> for Corrupt {
+    fn from(e: WireError) -> Self {
+        Corrupt(e.to_string())
+    }
+}
+
+impl From<FsError> for Corrupt {
+    fn from(e: FsError) -> Self {
+        Corrupt(e.to_string())
+    }
+}
+
+/// Open a CRC block and decode its body with `take`, which must consume
+/// it exactly.
+pub(crate) fn decode_block<T>(
+    magic: &[u8; 4],
+    what: &str,
+    bytes: &[u8],
+    take: impl FnOnce(&mut Reader<'_>) -> std::result::Result<T, Corrupt>,
+) -> Result<T> {
+    let fail = |e: String| FsError::Corruption(format!("{what}: {e}"));
+    let body = crc_block::decode(magic, bytes).map_err(|e| fail(e.to_string()))?;
+    let mut r = Reader::new(body);
+    let value = take(&mut r).map_err(|Corrupt(e)| fail(e))?;
+    r.finish().map_err(|e| fail(e.to_string()))?;
+    Ok(value)
+}
+
+fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("memory runs out before 2^32 items")
+}
+
+fn put_blob(buf: &mut BytesMut, bytes: &[u8]) {
+    buf.put_u32(count(bytes.len()));
+    buf.put_slice(bytes);
+}
+
+pub(crate) fn put_online_rows(buf: &mut BytesMut, block: &OnlineRows) {
+    put_str_seq(buf, &block.names);
+    buf.put_u32(count(block.rows.len()));
+    for row in &block.rows {
+        put_str(buf, &row.group);
+        put_str(buf, &row.entity);
+        buf.put_u32(count(row.slots.len()));
+        for (id, value, written_at) in &row.slots {
+            buf.put_u32(*id);
+            put_value(buf, value);
+            buf.put_i64(written_at.as_millis());
+        }
+    }
+}
+
+pub(crate) fn take_online_rows(r: &mut Reader<'_>) -> std::result::Result<OnlineRows, Corrupt> {
+    let names = r.take_str_seq()?;
+    let n = r.take_u32()? as usize;
+    let mut rows = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        let group = r.take_str()?;
+        let entity = r.take_str()?;
+        let k = r.take_u32()? as usize;
+        let mut slots = Vec::with_capacity(k.min(r.remaining()));
+        for _ in 0..k {
+            let id = r.take_u32()?;
+            if id as usize >= names.len() {
+                return Err(Corrupt(format!(
+                    "feature id {id} outside a {}-name table",
+                    names.len()
+                )));
+            }
+            slots.push((id, take_value(r)?, Timestamp::millis(r.take_i64()?)));
+        }
+        rows.push(EntityRow {
+            group,
+            entity,
+            slots,
+        });
+    }
+    Ok(OnlineRows { names, rows })
+}
+
+pub(crate) fn put_index_builds(buf: &mut BytesMut, builds: &[IndexBuild]) {
+    buf.put_u32(count(builds.len()));
+    for build in builds {
+        put_str(buf, &build.table);
+        let (tag, sizes, seed) = match &build.spec {
+            IndexSpec::Flat => (0, None, 0),
+            IndexSpec::Ivf(c) => (1, Some([c.nlist, c.nprobe, c.train_iters]), c.seed),
+            IndexSpec::Hnsw(c) => (2, Some([c.m, c.ef_construction, c.ef_search]), c.seed),
+        };
+        buf.put_u8(tag);
+        if let Some(sizes) = sizes {
+            for size in sizes {
+                buf.put_u64(size as u64);
+            }
+            buf.put_u64(seed);
+        }
+        buf.put_u32(build.built_from_version);
+        buf.put_u64(build.generation);
+    }
+}
+
+pub(crate) fn take_index_builds(
+    r: &mut Reader<'_>,
+) -> std::result::Result<Vec<IndexBuild>, Corrupt> {
+    let sizes = |r: &mut Reader<'_>| -> std::result::Result<[usize; 3], Corrupt> {
+        let mut out = [0; 3];
+        for size in &mut out {
+            *size = usize::try_from(r.take_u64()?)
+                .map_err(|_| Corrupt("index parameter overflows usize".into()))?;
+        }
+        Ok(out)
+    };
+    let n = r.take_u32()? as usize;
+    let mut builds = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        let table = r.take_str()?;
+        let spec = match r.take_u8()? {
+            0 => IndexSpec::Flat,
+            1 => {
+                let [nlist, nprobe, train_iters] = sizes(r)?;
+                IndexSpec::Ivf(IvfConfig {
+                    nlist,
+                    nprobe,
+                    train_iters,
+                    seed: r.take_u64()?,
+                })
+            }
+            2 => {
+                let [m, ef_construction, ef_search] = sizes(r)?;
+                IndexSpec::Hnsw(HnswConfig {
+                    m,
+                    ef_construction,
+                    ef_search,
+                    seed: r.take_u64()?,
+                })
+            }
+            tag => {
+                return Err(WireError::BadTag {
+                    ty: "IndexSpec",
+                    tag,
+                }
+                .into())
+            }
+        };
+        builds.push(IndexBuild {
+            table,
+            spec,
+            built_from_version: r.take_u32()?,
+            generation: r.take_u64()?,
+        });
+    }
+    Ok(builds)
+}
+
+pub(crate) fn install_build(indexes: &IndexCatalog, build: &IndexBuild) -> Result<()> {
+    indexes
+        .install_replica(
+            &build.table,
+            &build.spec,
+            build.built_from_version,
+            build.generation,
+        )
+        .map(drop)
+        .map_err(|e| FsError::Storage(format!("replica index build: {e}")))
 }
 
 /// Replay one delta record into live components at its leader-dictated
@@ -457,14 +775,7 @@ pub fn apply_record(
         ComponentKind::Index => {
             let delta: IndexDelta = decode(&record.body)?;
             for build in &delta.builds {
-                indexes
-                    .install_replica(
-                        &build.table,
-                        &build.spec,
-                        build.built_from_version,
-                        build.generation,
-                    )
-                    .map_err(|e| FsError::Storage(format!("replica index build: {e}")))?;
+                install_build(indexes, build)?;
             }
             Ok(())
         }
@@ -568,6 +879,28 @@ mod tests {
         // Unchanged stores diff to nothing (Arc-shared versions).
         let same = store.clone();
         assert!(diff_embeddings(&store, &same).versions.is_empty());
+    }
+
+    #[test]
+    fn online_apply_matches_one_put_per_feature() {
+        let t = Timestamp::millis;
+        let delta = OnlineDelta {
+            group: "user".into(),
+            entity: "u1".into(),
+            features: vec![
+                ("a".into(), Value::Int(1), t(5)),
+                ("b".into(), Value::Int(2), t(5)),
+                ("a".into(), Value::Int(3), t(7)),
+                ("c".into(), Value::Null, t(5)),
+            ],
+        };
+        let (rows, puts) = (OnlineStore::default(), OnlineStore::default());
+        apply_online(&rows, &delta);
+        for (feature, value, at) in &delta.features {
+            puts.put("user", &EntityKey::new("u1"), feature, value.clone(), *at);
+        }
+        assert_eq!(rows.export_rows(), puts.export_rows());
+        assert_eq!(rows.stats().snapshot(), puts.stats().snapshot());
     }
 
     #[test]

@@ -23,19 +23,122 @@
 //!
 //! [`add_publish_hook`]: fstore_storage::OfflineDb::add_publish_hook
 
-use crate::checkpoint::{CheckpointData, CheckpointStore};
-use crate::codec::{self, OnlineDelta};
-use crate::wal::{FsyncPolicy, WalRecord, WalWriter};
+use crate::checkpoint::CheckpointStore;
+use crate::codec::{self, FullSnapshot, OnlineRows};
+use crate::wal::{FsyncPolicy, WalWriter};
 use fstore_common::{ComponentKind, DeltaRecord, EntityKey, ReadEpoch, Result, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
 use fstore_serve::{Clock, IndexCatalog, IndexMap, ServeEngine, ServingMetrics};
-use fstore_storage::{OfflineDb, OfflineStore, OnlineStore};
+use fstore_storage::{OfflineDb, OnlineStore};
 use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The replicable components of one serving stack — what a durable leader
+/// recovers, a replication leader publishes, and a follower replicates
+/// into. Clones share the components (snapshot cells and `Arc`s).
+#[derive(Clone)]
+pub struct LeaderParts {
+    pub offline: OfflineDb,
+    pub online: Arc<OnlineStore>,
+    pub embeddings: EmbeddingDb,
+    pub indexes: Arc<IndexCatalog>,
+}
+
+impl LeaderParts {
+    /// Fresh, empty components sharing one embedding catalog between the
+    /// embedding handle and the index catalog.
+    pub fn new() -> Self {
+        let embeddings = EmbeddingDb::new();
+        LeaderParts {
+            offline: OfflineDb::new(),
+            online: Arc::new(OnlineStore::default()),
+            indexes: Arc::new(IndexCatalog::new(embeddings.clone())),
+            embeddings,
+        }
+    }
+
+    /// The components a [`DurableLeader`] recovered, so a replication
+    /// leader can be layered over the same cells. Pair with
+    /// `ReplLeader::attach_durable` so online writes hit the WAL too.
+    pub fn from_durable(durable: &DurableLeader) -> Self {
+        durable.parts.clone()
+    }
+
+    /// Capture a [`FullSnapshot`] of the components at `repl_epoch`, which
+    /// callers pin however their log requires (the replication leader under
+    /// `PubLog::frozen`, the durable leader under its WAL lock): a
+    /// publication that installs concurrently is re-delivered as a later
+    /// delta, and applies are idempotent, so readers converge.
+    pub fn capture(&self, repl_epoch: u64) -> FullSnapshot {
+        let off = self.offline.read();
+        let emb = self.embeddings.read();
+        let idx = self.indexes.current();
+        FullSnapshot {
+            repl_epoch,
+            offline: off.value.as_ref().clone(),
+            offline_epoch: off.epoch.as_u64(),
+            embeddings: codec::diff_embeddings(&EmbeddingStore::new(), &emb.value).versions,
+            embeddings_epoch: emb.epoch.as_u64(),
+            online: OnlineRows::capture(&self.online),
+            indexes: codec::diff_indexes(&IndexMap::default(), &idx.value).builds,
+            index_epoch: idx.epoch.as_u64(),
+        }
+    }
+
+    /// Install a snapshot, each component at its captured epoch.
+    /// Embeddings go in before indexes — index builds resolve their source
+    /// table from the embedding catalog.
+    pub fn install(&self, snapshot: FullSnapshot) -> Result<()> {
+        let mut emb = EmbeddingStore::new();
+        for repr in &snapshot.embeddings {
+            emb.install_version(codec::version_from_repr(repr)?)?;
+        }
+        self.offline
+            .restore(snapshot.offline, ReadEpoch(snapshot.offline_epoch));
+        self.embeddings
+            .restore(emb, ReadEpoch(snapshot.embeddings_epoch));
+        snapshot.online.install(&self.online);
+        snapshot
+            .indexes
+            .iter()
+            .try_for_each(|build| codec::install_build(&self.indexes, build))
+    }
+
+    /// Replay one delta record ([`codec::apply_record`]).
+    pub fn apply(&self, record: &DeltaRecord) -> Result<()> {
+        codec::apply_record(
+            &self.offline,
+            &self.embeddings,
+            &self.online,
+            &self.indexes,
+            record,
+        )
+    }
+
+    /// A ready-to-start [`ServeEngine`] over the components, stamping
+    /// feature vectors with the offline epoch: answers at equal epochs — on
+    /// a synced follower, or across a crash-restart — are byte-identical.
+    pub fn engine(&self, clock: Clock) -> ServeEngine {
+        let offline = self.offline.clone();
+        ServeEngine::new(
+            FeatureServer::new(Arc::clone(&self.online))
+                .with_epoch_source(Arc::new(move || offline.epoch())),
+            clock,
+        )
+        .with_embeddings(self.embeddings.clone())
+        .with_index_catalog(Arc::clone(&self.indexes))
+    }
+}
+
+impl Default for LeaderParts {
+    fn default() -> Self {
+        LeaderParts::new()
+    }
+}
 
 /// Durability configuration.
 #[derive(Debug, Clone, Copy)]
@@ -71,71 +174,44 @@ pub struct RecoveryReport {
     pub recovery_ms: u64,
 }
 
-struct WalState {
-    writer: WalWriter,
-}
-
 /// A leader whose components are backed by a WAL and checkpoints on disk.
 pub struct DurableLeader {
     store: CheckpointStore,
     config: DurableConfig,
-    offline: OfflineDb,
-    online: Arc<OnlineStore>,
-    embeddings: EmbeddingDb,
-    indexes: Arc<IndexCatalog>,
-    wal: Arc<Mutex<WalState>>,
-    /// The last sequence number assigned to a publication — the leader's
-    /// "published epoch" for durability purposes.
-    seq: Arc<AtomicU64>,
-    metrics: Arc<Mutex<Option<Arc<ServingMetrics>>>>,
+    parts: LeaderParts,
+    wal: Arc<Wal>,
     last_recovery: RecoveryReport,
 }
 
-/// Append one publication (delta + commit marker) to the WAL and return
-/// the sequence it committed at. Sequence assignment happens under the
-/// WAL lock, so on-disk order always matches sequence order even when
-/// cells publish concurrently.
-///
-/// An `Err` means the commit marker is not known to be on disk — the
-/// write path that acknowledges clients ([`DurableLeader::log_online`])
-/// must refuse to ack on it. Publish *hooks* have nowhere to surface the
-/// error and drop it; the state they described becomes durable again at
-/// the next checkpoint. (A production system would trip a fail-stop fuse
-/// there.)
-fn log_publication(
-    wal: &Arc<Mutex<WalState>>,
-    seq_counter: &Arc<AtomicU64>,
-    metrics: &Arc<Mutex<Option<Arc<ServingMetrics>>>>,
-    component: ComponentKind,
-    component_epoch: u64,
-    body: String,
-) -> Result<u64> {
-    let mut wal = wal.lock();
-    let seq = seq_counter.fetch_add(1, Ordering::AcqRel) + 1;
-    let delta = WalRecord::Delta(DeltaRecord {
-        seq,
-        component,
-        component_epoch,
-        body,
-    });
-    let results = [
-        wal.writer.append(&delta),
-        wal.writer.append(&WalRecord::Commit { seq }),
-    ];
-    let mut failure = None;
-    if let Some(m) = metrics.lock().as_ref() {
-        for info in results.iter().flatten() {
+/// The live WAL, shared by the leader and its publish hooks.
+struct Wal {
+    writer: Mutex<WalWriter>,
+    /// The last sequence number assigned to a publication — the leader's
+    /// "published epoch" for durability purposes.
+    seq: AtomicU64,
+    metrics: Mutex<Option<Arc<ServingMetrics>>>,
+}
+
+impl Wal {
+    /// Append one publication (delta + commit marker, one write) and
+    /// return the sequence it committed at. Sequence assignment happens
+    /// under the writer lock, so on-disk order always matches sequence
+    /// order even when cells publish concurrently.
+    ///
+    /// An `Err` means the commit marker is not known to be on disk — the
+    /// write path that acknowledges clients ([`DurableLeader::log_online`])
+    /// must refuse to ack on it. Publish *hooks* have nowhere to surface
+    /// the error and drop it; the state they described becomes durable
+    /// again at the next checkpoint. (A production system would trip a
+    /// fail-stop fuse there.)
+    fn log(&self, component: ComponentKind, component_epoch: u64, body: &str) -> Result<u64> {
+        let mut writer = self.writer.lock();
+        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        let info = writer.append_publication(seq, component, component_epoch, body)?;
+        if let Some(m) = self.metrics.lock().as_ref() {
             m.record_wal_append(info.bytes, info.fsynced);
         }
-    }
-    for result in results {
-        if let Err(e) = result {
-            failure.get_or_insert(e);
-        }
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(seq),
+        Ok(seq)
     }
 }
 
@@ -148,11 +224,7 @@ impl DurableLeader {
     ) -> Result<(Arc<DurableLeader>, RecoveryReport)> {
         let started = Instant::now();
         let store = CheckpointStore::open(dir)?;
-
-        let embeddings = EmbeddingDb::new();
-        let offline = OfflineDb::new();
-        let online = Arc::new(OnlineStore::default());
-        let indexes = Arc::new(IndexCatalog::new(embeddings.clone()));
+        let parts = LeaderParts::new();
 
         // 1. Checkpoint restore, component order matching follower bootstrap.
         let checkpoint = store.load()?;
@@ -160,33 +232,7 @@ impl DurableLeader {
         let mut checkpoint_epoch = 0u64;
         if let Some(data) = checkpoint {
             checkpoint_epoch = data.repl_epoch;
-            offline.restore(data.offline, ReadEpoch(data.offline_epoch));
-            let mut emb = EmbeddingStore::new();
-            for repr in &data.embeddings {
-                emb.install_version(codec::version_from_repr(repr)?)?;
-            }
-            embeddings.restore(emb, ReadEpoch(data.embeddings_epoch));
-            for row in &data.online {
-                online.put(
-                    &row.group,
-                    &EntityKey::new(row.entity.clone()),
-                    &row.feature,
-                    row.value.clone(),
-                    row.written_at,
-                );
-            }
-            for build in &data.indexes {
-                indexes
-                    .install_replica(
-                        &build.table,
-                        &build.spec,
-                        build.built_from_version,
-                        build.generation,
-                    )
-                    .map_err(|e| {
-                        fstore_common::FsError::Storage(format!("recover index build: {e}"))
-                    })?;
-            }
+            parts.install(data)?;
         }
 
         // 2. WAL replay past the checkpoint.
@@ -196,15 +242,14 @@ impl DurableLeader {
             if record.seq <= checkpoint_epoch {
                 continue; // re-delivered below the checkpoint; already folded in
             }
-            codec::apply_record(&offline, &embeddings, &online, &indexes, record)?;
+            parts.apply(record)?;
             replayed += 1;
         }
         let recovered_epoch = checkpoint_epoch.max(replay.last_seq);
 
         // 3. Re-checkpoint at the recovered sequence and rotate the WAL, so
         // the *next* restart replays nothing this one already folded in.
-        let data = capture_checkpoint(recovered_epoch, &offline, &embeddings, &online, &indexes)?;
-        store.write(&data)?;
+        store.write(&parts.capture(recovered_epoch))?;
         let rotate = recovered_epoch != checkpoint_epoch || cold_start;
         let writer = WalWriter::open(store.wal_path(recovered_epoch), config.fsync, rotate)?;
         store.gc(recovered_epoch);
@@ -222,93 +267,32 @@ impl DurableLeader {
         let leader = Arc::new(DurableLeader {
             store,
             config,
-            offline,
-            online,
-            embeddings,
-            indexes,
-            wal: Arc::new(Mutex::new(WalState { writer })),
-            seq: Arc::new(AtomicU64::new(recovered_epoch)),
-            metrics: Arc::new(Mutex::new(None)),
+            parts,
+            wal: Arc::new(Wal {
+                writer: Mutex::new(writer),
+                seq: AtomicU64::new(recovered_epoch),
+                metrics: Mutex::new(None),
+            }),
             last_recovery: report,
         });
 
         // 4. Hook the publish paths — from here on, every publication is
         // logged before anyone can observe a state that contains it only
         // in memory.
-        leader.install_hooks();
+        let wal = Arc::clone(&leader.wal);
+        codec::tap_publications(&leader.parts, move |component, epoch, body| {
+            let _ = wal.log(component, epoch, &body);
+        });
         Ok((leader, report))
     }
 
-    fn install_hooks(&self) {
-        {
-            let wal = Arc::clone(&self.wal);
-            let seq = Arc::clone(&self.seq);
-            let metrics = Arc::clone(&self.metrics);
-            let base: Mutex<Arc<OfflineStore>> = Mutex::new(self.offline.snapshot());
-            self.offline.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let body = codec::diff_offline(&base, &v.value)
-                    .and_then(|delta| codec::encode(&delta))
-                    .unwrap_or_else(|_| String::from("{}"));
-                let _ = log_publication(
-                    &wal,
-                    &seq,
-                    &metrics,
-                    ComponentKind::Offline,
-                    v.epoch.as_u64(),
-                    body,
-                );
-                *base = Arc::clone(&v.value);
-            });
-        }
-        {
-            let wal = Arc::clone(&self.wal);
-            let seq = Arc::clone(&self.seq);
-            let metrics = Arc::clone(&self.metrics);
-            let base: Mutex<Arc<EmbeddingStore>> = Mutex::new(self.embeddings.snapshot());
-            self.embeddings.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let delta = codec::diff_embeddings(&base, &v.value);
-                let body = codec::encode(&delta).unwrap_or_else(|_| String::from("{}"));
-                let _ = log_publication(
-                    &wal,
-                    &seq,
-                    &metrics,
-                    ComponentKind::Embeddings,
-                    v.epoch.as_u64(),
-                    body,
-                );
-                *base = Arc::clone(&v.value);
-            });
-        }
-        {
-            let wal = Arc::clone(&self.wal);
-            let seq = Arc::clone(&self.seq);
-            let metrics = Arc::clone(&self.metrics);
-            let base: Mutex<IndexMap> = Mutex::new(self.indexes.current().value.as_ref().clone());
-            self.indexes.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let delta = codec::diff_indexes(&base, &v.value);
-                let body = codec::encode(&delta).unwrap_or_else(|_| String::from("{}"));
-                let _ = log_publication(
-                    &wal,
-                    &seq,
-                    &metrics,
-                    ComponentKind::Index,
-                    v.epoch.as_u64(),
-                    body,
-                );
-                *base = v.value.as_ref().clone();
-            });
-        }
-    }
-
-    /// Write one entity's features to the online store *and* the WAL,
+    /// Write one entity's features to the WAL *and then* the online store,
     /// returning the WAL sequence the write committed at. The online
     /// store has no snapshot cell to hook, so durable online writes must
     /// go through here (mirroring the replication leader's rule). An
     /// `Err` means the commit marker is not known durable — callers that
-    /// acknowledge clients must surface it instead of acking.
+    /// acknowledge clients must surface it instead of acking — and the
+    /// write was not applied: nobody can read a value that is not logged.
     pub fn put_online(
         &self,
         group: &str,
@@ -316,32 +300,18 @@ impl DurableLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64> {
-        self.online.put_row(group, entity, values, now);
-        self.log_online(&OnlineDelta {
-            group: group.to_string(),
-            entity: entity.as_str().to_string(),
-            features: values
-                .iter()
-                .map(|(f, v)| ((*f).to_string(), v.clone(), now))
-                .collect(),
-        })
+        let seq = self.log_online(&codec::online_body(group, entity, values, now)?)?;
+        self.parts.online.put_row(group, entity, values, now);
+        Ok(seq)
     }
 
-    /// WAL-log an online delta that was already applied to the store —
-    /// the hook a replication leader calls so its `put_online` is
-    /// durable. Returns the WAL sequence of the commit marker; `Err`
-    /// means the delta is not known to be on disk and the write must not
-    /// be acknowledged.
-    pub fn log_online(&self, delta: &OnlineDelta) -> Result<u64> {
-        let body = codec::encode(delta).unwrap_or_else(|_| String::from("{}"));
-        log_publication(
-            &self.wal,
-            &self.seq,
-            &self.metrics,
-            ComponentKind::Online,
-            0,
-            body,
-        )
+    /// WAL-log an encoded online delta ([`codec::online_body`]) before it
+    /// is applied — the hook a replication leader calls so its
+    /// `put_online` is durable. Returns the WAL sequence of the commit
+    /// marker; `Err` means the delta is not known to be on disk and the
+    /// write must be neither applied nor acknowledged.
+    pub fn log_online(&self, body: &str) -> Result<u64> {
+        self.wal.log(ComponentKind::Online, 0, body)
     }
 
     /// Take a checkpoint at the current published sequence and rotate the
@@ -349,20 +319,13 @@ impl DurableLeader {
     /// that installed its cell but has not logged yet will land *after*
     /// this checkpoint's sequence and be replayed idempotently on restart.
     pub fn checkpoint(&self) -> Result<()> {
-        let mut wal = self.wal.lock();
-        let seq = self.seq.load(Ordering::Acquire);
-        let data = capture_checkpoint(
-            seq,
-            &self.offline,
-            &self.embeddings,
-            &self.online,
-            &self.indexes,
-        )?;
-        self.store.write(&data)?;
-        wal.writer = WalWriter::open(self.store.wal_path(seq), self.config.fsync, true)?;
+        let mut writer = self.wal.writer.lock();
+        let seq = self.published_seq();
+        self.store.write(&self.parts.capture(seq))?;
+        *writer = WalWriter::open(self.store.wal_path(seq), self.config.fsync, true)?;
         self.store.gc(seq);
-        drop(wal);
-        if let Some(m) = self.metrics.lock().as_ref() {
+        drop(writer);
+        if let Some(m) = self.wal.metrics.lock().as_ref() {
             m.record_checkpoint();
         }
         Ok(())
@@ -375,12 +338,12 @@ impl DurableLeader {
             self.last_recovery.recovery_ms,
             self.last_recovery.recovered_epoch,
         );
-        *self.metrics.lock() = Some(metrics);
+        *self.wal.metrics.lock() = Some(metrics);
     }
 
     /// The last sequence number assigned to a publication.
     pub fn published_seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
+        self.wal.seq.load(Ordering::Acquire)
     }
 
     /// What the `open` that produced this leader recovered.
@@ -389,56 +352,45 @@ impl DurableLeader {
     }
 
     pub fn offline(&self) -> &OfflineDb {
-        &self.offline
+        &self.parts.offline
     }
 
     pub fn online(&self) -> &Arc<OnlineStore> {
-        &self.online
+        &self.parts.online
     }
 
     pub fn embeddings(&self) -> &EmbeddingDb {
-        &self.embeddings
+        &self.parts.embeddings
     }
 
     pub fn indexes(&self) -> &Arc<IndexCatalog> {
-        &self.indexes
+        &self.parts.indexes
     }
 
-    /// A ready-to-start [`ServeEngine`] over the durable components,
-    /// stamping feature vectors with the offline epoch like the
-    /// replication leader and follower engines do — so answers before and
-    /// after a crash-restart are byte-comparable.
+    /// A ready-to-start [`ServeEngine`] over the durable components
+    /// ([`LeaderParts::engine`]).
     pub fn engine(&self, clock: Clock) -> ServeEngine {
-        let offline = self.offline.clone();
-        ServeEngine::new(
-            FeatureServer::new(Arc::clone(&self.online))
-                .with_epoch_source(Arc::new(move || offline.epoch())),
-            clock,
-        )
-        .with_embeddings(self.embeddings.clone())
-        .with_index_catalog(Arc::clone(&self.indexes))
+        self.parts.engine(clock)
     }
 }
 
-/// Capture the four components as checkpoint data at `repl_epoch`.
-fn capture_checkpoint(
-    repl_epoch: u64,
-    offline: &OfflineDb,
-    embeddings: &EmbeddingDb,
-    online: &OnlineStore,
-    indexes: &IndexCatalog,
-) -> Result<CheckpointData> {
-    let off = offline.read();
-    let emb = embeddings.read();
-    let idx = indexes.current();
-    Ok(CheckpointData {
-        repl_epoch,
-        offline: off.value.as_ref().clone(),
-        offline_epoch: off.epoch.as_u64(),
-        embeddings: codec::diff_embeddings(&EmbeddingStore::new(), &emb.value).versions,
-        embeddings_epoch: emb.epoch.as_u64(),
-        online: codec::export_online(online),
-        indexes: codec::diff_indexes(&IndexMap::default(), &idx.value).builds,
-        index_epoch: idx.epoch.as_u64(),
-    })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_write_the_wal_refuses_is_an_error_and_never_readable() {
+        let dir = std::env::temp_dir().join(format!("fstore_leader_full_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (leader, _) = DurableLeader::open(&dir, DurableConfig::default()).unwrap();
+        // Every write to /dev/full fails with ENOSPC.
+        *leader.wal.writer.lock() =
+            WalWriter::open("/dev/full", FsyncPolicy::Always, false).unwrap();
+
+        let key = EntityKey::new("u1");
+        let put = leader.put_online("user", &key, &[("score", Value::Int(1))], Timestamp::EPOCH);
+        assert!(put.is_err(), "a failed WAL append was acknowledged");
+        assert_eq!(leader.online().get("user", &key, "score"), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

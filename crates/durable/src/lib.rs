@@ -8,15 +8,14 @@
 //! * [`wal`] — length-prefixed, CRC-32-checksummed records with
 //!   epoch-tagged commit markers and a configurable fsync policy; recovery
 //!   replays to the last complete commit and truncates the torn tail.
-//! * [`checkpoint`] — the at-rest forms of the four components (binary
-//!   columnar segments for the offline store, raw-vector blobs for
-//!   embedding versions) under an atomically swapped manifest.
-//! * [`leader`] — [`DurableLeader`] hooks the same publish path the
-//!   replication `PubLog` taps and logs every publication; `open` is both
-//!   cold start and crash recovery.
-//! * [`codec`] — the delta/snapshot bodies and idempotent apply functions
-//!   shared by replication and recovery (moved here from `fstore-repl`,
-//!   which re-exports it).
+//! * [`checkpoint`] — the binary at-rest forms of the four components
+//!   (offline segments, embedding blobs, an online row block) under an
+//!   atomically swapped manifest.
+//! * [`leader`] — [`DurableLeader`] logs every publication of its
+//!   [`LeaderParts`]; `open` is both cold start and crash recovery.
+//! * [`codec`] — the delta bodies, the binary full snapshot, and the
+//!   idempotent apply functions shared by replication and recovery
+//!   (`fstore-repl` re-exports it).
 //! * [`fseb`] — the `"FSEB"` embedding-blob codec, shared by checkpoints
 //!   and the tiered pager (`fstore-tier`) so the at-rest format lives in
 //!   exactly one place.
@@ -34,5 +33,5 @@ pub mod wal;
 pub use cache::SnapshotCache;
 pub use checkpoint::{CheckpointData, CheckpointStore, Manifest};
 pub use fseb::{decode_blob, encode_blob, BlobHeader, BLOB_MAGIC};
-pub use leader::{DurableConfig, DurableLeader, RecoveryReport};
+pub use leader::{DurableConfig, DurableLeader, LeaderParts, RecoveryReport};
 pub use wal::{FsyncPolicy, WalRecord, WalReplay, WalWriter};

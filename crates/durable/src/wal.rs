@@ -1,12 +1,13 @@
 //! The write-ahead log: length-prefixed, CRC-checksummed records with
 //! epoch-tagged commit markers.
 //!
-//! Every publication the durable leader logs is two records: a
-//! [`WalRecord::Delta`] carrying the serialized change, then a
-//! [`WalRecord::Commit`] naming the sequence number the publication was
-//! assigned. The commit marker is the durability point — the fsync policy
-//! is applied there, and [`recover`] only surfaces deltas whose commit made
-//! it to disk. Everything after the last complete commit (valid-but-
+//! Every publication the durable leader logs is two records, written with
+//! one `write` ([`WalWriter::append_publication`]): a [`WalRecord::Delta`]
+//! carrying the serialized change, then a [`WalRecord::Commit`] naming the
+//! sequence number the publication was assigned. The commit marker is the
+//! durability point — the fsync policy is applied there, and [`recover`]
+//! only surfaces deltas whose commit made it to disk. Everything after
+//! the last complete commit (valid-but-
 //! uncommitted deltas, torn record fragments, CRC failures) is *truncated
 //! off the file*, not just skipped: a skipped-but-kept delta would be
 //! resurrected by the next writer's commit marker.
@@ -16,18 +17,21 @@
 //! ```text
 //! len u32 | crc32(len_bytes ++ body) u32 | body
 //! body := kind u8 (1 = delta, 2 = commit) ++ payload
+//! delta payload  := seq u64 | component u8 | component_epoch u64 | body (UTF-8)
+//! commit payload := seq u64
 //! ```
 //!
-//! Delta payloads are the JSON of a [`DeltaRecord`]; commit payloads are
-//! the 8-byte sequence number.
+//! A delta's body is the [`DeltaRecord`] body itself — the same encoded
+//! bytes the publication log carries, stored as they are.
 
-use fstore_common::{crc32_update, DeltaRecord, FsError, Result};
+use fstore_common::{crc32_update, ComponentKind, DeltaRecord, FsError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const KIND_DELTA: u8 = 1;
 const KIND_COMMIT: u8 = 2;
+const DELTA_HEADER: usize = 17;
 
 /// When the WAL calls `fsync` — always the trade between write latency and
 /// the number of commits a crash can lose.
@@ -52,30 +56,63 @@ pub enum WalRecord {
     Commit { seq: u64 },
 }
 
-/// Encode one record into its on-disk envelope.
-pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::new();
-    match record {
-        WalRecord::Delta(d) => {
-            body.push(KIND_DELTA);
-            body.extend_from_slice(
-                serde_json::to_string(d)
-                    .expect("delta records serialize")
-                    .as_bytes(),
-            );
-        }
-        WalRecord::Commit { seq } => {
-            body.push(KIND_COMMIT);
-            body.extend_from_slice(&seq.to_le_bytes());
-        }
+/// Append one record's envelope to `out`, its payload given in pieces.
+fn put_record(out: &mut Vec<u8>, kind: u8, payload: &[&[u8]]) -> Result<()> {
+    let len = 1 + payload.iter().map(|piece| piece.len()).sum::<usize>();
+    let len = u32::try_from(len)
+        .map_err(|_| FsError::Storage(format!("a {len}-byte WAL record exceeds 4 GiB")))?;
+    let start = out.len();
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the CRC, once the body is in place
+    out.push(kind);
+    for piece in payload {
+        out.extend_from_slice(piece);
     }
-    let len = (body.len() as u32).to_le_bytes();
-    let crc = crc32_update(crc32_update(0, &len), &body);
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&len);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&body);
+    let crc = crc32_update(crc32_update(0, &out[start..start + 4]), &out[start + 8..]);
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+fn put_delta(
+    out: &mut Vec<u8>,
+    seq: u64,
+    component: ComponentKind,
+    component_epoch: u64,
+    body: &str,
+) -> Result<()> {
+    put_record(
+        out,
+        KIND_DELTA,
+        &[
+            &seq.to_le_bytes(),
+            &[component.as_u8()],
+            &component_epoch.to_le_bytes(),
+            body.as_bytes(),
+        ],
+    )
+}
+
+fn put_commit(out: &mut Vec<u8>, seq: u64) -> Result<()> {
+    put_record(out, KIND_COMMIT, &[&seq.to_le_bytes()])
+}
+
+fn put(out: &mut Vec<u8>, record: &WalRecord) -> Result<()> {
+    match record {
+        WalRecord::Delta(d) => put_delta(out, d.seq, d.component, d.component_epoch, &d.body),
+        WalRecord::Commit { seq } => put_commit(out, *seq),
+    }
+}
+
+/// Encode one record into its on-disk envelope. Panics on a record of
+/// 4 GiB or more, which [`WalWriter`] returns as an error instead.
+pub fn encode_record(record: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    put(&mut out, record).expect("WAL records are under 4 GiB");
     out
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte field"))
 }
 
 /// Decode the record at the front of `buf`.
@@ -105,21 +142,36 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>> {
             "WAL record checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
         )));
     }
+    let payload = &body[1..];
     let record = match body[0] {
         KIND_DELTA => {
-            let d: DeltaRecord = serde_json::from_slice(&body[1..])
-                .map_err(|e| FsError::Corruption(format!("unparseable WAL delta: {e}")))?;
-            WalRecord::Delta(d)
+            if payload.len() < DELTA_HEADER {
+                return Err(FsError::Corruption(format!(
+                    "WAL delta has {} payload bytes, fewer than its {DELTA_HEADER}-byte header",
+                    payload.len()
+                )));
+            }
+            let component = ComponentKind::from_u8(payload[8]).ok_or_else(|| {
+                FsError::Corruption(format!("unknown WAL delta component {}", payload[8]))
+            })?;
+            let text = std::str::from_utf8(&payload[DELTA_HEADER..])
+                .map_err(|e| FsError::Corruption(format!("WAL delta body is not UTF-8: {e}")))?;
+            WalRecord::Delta(DeltaRecord {
+                seq: le_u64(&payload[..8]),
+                component,
+                component_epoch: le_u64(&payload[9..DELTA_HEADER]),
+                body: text.to_owned(),
+            })
         }
         KIND_COMMIT => {
-            if body.len() != 9 {
+            if payload.len() != 8 {
                 return Err(FsError::Corruption(format!(
                     "WAL commit marker has {} payload bytes, expected 8",
-                    body.len() - 1
+                    payload.len()
                 )));
             }
             WalRecord::Commit {
-                seq: u64::from_le_bytes(body[1..9].try_into().unwrap()),
+                seq: le_u64(payload),
             }
         }
         k => return Err(FsError::Corruption(format!("unknown WAL record kind {k}"))),
@@ -143,6 +195,8 @@ pub struct WalWriter {
     appends: u64,
     fsyncs: u64,
     bytes: u64,
+    /// Reused encode buffer, so an append allocates nothing at steady state.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -172,6 +226,7 @@ impl WalWriter {
             appends: 0,
             fsyncs: 0,
             bytes: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -181,14 +236,39 @@ impl WalWriter {
 
     /// Append one record; commit markers trigger the fsync policy.
     pub fn append(&mut self, record: &WalRecord) -> Result<AppendInfo> {
-        let frame = encode_record(record);
+        self.buf.clear();
+        put(&mut self.buf, record)?;
+        self.write_buf(1, matches!(record, WalRecord::Commit { .. }))
+    }
+
+    /// Append one whole publication — its delta and the commit marker for
+    /// `seq` — with a single write; the fsync policy applies as at any
+    /// commit.
+    pub fn append_publication(
+        &mut self,
+        seq: u64,
+        component: ComponentKind,
+        component_epoch: u64,
+        body: &str,
+    ) -> Result<AppendInfo> {
+        self.buf.clear();
+        put_delta(&mut self.buf, seq, component, component_epoch, body)?;
+        put_commit(&mut self.buf, seq)?;
+        self.write_buf(2, true)
+    }
+
+    fn write_buf(&mut self, records: u64, commits: bool) -> Result<AppendInfo> {
         self.file
-            .write_all(&frame)
+            .write_all(&self.buf)
             .map_err(|e| FsError::Storage(format!("append to WAL {}: {e}", self.path.display())))?;
-        self.appends += 1;
-        self.bytes += frame.len() as u64;
+        let bytes = self.buf.len() as u64;
+        // A rare large record must not pin its buffer for the log's life.
+        self.buf.clear();
+        self.buf.shrink_to(64 << 10);
+        self.appends += records;
+        self.bytes += bytes;
         let mut fsynced = false;
-        if matches!(record, WalRecord::Commit { .. }) {
+        if commits {
             let due = match self.policy {
                 FsyncPolicy::Always => true,
                 FsyncPolicy::EveryN(n) => {
@@ -202,10 +282,7 @@ impl WalWriter {
                 fsynced = true;
             }
         }
-        Ok(AppendInfo {
-            bytes: frame.len() as u64,
-            fsynced,
-        })
+        Ok(AppendInfo { bytes, fsynced })
     }
 
     /// Force an fsync regardless of policy.

@@ -18,14 +18,13 @@
 //!
 //! [`FullSnapshot`]: crate::codec::FullSnapshot
 
-use crate::codec::{self, EmbeddingsDelta, FullSnapshot, IndexDelta, OfflineDelta, OnlineDelta};
+use crate::codec::{self, FullSnapshot};
 use fstore_common::rng::{Rng, Xoshiro256};
-use fstore_common::{ComponentKind, DeltaRecord, FsError, ReadEpoch, Result};
-use fstore_core::FeatureServer;
-use fstore_durable::SnapshotCache;
-use fstore_embed::{EmbeddingDb, EmbeddingStore};
+use fstore_common::{FsError, Result};
+use fstore_durable::{LeaderParts, SnapshotCache};
+use fstore_embed::EmbeddingDb;
 use fstore_serve::{Clock, FeatureClient, IndexCatalog, RetryPolicy, ServeEngine, ServingMetrics};
-use fstore_storage::{OfflineDb, OfflineStore, OnlineStore};
+use fstore_storage::{OfflineDb, OnlineStore};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,10 +47,7 @@ pub struct SyncReport {
 /// A replica of one leader's serving state.
 pub struct Follower {
     leader_addr: String,
-    offline: OfflineDb,
-    online: Arc<OnlineStore>,
-    embeddings: EmbeddingDb,
-    indexes: Arc<IndexCatalog>,
+    parts: LeaderParts,
     /// Replication epoch of the last applied delta (or bootstrap snapshot).
     applied: AtomicU64,
     /// The leader's replication epoch as of the last exchange.
@@ -69,13 +65,9 @@ pub struct Follower {
 
 impl Follower {
     fn empty(leader_addr: String) -> Follower {
-        let embeddings = EmbeddingDb::new();
         Follower {
             leader_addr,
-            offline: OfflineDb::new(),
-            online: Arc::new(OnlineStore::default()),
-            indexes: Arc::new(IndexCatalog::new(embeddings.clone())),
-            embeddings,
+            parts: LeaderParts::new(),
             applied: AtomicU64::new(0),
             leader_epoch: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -106,20 +98,19 @@ impl Follower {
         cache: SnapshotCache,
     ) -> Result<Follower> {
         let follower = Follower::empty(leader_addr.into());
-        let cached = cache.load().unwrap_or(None); // corrupt cache == no cache
+        // A corrupt cache, or an intact one whose payload does not decode
+        // (say, written by an earlier format), is no cache.
+        let cached = cache
+            .load()
+            .ok()
+            .flatten()
+            .and_then(|(_, payload)| codec::decode_snapshot(&payload).ok());
         *follower.cache.lock() = Some(cache);
 
         let mut client = follower.connect()?;
         match cached {
-            Some((repl_epoch, payload)) => {
-                let text = std::str::from_utf8(&payload)
-                    .map_err(|e| FsError::Serde(format!("cached snapshot not UTF-8: {e}")))?;
-                let snapshot: FullSnapshot = codec::decode(text)?;
-                follower.install_full_snapshot(&snapshot)?;
-                follower.applied.store(repl_epoch, Ordering::Release);
-                follower
-                    .leader_epoch
-                    .fetch_max(repl_epoch, Ordering::AcqRel);
+            Some(snapshot) => {
+                follower.install(snapshot)?;
                 follower.disk_bootstraps.fetch_add(1, Ordering::AcqRel);
                 // Catch up from the cached epoch; a `lagged` answer inside
                 // sync_once re-pulls the full snapshot (counted as a wire
@@ -139,15 +130,12 @@ impl Follower {
     }
 
     fn pull_full_snapshot(&self, client: &mut FeatureClient) -> Result<()> {
-        let (repl_epoch, payload) = client
+        let (_, payload) = client
             .repl_snapshot()
             .map_err(|e| FsError::Storage(format!("pull full snapshot: {e}")))?;
-        let text = std::str::from_utf8(&payload)
-            .map_err(|e| FsError::Serde(format!("snapshot payload not UTF-8: {e}")))?;
-        let snapshot: FullSnapshot = codec::decode(text)?;
-        self.install_full_snapshot(&snapshot)?;
-        self.applied.store(repl_epoch, Ordering::Release);
-        self.leader_epoch.fetch_max(repl_epoch, Ordering::AcqRel);
+        let snapshot = codec::decode_snapshot(&payload)?;
+        let repl_epoch = snapshot.repl_epoch;
+        self.install(snapshot)?;
         self.wire_bootstraps.fetch_add(1, Ordering::AcqRel);
         if let Some(cache) = self.cache.lock().as_ref() {
             // Best-effort: a failed cache write only costs the next
@@ -158,81 +146,13 @@ impl Follower {
         Ok(())
     }
 
-    /// Install a full snapshot: every component at the leader's epoch.
-    /// Embeddings go in before indexes — index builds resolve their source
-    /// table from the local embedding catalog.
-    fn install_full_snapshot(&self, snapshot: &FullSnapshot) -> Result<()> {
-        let offline = OfflineStore::from_snapshot_json(&snapshot.offline_json)?;
-        self.offline
-            .restore(offline, ReadEpoch(snapshot.offline_epoch));
-
-        let mut store = EmbeddingStore::new();
-        codec::apply_embeddings(
-            &mut store,
-            &EmbeddingsDelta {
-                versions: snapshot.embeddings.clone(),
-            },
-        )?;
-        self.embeddings
-            .restore(store, ReadEpoch(snapshot.embeddings_epoch));
-
-        for row in &snapshot.online {
-            self.online.put(
-                &row.group,
-                &fstore_common::EntityKey::new(row.entity.clone()),
-                &row.feature,
-                row.value.clone(),
-                row.written_at,
-            );
-        }
-
-        for build in &snapshot.indexes {
-            self.indexes
-                .install_replica(
-                    &build.table,
-                    &build.spec,
-                    build.built_from_version,
-                    build.generation,
-                )
-                .map_err(|e| FsError::Storage(format!("replica index build: {e}")))?;
-        }
+    /// Install a decoded full snapshot and mark its epoch applied.
+    fn install(&self, snapshot: FullSnapshot) -> Result<()> {
+        let repl_epoch = snapshot.repl_epoch;
+        self.parts.install(snapshot)?;
+        self.applied.store(repl_epoch, Ordering::Release);
+        self.leader_epoch.fetch_max(repl_epoch, Ordering::AcqRel);
         Ok(())
-    }
-
-    /// Apply one delta record at its leader-dictated component epoch.
-    fn apply_delta(&self, record: &DeltaRecord) -> Result<()> {
-        let epoch = ReadEpoch(record.component_epoch);
-        match record.component {
-            ComponentKind::Offline => {
-                let delta: OfflineDelta = codec::decode(&record.body)?;
-                self.offline
-                    .apply_replica(epoch, |s| codec::apply_offline(s, &delta))
-            }
-            ComponentKind::Embeddings => {
-                let delta: EmbeddingsDelta = codec::decode(&record.body)?;
-                self.embeddings
-                    .apply_replica(epoch, |s| codec::apply_embeddings(s, &delta))
-            }
-            ComponentKind::Index => {
-                let delta: IndexDelta = codec::decode(&record.body)?;
-                for build in &delta.builds {
-                    self.indexes
-                        .install_replica(
-                            &build.table,
-                            &build.spec,
-                            build.built_from_version,
-                            build.generation,
-                        )
-                        .map_err(|e| FsError::Storage(format!("replica index build: {e}")))?;
-                }
-                Ok(())
-            }
-            ComponentKind::Online => {
-                let delta: OnlineDelta = codec::decode(&record.body)?;
-                codec::apply_online(&self.online, &delta);
-                Ok(())
-            }
-        }
     }
 
     /// One replication round: poll the leader for deltas past the applied
@@ -260,10 +180,9 @@ impl Follower {
                 if record.seq <= self.applied.load(Ordering::Acquire) {
                     continue; // re-delivered; already applied
                 }
-                if let Err(e) = self.apply_delta(&record) {
+                if self.parts.apply(&record).is_err() {
                     // A delta that cannot apply means local state diverged
                     // (or was corrupted); a full snapshot re-grounds it.
-                    let _ = e;
                     self.resync(client)?;
                     resynced = true;
                     break;
@@ -400,19 +319,19 @@ impl Follower {
     }
 
     pub fn offline(&self) -> &OfflineDb {
-        &self.offline
+        &self.parts.offline
     }
 
     pub fn online(&self) -> &Arc<OnlineStore> {
-        &self.online
+        &self.parts.online
     }
 
     pub fn embeddings(&self) -> &EmbeddingDb {
-        &self.embeddings
+        &self.parts.embeddings
     }
 
     pub fn indexes(&self) -> &Arc<IndexCatalog> {
-        &self.indexes
+        &self.parts.indexes
     }
 
     /// The follower's components, in the shape a [`ReplLeader`] takes —
@@ -421,13 +340,8 @@ impl Follower {
     /// stopped.
     ///
     /// [`ReplLeader`]: crate::ReplLeader
-    pub fn parts(&self) -> crate::LeaderParts {
-        crate::LeaderParts {
-            offline: self.offline.clone(),
-            online: Arc::clone(&self.online),
-            embeddings: self.embeddings.clone(),
-            indexes: Arc::clone(&self.indexes),
-        }
+    pub fn parts(&self) -> LeaderParts {
+        self.parts.clone()
     }
 
     /// Promote this follower to a replication leader in place: wrap its
@@ -445,19 +359,11 @@ impl Follower {
         crate::ReplLeader::with_retention(self.parts(), retention)
     }
 
-    /// A ready-to-start [`ServeEngine`] over the follower's components.
-    /// Feature vectors are stamped with the (replicated) offline epoch —
-    /// the same source the leader's engine uses, so answers at equal
-    /// epochs are byte-identical.
+    /// A ready-to-start [`ServeEngine`] over the follower's components
+    /// ([`LeaderParts::engine`]): at equal epochs it answers
+    /// byte-identically to the leader.
     pub fn engine(&self, clock: Clock) -> ServeEngine {
-        let offline = self.offline.clone();
-        ServeEngine::new(
-            FeatureServer::new(Arc::clone(&self.online))
-                .with_epoch_source(Arc::new(move || offline.epoch())),
-            clock,
-        )
-        .with_embeddings(self.embeddings.clone())
-        .with_index_catalog(Arc::clone(&self.indexes))
+        self.parts.engine(clock)
     }
 }
 

@@ -8,64 +8,21 @@
 //! snapshot against the previous one and appends the delta — stamped with
 //! the component's own cell epoch — to the shared [`PubLog`]. The online
 //! store has no cell, so replicated online writes go through
-//! [`ReplLeader::put_online`], which writes locally and logs in one step.
+//! [`ReplLeader::put_online`], which encodes once, logs, applies, then
+//! publishes.
 //!
 //! Every publication is logged, even one whose diff is empty: the epoch
 //! bump itself is state a follower must reproduce, or its echoed epochs
 //! would drift below the leader's and byte-identity would break.
 
-use crate::codec::{self, OnlineDelta};
+use crate::codec;
 use fstore_common::{
     ComponentKind, DeltaQuery, EntityKey, FsError, PubLog, Timestamp, Value, DEFAULT_LOG_RETENTION,
 };
-use fstore_core::FeatureServer;
-use fstore_durable::DurableLeader;
-use fstore_embed::{EmbeddingDb, EmbeddingStore};
-use fstore_serve::{Clock, IndexCatalog, IndexMap, ReplLogState, ReplProvider, ServeEngine};
-use fstore_storage::{OfflineDb, OfflineStore, OnlineStore};
+use fstore_durable::{DurableLeader, LeaderParts};
+use fstore_serve::{Clock, ReplLogState, ReplProvider, ServeEngine};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// The replicable components of one serving stack.
-#[derive(Clone)]
-pub struct LeaderParts {
-    pub offline: OfflineDb,
-    pub online: Arc<OnlineStore>,
-    pub embeddings: EmbeddingDb,
-    pub indexes: Arc<IndexCatalog>,
-}
-
-impl LeaderParts {
-    /// Fresh, empty components sharing one embedding catalog between the
-    /// embedding handle and the index catalog.
-    pub fn new() -> Self {
-        let embeddings = EmbeddingDb::new();
-        LeaderParts {
-            offline: OfflineDb::new(),
-            online: Arc::new(OnlineStore::default()),
-            indexes: Arc::new(IndexCatalog::new(embeddings.clone())),
-            embeddings,
-        }
-    }
-
-    /// The components a [`DurableLeader`] recovered, so a replication
-    /// leader can be layered over the same cells. Pair with
-    /// [`ReplLeader::attach_durable`] so online writes hit the WAL too.
-    pub fn from_durable(durable: &DurableLeader) -> Self {
-        LeaderParts {
-            offline: durable.offline().clone(),
-            online: Arc::clone(durable.online()),
-            embeddings: durable.embeddings().clone(),
-            indexes: Arc::clone(durable.indexes()),
-        }
-    }
-}
-
-impl Default for LeaderParts {
-    fn default() -> Self {
-        LeaderParts::new()
-    }
-}
 
 /// A replication leader: the publication log plus the components feeding it.
 pub struct ReplLeader {
@@ -90,42 +47,10 @@ impl ReplLeader {
     /// by the full snapshot a follower bootstraps from.
     pub fn with_retention(parts: LeaderParts, retention: usize) -> Arc<Self> {
         let log = Arc::new(PubLog::new(retention));
-
-        {
-            let log = Arc::clone(&log);
-            let base: Mutex<Arc<OfflineStore>> = Mutex::new(parts.offline.snapshot());
-            parts.offline.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let body = codec::diff_offline(&base, &v.value)
-                    .and_then(|delta| codec::encode(&delta))
-                    .unwrap_or_else(|_| String::from("{}"));
-                log.append(ComponentKind::Offline, v.epoch.as_u64(), body);
-                *base = Arc::clone(&v.value);
-            });
-        }
-        {
-            let log = Arc::clone(&log);
-            let base: Mutex<Arc<EmbeddingStore>> = Mutex::new(parts.embeddings.snapshot());
-            parts.embeddings.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let delta = codec::diff_embeddings(&base, &v.value);
-                let body = codec::encode(&delta).unwrap_or_else(|_| String::from("{}"));
-                log.append(ComponentKind::Embeddings, v.epoch.as_u64(), body);
-                *base = Arc::clone(&v.value);
-            });
-        }
-        {
-            let log = Arc::clone(&log);
-            let base: Mutex<IndexMap> = Mutex::new(parts.indexes.current().value.as_ref().clone());
-            parts.indexes.add_publish_hook(move |v| {
-                let mut base = base.lock();
-                let delta = codec::diff_indexes(&base, &v.value);
-                let body = codec::encode(&delta).unwrap_or_else(|_| String::from("{}"));
-                log.append(ComponentKind::Index, v.epoch.as_u64(), body);
-                *base = v.value.as_ref().clone();
-            });
-        }
-
+        let sink = Arc::clone(&log);
+        codec::tap_publications(&parts, move |component, epoch, body| {
+            sink.append(component, epoch, body);
+        });
         Arc::new(ReplLeader {
             log,
             parts,
@@ -155,15 +80,13 @@ impl ReplLeader {
 
     /// Write one entity's features to the online store *and* record the
     /// write in the publication log, returning the publication sequence
-    /// it landed at. Replicated online writes must go through here — a
-    /// bare [`OnlineStore::put`] is invisible to followers (the online
-    /// store has no snapshot cell to hook).
+    /// it landed at. Replicated online writes must go through here — a bare
+    /// [`fstore_storage::OnlineStore::put`] is invisible to followers (the
+    /// online store has no snapshot cell to hook).
     ///
-    /// With a durable leader attached, the write is WAL-logged before
-    /// this returns and an `Err` means the commit marker is *not* known
-    /// durable — a serving path that acknowledges clients must surface
-    /// that instead of acking (the in-memory state may still vanish in a
-    /// crash).
+    /// The write is encoded once, WAL-logged (with a durable leader
+    /// attached), applied, then published. An `Err` — no encoding, or a
+    /// commit marker *not* known durable — applied and published nothing.
     pub fn put_online(
         &self,
         group: &str,
@@ -171,21 +94,12 @@ impl ReplLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64, FsError> {
-        self.parts.online.put_row(group, entity, values, now);
-        let delta = OnlineDelta {
-            group: group.to_string(),
-            entity: entity.as_str().to_string(),
-            features: values
-                .iter()
-                .map(|(f, v)| ((*f).to_string(), v.clone(), now))
-                .collect(),
-        };
-        let body = codec::encode(&delta).unwrap_or_else(|_| String::from("{}"));
-        let seq = self.log.append(ComponentKind::Online, 0, body);
+        let body = codec::online_body(group, entity, values, now)?;
         if let Some(durable) = self.durable.lock().as_ref() {
-            durable.log_online(&delta)?;
+            durable.log_online(&body)?;
         }
-        Ok(seq)
+        self.parts.online.put_row(group, entity, values, now);
+        Ok(self.log.append(ComponentKind::Online, 0, body))
     }
 
     /// The attached durable leader, if any.
@@ -193,20 +107,13 @@ impl ReplLeader {
         self.durable.lock().clone()
     }
 
-    /// A ready-to-start [`ServeEngine`] over the leader's components, with
-    /// this leader answering the `Repl*` endpoints. Served feature vectors
-    /// are stamped with the offline store's epoch — the same source a
-    /// follower's engine uses, so a synced follower answers byte-identically.
+    /// A ready-to-start [`ServeEngine`] over the leader's components
+    /// ([`LeaderParts::engine`]), with this leader answering the `Repl*`
+    /// endpoints.
     pub fn engine(self: &Arc<Self>, clock: Clock) -> ServeEngine {
-        let offline = self.parts.offline.clone();
-        ServeEngine::new(
-            FeatureServer::new(Arc::clone(&self.parts.online))
-                .with_epoch_source(Arc::new(move || offline.epoch())),
-            clock,
-        )
-        .with_embeddings(self.parts.embeddings.clone())
-        .with_index_catalog(Arc::clone(&self.parts.indexes))
-        .with_replication(Arc::clone(self) as Arc<dyn ReplProvider>)
+        self.parts
+            .engine(clock)
+            .with_replication(Arc::clone(self) as Arc<dyn ReplProvider>)
     }
 }
 
@@ -246,18 +153,8 @@ impl ReplProvider for ReplLeader {
         // installed its cell (hooks fire after install) but blocks on the
         // log, so its delta gets a seq > repl_epoch and is re-delivered.
         // Applies are idempotent, so the follower converges either way.
-        let (repl_epoch, snapshot) = self.log.frozen(|repl_epoch| {
-            let snapshot = codec::capture_snapshot(
-                repl_epoch,
-                &self.parts.offline,
-                &self.parts.embeddings,
-                &self.parts.online,
-                &self.parts.indexes,
-            );
-            (repl_epoch, snapshot)
-        });
-        let payload = codec::encode(&snapshot?)?.into_bytes();
-        Ok((repl_epoch, payload))
+        let snapshot = self.log.frozen(|repl_epoch| self.parts.capture(repl_epoch));
+        Ok((snapshot.repl_epoch, codec::encode_snapshot(&snapshot)?))
     }
 
     fn deltas_since(&self, from_epoch: u64) -> (u64, DeltaQuery) {
@@ -270,7 +167,7 @@ impl ReplProvider for ReplLeader {
 mod tests {
     use super::*;
     use fstore_common::{Schema, ValueType};
-    use fstore_storage::TableConfig;
+    use fstore_storage::{OnlineStore, TableConfig};
 
     #[test]
     fn publications_land_in_the_log_with_component_epochs() {
@@ -330,11 +227,12 @@ mod tests {
 
         let (repl_epoch, payload) = leader.full_snapshot().unwrap();
         assert_eq!(repl_epoch, 2);
-        let snap: codec::FullSnapshot =
-            codec::decode(std::str::from_utf8(&payload).unwrap()).unwrap();
+        let snap = codec::decode_snapshot(&payload).unwrap();
+        assert_eq!(snap.repl_epoch, 2);
         assert_eq!(snap.offline_epoch, 1);
-        assert_eq!(snap.online.len(), 1);
-        let restored = OfflineStore::from_snapshot_json(&snap.offline_json).unwrap();
-        assert_eq!(restored.num_rows("t").unwrap(), 1);
+        assert_eq!(snap.offline.num_rows("t").unwrap(), 1);
+        let online = OnlineStore::default();
+        snap.online.install(&online);
+        assert_eq!(online.export_rows(), parts.online.export_rows());
     }
 }

@@ -22,24 +22,25 @@
 //!   [`Follower::bootstrap_with_cache`] restores the last pulled snapshot
 //!   from a local [`SnapshotCache`] and catches up by delta, so restarts
 //!   within the retention window skip the full wire transfer.
-//! * [`codec`] — the JSON delta/snapshot bodies and their idempotent
-//!   apply functions; index snapshots ship as deterministic build
-//!   instructions, never as index bytes. (Re-exported from
-//!   [`fstore_durable::codec`]: WAL recovery replays the same records.)
+//! * [`codec`] — the JSON delta bodies, the binary full snapshot, and
+//!   their idempotent apply functions; index snapshots ship as
+//!   deterministic build instructions, never as index bytes. It is
+//!   [`fstore_durable::codec`] re-exported (with [`LeaderParts`]): WAL
+//!   recovery replays the same records and checkpoints hold the same
+//!   snapshot.
 //!
 //! A leader's publications can be write-ahead logged by layering it over
 //! a recovered [`DurableLeader`](fstore_durable::DurableLeader)
 //! ([`LeaderParts::from_durable`] + [`ReplLeader::attach_durable`]);
 //! replication and durability then tap the same publish hooks.
 
-pub mod codec;
 pub mod follower;
 pub mod leader;
 
-pub use codec::{
-    EmbeddingsDelta, FullSnapshot, IndexBuild, IndexDelta, OfflineDelta, OnlineDelta, OnlineRow,
-    TableAppend, TableRepr, VersionRepr,
-};
 pub use follower::{Follower, SyncHandle, SyncReport};
-pub use fstore_durable::SnapshotCache;
-pub use leader::{LeaderParts, ReplLeader};
+pub use fstore_durable::codec::{
+    self, EmbeddingsDelta, FullSnapshot, IndexBuild, IndexDelta, OfflineDelta, OnlineDelta,
+    OnlineRows, TableAppend, TableRepr, VersionRepr,
+};
+pub use fstore_durable::{LeaderParts, SnapshotCache};
+pub use leader::ReplLeader;

@@ -1,10 +1,12 @@
 //! Leader + follower over real sockets: bootstrap mid-storm, epoch
-//! monotonicity, byte-identity at equal epochs, and full-snapshot
-//! fallback after lagging past retention.
+//! monotonicity, byte-identity at equal epochs, full-snapshot fallback
+//! after lagging past retention, and an unreadable snapshot cache
+//! treated as none.
 
 use fstore_common::{EntityKey, ReadEpoch, Schema, Timestamp, Value, ValueType};
 use fstore_embed::{EmbeddingProvenance, EmbeddingTable};
-use fstore_repl::{Follower, LeaderParts, ReplLeader};
+use fstore_repl::codec::decode_snapshot;
+use fstore_repl::{Follower, LeaderParts, ReplLeader, SnapshotCache};
 use fstore_serve::{fixed_clock, start, FeatureClient, IndexSpec, Request, Response, ServeConfig};
 use fstore_storage::TableConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -243,6 +245,44 @@ fn lagged_follower_recovers_via_full_snapshot_fallback() {
     );
 
     handle.shutdown();
+}
+
+#[test]
+fn an_intact_cache_around_an_unreadable_snapshot_falls_back_to_the_wire() {
+    let leader = ReplLeader::with_retention(LeaderParts::new(), 256);
+    leader
+        .put_online(
+            "user",
+            &EntityKey::new("u1"),
+            &[("score", Value::Float(0.5))],
+            now_ts(),
+        )
+        .unwrap();
+    let handle = start(leader.engine(fixed_clock(now_ts())), serve_config()).unwrap();
+    let path = std::env::temp_dir().join(format!("fstore_garbage_{}.cache", std::process::id()));
+    // The envelope's CRC holds, but no snapshot decoder reads the payload
+    // (here: the shape of the previous, JSON format).
+    SnapshotCache::new(&path)
+        .store(1, br#"{"repl_epoch":1,"offline_json":"{}","online":[]}"#)
+        .unwrap();
+
+    let follower =
+        Follower::bootstrap_with_cache(handle.addr().to_string(), SnapshotCache::new(&path))
+            .unwrap();
+    assert_eq!(follower.disk_bootstraps(), 0, "garbage installed from disk");
+    assert_eq!(follower.wire_bootstraps(), 1);
+    let score = follower
+        .online()
+        .get("user", &EntityKey::new("u1"), "score");
+    assert_eq!(score.map(|e| e.value), Some(Value::Float(0.5)));
+
+    // The wire pull rewrote the cache with a snapshot the next restart reads.
+    let (epoch, payload) = SnapshotCache::new(&path).load().unwrap().unwrap();
+    assert_eq!(epoch, follower.applied_epoch());
+    assert_eq!(decode_snapshot(&payload).unwrap().repl_epoch, epoch);
+
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -38,7 +38,7 @@
 //!   failure classification, and a reconnecting [`retry::RetryingClient`].
 //! * [`failover`] — [`failover::FailoverClient`]: an ordered endpoint list
 //!   (leader first, then followers) behind per-endpoint circuit breakers.
-//! * [`fault`] (feature `testing`) — a deterministic fault-injecting TCP
+//! * `fault` (feature `testing`) — a deterministic fault-injecting TCP
 //!   proxy for chaos tests and the E18 experiment.
 //! * [`repl`] — the [`repl::ReplProvider`] seam: a leader built with
 //!   `fstore-repl` answers the `Repl*` endpoints through it, so followers

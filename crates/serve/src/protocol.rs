@@ -456,7 +456,7 @@ impl From<&FeatureVector> for WireVector {
 }
 
 /// A [`WireVector`] whose `features` are filled in collects its own row —
-/// the typed twin of [`RowEncoder`].
+/// the typed twin of `RowEncoder`.
 impl RowSink for WireVector {
     fn slot(&mut self, index: usize, value: &Value, age: Option<Duration>, stale: bool) {
         self.values.push(value.clone());
@@ -935,7 +935,9 @@ fn read_until_deadline<R: Read>(
 
 // ------------------------------------------------------------- composites
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+/// One tagged [`Value`]: tag `u8` (0 null, 1 int, 2 float, 3 bool, 4 str,
+/// 5 timestamp), then its payload.
+pub fn put_value(buf: &mut BytesMut, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Int(i) => {
@@ -1068,7 +1070,8 @@ impl RowSink for RowWriter<'_> {
     }
 }
 
-fn take_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
+/// Decode a [`put_value`] encoding.
+pub fn take_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
     Ok(match r.take_u8()? {
         0 => Value::Null,
         1 => Value::Int(r.take_i64()?),

@@ -1,15 +1,13 @@
 //! The binary on-disk format for the offline store: columnar segments with
 //! zone maps, CRC-guarded.
 //!
-//! [`OfflineStore::snapshot_json`] (see [`crate::snapshot`]) replays every
-//! row through the append path on restore — correct, human-inspectable, and
-//! slow, because it re-checks schemas, re-routes partitions, and recomputes
-//! zone maps for data that was already validated when it was first written.
-//! This module persists the *physical* layout instead: typed column vectors,
-//! packed null bitmaps, and the sealed segments' zone maps, so a restore is
-//! a straight memcpy-shaped decode plus `Arc` wrapping. The open (unsealed)
-//! builder of each partition is the one part replayed through `push_row`,
-//! bounded by `segment_rows`.
+//! It persists the *physical* layout rather than replaying rows through
+//! the append path: typed column vectors, packed null bitmaps, and the
+//! sealed segments' zone maps, so a restore is a straight memcpy-shaped
+//! decode plus `Arc` wrapping instead of re-checking schemas, re-routing
+//! partitions, and recomputing zone maps for data that was validated when
+//! it was first written. The open (unsealed) builder of each partition is
+//! the one part replayed through `push_row`, bounded by `segment_rows`.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -23,7 +21,7 @@
 //! ```
 //!
 //! Floats are stored as raw IEEE-754 bits, so round-trips are bit-exact by
-//! construction — the property the JSON path needs `float_roundtrip` for.
+//! construction.
 
 use crate::column::{Column, NullBitmap};
 use crate::offline::{OfflineStore, Partition, Table, TableConfig};

@@ -20,7 +20,6 @@ pub mod offline;
 pub mod online;
 pub mod predicate;
 pub mod segment;
-pub mod snapshot;
 
 pub use column::{Column, NullBitmap};
 pub use db::OfflineDb;

@@ -108,7 +108,7 @@ fn main() -> Result<()> {
     // ------------------------------------------------------------------
     println!("\n== offline snapshot & restore ==");
     let off = fs.offline_snapshot();
-    let snapshot = off.snapshot_json()?;
+    let snapshot = off.encode_binary();
     println!(
         "    snapshot: {} bytes covering {:?}",
         snapshot.len(),
@@ -118,7 +118,7 @@ fn main() -> Result<()> {
             .collect::<Vec<_>>()
     );
     // "disaster": a brand-new process restores the warehouse…
-    let restored = OfflineStore::from_snapshot_json(&snapshot)?;
+    let restored = OfflineStore::decode_binary(&snapshot)?;
     // …and rebuilds the exact same PIT training set from the pins.
     let feats = [PitFeature::materialized("avg_order_1d", 1)];
     let rebuilt = point_in_time_join(&restored, &labels, &feats)?;
