@@ -136,7 +136,7 @@ impl PubLog {
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.ring.push(
+        let evicted = inner.ring.push(
             seq,
             DeltaRecord {
                 seq,
@@ -145,6 +145,10 @@ impl PubLog {
                 body,
             },
         );
+        // Freed after the lock is released, so no reader or later append
+        // waits on the allocator.
+        drop(inner);
+        drop(evicted);
         seq
     }
 
@@ -174,14 +178,7 @@ impl PubLog {
                 oldest_retained: oldest,
             };
         }
-        DeltaQuery::Deltas(
-            inner
-                .ring
-                .iter()
-                .filter(|(seq, _)| *seq > from)
-                .map(|(_, r)| r.clone())
-                .collect(),
-        )
+        DeltaQuery::Deltas(inner.ring.after(from).map(|(_, r)| r.clone()).collect())
     }
 
     /// Run `f` with the log frozen (no appends can interleave), passing the

@@ -64,19 +64,25 @@ impl<V> EpochRing<V> {
     }
 
     /// Insert `value` under `key`. Keys must be pushed in non-decreasing
-    /// order; re-pushing the newest key replaces its value.
-    pub fn push(&mut self, key: u64, value: V) {
+    /// order; re-pushing the newest key replaces its value. Returns the
+    /// value this displaced (replaced or evicted), so a caller holding a
+    /// lock can drop it after releasing the lock.
+    pub fn push(&mut self, key: u64, value: V) -> Option<V> {
         if let Some(back) = self.items.back_mut() {
             debug_assert!(key >= back.0, "EpochRing keys must be monotone");
             if back.0 == key {
-                back.1 = value;
-                return;
+                return Some(std::mem::replace(&mut back.1, value));
             }
         }
+        // Evict before inserting, so a full ring never grows its buffer
+        // past `cap` entries; `set_capacity` trims shrinks, so one is enough.
+        let evicted = if self.items.len() >= self.cap {
+            self.items.pop_front().map(|(_, v)| v)
+        } else {
+            None
+        };
         self.items.push_back((key, value));
-        while self.items.len() > self.cap {
-            self.items.pop_front();
-        }
+        evicted
     }
 
     /// The entry published under `key`, if still retained.
@@ -105,6 +111,14 @@ impl<V> EpochRing<V> {
     /// Oldest-to-newest iteration.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.items.iter().map(|(k, v)| (*k, v))
+    }
+
+    /// Oldest-to-newest iteration over the entries keyed above `key`,
+    /// found by binary search: the cost follows what is returned, not
+    /// what is retained.
+    pub fn after(&self, key: u64) -> impl Iterator<Item = (u64, &V)> {
+        let start = self.items.partition_point(|(k, _)| *k <= key);
+        self.items.range(start..).map(|(k, v)| (*k, v))
     }
 }
 
@@ -541,6 +555,20 @@ mod tests {
         assert_eq!(ring.latest(), Some((4, &99)));
         ring.set_capacity(1);
         assert_eq!(ring.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![4]);
+    }
+
+    #[test]
+    fn epoch_ring_hands_back_what_it_displaced_and_seeks_past_a_key() {
+        let mut ring = EpochRing::new(4);
+        for k in [2u64, 4, 6, 8, 10] {
+            assert_eq!(ring.push(k, k * 10), (k == 10).then_some(20));
+        }
+        let keys = |from| ring.after(from).map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys(0), vec![4, 6, 8, 10]);
+        assert_eq!(keys(5), vec![6, 8, 10]);
+        assert_eq!(keys(6), vec![8, 10]);
+        assert!(keys(10).is_empty());
+        assert_eq!(ring.push(10, 7), Some(100));
     }
 
     #[test]
