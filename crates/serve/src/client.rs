@@ -13,6 +13,7 @@ use crate::codec::{write_frame_vectored, FrameEvent, FrameReader, OwnedFrameEven
 use crate::protocol::{ErrorCode, Request, Response, WireDelta, WireError, WireHit};
 use crate::repl::ReplLogState;
 use bytes::{BufMut, Bytes, BytesMut};
+use std::borrow::Borrow;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -322,13 +323,25 @@ impl FeatureClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
+        self.send_many(requests)?;
+        self.recv_many(requests.len())
+    }
+
+    /// The write half of [`call_many`](Self::call_many): encode every
+    /// frame into the connection's buffer and put the burst on the wire
+    /// with one write, reading nothing. Pair it with
+    /// [`recv_many`](Self::recv_many) for the same count; in between, the
+    /// caller may start bursts on other connections, which is how one
+    /// thread keeps several servers busy at once. Accepts borrowed or
+    /// owned requests alike.
+    pub fn send_many<R: Borrow<Request>>(&mut self, requests: &[R]) -> Result<(), ClientError> {
         self.buf.clear();
         for request in requests {
             // Reserve the length prefix, encode, backfill — the payload
             // is serialized exactly once, straight into the wire buffer.
             let at = self.buf.len();
             self.buf.put_u32(0);
-            self.encode_wrapped(request);
+            self.encode_wrapped(request.borrow());
             let len = self.buf.len() - at - 4;
             assert!(len <= MAX_FRAME_LEN, "request frame exceeds MAX_FRAME_LEN");
             self.buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
@@ -336,8 +349,14 @@ impl FeatureClient {
         let mut w = &self.stream;
         w.write_all(self.buf.as_slice())?;
         w.flush()?;
-        let mut responses = Vec::with_capacity(requests.len());
-        for _ in requests {
+        Ok(())
+    }
+
+    /// The read half of [`call_many`](Self::call_many): read `count`
+    /// responses in request order.
+    pub fn recv_many(&mut self, count: usize) -> Result<Vec<Response>, ClientError> {
+        let mut responses = Vec::with_capacity(count);
+        for _ in 0..count {
             responses.push(self.read_response()?);
         }
         Ok(responses)

@@ -19,6 +19,7 @@ use crate::client::{ClientConfig, ClientError, FeatureClient};
 use crate::protocol::{Request, Response};
 use crate::retry::{classify, ErrorClass, RetryPolicy};
 use fstore_common::rng::{Rng, Xoshiro256};
+use std::borrow::Borrow;
 use std::time::{Duration, Instant};
 
 /// Circuit-breaker tuning.
@@ -143,6 +144,19 @@ pub struct FailoverStats {
     pub exhausted_calls: u64,
 }
 
+/// An attempt made on endpoint `.0`: its value, or the failure and
+/// whether the request was dispatched before it.
+type Attempt<T> = (usize, Result<T, (ClientError, bool)>);
+
+/// A burst [`FailoverClient::start_many`] put on the wire (or could not),
+/// awaiting [`FailoverClient::finish_many`].
+#[must_use = "a started burst must be finished to read its responses"]
+pub struct StartedBurst {
+    /// The endpoint written to and how the write went; `None` when the
+    /// burst was empty or no breaker admitted a call.
+    sent: Option<Attempt<()>>,
+}
+
 /// A client over an ordered endpoint list with per-endpoint circuit
 /// breakers and retry/backoff between rounds.
 pub struct FailoverClient {
@@ -247,9 +261,12 @@ impl FailoverClient {
     /// failures and typed pushback (`Overloaded`, `ShuttingDown` —
     /// well-formed responses on the wire, but refusals all the same) trip
     /// the breaker and move on, retrying with backoff while `retryable`
-    /// and the attempt budget allow.
+    /// and the attempt budget allow. `first` is an attempt the caller
+    /// already made on endpoint `i` (a split burst): it is settled as
+    /// attempt 0 instead of picking and running `op`.
     fn run<T>(
         &mut self,
+        mut first: Option<Attempt<T>>,
         retryable: bool,
         mut op: impl FnMut(&mut FeatureClient) -> Result<T, ClientError>,
         outcome_pushback: impl Fn(&T) -> Option<ClientError>,
@@ -258,9 +275,14 @@ impl FailoverClient {
         let mut attempt: u32 = 0;
         let mut last_err: Option<(ClientError, bool)> = None;
         loop {
-            let now = Instant::now();
-            match self.pick(now) {
-                Some(i) => match self.with_endpoint(i, &mut op) {
+            let tried = match first.take() {
+                Some(made) => Some(made),
+                None => self
+                    .pick(Instant::now())
+                    .map(|i| (i, self.with_endpoint(i, &mut op))),
+            };
+            match tried {
+                Some((i, outcome)) => match outcome {
                     Ok(value) => match outcome_pushback(&value) {
                         Some(error) => {
                             self.endpoints[i].breaker.record_failure(Instant::now());
@@ -319,6 +341,7 @@ impl FailoverClient {
     /// [`crate::retry::seal_write_failure`]).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.run(
+            None,
             request.is_idempotent(),
             |conn| conn.call(request),
             crate::retry::pushback,
@@ -337,10 +360,72 @@ impl FailoverClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let write = requests.iter().find(|r| !r.is_idempotent());
+        self.run_many(None, requests)
+    }
+
+    /// The write half of [`call_many`](Self::call_many): pick the
+    /// healthiest endpoint and put the whole burst on its connection
+    /// ([`FeatureClient::send_many`]) without waiting for an answer. The
+    /// returned token must go to [`finish_many`](Self::finish_many) with
+    /// the same requests, with no other call on this client in between
+    /// (the token names an endpoint by its place in the list). A caller
+    /// that starts bursts on several clients before finishing any has
+    /// every server working at once from one thread.
+    pub fn start_many<R: Borrow<Request>>(&mut self, requests: &[R]) -> StartedBurst {
+        if requests.is_empty() {
+            return StartedBurst { sent: None };
+        }
+        let sent = self
+            .pick(Instant::now())
+            .map(|i| (i, self.with_endpoint(i, |conn| conn.send_many(requests))));
+        StartedBurst { sent }
+    }
+
+    /// The read half of [`call_many`](Self::call_many): read the
+    /// responses of a [`start_many`](Self::start_many) burst, with the
+    /// same breaker, pushback and stats accounting. The started attempt
+    /// counts as the first of the endpoint walk, so on any failure an
+    /// all-idempotent burst carries on exactly as `call_many` would —
+    /// backoff, retry, next endpoint — and a burst holding a write is
+    /// sealed ([`crate::retry::seal_write_failure`]), never re-sent.
+    pub fn finish_many<R: Borrow<Request>>(
+        &mut self,
+        started: StartedBurst,
+        requests: &[R],
+    ) -> Result<Vec<Response>, ClientError> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
+        let first = started.sent.map(|(i, sent)| {
+            let received = sent.and_then(|()| {
+                // A sent burst leaves its connection in place; a missing
+                // one would mean reading answers to requests never sent.
+                if self.endpoints[i].conn.is_none() {
+                    return Err((ClientError::ConnectionClosed, true));
+                }
+                self.with_endpoint(i, |conn| conn.recv_many(requests.len()))
+            });
+            (i, received)
+        });
+        self.run_many(first, requests)
+    }
+
+    fn run_many<R: Borrow<Request>>(
+        &mut self,
+        first: Option<Attempt<Vec<Response>>>,
+        requests: &[R],
+    ) -> Result<Vec<Response>, ClientError> {
+        let write = requests
+            .iter()
+            .map(Borrow::borrow)
+            .find(|r| !r.is_idempotent());
         self.run(
+            first,
             write.is_none(),
-            |conn| conn.call_many(requests),
+            |conn| {
+                conn.send_many(requests)?;
+                conn.recv_many(requests.len())
+            },
             |responses| responses.iter().find_map(crate::retry::pushback),
             |dispatched, error| match write {
                 Some(w) => crate::retry::seal_write_failure(w, dispatched, error),
@@ -468,5 +553,123 @@ mod tests {
             BreakerState::Closed,
             "streak broken by a success never trips"
         );
+    }
+
+    /// An endpoint that accepts one connection, reads the first bytes of
+    /// whatever is sent, then dies — listener and connection both — so
+    /// every later connect is refused. Join the handle to know it is dead.
+    fn dying_endpoint() -> (String, std::thread::JoinHandle<()>) {
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let dies = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            drop(listener);
+            let _ = conn.read(&mut [0u8; 64]);
+        });
+        (addr, dies)
+    }
+
+    /// A live endpoint serving `user/u1`, with no write leadership.
+    fn follower() -> crate::server::ServerHandle {
+        use fstore_common::{EntityKey, Timestamp, Value};
+        let online = std::sync::Arc::new(fstore_storage::OnlineStore::default());
+        online.put(
+            "user",
+            &EntityKey::new("u1"),
+            "score",
+            Value::Float(0.5),
+            Timestamp::millis(100),
+        );
+        let engine = crate::server::ServeEngine::new(
+            fstore_core::FeatureServer::new(online),
+            crate::server::fixed_clock(Timestamp::millis(1_000)),
+        );
+        crate::server::start(engine, crate::server::ServeConfig::default()).unwrap()
+    }
+
+    fn client(addrs: &[&str]) -> FailoverClient {
+        FailoverClient::connect(
+            addrs,
+            ClientConfig::default(),
+            RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(5),
+                ..RetryPolicy::default()
+            },
+            BreakerConfig {
+                failure_threshold: 1,
+                open_cooldown: Duration::from_secs(60),
+            },
+        )
+    }
+
+    fn read(entity: &str) -> Request {
+        Request::GetFeatures {
+            group: "user".into(),
+            entity: entity.into(),
+            features: vec!["score".into()],
+        }
+    }
+
+    #[test]
+    fn a_split_read_burst_fails_over_exactly_like_call_many() {
+        let follower = follower();
+        let follower_addr = follower.addr().to_string();
+        let burst = vec![read("u1"), read("u2"), read("u1")];
+
+        // The reference: the leader dies while `call_many` waits.
+        let (dead, dies) = dying_endpoint();
+        let mut whole = client(&[&dead, &follower_addr]);
+        let expected = whole.call_many(&burst).expect("fails over to the follower");
+        dies.join().unwrap();
+
+        // The same death, between the two halves of a split call.
+        let (dead, dies) = dying_endpoint();
+        let mut split = client(&[&dead, &follower_addr]);
+        let started = split.start_many(&burst);
+        dies.join().unwrap();
+        let answers = split
+            .finish_many(started, &burst)
+            .expect("fails over to the follower");
+
+        assert_eq!(answers, expected);
+        assert!(matches!(answers[0], Response::Features(_)));
+        assert_eq!(split.stats(), whole.stats());
+        assert_eq!(split.stats().failed_over_calls, 1);
+        assert_eq!(split.stats().retries, 1);
+        follower.shutdown();
+    }
+
+    #[test]
+    fn a_split_burst_holding_a_write_is_sealed_and_never_resent() {
+        let follower = follower();
+        let follower_addr = follower.addr().to_string();
+        let burst = vec![
+            read("u1"),
+            Request::PutOnline {
+                group: "user".into(),
+                entity: "u9".into(),
+                values: vec![("score".into(), fstore_common::Value::Float(1.0))],
+                term: 1,
+            },
+        ];
+        let (dead, dies) = dying_endpoint();
+        let mut split = client(&[&dead, &follower_addr]);
+        let started = split.start_many(&burst);
+        dies.join().unwrap();
+        // Re-sent to the follower, the write would come back as a typed
+        // `NotLeader` answer instead of an error.
+        match split.finish_many(started, &burst) {
+            Err(ClientError::WriteFailed {
+                applied: None,
+                cause,
+            }) => assert!(crate::retry::classify(&cause) == crate::retry::ErrorClass::Transport),
+            other => panic!("expected a sealed write failure, got {other:?}"),
+        }
+        let stats = split.stats();
+        assert_eq!((stats.retries, stats.failed_over_calls), (0, 0));
+        assert_eq!(stats.exhausted_calls, 1);
+        follower.shutdown();
     }
 }

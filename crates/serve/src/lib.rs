@@ -66,7 +66,9 @@ pub use client::{ClientConfig, ClientError, DeltaBatch, EmbeddingRead, FeatureCl
 pub use codec::{
     write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, Reader,
 };
-pub use failover::{BreakerConfig, BreakerState, CircuitBreaker, FailoverClient, FailoverStats};
+pub use failover::{
+    BreakerConfig, BreakerState, CircuitBreaker, FailoverClient, FailoverStats, StartedBurst,
+};
 #[cfg(feature = "testing")]
 pub use fault::{Faults, FaultyProxy};
 pub use metrics::{

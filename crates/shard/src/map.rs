@@ -129,10 +129,15 @@ impl ShardMap {
     /// The shard owning `key`: the first ring point at or after the key's
     /// hash, wrapping past the top.
     pub fn shard_for(&self, key: &str) -> ShardId {
+        self.shards[self.position_for(key)].id
+    }
+
+    /// Where in [`shards`](Self::shards) the owner of `key` sits.
+    pub(crate) fn position_for(&self, key: &str) -> usize {
         let h = fx_hash_one(key);
         let i = self.ring.partition_point(|&(point, _)| point < h);
         let (_, shard_idx) = self.ring[if i == self.ring.len() { 0 } else { i }];
-        self.shards[shard_idx as usize].id
+        shard_idx as usize
     }
 
     /// A new map with `shard`'s dead leader rotated to the back of its

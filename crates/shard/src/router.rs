@@ -7,16 +7,26 @@
 //!
 //! * point reads (`GetFeatures`, `GetEmbedding`) go to the owning shard,
 //!   decided by the map's consistent hash;
-//! * `GetFeaturesBatch` splits by shard, scatters the sub-batches
-//!   concurrently, and reassembles the response in the caller's entity
-//!   order;
-//! * `SearchNearest` scatters to *every* shard (each holds a disjoint
-//!   slice of the table) and merges the per-shard top-k into a global
-//!   top-k — ascending `(distance, key)`, so the merge is deterministic
-//!   even under distance ties;
+//! * `PutOnline` goes to the owning shard's leader, stamped with the
+//!   shard's current term from the map;
+//! * `GetFeaturesBatch` splits by shard into one sub-batch per owner and
+//!   reassembles the response in the caller's entity order;
+//! * `SearchNearest` goes to *every* shard (each holds a disjoint slice
+//!   of the table) and the per-shard top-k merge into a global top-k —
+//!   ascending `(distance, key)`, so the merge is deterministic even
+//!   under distance ties;
 //! * `SearchNearestByKey` first fetches the anchor vector from its home
-//!   shard, then runs the scatter with `k+1` and drops the anchor from
-//!   the merged hits (only its home shard excludes it natively).
+//!   shard, then searches every shard with `k+1` and drops the anchor
+//!   from the merged hits (only its home shard excludes it natively).
+//!
+//! Everything that touches more than one shard — and every pipelined
+//! burst ([`Transport::call_many`], [`RouterClient::route_burst`]) — is
+//! one *flight*: each request becomes parts on per-shard sub-bursts (in
+//! caller order), every shard's sub-burst is written before any answer
+//! is read ([`FailoverClient::start_many`]), then each shard's answers
+//! are read in turn ([`FailoverClient::finish_many`]) and folded back
+//! per request. The shards work concurrently while the router's own
+//! thread does all of it: no thread is spawned per request.
 //!
 //! Because [`RouterClient`] implements the same [`Transport`] trait as
 //! every single-node client, the entire `StoreApi` surface works against
@@ -34,8 +44,9 @@ use fstore_common::Value;
 use fstore_serve::api::{expect_embedding, Transport};
 use fstore_serve::{
     BreakerConfig, ClientConfig, ClientError, ErrorCode, FailoverClient, FailoverStats, Request,
-    Response, RetryPolicy, WireHit,
+    Response, RetryPolicy, StartedBurst, WireHit,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,6 +69,286 @@ pub struct RouterClient {
     map: Arc<ShardMap>,
     clients: HashMap<u32, FailoverClient>,
     config: RouterConfig,
+}
+
+/// Where one part of a request landed: (position of its shard in the
+/// map, index in that shard's sub-burst).
+type PartAt = (usize, usize);
+
+/// One part's answer, taken exactly once when its request is settled.
+type Answer = Option<Result<Response, ClientError>>;
+
+/// A planned flight: one sub-burst per shard, in map order, each holding
+/// parts in caller order — forwarded by reference where the caller's
+/// request is the part, built for the shard where it is not.
+struct Flight<'a> {
+    subs: Vec<Vec<Cow<'a, Request>>>,
+}
+
+/// How one request of a burst is answered.
+enum Plan {
+    /// Already answered, by [`RouterClient::route`].
+    Routed(Result<Response, ClientError>),
+    /// One part, answered as-is (point reads and writes).
+    One(PartAt),
+    /// A batch split by owner: each part with the caller slots it holds.
+    Batch {
+        len: usize,
+        parts: Vec<(PartAt, Vec<usize>)>,
+    },
+    /// A search on every shard, merged to `k`.
+    Search { k: u32, parts: Vec<PartAt> },
+    /// A health check on every shard, aggregated.
+    Health(Vec<PartAt>),
+}
+
+/// Whether a request travels in a burst's flight; the rest are routed
+/// alone, before the flight leaves. `Health` stays out so its queue
+/// depths are read with no sub-burst queued behind it.
+fn joins_flight(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::GetFeatures { .. }
+            | Request::GetEmbedding { .. }
+            | Request::PutOnline { .. }
+            | Request::GetFeaturesBatch { .. }
+            | Request::SearchNearest { .. }
+    )
+}
+
+impl<'a> Flight<'a> {
+    fn new(shards: usize) -> Self {
+        Flight {
+            subs: (0..shards).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    fn add(&mut self, shard: usize, part: Cow<'a, Request>) -> PartAt {
+        let sub = &mut self.subs[shard];
+        sub.push(part);
+        (shard, sub.len() - 1)
+    }
+
+    fn everywhere(&mut self, request: &'a Request) -> Vec<PartAt> {
+        (0..self.subs.len())
+            .map(|shard| self.add(shard, Cow::Borrowed(request)))
+            .collect()
+    }
+
+    /// Add `request`'s parts to the sub-bursts of the shards that answer
+    /// it under `map`.
+    fn plan(&mut self, map: &ShardMap, request: &'a Request) -> Plan {
+        match request {
+            Request::GetFeatures { entity, .. } => {
+                Plan::One(self.add(map.position_for(entity), Cow::Borrowed(request)))
+            }
+            Request::GetEmbedding { key, .. } => {
+                Plan::One(self.add(map.position_for(key), Cow::Borrowed(request)))
+            }
+            Request::PutOnline {
+                group,
+                entity,
+                values,
+                ..
+            } => {
+                let shard = map.position_for(entity);
+                let term = map.shards()[shard].term;
+                Plan::One(self.add(shard, Cow::Owned(stamped_put(group, entity, values, term))))
+            }
+            Request::GetFeaturesBatch {
+                group,
+                entities,
+                features,
+            } => {
+                let owners: Vec<usize> = entities.iter().map(|e| map.position_for(e)).collect();
+                let len = entities.len();
+                // Every key on one shard: the caller's batch is the part.
+                if let Some(&owner) = owners.first() {
+                    if owners.iter().all(|&o| o == owner) {
+                        let at = self.add(owner, Cow::Borrowed(request));
+                        return Plan::Batch {
+                            len,
+                            parts: vec![(at, (0..len).collect())],
+                        };
+                    }
+                }
+                let mut parts = Vec::new();
+                for shard in 0..self.subs.len() {
+                    let slots: Vec<usize> =
+                        (0..owners.len()).filter(|&i| owners[i] == shard).collect();
+                    if slots.is_empty() {
+                        continue;
+                    }
+                    let part = Request::GetFeaturesBatch {
+                        group: group.clone(),
+                        entities: slots.iter().map(|&i| entities[i].clone()).collect(),
+                        features: features.clone(),
+                    };
+                    parts.push((self.add(shard, Cow::Owned(part)), slots));
+                }
+                Plan::Batch { len, parts }
+            }
+            Request::SearchNearest { k, .. } => Plan::Search {
+                k: *k,
+                parts: self.everywhere(request),
+            },
+            Request::Health => Plan::Health(self.everywhere(request)),
+            _ => unreachable!("requests routed alone never join a flight"),
+        }
+    }
+}
+
+/// Fold a request's part answers into its response. The first part (in
+/// shard order) that failed or was refused stands for the whole request,
+/// matching single-node semantics.
+fn settle(plan: Plan, answers: &mut [Vec<Answer>]) -> Result<Response, ClientError> {
+    let mut take = |(shard, part): PartAt| {
+        answers[shard][part]
+            .take()
+            .expect("every part is answered once")
+    };
+    match plan {
+        Plan::Routed(result) => result,
+        Plan::One(at) => take(at),
+        Plan::Batch { len, parts } => {
+            let mut merged = vec![None; len];
+            for (at, slots) in parts {
+                match take(at)? {
+                    Response::FeaturesBatch(vectors) if vectors.len() == slots.len() => {
+                        for (slot, vector) in slots.into_iter().zip(vectors) {
+                            merged[slot] = Some(vector);
+                        }
+                    }
+                    Response::FeaturesBatch(_) => {
+                        return Err(ClientError::UnexpectedResponse("FeaturesBatch"))
+                    }
+                    other => return Ok(other),
+                }
+            }
+            Ok(Response::FeaturesBatch(
+                merged
+                    .into_iter()
+                    .map(|v| v.expect("every slot was assigned to exactly one shard"))
+                    .collect(),
+            ))
+        }
+        Plan::Search { k, parts } => {
+            let mut all_hits: Vec<WireHit> = Vec::new();
+            let mut table_version = 0u32;
+            let mut index_generation = 0u64;
+            for at in parts {
+                match take(at)? {
+                    Response::Neighbors {
+                        table_version: tv,
+                        index_generation: ig,
+                        hits,
+                    } => {
+                        // Shards publish independently, so these counters
+                        // are per-shard; report the furthest-along one.
+                        table_version = table_version.max(tv);
+                        index_generation = index_generation.max(ig);
+                        all_hits.extend(hits);
+                    }
+                    other => return Ok(other),
+                }
+            }
+            Ok(Response::Neighbors {
+                table_version,
+                index_generation,
+                hits: merge_topk(all_hits, k as usize),
+            })
+        }
+        Plan::Health(parts) => {
+            let mut queue_depth = 0u32;
+            let mut draining = false;
+            for at in parts {
+                match take(at)? {
+                    Response::Health {
+                        queue_depth: q,
+                        draining: d,
+                    } => {
+                        queue_depth = queue_depth.saturating_add(q);
+                        draining |= d;
+                    }
+                    other => return Ok(other),
+                }
+            }
+            Ok(Response::Health {
+                queue_depth,
+                draining,
+            })
+        }
+    }
+}
+
+/// A write for the owning shard's leader at `term`.
+fn stamped_put(group: &str, entity: &str, values: &[(String, Value)], term: u64) -> Request {
+    Request::PutOnline {
+        group: group.to_string(),
+        entity: entity.to_string(),
+        values: values.to_vec(),
+        term,
+    }
+}
+
+/// A copy of one shard failure for each request it touched
+/// (`ClientError` owns an `io::Error`, so it is not `Clone`).
+fn copy_error(error: &ClientError) -> ClientError {
+    match error {
+        ClientError::Io(e) => ClientError::Io(std::io::Error::new(e.kind(), e.to_string())),
+        ClientError::Wire(e) => ClientError::Wire(e.clone()),
+        ClientError::Server { code, message } => ClientError::Server {
+            code: *code,
+            message: message.clone(),
+        },
+        ClientError::ConnectionClosed => ClientError::ConnectionClosed,
+        ClientError::UnexpectedResponse(expected) => ClientError::UnexpectedResponse(expected),
+        ClientError::NotLeader { current_term } => ClientError::NotLeader {
+            current_term: *current_term,
+        },
+        ClientError::WriteFailed { applied, cause } => ClientError::WriteFailed {
+            applied: *applied,
+            cause: Box::new(copy_error(cause)),
+        },
+    }
+}
+
+/// Answer every part of a sub-burst that failed as a unit. A sub-burst
+/// holding a write fails sealed and is never re-sent, so only its writes
+/// carry the seal: the reads beside them are idempotent, and get the
+/// failover walk they would have had on their own.
+fn fail_parts(
+    client: &mut FailoverClient,
+    parts: &[Cow<'_, Request>],
+    error: ClientError,
+) -> Vec<Answer> {
+    if !matches!(error, ClientError::WriteFailed { .. }) {
+        return parts
+            .iter()
+            .map(|_| Some(Err(copy_error(&error))))
+            .collect();
+    }
+    let reads: Vec<&Request> = parts
+        .iter()
+        .map(|p| p.as_ref())
+        .filter(|r| r.is_idempotent())
+        .collect();
+    let started = client.start_many(&reads);
+    let reread: Vec<Result<Response, ClientError>> = match client.finish_many(started, &reads) {
+        Ok(responses) => responses.into_iter().map(Ok).collect(),
+        Err(e) => reads.iter().map(|_| Err(copy_error(&e))).collect(),
+    };
+    let mut reread = reread.into_iter();
+    parts
+        .iter()
+        .map(|p| {
+            if p.is_idempotent() {
+                reread.next()
+            } else {
+                Some(Err(copy_error(&error)))
+            }
+        })
+        .collect()
 }
 
 impl RouterClient {
@@ -128,43 +419,108 @@ impl RouterClient {
             .expect("bind_clients covers every mapped shard")
     }
 
-    /// Scatter `requests` (one per shard) concurrently; results come back
-    /// in ascending shard-id order.
-    fn scatter(
-        &mut self,
-        requests: Vec<(ShardId, Request)>,
-    ) -> Vec<(ShardId, Result<Response, ClientError>)> {
-        let mut jobs: Vec<(ShardId, Request, &mut FailoverClient)> = Vec::new();
-        let mut clients: Vec<(&u32, &mut FailoverClient)> = self.clients.iter_mut().collect();
-        for (shard, request) in requests {
-            let i = clients
-                .iter()
-                .position(|(id, _)| **id == shard.0)
-                .expect("bind_clients covers every mapped shard");
-            let (_, client) = clients.swap_remove(i);
-            jobs.push((shard, request, client));
+    /// Route a burst and answer each request on its own: one `Result`
+    /// per request, in request order, so a shard that fails costs only
+    /// the requests it holds. Point reads, writes, batches and searches
+    /// ride one pipelined sub-burst per shard, in caller order — the
+    /// guarantee a pipelined burst to one node gives: answers in order,
+    /// execution as the shard's workers take the jobs. The other kinds
+    /// are routed alone, first. A sub-burst is written whole before its
+    /// answers are read, so keep a burst within what a shard server
+    /// queues per connection (`ServeConfig::pipeline_depth`); the TCP
+    /// front routes at most `ROUTER_PIPELINE` requests at a time.
+    pub fn route_burst(&mut self, requests: &[Request]) -> Vec<Result<Response, ClientError>> {
+        self.refresh();
+        self.burst(requests)
+    }
+
+    /// [`route_burst`](Self::route_burst) on the map as it stands.
+    fn burst(&mut self, requests: &[Request]) -> Vec<Result<Response, ClientError>> {
+        // Requests routed alone go first, in caller order: they may
+        // refresh the map, and the flight is planned on the map it flies
+        // with.
+        let mut routed: Vec<Option<Result<Response, ClientError>>> = requests
+            .iter()
+            .map(|r| (!joins_flight(r)).then(|| self.route(r)))
+            .collect();
+        let map = Arc::clone(&self.map);
+        let mut flight = Flight::new(map.shard_count());
+        let plans: Vec<Plan> = requests
+            .iter()
+            .zip(&mut routed)
+            .map(|(request, done)| match done.take() {
+                Some(result) => Plan::Routed(result),
+                None => flight.plan(&map, request),
+            })
+            .collect();
+        let mut answers = self.fly(&flight);
+        let mut results: Vec<Result<Response, ClientError>> = plans
+            .into_iter()
+            .map(|plan| settle(plan, &mut answers))
+            .collect();
+        // A refused write was not applied: re-send it once on the newest
+        // map, exactly as `put_online_routed` does for a single write.
+        for (request, result) in requests.iter().zip(&mut results) {
+            if let (
+                Request::PutOnline {
+                    group,
+                    entity,
+                    values,
+                    ..
+                },
+                Ok(Response::Error {
+                    code: ErrorCode::NotLeader,
+                    ..
+                }),
+            ) = (request, &*result)
+            {
+                self.refresh();
+                *result = self.send_put(group, entity, values);
+            }
         }
-        let mut results: Vec<(ShardId, Result<Response, ClientError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|(shard, request, client)| {
-                        scope.spawn(move || (shard, client.call(&request)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scatter thread panicked"))
-                    .collect()
-            });
-        results.sort_by_key(|(shard, _)| *shard);
         results
+    }
+
+    /// Fly a planned burst: write every shard's sub-burst, then read each
+    /// shard's answers in turn. Answers come back per part, in the
+    /// flight's shape.
+    fn fly(&mut self, flight: &Flight<'_>) -> Vec<Vec<Answer>> {
+        let map = Arc::clone(&self.map);
+        let started: Vec<StartedBurst> = flight
+            .subs
+            .iter()
+            .zip(map.shards())
+            .map(|(parts, shard)| self.shard_client(shard.id).start_many(parts))
+            .collect();
+        started
+            .into_iter()
+            .zip(&flight.subs)
+            .zip(map.shards())
+            .map(|((started, parts), shard)| {
+                let client = self.shard_client(shard.id);
+                match client.finish_many(started, parts) {
+                    Ok(responses) => responses.into_iter().map(|r| Some(Ok(r))).collect(),
+                    Err(error) => fail_parts(client, parts, error),
+                }
+            })
+            .collect()
+    }
+
+    /// One request as a flight of its own.
+    fn fly_one(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let map = Arc::clone(&self.map);
+        let mut flight = Flight::new(map.shard_count());
+        let plan = flight.plan(&map, request);
+        let mut answers = self.fly(&flight);
+        settle(plan, &mut answers)
     }
 
     fn route(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.refresh();
         match request {
-            Request::Health => self.health(),
+            Request::Health | Request::GetFeaturesBatch { .. } | Request::SearchNearest { .. } => {
+                self.fly_one(request)
+            }
             Request::GetFeatures { entity, .. } => {
                 let shard = self.map.shard_for(entity);
                 self.shard_client(shard).call(request)
@@ -173,17 +529,6 @@ impl RouterClient {
                 let shard = self.map.shard_for(key);
                 self.shard_client(shard).call(request)
             }
-            Request::GetFeaturesBatch {
-                group,
-                entities,
-                features,
-            } => self.get_features_batch(group, entities, features),
-            Request::SearchNearest {
-                table,
-                query,
-                k,
-                options,
-            } => self.search_scatter(table, query, *k, *options, None),
             Request::SearchNearestByKey {
                 table,
                 key,
@@ -255,170 +600,15 @@ impl RouterClient {
     ) -> Result<Response, ClientError> {
         let shard = self.map.shard_for(entity);
         let term = self.map.shard(shard).expect("mapped shard").term;
-        let request = Request::PutOnline {
-            group: group.to_string(),
-            entity: entity.to_string(),
-            values: values.to_vec(),
-            term,
-        };
-        self.shard_client(shard).call(&request)
-    }
-
-    /// Aggregate health: queue depths summed, draining if any shard is.
-    fn health(&mut self) -> Result<Response, ClientError> {
-        let requests: Vec<(ShardId, Request)> = self
-            .map
-            .shards()
-            .iter()
-            .map(|s| (s.id, Request::Health))
-            .collect();
-        let mut queue_depth = 0u32;
-        let mut draining = false;
-        for (_, result) in self.scatter(requests) {
-            match result? {
-                Response::Health {
-                    queue_depth: q,
-                    draining: d,
-                } => {
-                    queue_depth = queue_depth.saturating_add(q);
-                    draining |= d;
-                }
-                other => return Ok(other),
-            }
-        }
-        Ok(Response::Health {
-            queue_depth,
-            draining,
-        })
-    }
-
-    /// Split a batch by owning shard, scatter, reassemble in caller order.
-    fn get_features_batch(
-        &mut self,
-        group: &str,
-        entities: &[String],
-        features: &[String],
-    ) -> Result<Response, ClientError> {
-        // slot i of the response answers entities[i].
-        let mut by_shard: HashMap<u32, (ShardId, Vec<usize>)> = HashMap::new();
-        for (i, entity) in entities.iter().enumerate() {
-            let shard = self.map.shard_for(entity);
-            by_shard
-                .entry(shard.0)
-                .or_insert((shard, Vec::new()))
-                .1
-                .push(i);
-        }
-        let requests: Vec<(ShardId, Request, Vec<usize>)> = by_shard
-            .into_values()
-            .map(|(shard, slots)| {
-                let request = Request::GetFeaturesBatch {
-                    group: group.to_string(),
-                    entities: slots.iter().map(|&i| entities[i].clone()).collect(),
-                    features: features.to_vec(),
-                };
-                (shard, request, slots)
-            })
-            .collect();
-        let slot_map: HashMap<u32, Vec<usize>> = requests
-            .iter()
-            .map(|(shard, _, slots)| (shard.0, slots.clone()))
-            .collect();
-        let results = self.scatter(
-            requests
-                .into_iter()
-                .map(|(shard, request, _)| (shard, request))
-                .collect(),
-        );
-        let mut merged = vec![None; entities.len()];
-        for (shard, result) in results {
-            match result? {
-                Response::FeaturesBatch(vectors) => {
-                    let slots = &slot_map[&shard.0];
-                    if vectors.len() != slots.len() {
-                        return Err(ClientError::UnexpectedResponse("FeaturesBatch"));
-                    }
-                    for (&slot, vector) in slots.iter().zip(vectors) {
-                        merged[slot] = Some(vector);
-                    }
-                }
-                // A shard's typed refusal (missing group, shed, …) stands
-                // for the whole batch, matching single-node semantics.
-                other => return Ok(other),
-            }
-        }
-        Ok(Response::FeaturesBatch(
-            merged
-                .into_iter()
-                .map(|v| v.expect("every slot was assigned to exactly one shard"))
-                .collect(),
-        ))
-    }
-
-    /// Scatter a `SearchNearest` to every shard and merge the per-shard
-    /// top-k into a global top-k; `exclude` drops an anchor key from the
-    /// merged hits (the by-key path).
-    fn search_scatter(
-        &mut self,
-        table: &str,
-        query: &[f32],
-        k: u32,
-        options: fstore_serve::SearchOptions,
-        exclude: Option<&str>,
-    ) -> Result<Response, ClientError> {
-        let fetch_k = if exclude.is_some() {
-            k.saturating_add(1)
-        } else {
-            k
-        };
-        let requests: Vec<(ShardId, Request)> = self
-            .map
-            .shards()
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    Request::SearchNearest {
-                        table: table.to_string(),
-                        query: query.to_vec(),
-                        k: fetch_k,
-                        options,
-                    },
-                )
-            })
-            .collect();
-        let mut all_hits: Vec<WireHit> = Vec::new();
-        let mut table_version = 0u32;
-        let mut index_generation = 0u64;
-        for (_, result) in self.scatter(requests) {
-            match result? {
-                Response::Neighbors {
-                    table_version: tv,
-                    index_generation: ig,
-                    hits,
-                } => {
-                    // Shards publish independently, so these counters are
-                    // per-shard; report the furthest-along one.
-                    table_version = table_version.max(tv);
-                    index_generation = index_generation.max(ig);
-                    all_hits.extend(hits);
-                }
-                other => return Ok(other),
-            }
-        }
-        if let Some(anchor) = exclude {
-            all_hits.retain(|h| h.key != anchor);
-        }
-        Ok(Response::Neighbors {
-            table_version,
-            index_generation,
-            hits: merge_topk(all_hits, k as usize),
-        })
+        self.shard_client(shard)
+            .call(&stamped_put(group, entity, values, term))
     }
 
     /// By-key search: resolve the anchor vector on its home shard, then
-    /// scatter. The anchor is excluded from the merge explicitly because
-    /// only its home shard stores (and natively excludes) it.
+    /// search every shard for `k+1`. The anchor is excluded from the merge
+    /// explicitly because only its home shard stores (and natively
+    /// excludes) it; shards hold disjoint keys, so dropping it from the
+    /// merged top-`k+1` leaves the global top-`k` without it.
     fn search_by_key(
         &mut self,
         table: &str,
@@ -438,80 +628,40 @@ impl RouterClient {
             }
             Err(e) => return Err(e),
         };
-        self.search_scatter(table, &embedding.vector, k, options, Some(key))
+        let search = Request::SearchNearest {
+            table: table.to_string(),
+            query: embedding.vector,
+            k: k.saturating_add(1),
+            options,
+        };
+        match self.fly_one(&search)? {
+            Response::Neighbors {
+                table_version,
+                index_generation,
+                mut hits,
+            } => {
+                hits.retain(|h| h.key != key);
+                hits.truncate(k as usize);
+                Ok(Response::Neighbors {
+                    table_version,
+                    index_generation,
+                    hits,
+                })
+            }
+            other => Ok(other),
+        }
     }
 }
-
-/// One scattered group's outcome: the request slots it owned, and the
-/// in-order responses (or the first failure) from its shard's burst.
-type ScatterResult = (Vec<usize>, Result<Vec<Response>, ClientError>);
 
 impl Transport for RouterClient {
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.route(request)
     }
 
-    /// Pipelined routing: point reads are grouped by owning shard and each
-    /// group goes down that shard's connection as one `call_many` burst
-    /// (the per-shard `FailoverClient` pipelines it on a single socket),
-    /// with the groups scattered concurrently. Anything that is not a
-    /// point read routes item by item through the ordinary path. Responses
-    /// come back in request order regardless of grouping.
+    /// One flight for the whole burst ([`RouterClient::route_burst`]);
+    /// any request's failure fails the burst, as on every transport.
     fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        self.refresh();
-        let mut slots: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-        let mut by_shard: HashMap<u32, (ShardId, Vec<usize>)> = HashMap::new();
-        for (i, request) in requests.iter().enumerate() {
-            let owner = match request {
-                Request::GetFeatures { entity, .. } => Some(self.map.shard_for(entity)),
-                Request::GetEmbedding { key, .. } => Some(self.map.shard_for(key)),
-                _ => None,
-            };
-            match owner {
-                Some(shard) => by_shard
-                    .entry(shard.0)
-                    .or_insert((shard, Vec::new()))
-                    .1
-                    .push(i),
-                None => slots[i] = Some(self.route(request)?),
-            }
-        }
-        // Pair each group with its shard's client (scatter-style borrow
-        // split: each client is moved out of the borrow list exactly once).
-        let mut jobs: Vec<(Vec<usize>, Vec<Request>, &mut FailoverClient)> = Vec::new();
-        let mut clients: Vec<(&u32, &mut FailoverClient)> = self.clients.iter_mut().collect();
-        for (shard, idxs) in by_shard.into_values() {
-            let batch: Vec<Request> = idxs.iter().map(|&i| requests[i].clone()).collect();
-            let i = clients
-                .iter()
-                .position(|(id, _)| **id == shard.0)
-                .expect("bind_clients covers every mapped shard");
-            let (_, client) = clients.swap_remove(i);
-            jobs.push((idxs, batch, client));
-        }
-        let results: Vec<ScatterResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(idxs, batch, client)| scope.spawn(move || (idxs, client.call_many(&batch))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pipelined scatter thread panicked"))
-                .collect()
-        });
-        for (idxs, result) in results {
-            let responses = result?;
-            if responses.len() != idxs.len() {
-                return Err(ClientError::UnexpectedResponse("pipelined batch"));
-            }
-            for (&slot, response) in idxs.iter().zip(responses) {
-                slots[slot] = Some(response);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|r| r.expect("every request was grouped or routed"))
-            .collect())
+        self.route_burst(requests).into_iter().collect()
     }
 }
 
@@ -552,5 +702,85 @@ mod tests {
     fn merge_handles_fewer_hits_than_k() {
         assert_eq!(merge_topk(vec![hit("a", 0.5)], 10), vec![hit("a", 0.5)]);
         assert!(merge_topk(Vec::new(), 10).is_empty());
+    }
+
+    /// A burst flown on a map the control plane has since replaced: its
+    /// write reaches the fenced old leader at the old term, is refused
+    /// `NotLeader`, and is re-sent once — on the promoted follower, at the
+    /// new term — while the read beside it is answered in the same flight.
+    #[test]
+    fn a_refused_burst_write_is_resent_once_under_the_new_term() {
+        use crate::cluster::{ClusterConfig, ShardCluster};
+        use fstore_common::Timestamp;
+        let cluster = ShardCluster::start(
+            ClusterConfig {
+                shards: 2,
+                followers: 1,
+                ..ClusterConfig::default()
+            },
+            fstore_serve::fixed_clock(Timestamp(60_000)),
+        )
+        .expect("cluster starts");
+        let victim = ShardId(0);
+        let key_on = |shard: ShardId| {
+            (0..)
+                .map(|u| format!("u{u}"))
+                .find(|e| cluster.shard_for(e) == shard)
+                .expect("every shard owns keys")
+        };
+        let (written, read) = (key_on(victim), key_on(ShardId(1)));
+        let mut router = cluster.router();
+
+        // Promote the follower and deliver both halves: the follower now
+        // writes at term 2 and the old leader is fenced at term 2.
+        let control = cluster.control();
+        let event = control.promote(victim).expect("the shard has a follower");
+        assert_eq!(event.term, 2);
+        control.probe_once();
+        assert_eq!(control.snapshot().pending_fences, 0, "fence delivered");
+
+        let burst = [
+            Request::PutOnline {
+                group: "user".into(),
+                entity: written.clone(),
+                values: vec![("score".into(), Value::Float(7.5))],
+                term: 0,
+            },
+            Request::GetFeatures {
+                group: "user".into(),
+                entity: read,
+                features: vec!["score".into()],
+            },
+        ];
+        assert_eq!(
+            router.map().version(),
+            1,
+            "the router still holds the old map"
+        );
+        let results = router.burst(&burst);
+        assert!(
+            matches!(results[0], Ok(Response::PutAck { term: 2, .. })),
+            "expected one ack at the new term, got {:?}",
+            results[0]
+        );
+        assert!(matches!(results[1], Ok(Response::Features(_))));
+        assert_eq!(
+            router.map().version(),
+            event.map_version,
+            "re-sent on the new map"
+        );
+
+        let got = router
+            .call(&Request::GetFeatures {
+                group: "user".into(),
+                entity: written,
+                features: vec!["score".into()],
+            })
+            .expect("read back");
+        match got {
+            Response::Features(v) => assert_eq!(v.values, vec![Value::Float(7.5)]),
+            other => panic!("expected features, got {other:?}"),
+        }
+        cluster.shutdown();
     }
 }

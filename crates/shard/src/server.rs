@@ -11,12 +11,14 @@
 
 use crate::control::ControlPlane;
 use crate::router::{RouterClient, RouterConfig};
+use bytes::{BufMut, BytesMut};
 use fstore_serve::api::Transport;
 use fstore_serve::{
-    write_frame_vectored, ClientError, ErrorCode, FrameEvent, FramePool, FrameReader, Request,
-    Response, WireError, MAX_FRAME_LEN,
+    ClientError, ErrorCode, FrameEvent, FramePool, FrameReader, Request, Response, WireError,
+    MAX_FRAME_LEN,
 };
 use parking_lot::Mutex;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -115,9 +117,13 @@ pub fn start_router(
 const ROUTER_PIPELINE: usize = 64;
 
 /// Serve one connection: a reader thread keeps decoding frames ahead
-/// (up to [`ROUTER_PIPELINE`] in flight) while this thread routes each
-/// request and writes its response — in arrival order, from a pooled
-/// buffer, vectored — so frame I/O overlaps the scatter-gather work.
+/// (up to [`ROUTER_PIPELINE`] in flight) while this thread routes them.
+/// It blocks for one request, then takes whatever else is already
+/// queued: a lone request goes through `router.call`, several go out as
+/// one burst ([`RouterClient::route_burst`] — one flight, each request
+/// answered on its own). Every response of the round is encoded, in
+/// arrival order, into one pooled buffer and written with one call, so
+/// frame I/O overlaps the routing work.
 fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool) {
     let Ok(read_half) = socket.try_clone() else {
         return;
@@ -149,16 +155,46 @@ fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool
         }
     });
     let mut writer = &socket;
-    for decoded in rx {
-        let response = match decoded {
-            Ok(request) => router
-                .call(&request)
-                .unwrap_or_else(|error| error_response(&error)),
-            Err(refusal) => refusal,
-        };
+    let mut round: Vec<Result<Request, Response>> = Vec::with_capacity(ROUTER_PIPELINE);
+    let mut requests: Vec<Request> = Vec::with_capacity(ROUTER_PIPELINE);
+    while let Ok(first) = rx.recv() {
+        round.push(first);
+        round.extend(rx.try_iter().take(ROUTER_PIPELINE - 1));
         let mut buf = pool.get();
-        response.encode_into(&mut buf);
-        let ok = write_frame_vectored(&mut writer, buf.as_slice()).is_ok();
+        if round.len() == 1 {
+            let response = match round.pop().expect("one request this round") {
+                Ok(request) => router
+                    .call(&request)
+                    .unwrap_or_else(|error| error_response(&error)),
+                Err(refusal) => refusal,
+            };
+            put_frame(&mut buf, &response);
+        } else {
+            // Refusals keep their slot; everything decodable flies as one
+            // burst.
+            let refusals: Vec<Option<Response>> = round
+                .drain(..)
+                .map(|decoded| match decoded {
+                    Ok(request) => {
+                        requests.push(request);
+                        None
+                    }
+                    Err(refusal) => Some(refusal),
+                })
+                .collect();
+            let mut routed = router.route_burst(&requests).into_iter();
+            for refusal in refusals {
+                let response = refusal.unwrap_or_else(|| {
+                    routed
+                        .next()
+                        .expect("one result per routed request")
+                        .unwrap_or_else(|error| error_response(&error))
+                });
+                put_frame(&mut buf, &response);
+            }
+            requests.clear();
+        }
+        let ok = writer.write_all(buf.as_slice()).is_ok();
         pool.put(buf);
         if !ok {
             break;
@@ -167,6 +203,16 @@ fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool
     // Unblock the reader (it may be parked waiting for a frame) and join.
     let _ = socket.shutdown(Shutdown::Both);
     let _ = reader_thread.join();
+}
+
+/// Append `response` to `buf` as one length-prefixed frame.
+fn put_frame(buf: &mut BytesMut, response: &Response) {
+    let at = buf.len();
+    buf.put_u32(0);
+    response.encode_into(buf);
+    let len = buf.len() - at - 4;
+    assert!(len <= MAX_FRAME_LEN, "response frame exceeds MAX_FRAME_LEN");
+    buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
 /// Map a router-side client failure onto a wire error response. A typed

@@ -9,6 +9,9 @@
 //! default retry budget) fails loudly; silently wrong data is the one
 //! outcome the design must rule out.
 
+#[path = "../../serve/tests/common/mod.rs"]
+mod common;
+
 use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_embed::{EmbeddingProvenance, EmbeddingTable};
 use fstore_repl::{LeaderParts, ReplLeader};
@@ -96,6 +99,7 @@ fn sig(hits: &[WireHit]) -> Vec<(String, u32)> {
 
 #[test]
 fn point_reads_and_batches_route_by_shard() {
+    let _watchdog = common::watchdog("point_reads_and_batches_route_by_shard");
     let cluster = two_shard_cluster();
     let mut router = cluster.router();
 
@@ -138,6 +142,7 @@ fn point_reads_and_batches_route_by_shard() {
 
 #[test]
 fn scattered_search_matches_a_single_node_oracle() {
+    let _watchdog = common::watchdog("scattered_search_matches_a_single_node_oracle");
     let cluster = two_shard_cluster();
     let mut router = cluster.router();
 
@@ -206,6 +211,7 @@ fn scattered_search_matches_a_single_node_oracle() {
 
 #[test]
 fn leader_kill_promotes_a_follower_with_zero_wrong_answers() {
+    let _watchdog = common::watchdog("leader_kill_promotes_a_follower_with_zero_wrong_answers");
     let mut cluster = two_shard_cluster();
     let control = cluster.control();
     let victim = ShardId(0);
@@ -298,6 +304,7 @@ fn leader_kill_promotes_a_follower_with_zero_wrong_answers() {
 
 #[test]
 fn routed_writes_read_back_byte_identical() {
+    let _watchdog = common::watchdog("routed_writes_read_back_byte_identical");
     let cluster = two_shard_cluster();
     let mut router = cluster.router();
 
@@ -337,6 +344,8 @@ fn routed_writes_read_back_byte_identical() {
 
 #[test]
 fn automatic_failover_routes_writes_and_fences_the_revived_zombie() {
+    let _watchdog =
+        common::watchdog("automatic_failover_routes_writes_and_fences_the_revived_zombie");
     let mut cluster = two_shard_cluster();
     let control = cluster.control();
     let victim = ShardId(0);
@@ -422,6 +431,7 @@ fn automatic_failover_routes_writes_and_fences_the_revived_zombie() {
 
 #[test]
 fn router_tcp_front_speaks_the_wire_protocol() {
+    let _watchdog = common::watchdog("router_tcp_front_speaks_the_wire_protocol");
     let cluster = two_shard_cluster();
     let handle = fstore_shard::start_router("127.0.0.1:0", cluster.control(), Default::default())
         .expect("router server");
