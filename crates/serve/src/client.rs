@@ -9,7 +9,9 @@
 //! zero per-request payload allocations.
 
 use crate::api::Transport;
-use crate::codec::{write_frame_vectored, FrameEvent, FrameReader, OwnedFrameEvent, MAX_FRAME_LEN};
+use crate::codec::{
+    put_frame, write_frame_vectored, FrameEvent, FrameReader, OwnedFrameEvent, MAX_FRAME_LEN,
+};
 use crate::protocol::{ErrorCode, Request, Response, WireDelta, WireError, WireHit};
 use crate::repl::ReplLogState;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -192,6 +194,21 @@ impl ClientError {
     }
 }
 
+/// Append `request` to `buf`, wrapping it in a [`Request::WithDeadline`]
+/// envelope when a `budget` is configured (and the caller did not wrap it
+/// already). Writes the envelope tag inline so no request clone is ever
+/// made.
+fn encode_wrapped(buf: &mut BytesMut, budget: Option<Duration>, request: &Request) {
+    match budget {
+        Some(budget) if !matches!(request, Request::WithDeadline { .. }) => {
+            buf.put_u8(9);
+            buf.put_u32(u32::try_from(budget.as_millis()).unwrap_or(u32::MAX));
+            request.encode_into(buf);
+        }
+        _ => request.encode_into(buf),
+    }
+}
+
 /// A blocking connection to a feature server.
 ///
 /// The typed request surface (`get_features`, `search_nearest`, …) comes
@@ -264,22 +281,6 @@ impl FeatureClient {
         self.deadline_budget = budget;
     }
 
-    /// Append `request` to the encode buffer, wrapping it in a
-    /// [`Request::WithDeadline`] envelope when a budget is configured
-    /// (and the caller did not wrap it already). Writes the envelope tag
-    /// inline so no request clone is ever made.
-    fn encode_wrapped(&mut self, request: &Request) {
-        match self.deadline_budget {
-            Some(budget) if !matches!(request, Request::WithDeadline { .. }) => {
-                self.buf.put_u8(9);
-                self.buf
-                    .put_u32(u32::try_from(budget.as_millis()).unwrap_or(u32::MAX));
-                request.encode_into(&mut self.buf);
-            }
-            _ => request.encode_into(&mut self.buf),
-        }
-    }
-
     /// Read and decode one response frame off the connection's reader.
     fn read_response(&mut self) -> Result<Response, ClientError> {
         match self.reader.read_frame(
@@ -305,7 +306,7 @@ impl FeatureClient {
     /// (unless the caller already wrapped it).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.buf.clear();
-        self.encode_wrapped(request);
+        encode_wrapped(&mut self.buf, self.deadline_budget, request);
         let mut w = &self.stream;
         write_frame_vectored(&mut w, self.buf.as_slice())?;
         self.read_response()
@@ -336,15 +337,11 @@ impl FeatureClient {
     /// owned requests alike.
     pub fn send_many<R: Borrow<Request>>(&mut self, requests: &[R]) -> Result<(), ClientError> {
         self.buf.clear();
+        let budget = self.deadline_budget;
         for request in requests {
-            // Reserve the length prefix, encode, backfill — the payload
-            // is serialized exactly once, straight into the wire buffer.
-            let at = self.buf.len();
-            self.buf.put_u32(0);
-            self.encode_wrapped(request.borrow());
-            let len = self.buf.len() - at - 4;
-            assert!(len <= MAX_FRAME_LEN, "request frame exceeds MAX_FRAME_LEN");
-            self.buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+            put_frame(&mut self.buf, |buf| {
+                encode_wrapped(buf, budget, request.borrow())
+            });
         }
         let mut w = &self.stream;
         w.write_all(self.buf.as_slice())?;
@@ -400,7 +397,7 @@ impl FeatureClient {
     /// bootstrap costs one allocation, not frame-plus-payload copies.
     pub fn repl_snapshot(&mut self) -> Result<(u64, Bytes), ClientError> {
         self.buf.clear();
-        self.encode_wrapped(&Request::ReplSnapshot);
+        encode_wrapped(&mut self.buf, self.deadline_budget, &Request::ReplSnapshot);
         let mut w = &self.stream;
         write_frame_vectored(&mut w, self.buf.as_slice())?;
         let frame = match self.reader.read_frame_owned(

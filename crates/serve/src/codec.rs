@@ -204,6 +204,19 @@ pub fn put_str_seq(buf: &mut BytesMut, items: &[String]) {
 
 // ----------------------------------------------------------------- framing
 
+/// Append one frame to `buf`: reserve the `u32` big-endian length,
+/// let `encode` write the payload, then backfill the length. The payload
+/// is serialized exactly once, straight into the wire buffer, so a
+/// pipelined burst of frames goes out with one write.
+pub fn put_frame(buf: &mut BytesMut, encode: impl FnOnce(&mut BytesMut)) {
+    let at = buf.len();
+    buf.put_u32(0);
+    encode(buf);
+    let len = buf.len() - at - 4;
+    assert!(len <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
+    buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
 /// Write `payload` as one frame — `u32` big-endian length, then bytes —
 /// with a single vectored syscall in the common case, so the payload is
 /// never copied into a contiguous header+body staging buffer.

@@ -360,7 +360,7 @@ impl FailoverClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        self.run_many(None, requests)
+        self.run_many(None, requests, true)
     }
 
     /// The write half of [`call_many`](Self::call_many): pick the
@@ -383,11 +383,18 @@ impl FailoverClient {
 
     /// The read half of [`call_many`](Self::call_many): read the
     /// responses of a [`start_many`](Self::start_many) burst, with the
-    /// same breaker, pushback and stats accounting. The started attempt
-    /// counts as the first of the endpoint walk, so on any failure an
+    /// same breaker and stats accounting. The started attempt counts as
+    /// the first of the endpoint walk, so on any failure an
     /// all-idempotent burst carries on exactly as `call_many` would —
-    /// backoff, retry, next endpoint — and a burst holding a write is
-    /// sealed ([`crate::retry::seal_write_failure`]), never re-sent.
+    /// typed pushback anywhere in it, backoff, retry, next endpoint — and
+    /// a burst holding a write is sealed
+    /// ([`crate::retry::seal_write_failure`]), never re-sent.
+    ///
+    /// One difference from `call_many`: a burst holding a write that the
+    /// server answered comes back as answered, typed pushback included.
+    /// Admission sheds job by job, so a shed read can sit beside an
+    /// applied write; each answer belongs to its own request, and the
+    /// caller settles them one by one (re-sending only what is safe).
     pub fn finish_many<R: Borrow<Request>>(
         &mut self,
         started: StartedBurst,
@@ -407,18 +414,23 @@ impl FailoverClient {
             });
             (i, received)
         });
-        self.run_many(first, requests)
+        self.run_many(first, requests, false)
     }
 
+    /// The endpoint walk for a burst. `whole` makes one pushback answer
+    /// fail the burst even when it holds a write (`call_many`'s rule);
+    /// otherwise only an all-idempotent burst is failed by pushback.
     fn run_many<R: Borrow<Request>>(
         &mut self,
         first: Option<Attempt<Vec<Response>>>,
         requests: &[R],
+        whole: bool,
     ) -> Result<Vec<Response>, ClientError> {
         let write = requests
             .iter()
             .map(Borrow::borrow)
             .find(|r| !r.is_idempotent());
+        let fold_pushback = whole || write.is_none();
         self.run(
             first,
             write.is_none(),
@@ -426,7 +438,13 @@ impl FailoverClient {
                 conn.send_many(requests)?;
                 conn.recv_many(requests.len())
             },
-            |responses| responses.iter().find_map(crate::retry::pushback),
+            |responses| {
+                if fold_pushback {
+                    responses.iter().find_map(crate::retry::pushback)
+                } else {
+                    None
+                }
+            },
             |dispatched, error| match write {
                 Some(w) => crate::retry::seal_write_failure(w, dispatched, error),
                 None => error,
@@ -572,6 +590,11 @@ mod tests {
 
     /// A live endpoint serving `user/u1`, with no write leadership.
     fn follower() -> crate::server::ServerHandle {
+        serving(crate::server::ServeConfig::default())
+    }
+
+    /// [`follower`] with its server tuned by `config`.
+    fn serving(config: crate::server::ServeConfig) -> crate::server::ServerHandle {
         use fstore_common::{EntityKey, Timestamp, Value};
         let online = std::sync::Arc::new(fstore_storage::OnlineStore::default());
         online.put(
@@ -585,7 +608,7 @@ mod tests {
             fstore_core::FeatureServer::new(online),
             crate::server::fixed_clock(Timestamp::millis(1_000)),
         );
-        crate::server::start(engine, crate::server::ServeConfig::default()).unwrap()
+        crate::server::start(engine, config).unwrap()
     }
 
     fn client(addrs: &[&str]) -> FailoverClient {
@@ -671,5 +694,49 @@ mod tests {
         assert_eq!((stats.retries, stats.failed_over_calls), (0, 0));
         assert_eq!(stats.exhausted_calls, 1);
         follower.shutdown();
+    }
+
+    #[test]
+    fn a_split_burst_holding_a_write_is_answered_request_by_request() {
+        // One worker that naps on every job and a queue of one: the write
+        // (first in) is admitted, and at least one read behind it is shed.
+        let server = serving(crate::server::ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            max_batch: 1,
+            handler_delay: Some(Duration::from_millis(200)),
+            ..crate::server::ServeConfig::default()
+        });
+        let addr = server.addr().to_string();
+        let burst = vec![
+            Request::PutOnline {
+                group: "user".into(),
+                entity: "u9".into(),
+                values: vec![("score".into(), fstore_common::Value::Float(1.0))],
+                term: 1,
+            },
+            read("u1"),
+            read("u1"),
+            read("u1"),
+        ];
+        let mut split = client(&[&addr]);
+        let started = split.start_many(&burst);
+        let answers = split
+            .finish_many(started, &burst)
+            .expect("a shed read does not fail the burst");
+        assert_eq!(answers.len(), burst.len());
+        assert!(
+            crate::retry::pushback(&answers[0]).is_none(),
+            "the write keeps its own answer: {:?}",
+            answers[0]
+        );
+        assert!(
+            answers[1..]
+                .iter()
+                .any(|a| crate::retry::pushback(a).is_some()),
+            "expected a shed read: {answers:?}"
+        );
+        assert_eq!(split.stats(), FailoverStats::default());
+        server.shutdown();
     }
 }

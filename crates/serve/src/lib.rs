@@ -64,7 +64,7 @@ pub use api::{AnyClient, ClientBuilder, StoreApi, Transport, WriteAck};
 pub use catalog::{CatalogError, IndexCatalog, IndexMap, IndexSnapshot, IndexSpec, SearchOutcome};
 pub use client::{ClientConfig, ClientError, DeltaBatch, EmbeddingRead, FeatureClient, Neighbors};
 pub use codec::{
-    write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, Reader,
+    put_frame, write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, Reader,
 };
 pub use failover::{
     BreakerConfig, BreakerState, CircuitBreaker, FailoverClient, FailoverStats, StartedBurst,

@@ -20,13 +20,16 @@
 //!   from the merged hits (only its home shard excludes it natively).
 //!
 //! Everything that touches more than one shard — and every pipelined
-//! burst ([`Transport::call_many`], [`RouterClient::route_burst`]) — is
-//! one *flight*: each request becomes parts on per-shard sub-bursts (in
+//! burst ([`Transport::call_many`], [`RouterClient::route_burst`]) — flies
+//! as a *flight*: each request becomes parts on per-shard sub-bursts (in
 //! caller order), every shard's sub-burst is written before any answer
 //! is read ([`FailoverClient::start_many`]), then each shard's answers
 //! are read in turn ([`FailoverClient::finish_many`]) and folded back
 //! per request. The shards work concurrently while the router's own
-//! thread does all of it: no thread is spawned per request.
+//! thread does all of it: no thread is spawned per request. A burst
+//! splits into several flights only where caller order demands it: at a
+//! request routed alone, and at a request sharing an entity with an
+//! earlier request of the flight when either one writes it.
 //!
 //! Because [`RouterClient`] implements the same [`Transport`] trait as
 //! every single-node client, the entire `StoreApi` surface works against
@@ -42,6 +45,7 @@ use crate::control::ControlPlane;
 use crate::map::{ShardId, ShardMap};
 use fstore_common::Value;
 use fstore_serve::api::{expect_embedding, Transport};
+use fstore_serve::retry::pushback;
 use fstore_serve::{
     BreakerConfig, ClientConfig, ClientError, ErrorCode, FailoverClient, FailoverStats, Request,
     Response, RetryPolicy, StartedBurst, WireHit,
@@ -85,10 +89,8 @@ struct Flight<'a> {
     subs: Vec<Vec<Cow<'a, Request>>>,
 }
 
-/// How one request of a burst is answered.
+/// How one request of a flight is answered.
 enum Plan {
-    /// Already answered, by [`RouterClient::route`].
-    Routed(Result<Response, ClientError>),
     /// One part, answered as-is (point reads and writes).
     One(PartAt),
     /// A batch split by owner: each part with the caller slots it holds.
@@ -103,8 +105,8 @@ enum Plan {
 }
 
 /// Whether a request travels in a burst's flight; the rest are routed
-/// alone, before the flight leaves. `Health` stays out so its queue
-/// depths are read with no sub-burst queued behind it.
+/// alone, between flights. `Health` stays out so its queue depths are
+/// read with no sub-burst queued behind it.
 fn joins_flight(request: &Request) -> bool {
     matches!(
         request,
@@ -114,6 +116,29 @@ fn joins_flight(request: &Request) -> bool {
             | Request::GetFeaturesBatch { .. }
             | Request::SearchNearest { .. }
     )
+}
+
+/// The entities whose online features a request reads or writes.
+fn entities(request: &Request) -> &[String] {
+    match request {
+        Request::GetFeatures { entity, .. } | Request::PutOnline { entity, .. } => {
+            std::slice::from_ref(entity)
+        }
+        Request::GetFeaturesBatch { entities, .. } => entities,
+        _ => &[],
+    }
+}
+
+/// Whether `later` must wait for `earlier` to be answered: one of them
+/// writes an entity the other names. A shard runs a pipelined sub-burst
+/// on whichever workers take its jobs, so in one flight the two could
+/// apply in either order.
+fn conflicts(earlier: &Request, later: &Request) -> bool {
+    let writes = |r: &Request| matches!(r, Request::PutOnline { .. });
+    (writes(earlier) || writes(later))
+        && entities(later)
+            .iter()
+            .any(|e| entities(earlier).contains(e))
 }
 
 impl<'a> Flight<'a> {
@@ -151,9 +176,8 @@ impl<'a> Flight<'a> {
                 values,
                 ..
             } => {
-                let shard = map.position_for(entity);
-                let term = map.shards()[shard].term;
-                Plan::One(self.add(shard, Cow::Owned(stamped_put(group, entity, values, term))))
+                let (shard, put) = owner_put(map, group, entity, values);
+                Plan::One(self.add(shard, Cow::Owned(put)))
             }
             Request::GetFeaturesBatch {
                 group,
@@ -208,7 +232,6 @@ fn settle(plan: Plan, answers: &mut [Vec<Answer>]) -> Result<Response, ClientErr
             .expect("every part is answered once")
     };
     match plan {
-        Plan::Routed(result) => result,
         Plan::One(at) => take(at),
         Plan::Batch { len, parts } => {
             let mut merged = vec![None; len];
@@ -281,14 +304,22 @@ fn settle(plan: Plan, answers: &mut [Vec<Answer>]) -> Result<Response, ClientErr
     }
 }
 
-/// A write for the owning shard's leader at `term`.
-fn stamped_put(group: &str, entity: &str, values: &[(String, Value)], term: u64) -> Request {
-    Request::PutOnline {
+/// A write for the owning shard's leader, stamped with that shard's
+/// current term under `map`, and where in the map the shard sits.
+fn owner_put(
+    map: &ShardMap,
+    group: &str,
+    entity: &str,
+    values: &[(String, Value)],
+) -> (usize, Request) {
+    let shard = map.position_for(entity);
+    let put = Request::PutOnline {
         group: group.to_string(),
         entity: entity.to_string(),
         values: values.to_vec(),
-        term,
-    }
+        term: map.shards()[shard].term,
+    };
+    (shard, put)
 }
 
 /// A copy of one shard failure for each request it touched
@@ -313,42 +344,52 @@ fn copy_error(error: &ClientError) -> ClientError {
     }
 }
 
-/// Answer every part of a sub-burst that failed as a unit. A sub-burst
-/// holding a write fails sealed and is never re-sent, so only its writes
-/// carry the seal: the reads beside them are idempotent, and get the
-/// failover walk they would have had on their own.
-fn fail_parts(
+/// Answer each part of one shard's sub-burst. An all-read sub-burst
+/// has had its failover walk already ([`FailoverClient::finish_many`]
+/// retries it whole), so its outcome stands for every part. In a
+/// sub-burst holding a write, each write keeps its own answer — an ack,
+/// a typed refusal, or the seal of a lost burst — and is never re-sent,
+/// while reads that were shed beside it, or lost with it, are re-sent
+/// through the failover walk they would have had on their own.
+fn answer_parts(
     client: &mut FailoverClient,
     parts: &[Cow<'_, Request>],
-    error: ClientError,
+    outcome: Result<Vec<Response>, ClientError>,
 ) -> Vec<Answer> {
-    if !matches!(error, ClientError::WriteFailed { .. }) {
-        return parts
+    let mut answers: Vec<Answer> = match outcome {
+        Ok(responses) => responses
+            .into_iter()
+            .map(|r| Some(pushback(&r).map_or(Ok(r), Err)))
+            .collect(),
+        Err(error) => parts
             .iter()
             .map(|_| Some(Err(copy_error(&error))))
-            .collect();
-    }
-    let reads: Vec<&Request> = parts
-        .iter()
-        .map(|p| p.as_ref())
-        .filter(|r| r.is_idempotent())
-        .collect();
-    let started = client.start_many(&reads);
-    let reread: Vec<Result<Response, ClientError>> = match client.finish_many(started, &reads) {
-        Ok(responses) => responses.into_iter().map(Ok).collect(),
-        Err(e) => reads.iter().map(|_| Err(copy_error(&e))).collect(),
+            .collect(),
     };
-    let mut reread = reread.into_iter();
-    parts
-        .iter()
-        .map(|p| {
-            if p.is_idempotent() {
-                reread.next()
-            } else {
-                Some(Err(copy_error(&error)))
+    if parts.iter().all(|p| p.is_idempotent()) {
+        return answers;
+    }
+    let failed_reads: Vec<usize> = (0..parts.len())
+        .filter(|&i| parts[i].is_idempotent() && matches!(answers[i], Some(Err(_))))
+        .collect();
+    if failed_reads.is_empty() {
+        return answers;
+    }
+    let reads: Vec<&Request> = failed_reads.iter().map(|&i| parts[i].as_ref()).collect();
+    let started = client.start_many(&reads);
+    match client.finish_many(started, &reads) {
+        Ok(responses) => {
+            for (i, response) in failed_reads.into_iter().zip(responses) {
+                answers[i] = Some(Ok(response));
             }
-        })
-        .collect()
+        }
+        Err(error) => {
+            for i in failed_reads {
+                answers[i] = Some(Err(copy_error(&error)));
+            }
+        }
+    }
+    answers
 }
 
 impl RouterClient {
@@ -425,7 +466,9 @@ impl RouterClient {
     /// ride one pipelined sub-burst per shard, in caller order — the
     /// guarantee a pipelined burst to one node gives: answers in order,
     /// execution as the shard's workers take the jobs. The other kinds
-    /// are routed alone, first. A sub-burst is written whole before its
+    /// are routed alone, in caller order between flights, and a request
+    /// sharing an entity with an earlier one, either of them a write,
+    /// waits for the next flight. A sub-burst is written whole before its
     /// answers are read, so keep a burst within what a shard server
     /// queues per connection (`ServeConfig::pipeline_depth`); the TCP
     /// front routes at most `ROUTER_PIPELINE` requests at a time.
@@ -435,50 +478,66 @@ impl RouterClient {
     }
 
     /// [`route_burst`](Self::route_burst) on the map as it stands.
+    ///
+    /// The burst flies as few flights as caller order allows. A flight
+    /// lands (every answer read, refused writes re-sent) before a
+    /// request routed alone, and before a request that shares an entity
+    /// with a request of the flight when either one writes it — so two
+    /// requests whose order could show apply in caller order.
     fn burst(&mut self, requests: &[Request]) -> Vec<Result<Response, ClientError>> {
-        // Requests routed alone go first, in caller order: they may
-        // refresh the map, and the flight is planned on the map it flies
-        // with.
-        let mut routed: Vec<Option<Result<Response, ClientError>>> = requests
-            .iter()
-            .map(|r| (!joins_flight(r)).then(|| self.route(r)))
-            .collect();
-        let map = Arc::clone(&self.map);
-        let mut flight = Flight::new(map.shard_count());
-        let plans: Vec<Plan> = requests
-            .iter()
-            .zip(&mut routed)
-            .map(|(request, done)| match done.take() {
-                Some(result) => Plan::Routed(result),
-                None => flight.plan(&map, request),
-            })
-            .collect();
-        let mut answers = self.fly(&flight);
-        let mut results: Vec<Result<Response, ClientError>> = plans
-            .into_iter()
-            .map(|plan| settle(plan, &mut answers))
-            .collect();
-        // A refused write was not applied: re-send it once on the newest
-        // map, exactly as `put_online_routed` does for a single write.
-        for (request, result) in requests.iter().zip(&mut results) {
-            if let (
+        let mut results = Vec::with_capacity(requests.len());
+        let mut map = Arc::clone(&self.map);
+        let mut flight = Flight::new(0);
+        let mut plans: Vec<Plan> = Vec::with_capacity(requests.len());
+        // The first request of the flight being planned.
+        let mut start = 0;
+        for (i, request) in requests.iter().enumerate() {
+            let alone = !joins_flight(request);
+            let flying = &requests[start..i];
+            if !plans.is_empty() && (alone || flying.iter().any(|e| conflicts(e, request))) {
+                self.land(&flight, plans.drain(..), flying, &mut results);
+            }
+            if alone {
+                results.push(self.route(request));
+                continue;
+            }
+            if plans.is_empty() {
+                // Plan on the map this flight will fly with: a request
+                // routed alone, or a re-sent write, may have moved it.
+                map = Arc::clone(&self.map);
+                flight = Flight::new(map.shard_count());
+                start = i;
+            }
+            plans.push(flight.plan(&map, request));
+        }
+        if !plans.is_empty() {
+            self.land(&flight, plans.drain(..), &requests[start..], &mut results);
+        }
+        results
+    }
+
+    /// Fly `flight` and settle its `requests` (with their `plans`) into
+    /// `results`, in caller order.
+    fn land(
+        &mut self,
+        flight: &Flight<'_>,
+        plans: impl Iterator<Item = Plan>,
+        requests: &[Request],
+        results: &mut Vec<Result<Response, ClientError>>,
+    ) {
+        let mut answers = self.fly(flight);
+        for (plan, request) in plans.zip(requests) {
+            let result = settle(plan, &mut answers);
+            results.push(match request {
                 Request::PutOnline {
                     group,
                     entity,
                     values,
                     ..
-                },
-                Ok(Response::Error {
-                    code: ErrorCode::NotLeader,
-                    ..
-                }),
-            ) = (request, &*result)
-            {
-                self.refresh();
-                *result = self.send_put(group, entity, values);
-            }
+                } => self.resend_if_not_leader(result, group, entity, values),
+                _ => result,
+            });
         }
-        results
     }
 
     /// Fly a planned burst: write every shard's sub-burst, then read each
@@ -498,10 +557,8 @@ impl RouterClient {
             .zip(map.shards())
             .map(|((started, parts), shard)| {
                 let client = self.shard_client(shard.id);
-                match client.finish_many(started, parts) {
-                    Ok(responses) => responses.into_iter().map(|r| Some(Ok(r))).collect(),
-                    Err(error) => fail_parts(client, parts, error),
-                }
+                let outcome = client.finish_many(started, parts);
+                answer_parts(client, parts, outcome)
             })
             .collect()
     }
@@ -567,26 +624,38 @@ impl RouterClient {
     /// Route a write to the owning shard's leader, stamped with the
     /// shard's *current* leader term from the map — whatever term the
     /// caller wrote is replaced, because the router (not the caller) is
-    /// the party tracking promotions. A `NotLeader` refusal means the map
-    /// moved under us; adopt the control plane's newer map and re-route
-    /// exactly once with the fresh term and endpoint order. One retry is
-    /// safe — a refusal proves the write was not applied — and bounded,
-    /// so a flapping shard cannot trap the router in a loop.
+    /// the party tracking promotions.
     fn put_online_routed(
         &mut self,
         group: &str,
         entity: &str,
         values: &[(String, Value)],
     ) -> Result<Response, ClientError> {
-        let first = self.send_put(group, entity, values)?;
+        let first = self.send_put(group, entity, values);
+        self.resend_if_not_leader(first, group, entity, values)
+    }
+
+    /// The one re-send rule for writes, single or in a flight. A
+    /// `NotLeader` refusal means the map moved under us; adopt the
+    /// control plane's newer map and re-route exactly once with the fresh
+    /// term and endpoint order. One retry is safe — a refusal proves the
+    /// write was not applied — and bounded, so a flapping shard cannot
+    /// trap the router in a loop.
+    fn resend_if_not_leader(
+        &mut self,
+        first: Result<Response, ClientError>,
+        group: &str,
+        entity: &str,
+        values: &[(String, Value)],
+    ) -> Result<Response, ClientError> {
         if !matches!(
-            &first,
-            Response::Error {
+            first,
+            Ok(Response::Error {
                 code: ErrorCode::NotLeader,
                 ..
-            }
+            })
         ) {
-            return Ok(first);
+            return first;
         }
         self.refresh();
         self.send_put(group, entity, values)
@@ -598,10 +667,9 @@ impl RouterClient {
         entity: &str,
         values: &[(String, Value)],
     ) -> Result<Response, ClientError> {
-        let shard = self.map.shard_for(entity);
-        let term = self.map.shard(shard).expect("mapped shard").term;
-        self.shard_client(shard)
-            .call(&stamped_put(group, entity, values, term))
+        let (shard, put) = owner_put(&self.map, group, entity, values);
+        let id = self.map.shards()[shard].id;
+        self.shard_client(id).call(&put)
     }
 
     /// By-key search: resolve the anchor vector on its home shard, then

@@ -11,11 +11,10 @@
 
 use crate::control::ControlPlane;
 use crate::router::{RouterClient, RouterConfig};
-use bytes::{BufMut, BytesMut};
 use fstore_serve::api::Transport;
 use fstore_serve::{
-    ClientError, ErrorCode, FrameEvent, FramePool, FrameReader, Request, Response, WireError,
-    MAX_FRAME_LEN,
+    put_frame, ClientError, ErrorCode, FrameEvent, FramePool, FrameReader, Request, Response,
+    WireError, MAX_FRAME_LEN,
 };
 use parking_lot::Mutex;
 use std::io::Write;
@@ -168,7 +167,7 @@ fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool
                     .unwrap_or_else(|error| error_response(&error)),
                 Err(refusal) => refusal,
             };
-            put_frame(&mut buf, &response);
+            put_frame(&mut buf, |buf| response.encode_into(buf));
         } else {
             // Refusals keep their slot; everything decodable flies as one
             // burst.
@@ -190,7 +189,7 @@ fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool
                         .expect("one result per routed request")
                         .unwrap_or_else(|error| error_response(&error))
                 });
-                put_frame(&mut buf, &response);
+                put_frame(&mut buf, |buf| response.encode_into(buf));
             }
             requests.clear();
         }
@@ -203,16 +202,6 @@ fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool
     // Unblock the reader (it may be parked waiting for a frame) and join.
     let _ = socket.shutdown(Shutdown::Both);
     let _ = reader_thread.join();
-}
-
-/// Append `response` to `buf` as one length-prefixed frame.
-fn put_frame(buf: &mut BytesMut, response: &Response) {
-    let at = buf.len();
-    buf.put_u32(0);
-    response.encode_into(buf);
-    let len = buf.len() - at - 4;
-    assert!(len <= MAX_FRAME_LEN, "response frame exceeds MAX_FRAME_LEN");
-    buf.as_mut_slice()[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
 /// Map a router-side client failure onto a wire error response. A typed

@@ -9,9 +9,15 @@
 //!   by-key searches, `Health`, unknown groups and tables, and writes.
 //!   Writes go to keys no read touches, so the only state a burst can
 //!   observe is what per-shard caller order already fixes.
+//! * **Caller order.** On shards with several workers, a burst that
+//!   writes, reads and rewrites the same keys answers what routing each
+//!   request alone answers: no request changes places with a write to an
+//!   entity it names.
 //! * **Failure isolation.** A burst whose keys span a live shard and one
 //!   whose endpoints are unreachable gets right answers from the live
 //!   shard and typed errors for the dead one's requests only.
+//! * **Per-request pushback.** A shard that sheds a read beside a write
+//!   it applied reports the write's ack, not the shed.
 
 #[path = "../../serve/tests/common/mod.rs"]
 mod common;
@@ -21,7 +27,7 @@ use fstore_common::Value;
 use fstore_serve::{
     ClientError, ErrorCode, FeatureClient, Request, Response, SearchOptions, ServeConfig, Transport,
 };
-use fstore_shard::{start_router, RouterConfig, ShardCluster, ShardId};
+use fstore_shard::{start_router, ClusterConfig, RouterConfig, ShardCluster, ShardId};
 use proptest::prelude::TestRng;
 use seeded::{score_for, seeded_cluster, vector_for, EMB_KEYS, USERS};
 
@@ -273,6 +279,217 @@ fn a_dead_shard_fails_only_its_own_requests_in_a_burst() {
             );
         }
     }
+    front.shutdown();
+    cluster.shutdown();
+}
+
+/// A burst over a few fresh keys in which every key is written before it
+/// is read: each key's requests are a write, then writes, reads and
+/// batches of it, and the keys' sequences interleave at random. Batches
+/// name one key and a seeded user, so they span both shards.
+fn same_key_burst(rng: &mut TestRng, case: usize) -> Vec<Request> {
+    let keys: Vec<String> = (0..3).map(|k| format!("o{case}_{k}")).collect();
+    let mut pending: Vec<Vec<Request>> = keys
+        .iter()
+        .enumerate()
+        .map(|(k, key)| {
+            let n = 2 + rng.below(5);
+            (0..n)
+                .map(|j| match if j == 0 { 0 } else { rng.below(3) } {
+                    0 => Request::PutOnline {
+                        group: "user".into(),
+                        entity: key.clone(),
+                        values: vec![("score".into(), Value::Float((k * 10 + j) as f64))],
+                        term: 0,
+                    },
+                    1 => Request::GetFeatures {
+                        group: "user".into(),
+                        entity: key.clone(),
+                        features: vec!["score".into()],
+                    },
+                    _ => Request::GetFeaturesBatch {
+                        group: "user".into(),
+                        entities: vec![format!("u{}", rng.below(USERS)), key.clone()],
+                        features: vec!["score".into()],
+                    },
+                })
+                .rev()
+                .collect()
+        })
+        .collect();
+    let mut burst = Vec::new();
+    while pending.iter().any(|p| !p.is_empty()) {
+        let k = rng.below(pending.len());
+        if let Some(request) = pending[k].pop() {
+            burst.push(request);
+        }
+    }
+    burst
+}
+
+#[test]
+fn a_burst_never_reorders_requests_on_one_entity() {
+    let _watchdog = common::watchdog("a_burst_never_reorders_requests_on_one_entity");
+    let workers = ServeConfig::default().workers;
+    assert!(
+        workers > 1,
+        "the check needs shards that run jobs in parallel"
+    );
+    let (bursts, singles) = (seeded_cluster(0, workers), seeded_cluster(0, workers));
+    let mut burst_router = bursts.router();
+    let mut single_router = singles.router();
+    let front = start_router("127.0.0.1:0", bursts.control(), RouterConfig::default())
+        .expect("router front");
+    let mut wire = FeatureClient::connect(front.addr()).expect("connect");
+
+    let mut rng = TestRng::deterministic("route_burst::same_key");
+    for case in 0..CASES {
+        // Even cases go through the front, odd ones in process; each case
+        // writes its own keys, so the single-call cluster needs one pass.
+        let burst = same_key_burst(&mut rng, case);
+        let flown = if case % 2 == 0 {
+            wire.call_many(&burst).expect("front burst")
+        } else {
+            burst_router.call_many(&burst).expect("burst routes")
+        };
+        let alone: Vec<Response> = burst
+            .iter()
+            .map(|r| single_router.call(r).expect("request routes"))
+            .collect();
+        // Reads must match byte for byte. Writes to different keys may
+        // apply in either order, so their publication sequences differ
+        // between the clusters; writes to one key must ascend.
+        let mut last_epoch: Vec<(&str, u64)> = Vec::new();
+        for ((request, got), want) in burst.iter().zip(&flown).zip(&alone) {
+            match (request, got) {
+                (Request::PutOnline { entity, .. }, Response::PutAck { epoch, term }) => {
+                    assert_eq!(*term, 1, "case {case}");
+                    if let Some((_, last)) = last_epoch.iter_mut().find(|(e, _)| e == entity) {
+                        assert!(*epoch > *last, "case {case}: {entity} overtaken: {burst:?}");
+                        *last = *epoch;
+                    } else {
+                        last_epoch.push((entity, *epoch));
+                    }
+                }
+                (Request::PutOnline { .. }, other) => panic!("case {case}: write got {other:?}"),
+                _ => assert_eq!(
+                    got.encode(),
+                    want.encode(),
+                    "case {case}: {request:?} in {burst:?}"
+                ),
+            }
+        }
+    }
+    front.shutdown();
+    bursts.shutdown();
+    singles.shutdown();
+}
+
+#[test]
+fn a_shed_read_beside_an_applied_write_leaves_the_write_acked() {
+    let _watchdog = common::watchdog("a_shed_read_beside_an_applied_write_leaves_the_write_acked");
+    // One worker that naps on every job, and a queue of one: the first job
+    // of a burst is admitted and claimed at once, and of the reads queued
+    // behind it at least one is shed.
+    let cluster = ShardCluster::start(
+        ClusterConfig {
+            shards: 2,
+            followers: 0,
+            serve: ServeConfig {
+                workers: 1,
+                queue_depth: 1,
+                max_batch: 1,
+                handler_delay: Some(std::time::Duration::from_millis(150)),
+                ..ServeConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+        fstore_serve::fixed_clock(seeded::NOW),
+    )
+    .expect("cluster starts");
+    let shard = ShardId(0);
+    let on_shard: Vec<String> = (0..)
+        .map(|u| format!("u{u}"))
+        .filter(|e| cluster.shard_for(e) == shard)
+        .take(4)
+        .collect();
+    let write = |n: u32| Request::PutOnline {
+        group: "user".into(),
+        entity: on_shard[0].clone(),
+        values: vec![("score".into(), Value::Float(f64::from(n)))],
+        term: 1,
+    };
+    let burst = |n: u32| -> Vec<Request> {
+        let mut burst = vec![write(n)];
+        burst.extend(on_shard[1..].iter().map(|e| Request::GetFeatures {
+            group: "user".into(),
+            entity: e.clone(),
+            features: vec!["score".into()],
+        }));
+        burst
+    };
+
+    // The shape sheds: sent straight to the shard leader, the write is
+    // acked and a read beside it is refused.
+    let leader = cluster.leader_addrs()[0];
+    let raw = FeatureClient::connect(leader)
+        .expect("connect to the leader")
+        .call_many(&burst(1))
+        .expect("the leader answers every frame");
+    assert!(matches!(raw[0], Response::PutAck { .. }), "{raw:?}");
+    assert!(
+        raw[1..].iter().any(|r| matches!(
+            r,
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }
+        )),
+        "the set-up should shed a read: {raw:?}"
+    );
+
+    // Routed, the write keeps its ack and the shed reads are re-sent.
+    let mut router = cluster.router();
+    let results = router.route_burst(&burst(2));
+    assert!(
+        matches!(results[0], Ok(Response::PutAck { term: 1, .. })),
+        "the applied write must report its ack: {:?}",
+        results[0]
+    );
+    for result in &results[1..] {
+        assert!(
+            matches!(result, Ok(Response::Features(_)))
+                || matches!(
+                    result,
+                    Err(ClientError::Server {
+                        code: ErrorCode::Overloaded,
+                        ..
+                    })
+                ),
+            "a read is answered or refused by type: {result:?}"
+        );
+    }
+
+    // Through the front, the write's frame is its ack.
+    let front = start_router("127.0.0.1:0", cluster.control(), RouterConfig::default())
+        .expect("router front");
+    let framed = FeatureClient::connect(front.addr())
+        .expect("connect to the front")
+        .call_many(&burst(3))
+        .expect("the front answers every frame");
+    assert!(matches!(framed[0], Response::PutAck { .. }), "{framed:?}");
+
+    let got = router
+        .call(&Request::GetFeatures {
+            group: "user".into(),
+            entity: on_shard[0].clone(),
+            features: vec!["score".into()],
+        })
+        .expect("read back");
+    assert!(
+        matches!(&got, Response::Features(v) if v.values == vec![Value::Float(3.0)]),
+        "{got:?}"
+    );
     front.shutdown();
     cluster.shutdown();
 }
