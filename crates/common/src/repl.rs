@@ -133,23 +133,40 @@ impl PubLog {
 
     /// Record a publication, returning the sequence number it was assigned.
     pub fn append(&self, component: ComponentKind, component_epoch: u64, body: String) -> u64 {
+        self.append_many(component, component_epoch, [body]).start
+    }
+
+    /// Record a group of publications of one component under one lock, at
+    /// consecutive sequence numbers in iteration order; returns the range
+    /// they were assigned (empty for an empty group).
+    pub fn append_many(
+        &self,
+        component: ComponentKind,
+        component_epoch: u64,
+        bodies: impl IntoIterator<Item = String>,
+    ) -> std::ops::Range<u64> {
+        let mut evicted = Vec::new();
         let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let evicted = inner.ring.push(
-            seq,
-            DeltaRecord {
+        let first = inner.next_seq;
+        for body in bodies {
+            let seq = inner.next_seq;
+            inner.next_seq += 1;
+            evicted.extend(inner.ring.push(
                 seq,
-                component,
-                component_epoch,
-                body,
-            },
-        );
+                DeltaRecord {
+                    seq,
+                    component,
+                    component_epoch,
+                    body,
+                },
+            ));
+        }
+        let seqs = first..inner.next_seq;
         // Freed after the lock is released, so no reader or later append
         // waits on the allocator.
         drop(inner);
         drop(evicted);
-        seq
+        seqs
     }
 
     /// Sequence number of the most recent record (`0` if none yet).
@@ -216,6 +233,24 @@ mod tests {
         assert_eq!(log.append(ComponentKind::Embeddings, 1, "b".into()), 2);
         assert_eq!(log.last_seq(), 2);
         assert_eq!(log.oldest_retained(), 1);
+    }
+
+    #[test]
+    fn append_many_takes_consecutive_seqs_and_evicts_past_retention() {
+        let log = PubLog::new(3);
+        log.append(ComponentKind::Offline, 1, "a".into());
+        let seqs = log.append_many(ComponentKind::Online, 0, ["b", "c", "d"].map(String::from));
+        assert_eq!(seqs, 2..5);
+        assert_eq!(log.append_many(ComponentKind::Online, 0, []), 5..5);
+        assert_eq!(log.last_seq(), 4);
+        assert_eq!(log.oldest_retained(), 2);
+        match log.since(1) {
+            DeltaQuery::Deltas(d) => {
+                let bodies: Vec<&str> = d.iter().map(|r| r.body.as_str()).collect();
+                assert_eq!(bodies, ["b", "c", "d"]);
+            }
+            q => panic!("unexpected {q:?}"),
+        }
     }
 
     #[test]

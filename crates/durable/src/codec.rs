@@ -360,21 +360,38 @@ pub struct OnlineDelta {
 }
 
 /// The encoded body of one online write — what the WAL and the
-/// publication log both carry, encoded once.
-pub fn online_body(
+/// publication log both carry, encoded once. The bytes are exactly
+/// `encode(&OnlineDelta { .. })` of the same row (what followers and
+/// recovery decode), written straight from the borrowed row: the write
+/// path copies no names or values into an owned delta and builds no JSON
+/// tree beyond each value's own.
+pub fn online_body<S: AsRef<str>>(
     group: &str,
-    entity: &EntityKey,
-    values: &[(&str, Value)],
+    entity: &str,
+    values: &[(S, Value)],
     now: Timestamp,
 ) -> Result<String> {
-    encode(&OnlineDelta {
-        group: group.to_string(),
-        entity: entity.as_str().to_string(),
-        features: values
-            .iter()
-            .map(|(f, v)| ((*f).to_string(), v.clone(), now))
-            .collect(),
-    })
+    let written_at = encode(&now)?;
+    let mut out = String::with_capacity(64 + 48 * values.len());
+    out.push_str(r#"{"group":"#);
+    serde::escape_json_string(group, &mut out);
+    out.push_str(r#","entity":"#);
+    serde::escape_json_string(entity, &mut out);
+    out.push_str(r#","features":["#);
+    for (i, (feature, value)) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        serde::escape_json_string(feature.as_ref(), &mut out);
+        out.push(',');
+        out.push_str(&encode(value)?);
+        out.push(',');
+        out.push_str(&written_at);
+        out.push(']');
+    }
+    out.push_str("]}");
+    Ok(out)
 }
 
 /// Replay an online delta (puts overwrite, hence idempotent): one row write

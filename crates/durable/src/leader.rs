@@ -193,25 +193,36 @@ struct Wal {
 }
 
 impl Wal {
-    /// Append one publication (delta + commit marker, one write) and
-    /// return the sequence it committed at. Sequence assignment happens
-    /// under the writer lock, so on-disk order always matches sequence
-    /// order even when cells publish concurrently.
+    /// Append a group of publications (a delta each + one commit marker,
+    /// one write) and return the sequence of the commit — the group's
+    /// last. Sequence assignment happens under the writer lock, so on-disk
+    /// order always matches sequence order even when cells publish
+    /// concurrently; a refused append takes no sequence.
     ///
     /// An `Err` means the commit marker is not known to be on disk — the
-    /// write path that acknowledges clients ([`DurableLeader::log_online`])
-    /// must refuse to ack on it. Publish *hooks* have nowhere to surface
-    /// the error and drop it; the state they described becomes durable
-    /// again at the next checkpoint. (A production system would trip a
-    /// fail-stop fuse there.)
-    fn log(&self, component: ComponentKind, component_epoch: u64, body: &str) -> Result<u64> {
+    /// write path that acknowledges clients
+    /// ([`DurableLeader::log_online_many`]) must refuse to ack on it.
+    /// Publish *hooks* have nowhere to surface the error and drop it; the
+    /// state they described becomes durable again at the next checkpoint.
+    /// (A production system would trip a fail-stop fuse there.)
+    fn log_many(
+        &self,
+        component: ComponentKind,
+        component_epoch: u64,
+        bodies: &[String],
+    ) -> Result<u64> {
         let mut writer = self.writer.lock();
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        let info = writer.append_publication(seq, component, component_epoch, body)?;
+        let first = self.seq.load(Ordering::Acquire) + 1;
+        if bodies.is_empty() {
+            return Ok(first - 1);
+        }
+        let info = writer.append_group(first, component, component_epoch, bodies)?;
+        let last = first + bodies.len() as u64 - 1;
+        self.seq.store(last, Ordering::Release);
         if let Some(m) = self.metrics.lock().as_ref() {
             m.record_wal_append(info.bytes, info.fsynced);
         }
-        Ok(seq)
+        Ok(last)
     }
 }
 
@@ -281,7 +292,7 @@ impl DurableLeader {
         // in memory.
         let wal = Arc::clone(&leader.wal);
         codec::tap_publications(&leader.parts, move |component, epoch, body| {
-            let _ = wal.log(component, epoch, &body);
+            let _ = wal.log_many(component, epoch, std::slice::from_ref(&body));
         });
         Ok((leader, report))
     }
@@ -300,18 +311,20 @@ impl DurableLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64> {
-        let seq = self.log_online(&codec::online_body(group, entity, values, now)?)?;
+        let body = codec::online_body(group, entity.as_str(), values, now)?;
+        let seq = self.log_online_many(std::slice::from_ref(&body))?;
         self.parts.online.put_row(group, entity, values, now);
         Ok(seq)
     }
 
-    /// WAL-log an encoded online delta ([`codec::online_body`]) before it
-    /// is applied — the hook a replication leader calls so its
-    /// `put_online` is durable. Returns the WAL sequence of the commit
-    /// marker; `Err` means the delta is not known to be on disk and the
-    /// write must be neither applied nor acknowledged.
-    pub fn log_online(&self, body: &str) -> Result<u64> {
-        self.wal.log(ComponentKind::Online, 0, body)
+    /// WAL-log a group of encoded online deltas ([`codec::online_body`])
+    /// before they are applied — what a replication leader calls so its
+    /// writes are durable: one write, one commit marker and (under
+    /// [`FsyncPolicy::Always`]) one fsync for the whole group. Returns the
+    /// WAL sequence of the commit marker; `Err` means the group is not
+    /// known to be on disk and none of it may be applied or acknowledged.
+    pub fn log_online_many(&self, bodies: &[String]) -> Result<u64> {
+        self.wal.log_many(ComponentKind::Online, 0, bodies)
     }
 
     /// Take a checkpoint at the current published sequence and rotate the

@@ -1,16 +1,22 @@
 //! The write-ahead log: length-prefixed, CRC-checksummed records with
 //! epoch-tagged commit markers.
 //!
-//! Every publication the durable leader logs is two records, written with
-//! one `write` ([`WalWriter::append_publication`]): a [`WalRecord::Delta`]
-//! carrying the serialized change, then a [`WalRecord::Commit`] naming the
-//! sequence number the publication was assigned. The commit marker is the
-//! durability point — the fsync policy is applied there, and [`recover`]
-//! only surfaces deltas whose commit made it to disk. Everything after
-//! the last complete commit (valid-but-
-//! uncommitted deltas, torn record fragments, CRC failures) is *truncated
-//! off the file*, not just skipped: a skipped-but-kept delta would be
-//! resurrected by the next writer's commit marker.
+//! The durable leader logs publications in groups, each written with one
+//! `write` ([`WalWriter::append_group`]): one [`WalRecord::Delta`] per
+//! publication, carrying the serialized change at consecutive sequence
+//! numbers, then one [`WalRecord::Commit`] naming the last of them. A
+//! single publication is a group of one — a delta + commit pair. The
+//! commit marker is the durability point — the fsync policy is applied
+//! there, once per group, and [`recover`] only surfaces deltas whose
+//! commit made it to disk, so a torn group is dropped whole. Everything
+//! after the last complete commit (valid-but-uncommitted deltas, torn
+//! record fragments, CRC failures) is *truncated off the file*, not just
+//! skipped: a skipped-but-kept delta would be resurrected by the next
+//! writer's commit marker.
+//!
+//! A failed append is cut off the file by the writer itself, so the next
+//! successful append lands right after the last complete one rather than
+//! behind torn bytes that recovery would stop at.
 //!
 //! Record envelope (little-endian):
 //!
@@ -26,7 +32,7 @@
 
 use fstore_common::{crc32_update, ComponentKind, DeltaRecord, FsError, Result};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const KIND_DELTA: u8 = 1;
@@ -39,7 +45,8 @@ const DELTA_HEADER: usize = 17;
 pub enum FsyncPolicy {
     /// fsync at every commit marker: a crash loses nothing acknowledged.
     Always,
-    /// fsync every N commit markers: a crash loses at most N-1 commits.
+    /// fsync every N commit markers — every N groups, since a group has
+    /// one marker: a crash loses at most N-1 groups.
     EveryN(u32),
     /// Never fsync (the OS flushes eventually): fastest, weakest.
     Never,
@@ -179,7 +186,8 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>> {
     Ok(Some((record, 8 + len)))
 }
 
-/// What one [`WalWriter::append`] did, so callers can feed metrics.
+/// What one [`WalWriter::append`] or [`WalWriter::append_group`] did, so
+/// callers can feed metrics.
 #[derive(Debug, Clone, Copy)]
 pub struct AppendInfo {
     pub bytes: u64,
@@ -195,6 +203,13 @@ pub struct WalWriter {
     appends: u64,
     fsyncs: u64,
     bytes: u64,
+    /// File length after the last complete append; a failed append is cut
+    /// back to it.
+    end: u64,
+    /// Set when a failed append could not be cut back: the file may end in
+    /// torn bytes, so every later append is refused rather than written
+    /// where recovery would never reach it.
+    poisoned: bool,
     /// Reused encode buffer, so an append allocates nothing at steady state.
     buf: Vec<u8>,
 }
@@ -215,9 +230,10 @@ impl WalWriter {
         } else {
             opts.append(true);
         }
-        let file = opts
-            .open(&path)
-            .map_err(|e| FsError::Storage(format!("open WAL {}: {e}", path.display())))?;
+        let open_err =
+            |e: std::io::Error| FsError::Storage(format!("open WAL {}: {e}", path.display()));
+        let file = opts.open(&path).map_err(open_err)?;
+        let end = file.metadata().map_err(open_err)?.len();
         Ok(WalWriter {
             file,
             path,
@@ -226,6 +242,8 @@ impl WalWriter {
             appends: 0,
             fsyncs: 0,
             bytes: 0,
+            end,
+            poisoned: false,
             buf: Vec::new(),
         })
     }
@@ -241,35 +259,73 @@ impl WalWriter {
         self.write_buf(1, matches!(record, WalRecord::Commit { .. }))
     }
 
-    /// Append one whole publication — its delta and the commit marker for
-    /// `seq` — with a single write; the fsync policy applies as at any
-    /// commit.
-    pub fn append_publication(
+    /// Append a group of publications of one component with a single
+    /// write: a delta per body at consecutive sequences from `first_seq`,
+    /// then one commit marker for the last. The fsync policy applies once,
+    /// as at any commit. A group of one is exactly a delta + commit pair;
+    /// an empty group writes nothing.
+    pub fn append_group<B: AsRef<str>>(
         &mut self,
-        seq: u64,
+        first_seq: u64,
         component: ComponentKind,
         component_epoch: u64,
-        body: &str,
+        bodies: &[B],
     ) -> Result<AppendInfo> {
+        if bodies.is_empty() {
+            return Ok(AppendInfo {
+                bytes: 0,
+                fsynced: false,
+            });
+        }
         self.buf.clear();
-        put_delta(&mut self.buf, seq, component, component_epoch, body)?;
-        put_commit(&mut self.buf, seq)?;
-        self.write_buf(2, true)
+        for (seq, body) in (first_seq..).zip(bodies) {
+            put_delta(
+                &mut self.buf,
+                seq,
+                component,
+                component_epoch,
+                body.as_ref(),
+            )?;
+        }
+        put_commit(&mut self.buf, first_seq + bodies.len() as u64 - 1)?;
+        self.write_buf(bodies.len() as u64 + 1, true)
     }
 
+    /// Write the encoded buffer (and fsync if a commit makes one due). On
+    /// an `Err` the file is cut back to where this append started.
     fn write_buf(&mut self, records: u64, commits: bool) -> Result<AppendInfo> {
-        self.file
-            .write_all(&self.buf)
-            .map_err(|e| FsError::Storage(format!("append to WAL {}: {e}", self.path.display())))?;
+        let written = if self.poisoned {
+            Err(FsError::Storage(format!(
+                "WAL {} refuses appends: an earlier failed append could not be cut back",
+                self.path.display()
+            )))
+        } else {
+            self.write_and_sync(commits)
+        };
         let bytes = self.buf.len() as u64;
         // A rare large record must not pin its buffer for the log's life.
         self.buf.clear();
         self.buf.shrink_to(64 << 10);
-        self.appends += records;
-        self.bytes += bytes;
-        let mut fsynced = false;
-        if commits {
-            let due = match self.policy {
+        match written {
+            Ok(fsynced) => {
+                self.end += bytes;
+                self.appends += records;
+                self.bytes += bytes;
+                Ok(AppendInfo { bytes, fsynced })
+            }
+            Err(e) => {
+                self.cut_back();
+                Err(e)
+            }
+        }
+    }
+
+    fn write_and_sync(&mut self, commits: bool) -> Result<bool> {
+        self.file
+            .write_all(&self.buf)
+            .map_err(|e| FsError::Storage(format!("append to WAL {}: {e}", self.path.display())))?;
+        let due = commits
+            && match self.policy {
                 FsyncPolicy::Always => true,
                 FsyncPolicy::EveryN(n) => {
                     self.commits_since_sync += 1;
@@ -277,12 +333,27 @@ impl WalWriter {
                 }
                 FsyncPolicy::Never => false,
             };
-            if due {
-                self.sync()?;
-                fsynced = true;
-            }
+        if due {
+            self.sync()?;
         }
-        Ok(AppendInfo { bytes, fsynced })
+        Ok(due)
+    }
+
+    /// Drop whatever a failed append left past the last complete one. The
+    /// seek matters for a file opened with `truncate` (no `O_APPEND`):
+    /// its cursor sits after the torn bytes.
+    fn cut_back(&mut self) {
+        if self.poisoned {
+            return;
+        }
+        let end = self.end;
+        let cut = self.file.set_len(end);
+        if cut
+            .and_then(|()| self.file.seek(SeekFrom::Start(end)))
+            .is_err()
+        {
+            self.poisoned = true;
+        }
     }
 
     /// Force an fsync regardless of policy.
@@ -472,6 +543,69 @@ mod tests {
         let mut w = WalWriter::open(&path, FsyncPolicy::Never, true).unwrap();
         assert!(!w.append(&WalRecord::Commit { seq: 1 }).unwrap().fsynced);
         assert_eq!(w.fsyncs(), 0);
+    }
+
+    #[test]
+    fn a_group_is_one_write_with_one_commit_and_one_policy_tick() {
+        let path = tmp("group.log");
+        let mut w = WalWriter::open(&path, FsyncPolicy::EveryN(2), true).unwrap();
+        let first = w
+            .append_group(1, ComponentKind::Online, 0, &["a", "b", "c"])
+            .unwrap();
+        assert!(
+            !first.fsynced,
+            "the first group is the first of two commits"
+        );
+        assert!(
+            w.append_group(4, ComponentKind::Online, 0, &["d"])
+                .unwrap()
+                .fsynced
+        );
+        let empty = w.append_group(5, ComponentKind::Online, 0, &[] as &[&str]);
+        assert_eq!(empty.unwrap().bytes, 0);
+        assert_eq!((w.appends(), w.fsyncs()), (6, 1));
+        drop(w);
+
+        let bytes = std::fs::read(&path).unwrap();
+        let mut records = Vec::new();
+        let mut at = 0;
+        while let Some((record, used)) = decode_record(&bytes[at..]).unwrap() {
+            records.push(record);
+            at += used;
+        }
+        let online = |seq, body: &str| {
+            WalRecord::Delta(DeltaRecord {
+                seq,
+                component: ComponentKind::Online,
+                component_epoch: 0,
+                body: body.into(),
+            })
+        };
+        assert_eq!(
+            records,
+            [
+                online(1, "a"),
+                online(2, "b"),
+                online(3, "c"),
+                WalRecord::Commit { seq: 3 },
+                online(4, "d"),
+                WalRecord::Commit { seq: 4 },
+            ]
+        );
+        assert_eq!(first.bytes as usize + 44, bytes.len());
+    }
+
+    #[test]
+    fn a_writer_that_cannot_cut_a_failed_append_back_refuses_the_rest() {
+        // Every write to /dev/full fails, and a character device cannot be
+        // truncated: the writer poisons itself instead of appending after
+        // bytes it could not remove.
+        let mut w = WalWriter::open("/dev/full", FsyncPolicy::Never, false).unwrap();
+        let refused = w.append_group(1, ComponentKind::Online, 0, &["x"]);
+        assert!(matches!(refused, Err(FsError::Storage(_))));
+        let again = w.append_group(1, ComponentKind::Online, 0, &["x"]);
+        assert!(again.unwrap_err().to_string().contains("refuses appends"));
+        assert_eq!((w.appends(), w.bytes()), (0, 0));
     }
 
     #[test]

@@ -21,8 +21,8 @@ use fstore_common::{
 };
 use fstore_durable::checkpoint::{decode_online_bin, encode_online_bin, ONLINE_MAGIC};
 use fstore_durable::codec::{
-    crc_block, decode_snapshot, encode_snapshot, online_body, FullSnapshot, IndexBuild, OnlineRows,
-    VersionRepr, SNAPSHOT_MAGIC,
+    crc_block, decode_snapshot, encode, encode_snapshot, online_body, FullSnapshot, IndexBuild,
+    OnlineDelta, OnlineRows, VersionRepr, SNAPSHOT_MAGIC,
 };
 use fstore_durable::wal::{decode_record, encode_record};
 use fstore_durable::{FsyncPolicy, WalRecord, WalWriter};
@@ -187,7 +187,7 @@ fn sample() -> FullSnapshot {
 fn wal_records() -> [WalRecord; 2] {
     let body = online_body(
         "user",
-        &EntityKey::new("u1"),
+        "u1",
         &[
             ("score", Value::Float(0.5)),
             ("tier", Value::Str("gold".into())),
@@ -281,6 +281,8 @@ fn golden_records_decode_and_reencode_byte_identically() {
     assert_eq!(used + rest, wal.len());
 }
 
+/// A publication is a WAL group of one: its single write is exactly the
+/// golden delta + commit pair.
 #[test]
 fn one_publication_is_one_write_of_the_golden_pair() {
     let path = std::env::temp_dir().join(format!("fstore_formats_{}.log", std::process::id()));
@@ -290,11 +292,11 @@ fn one_publication_is_one_write_of_the_golden_pair() {
         unreachable!("the first record is the delta")
     };
     let info = writer
-        .append_publication(
+        .append_group(
             delta.seq,
             delta.component,
             delta.component_epoch,
-            &delta.body,
+            std::slice::from_ref(&delta.body),
         )
         .unwrap();
     let on_disk = std::fs::read(&path).unwrap();
@@ -386,7 +388,46 @@ fn reseal_wal(record: &mut [u8]) {
     record[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("écrit 🦀 \"quoted\" back\\slash\ttab\u{1}".to_string()),
+        proptest::collection::vec(any::<u8>(), 0..24)
+            .prop_map(|bs| String::from_utf8_lossy(&bs).into_owned()),
+    ]
+}
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        any::<bool>().prop_map(Value::Bool),
+        arb_text().prop_map(Value::Str),
+        any::<i64>().prop_map(|ms| Value::Timestamp(Timestamp::millis(ms))),
+    ]
+}
+
 proptest! {
+    /// The write path's direct online encoder writes exactly the JSON of
+    /// the equivalent `OnlineDelta` — the type followers and recovery
+    /// decode — for any names, any values and any write time.
+    #[test]
+    fn online_body_is_the_json_of_its_delta(
+        group in arb_text(),
+        entity in arb_text(),
+        row in proptest::collection::vec((arb_text(), arb_value()), 0..5),
+        now in any::<i64>(),
+    ) {
+        let now = Timestamp::millis(now);
+        let delta = OnlineDelta {
+            group: group.clone(),
+            entity: entity.clone(),
+            features: row.iter().map(|(f, v)| (f.clone(), v.clone(), now)).collect(),
+        };
+        prop_assert_eq!(online_body(&group, &entity, &row, now).unwrap(), encode(&delta).unwrap());
+    }
+
     /// A single flipped bit anywhere is caught: a typed error for the
     /// snapshot and `online.bin`; for the WAL, the records before the
     /// damaged one survive and decoding stops there.

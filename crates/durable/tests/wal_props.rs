@@ -1,8 +1,8 @@
 //! Property tests for the WAL record format: every record round-trips
 //! byte-exactly, strict prefixes of a valid record read as torn (never as
-//! a different record, never a panic), and a log of N committed
+//! a different record, never a panic), and a log of committed groups of
 //! publications cut at an arbitrary byte recovers exactly some prefix of
-//! those publications — nothing reordered, nothing invented.
+//! whole groups — nothing reordered, nothing invented, no group split.
 
 use fstore_common::{ComponentKind, DeltaRecord};
 use fstore_durable::wal::{decode_record, encode_record, recover};
@@ -88,35 +88,39 @@ proptest! {
         prop_assert_eq!(used + used2, buf.len());
     }
 
-    /// Write N committed publications, cut the file at an arbitrary byte,
-    /// and recover: the result is exactly the longest prefix of complete
-    /// commit units that fits in the cut — in order, byte-preserved, and
-    /// stable under a second recovery.
+    /// Write committed groups of random size with one `append_group`
+    /// each, cut the file at an arbitrary byte, and recover: the result is
+    /// exactly the longest prefix of *whole* groups that fits in the cut —
+    /// in order, byte-preserved, and stable under a second recovery.
     #[test]
     fn any_cut_recovers_an_exact_committed_prefix(
-        bodies in proptest::collection::vec(arb_body(), 1..6),
+        groups in proptest::collection::vec(proptest::collection::vec(arb_body(), 1..5), 1..6),
         permille in 0u32..1001,
     ) {
-        let path = tmp(&format!("cut-{:x}.log", crc_of(&bodies, permille)));
+        let path = tmp(&format!("cut-{:x}.log", crc_of(&groups.concat(), permille)));
         std::fs::remove_file(&path).ok();
 
-        // Write the full log and remember where each commit unit ends.
+        // Write the full log and remember where each group ends and how
+        // many deltas precede that end.
         let mut writer = WalWriter::open(&path, FsyncPolicy::Never, true).unwrap();
-        let mut unit_ends = Vec::new();
+        let mut group_ends = Vec::new();
         let mut deltas = Vec::new();
         let mut end = 0usize;
-        for (i, body) in bodies.iter().enumerate() {
-            let seq = (i + 1) as u64;
-            let delta = DeltaRecord {
-                seq,
-                component: ComponentKind::Online,
-                component_epoch: 0,
-                body: body.clone(),
-            };
-            end += writer.append(&WalRecord::Delta(delta.clone())).unwrap().bytes as usize;
-            end += writer.append(&WalRecord::Commit { seq }).unwrap().bytes as usize;
-            unit_ends.push(end);
-            deltas.push(delta);
+        for bodies in &groups {
+            let first = deltas.len() as u64 + 1;
+            end += writer
+                .append_group(first, ComponentKind::Online, 0, bodies)
+                .unwrap()
+                .bytes as usize;
+            for (seq, body) in (first..).zip(bodies) {
+                deltas.push(DeltaRecord {
+                    seq,
+                    component: ComponentKind::Online,
+                    component_epoch: 0,
+                    body: body.clone(),
+                });
+            }
+            group_ends.push((end, deltas.len()));
         }
         writer.sync().unwrap();
         drop(writer);
@@ -126,20 +130,21 @@ proptest! {
         let cut = full.len() * permille as usize / 1000;
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let survivors = unit_ends.iter().filter(|&&e| e <= cut).count();
+        let (keep, survivors) = group_ends
+            .iter()
+            .copied()
+            .take_while(|&(end, _)| end <= cut)
+            .last()
+            .unwrap_or((0, 0));
         let replay = recover(&path).unwrap();
         prop_assert_eq!(replay.committed.len(), survivors);
         prop_assert_eq!(&replay.committed[..], &deltas[..survivors]);
         prop_assert_eq!(replay.last_seq, survivors as u64);
-        prop_assert_eq!(
-            replay.truncated_bytes,
-            (cut - unit_ends.get(survivors.wrapping_sub(1)).copied().unwrap_or(0)) as u64
-        );
+        prop_assert_eq!(replay.truncated_bytes, (cut - keep) as u64);
 
         // The truncation left exactly the durable prefix on disk, and a
         // second recovery is a clean no-op over it.
         let after = std::fs::read(&path).unwrap();
-        let keep = unit_ends.get(survivors.wrapping_sub(1)).copied().unwrap_or(0);
         prop_assert_eq!(&after[..], &full[..keep]);
         let again = recover(&path).unwrap();
         prop_assert_eq!(again.committed.len(), survivors);

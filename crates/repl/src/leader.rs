@@ -8,8 +8,9 @@
 //! snapshot against the previous one and appends the delta — stamped with
 //! the component's own cell epoch — to the shared [`PubLog`]. The online
 //! store has no cell, so replicated online writes go through
-//! [`ReplLeader::put_online`], which encodes once, logs, applies, then
-//! publishes.
+//! [`ReplLeader::put_online_many`] (or `put_online`, a group of one),
+//! which encodes each write once, logs the group with one WAL write,
+//! applies, then publishes the group under one log lock.
 //!
 //! Every publication is logged, even one whose diff is empty: the epoch
 //! bump itself is state a follower must reproduce, or its echoed epochs
@@ -20,7 +21,7 @@ use fstore_common::{
     ComponentKind, DeltaQuery, EntityKey, FsError, PubLog, Timestamp, Value, DEFAULT_LOG_RETENTION,
 };
 use fstore_durable::{DurableLeader, LeaderParts};
-use fstore_serve::{Clock, ReplLogState, ReplProvider, ServeEngine};
+use fstore_serve::{Clock, OnlineWrite, ReplLogState, ReplProvider, ServeEngine};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -62,8 +63,8 @@ impl ReplLeader {
     /// this leader's replicated online writes durable too. Hooks stack:
     /// cell-backed publications already reach both the publication log and
     /// the WAL through their own [`add_publish_hook`] registrations; the
-    /// online store has no cell, so [`put_online`](Self::put_online)
-    /// forwards each write explicitly once attached.
+    /// online store has no cell, so [`put_online_many`](Self::put_online_many)
+    /// forwards each group of writes explicitly once attached.
     ///
     /// [`add_publish_hook`]: fstore_storage::OfflineDb::add_publish_hook
     pub fn attach_durable(&self, durable: Arc<DurableLeader>) {
@@ -80,13 +81,10 @@ impl ReplLeader {
 
     /// Write one entity's features to the online store *and* record the
     /// write in the publication log, returning the publication sequence
-    /// it landed at. Replicated online writes must go through here — a bare
-    /// [`fstore_storage::OnlineStore::put`] is invisible to followers (the
-    /// online store has no snapshot cell to hook).
-    ///
-    /// The write is encoded once, WAL-logged (with a durable leader
-    /// attached), applied, then published. An `Err` — no encoding, or a
-    /// commit marker *not* known durable — applied and published nothing.
+    /// it landed at: [`put_online_many`](Self::put_online_many) with a
+    /// group of one. Replicated online writes must go through here or
+    /// there — a bare [`fstore_storage::OnlineStore::put`] is invisible to
+    /// followers (the online store has no snapshot cell to hook).
     pub fn put_online(
         &self,
         group: &str,
@@ -94,12 +92,55 @@ impl ReplLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64, FsError> {
-        let body = codec::online_body(group, entity, values, now)?;
-        if let Some(durable) = self.durable.lock().as_ref() {
-            durable.log_online(&body)?;
+        let write = OnlineWrite {
+            group,
+            entity: entity.as_str(),
+            values,
+        };
+        let mut results = self.put_online_many(&[write], now);
+        results.pop().expect("one result per write")
+    }
+
+    /// Write a group of entities' features, in order, and return per
+    /// write the publication sequence it landed at — consecutive across
+    /// the writes that succeed. Each body is encoded once; the group is
+    /// WAL-logged with one write and one commit marker (with a durable
+    /// leader attached), applied, then published under one log lock.
+    ///
+    /// A write that does not encode fails alone. A group whose commit
+    /// marker is *not* known durable fails whole: none of it was applied
+    /// or published.
+    pub fn put_online_many<S: AsRef<str>>(
+        &self,
+        writes: &[OnlineWrite<'_, S>],
+        now: Timestamp,
+    ) -> Vec<Result<u64, FsError>> {
+        let mut results: Vec<Result<u64, FsError>> = Vec::with_capacity(writes.len());
+        let mut bodies = Vec::with_capacity(writes.len());
+        for w in writes {
+            match codec::online_body(w.group, w.entity, w.values, now) {
+                Ok(body) => {
+                    bodies.push(body);
+                    results.push(Ok(0));
+                }
+                Err(e) => results.push(Err(e)),
+            }
         }
-        self.parts.online.put_row(group, entity, values, now);
-        Ok(self.log.append(ComponentKind::Online, 0, body))
+        if let Some(durable) = self.durable.lock().as_ref() {
+            if let Err(e) = durable.log_online_many(&bodies) {
+                return results.into_iter().map(|r| r.and(Err(e.clone()))).collect();
+            }
+        }
+        let encoded = writes.iter().zip(&results).filter(|(_, r)| r.is_ok());
+        for (w, _) in encoded {
+            let entity = EntityKey::new(w.entity);
+            self.parts.online.put_row(w.group, &entity, w.values, now);
+        }
+        let mut seqs = self.log.append_many(ComponentKind::Online, 0, bodies);
+        for result in results.iter_mut().filter(|r| r.is_ok()) {
+            *result = Ok(seqs.next().expect("one sequence per encoded write"));
+        }
+        results
     }
 
     /// The attached durable leader, if any.
@@ -123,18 +164,12 @@ impl ReplLeader {
 /// publication log (followers), and — with a durable leader attached —
 /// the WAL, before the ack leaves the box.
 impl fstore_serve::WriteProvider for ReplLeader {
-    fn put_online(
+    fn put_online_many(
         &self,
-        group: &str,
-        entity: &EntityKey,
-        values: &[(String, Value)],
+        writes: &[OnlineWrite<'_>],
         now: Timestamp,
-    ) -> Result<u64, FsError> {
-        let borrowed: Vec<(&str, Value)> = values
-            .iter()
-            .map(|(f, v)| (f.as_str(), v.clone()))
-            .collect();
-        ReplLeader::put_online(self, group, entity, &borrowed, now)
+    ) -> Vec<Result<u64, FsError>> {
+        ReplLeader::put_online_many(self, writes, now)
     }
 }
 

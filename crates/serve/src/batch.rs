@@ -8,9 +8,11 @@
 //! requests coalesce the same way on `(table, k, options)`: the worker
 //! resolves the index snapshot `Arc` once and runs the whole group as one
 //! multi-query pass, so a swap
-//! cannot land between members of a batch. Under light load the drain
-//! comes back empty and requests run singly with no added latency; no
-//! timers are involved.
+//! cannot land between members of a batch. Every `PutOnline` of a drain
+//! forms one write group, answered with one fenced group commit (one
+//! lock, one WAL write, one publication-log append). Under light load the
+//! drain comes back empty and requests run singly with no added latency;
+//! no timers are involved.
 
 use crate::protocol::{Request, Response, SearchOptions};
 use bytes::BytesMut;
@@ -91,6 +93,8 @@ pub struct Plan {
     pub batches: Vec<FeatureBatch>,
     /// Coalesced `SearchNearest` groups of two or more.
     pub searches: Vec<SearchBatch>,
+    /// Every `PutOnline`, in arrival order: one write group, of any size.
+    pub writes: Vec<Job>,
     /// Everything else, executed one by one.
     pub singles: Vec<Job>,
 }
@@ -107,15 +111,16 @@ pub fn drain(rx: &Receiver<Job>, first: Job, max: usize) -> Vec<Job> {
     jobs
 }
 
-/// Partition drained jobs into coalesced feature batches and singles.
-/// Groups form in first-arrival order and keep arrival order within. A
-/// job joins the group whose first member's key equals its own, compared
-/// in place: a drain is at most `max_batch` jobs over a handful of
-/// distinct keys, so the scan is short and planning allocates per group,
-/// not per job.
+/// Partition drained jobs into coalesced batches, the write group and
+/// singles. Groups form in first-arrival order and keep arrival order
+/// within. A job joins the group whose first member's key equals its own,
+/// compared in place: a drain is at most `max_batch` jobs over a handful
+/// of distinct keys, so the scan is short and planning allocates per
+/// group, not per job.
 pub fn plan(jobs: Vec<Job>) -> Plan {
     let mut batches: Vec<FeatureBatch> = Vec::new();
     let mut searches: Vec<SearchBatch> = Vec::new();
+    let mut writes = Vec::new();
     let mut singles = Vec::new();
     for job in jobs {
         match &job.request {
@@ -137,6 +142,7 @@ pub fn plan(jobs: Vec<Job>) -> Plan {
                     None => searches.push(SearchBatch { jobs: vec![job] }),
                 }
             }
+            Request::PutOnline { .. } => writes.push(job),
             _ => singles.push(job),
         }
     }
@@ -148,6 +154,7 @@ pub fn plan(jobs: Vec<Job>) -> Plan {
     Plan {
         batches,
         searches,
+        writes,
         singles,
     }
 }
@@ -228,6 +235,34 @@ mod tests {
         assert_eq!(plan.searches[0].jobs.len(), 2);
         assert_eq!(plan.singles.len(), 4);
         assert!(plan.batches.is_empty());
+    }
+
+    #[test]
+    fn every_write_of_a_drain_joins_one_group_in_arrival_order() {
+        let put = |entity: &str, term| Request::PutOnline {
+            group: "user".into(),
+            entity: entity.into(),
+            values: Vec::new(),
+            term,
+        };
+        let jobs = vec![
+            job(put("u1", 3)),
+            job(get("user", "u1", &["a"])),
+            job(put("u2", 4)), // a different term still joins the group
+            job(Request::Health),
+            job(put("u3", 3)),
+        ];
+        let plan = plan(jobs);
+        let entities: Vec<&str> = plan
+            .writes
+            .iter()
+            .map(|j| match &j.request {
+                Request::PutOnline { entity, .. } => entity.as_str(),
+                _ => unreachable!("plan() only groups PutOnline as writes"),
+            })
+            .collect();
+        assert_eq!(entities, ["u1", "u2", "u3"]);
+        assert_eq!(plan.singles.len(), 2);
     }
 
     #[test]

@@ -82,6 +82,6 @@ pub use protocol::{
 pub use repl::{ReplLogState, ReplProvider};
 pub use retry::{classify, ErrorClass, RetryPolicy, RetryingClient};
 pub use server::{
-    atomic_clock, fixed_clock, start, Clock, PromoteHook, ReadScratch, ServeConfig,
+    atomic_clock, fixed_clock, start, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig,
     ServeConfigBuilder, ServeEngine, ServerHandle, WriteProvider, WriteState,
 };

@@ -180,6 +180,9 @@ pub struct ServingMetrics {
     /// Wire: frames received / sent on serving connections.
     wire_frames_rx: AtomicU64,
     wire_frames_tx: AtomicU64,
+    /// Wire: socket writes that sent those frames — below `frames_tx`
+    /// when connection writers coalesce replies that were ready together.
+    wire_writes_tx: AtomicU64,
     /// Wire: read-buffer (re)allocations on the receive path. Connection
     /// readers grow their buffer to the connection's working frame size
     /// and then reuse it, so at steady state this counter stops moving —
@@ -233,6 +236,7 @@ impl Default for ServingMetrics {
             wire_bytes_tx: AtomicU64::new(0),
             wire_frames_rx: AtomicU64::new(0),
             wire_frames_tx: AtomicU64::new(0),
+            wire_writes_tx: AtomicU64::new(0),
             wire_payload_allocs: AtomicU64::new(0),
             frame_pool: Arc::new(FramePool::default()),
             embed_copies: AtomicU64::new(0),
@@ -353,10 +357,11 @@ impl ServingMetrics {
     }
 
     /// Record send-side wire traffic: `bytes` on the socket (headers
-    /// included) carrying `frames` frames.
-    pub fn record_wire_tx(&self, bytes: u64, frames: u64) {
+    /// included) carrying `frames` frames in `writes` socket writes.
+    pub fn record_wire_tx(&self, bytes: u64, frames: u64, writes: u64) {
         self.wire_bytes_tx.fetch_add(bytes, Ordering::Relaxed);
         self.wire_frames_tx.fetch_add(frames, Ordering::Relaxed);
+        self.wire_writes_tx.fetch_add(writes, Ordering::Relaxed);
     }
 
     /// The shared encode-buffer pool connection writers draw from.
@@ -527,6 +532,7 @@ impl ServingMetrics {
                     bytes_tx: self.wire_bytes_tx.load(Ordering::Relaxed),
                     frames_rx: self.wire_frames_rx.load(Ordering::Relaxed),
                     frames_tx: self.wire_frames_tx.load(Ordering::Relaxed),
+                    writes_tx: self.wire_writes_tx.load(Ordering::Relaxed),
                     payload_allocs: self.wire_payload_allocs.load(Ordering::Relaxed),
                     pool_hits,
                     pool_misses,
@@ -603,6 +609,9 @@ pub struct WireSnapshot {
     pub bytes_tx: u64,
     pub frames_rx: u64,
     pub frames_tx: u64,
+    /// Socket writes that carried `frames_tx` (fewer under pipelining:
+    /// replies answered together leave in one write).
+    pub writes_tx: u64,
     pub payload_allocs: u64,
     pub pool_hits: u64,
     pub pool_misses: u64,
@@ -807,7 +816,8 @@ mod tests {
     fn wire_counters_flow_into_the_snapshot() {
         let m = ServingMetrics::new();
         m.record_wire_rx(104, 2, 1);
-        m.record_wire_tx(52, 1);
+        m.record_wire_tx(52, 1, 1);
+        m.record_wire_tx(78, 3, 1);
         // Draw from the pool twice: a miss (cold), then a hit (recycled).
         let pool = m.frame_pool();
         let buf = pool.get();
@@ -816,9 +826,10 @@ mod tests {
         pool.put(buf);
         let snap = m.snapshot();
         assert_eq!(snap.wire.bytes_rx, 104);
-        assert_eq!(snap.wire.bytes_tx, 52);
+        assert_eq!(snap.wire.bytes_tx, 130);
         assert_eq!(snap.wire.frames_rx, 2);
-        assert_eq!(snap.wire.frames_tx, 1);
+        assert_eq!(snap.wire.frames_tx, 4);
+        assert_eq!(snap.wire.writes_tx, 2);
         assert_eq!(snap.wire.payload_allocs, 1);
         assert_eq!(snap.wire.pool_misses, 1);
         assert_eq!(snap.wire.pool_hits, 1);
@@ -829,6 +840,7 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&m.dump_json()).unwrap();
         assert_eq!(v["wire"]["frames_rx"].as_u64(), Some(2));
         assert_eq!(v["wire"]["payload_allocs"].as_u64(), Some(1));
+        assert_eq!(v["wire"]["writes_tx"].as_u64(), Some(2));
     }
 
     #[test]

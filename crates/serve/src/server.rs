@@ -16,7 +16,8 @@
 //!                                │ reply (per-request slot)
 //!                                ▼
 //!                        connection writer threads (one per socket):
-//!                          pop slots in order ─▶ (encode the rest) ─▶ frame out
+//!                          pop slots in order ─▶ frame every ready reply
+//!                          ─▶ one socket write per run
 //! ```
 //!
 //! Connection threads never execute store code. Each connection is a
@@ -24,26 +25,28 @@
 //! [`ServeConfig::pipeline_depth`] in flight) while the writer streams
 //! responses back **in request order** — ordering is carried by the queue
 //! of reply slots, so the wire needs no correlation IDs (DESIGN §2.16).
-//! Workers claim a job plus whatever else is queued and coalesce
-//! compatible lookups into one batch serve. Shutdown is graceful:
+//! Workers claim a job plus whatever else is queued, coalesce compatible
+//! lookups into one batch serve, and answer the drain's writes as one
+//! fenced group commit ([`WriteState::put_online_many`]). Shutdown is graceful:
 //! admission flips to draining, open sockets are shut down, and workers
 //! finish every admitted job before exiting.
 
 use crate::admission::{AdmissionController, AdmitReject};
 use crate::batch::{self, Job, Reply};
 use crate::catalog::{CatalogError, IndexCatalog, SearchOutcome};
-use crate::codec::{write_frame_vectored, FrameEvent, FramePool, FrameReader};
+use crate::codec::{put_frame, FrameEvent, FramePool, FrameReader};
 use crate::metrics::ServingMetrics;
 use crate::protocol::{ErrorCode, Request, Response, RowEncoder, WireDelta, WireVector};
 use crate::repl::{check_snapshot_len, ReplProvider};
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, TryRecvError};
 use fstore_common::DeltaQuery;
-use fstore_common::{EntityKey, FsError, Timestamp, Value};
+use fstore_common::{FsError, Timestamp, Value};
 use fstore_core::{stale_error, FeatureServer, StaleRefused};
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
 use fstore_storage::FeatureId;
 use parking_lot::Mutex;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -218,20 +221,60 @@ pub fn atomic_clock(millis: Arc<AtomicI64>) -> Clock {
     Arc::new(move || Timestamp::millis(millis.load(Ordering::Acquire)))
 }
 
+/// One entity's feature values on their way into the online store,
+/// borrowed from whoever holds them (a `PutOnline` request, a caller's
+/// slice of `(&str, Value)` pairs).
+#[derive(Debug)]
+pub struct OnlineWrite<'a, S = String> {
+    pub group: &'a str,
+    pub entity: &'a str,
+    pub values: &'a [(S, Value)],
+}
+
+// Borrows only, whatever the name type: copyable without `S: Copy`.
+impl<S> Clone for OnlineWrite<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for OnlineWrite<'_, S> {}
+
 /// The engine-side sink for fenced online writes. A replication leader
-/// implements this by applying the row, appending it to its publication
-/// log, and — when durability is attached — returning only after the
-/// delta's WAL commit point, so a `PutAck` always names a committed write.
+/// implements this by applying the rows, appending them to its
+/// publication log, and — when durability is attached — returning only
+/// after the group's WAL commit point, so a `PutAck` always names a
+/// committed write.
 pub trait WriteProvider: Send + Sync {
-    /// Apply one entity's features and return the replication sequence
-    /// number the write was published at.
-    fn put_online(
+    /// Apply a group of writes in order and return, per write, the
+    /// replication sequence number it was published at. A single write is
+    /// a group of one.
+    fn put_online_many(
         &self,
-        group: &str,
-        entity: &EntityKey,
-        values: &[(String, Value)],
+        writes: &[OnlineWrite<'_>],
         now: Timestamp,
-    ) -> fstore_common::Result<u64>;
+    ) -> Vec<fstore_common::Result<u64>>;
+}
+
+/// The fenced write a `PutOnline` request carries: the leader term it is
+/// stamped with, and its row.
+fn fenced_write(request: &Request) -> Option<(u64, OnlineWrite<'_>)> {
+    match request {
+        Request::PutOnline {
+            group,
+            entity,
+            values,
+            term,
+        } => Some((
+            *term,
+            OnlineWrite {
+                group,
+                entity,
+                values,
+            },
+        )),
+        _ => None,
+    }
 }
 
 /// What a promotion hook does: turn this node into a write leader (stop
@@ -299,45 +342,79 @@ impl WriteState {
         self.inner.lock().provider.is_some()
     }
 
-    /// Handle one fenced write. The write applies only when `term` equals
-    /// the node's current term and a provider is installed; a *newer*
-    /// term proves this node was superseded by a promotion it never heard
+    /// Handle a group of fenced writes, each stamped with its term, and
+    /// answer each in order. A write applies only when its term equals the
+    /// node's current term and a provider is installed; a *newer* term
+    /// proves this node was superseded by a promotion it never heard
     /// about, so it self-fences (drops its provider) before refusing.
-    pub fn put_online(
+    ///
+    /// The whole group holds the lock once. Accepted writes collect into a
+    /// run that the provider commits as one group; a fence met mid-group
+    /// first commits the run accepted so far, under the old term, so every
+    /// answer equals what running the writes one at a time would give.
+    pub fn put_online_many(
         &self,
-        group: &str,
-        entity: &str,
-        values: &[(String, Value)],
-        term: u64,
+        writes: &[(u64, OnlineWrite<'_>)],
         now: Timestamp,
-    ) -> Response {
+    ) -> Vec<Response> {
         let mut inner = self.inner.lock();
-        if term > inner.term {
-            // Someone holds a map from a later promotion: this node's
-            // leadership (if any) is over. Fence first, then refuse.
-            inner.term = term;
-            inner.provider = None;
-            return Self::not_leader(inner.term);
+        let mut answers: Vec<Option<Response>> = Vec::with_capacity(writes.len());
+        let mut run: Vec<OnlineWrite<'_>> = Vec::new();
+        for &(term, write) in writes {
+            if term > inner.term {
+                // Someone holds a map from a later promotion: this node's
+                // leadership (if any) is over. Commit what was accepted
+                // before the news, then fence, then refuse.
+                Self::commit(&inner, &mut run, &mut answers, now);
+                inner.term = term;
+                inner.provider = None;
+            }
+            if inner.provider.is_some() && term == inner.term {
+                run.push(write);
+                answers.push(None);
+            } else {
+                answers.push(Some(Self::not_leader(inner.term)));
+            }
         }
-        let Some(provider) = inner.provider.clone() else {
-            return Self::not_leader(inner.term);
-        };
-        if term < inner.term {
-            return Self::not_leader(inner.term);
+        Self::commit(&inner, &mut run, &mut answers, now);
+        answers
+            .into_iter()
+            .map(|answer| answer.expect("every accepted write was committed"))
+            .collect()
+    }
+
+    /// Commit the accepted `run` through the provider and fill in the
+    /// answers it left open, in order. Applying under the lock keeps "term
+    /// matched" and "row applied" one atomic step; the provider returns
+    /// only after the group is in the WAL (when durability is attached),
+    /// so every ack names a committed write.
+    fn commit(
+        inner: &WriteInner,
+        run: &mut Vec<OnlineWrite<'_>>,
+        answers: &mut [Option<Response>],
+        now: Timestamp,
+    ) {
+        if run.is_empty() {
+            return;
         }
-        // Applying under the lock keeps "term matched" and "row applied"
-        // one atomic step; the provider returns only after the write is
-        // in the WAL (when durability is attached), so the ack below
-        // always names a committed write.
-        match provider.put_online(group, &EntityKey::new(entity), values, now) {
-            Ok(epoch) => Response::PutAck {
-                epoch,
-                term: inner.term,
-            },
-            Err(e) => Response::error(
-                ErrorCode::Internal,
-                format!("write not committed (retry may duplicate): {e}"),
-            ),
+        let provider = inner
+            .provider
+            .as_ref()
+            .expect("a run only forms under an installed provider");
+        let results = provider.put_online_many(run, now);
+        run.clear();
+        let open = answers.iter_mut().filter(|a| a.is_none());
+        for (answer, result) in open.zip(results) {
+            *answer = Some(match result {
+                Ok(epoch) => Response::PutAck {
+                    epoch,
+                    term: inner.term,
+                },
+                Err(e) => Response::error(
+                    ErrorCode::Internal,
+                    format!("write not committed (retry may duplicate): {e}"),
+                ),
+            });
         }
     }
 
@@ -768,14 +845,11 @@ impl ServeEngine {
                     },
                 }
             }
-            Request::PutOnline {
-                group,
-                entity,
-                values,
-                term,
-            } => self
-                .writes
-                .put_online(group, entity, values, *term, self.now()),
+            Request::PutOnline { .. } => {
+                let write = fenced_write(request).expect("the arm matched a PutOnline");
+                let mut answers = self.writes.put_online_many(&[write], self.now());
+                answers.pop().expect("one answer per write")
+            }
             Request::Promote { shard: _, term } => self.writes.promote(*term),
             Request::Demote { shard: _, term } => self.writes.demote(*term),
         }
@@ -1108,41 +1182,44 @@ fn connection_loop(
     let _ = writer.join();
 }
 
-/// Per-socket writer: pop reply slots in request order, wait on each one,
-/// and write its frame vectored (header + payload, one syscall, no copy).
-/// A feature read arrives already encoded in a pooled frame, which goes
-/// back to the pool here; any other response is encoded into this
-/// connection's own reusable buffer. Popping in push order is the entire
-/// ordering guarantee — responses leave the socket in exactly the order
-/// requests arrived, so the wire needs no correlation IDs.
-fn writer_loop(stream: &TcpStream, slots: &Receiver<Receiver<Reply>>, metrics: &ServingMetrics) {
+/// Per-socket writer: pop reply slots in request order and send their
+/// frames. It blocks for the next reply, then appends every following
+/// reply that is *already answered* to the same buffer — stopping at the
+/// first one still pending (it never waits for one) or past
+/// [`MAX_COALESCED_WRITE`] bytes — and sends the run with one socket
+/// write. At depth 1 that is one write per reply. A feature read arrives
+/// already encoded in a pooled frame, which is copied in and goes back to
+/// the pool at once; any other response is encoded straight into the
+/// buffer. Popping in push order is the entire ordering guarantee —
+/// responses leave the socket in exactly the order requests arrived, so
+/// the wire needs no correlation IDs.
+fn writer_loop(mut w: impl Write, slots: &Receiver<Receiver<Reply>>, metrics: &ServingMetrics) {
     let pool = metrics.frame_pool();
-    let mut own = BytesMut::new();
-    let mut w = stream;
-    for slot in slots.iter() {
-        let reply = slot.recv().unwrap_or_else(|_| {
-            Reply::Typed(Response::error(
-                ErrorCode::Internal,
-                "worker dropped the request",
-            ))
-        });
-        let pooled = match reply {
-            Reply::Frame(frame) => Some(frame),
-            Reply::Typed(response) => {
-                own.clear();
-                response.encode_into(&mut own);
-                None
-            }
-        };
-        let payload = pooled.as_ref().unwrap_or(&own);
-        let result = write_frame_vectored(&mut w, payload.as_slice());
-        metrics.record_wire_tx(4 + payload.len() as u64, 1);
-        match pooled {
-            Some(frame) => pool.put(frame),
-            // One huge answer (a snapshot) must not pin its buffer to an
-            // otherwise quiet connection forever.
-            None if own.capacity() > MAX_RETAINED_WRITE_BUFFER => own = BytesMut::new(),
-            None => {}
+    let mut out = BytesMut::new();
+    let mut pending = slots.recv().ok();
+    while let Some(slot) = pending.take() {
+        out.clear();
+        put_reply(&mut out, slot.recv().unwrap_or_else(|_| dropped()), &pool);
+        let mut frames = 1;
+        while out.len() < MAX_COALESCED_WRITE {
+            let Ok(slot) = slots.try_recv() else { break };
+            let reply = match slot.try_recv() {
+                Ok(reply) => reply,
+                Err(TryRecvError::Disconnected) => dropped(),
+                Err(TryRecvError::Empty) => {
+                    pending = Some(slot);
+                    break;
+                }
+            };
+            put_reply(&mut out, reply, &pool);
+            frames += 1;
+        }
+        let result = w.write_all(out.as_slice());
+        metrics.record_wire_tx(out.len() as u64, frames, 1);
+        // One huge answer (a snapshot) must not pin its buffer to an
+        // otherwise quiet connection forever.
+        if out.capacity() > MAX_RETAINED_WRITE_BUFFER {
+            out = BytesMut::new();
         }
         if result.is_err() {
             // Peer stopped reading; drop the remaining slots (their
@@ -1150,8 +1227,34 @@ fn writer_loop(stream: &TcpStream, slots: &Receiver<Receiver<Reply>>, metrics: &
             // via the closed queue.
             break;
         }
+        if pending.is_none() {
+            pending = slots.recv().ok();
+        }
     }
 }
+
+/// Append one reply to `out` as a whole frame.
+fn put_reply(out: &mut BytesMut, reply: Reply, pool: &FramePool) {
+    match reply {
+        Reply::Frame(frame) => {
+            put_frame(out, |buf| buf.extend_from_slice(frame.as_slice()));
+            pool.put(frame);
+        }
+        Reply::Typed(response) => put_frame(out, |buf| response.encode_into(buf)),
+    }
+}
+
+/// The answer for a request whose worker went away without replying.
+fn dropped() -> Reply {
+    Reply::Typed(Response::error(
+        ErrorCode::Internal,
+        "worker dropped the request",
+    ))
+}
+
+/// Bytes past which a connection writer stops appending ready replies to
+/// the run it is about to send.
+const MAX_COALESCED_WRITE: usize = 64 * 1024;
 
 /// Most capacity a connection writer keeps between responses.
 const MAX_RETAINED_WRITE_BUFFER: usize = 1024 * 1024;
@@ -1250,6 +1353,32 @@ impl Worker<'_> {
                 }
             }
             plan.singles.into_iter().for_each(|job| self.answer(job));
+            // Writes go last, so no read of the drain waits behind the
+            // group commit's WAL write.
+            if !plan.writes.is_empty() {
+                self.commit_writes(plan.writes);
+            }
+        }
+    }
+
+    /// Answer a drain's `PutOnline` jobs as one fenced group commit.
+    fn commit_writes(&self, jobs: Vec<Job>) {
+        if jobs.len() >= 2 {
+            self.metrics.record_batch(jobs.len());
+        }
+        let answers = {
+            let writes: Vec<(u64, OnlineWrite<'_>)> = jobs
+                .iter()
+                .map(|job| {
+                    fenced_write(&job.request).expect("plan() only groups PutOnline as writes")
+                })
+                .collect();
+            self.engine
+                .writes
+                .put_online_many(&writes, self.engine.now())
+        };
+        for (job, response) in jobs.into_iter().zip(answers) {
+            self.finish_typed(job, response);
         }
     }
 
@@ -1306,8 +1435,117 @@ impl Worker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstore_common::Value;
+    use crate::codec::write_frame_vectored;
+    use crossbeam::channel::Sender;
+    use fstore_common::{EntityKey, Value};
     use fstore_storage::OnlineStore;
+
+    /// A socket stand-in that keeps every `write` call apart.
+    #[derive(Clone, Default)]
+    struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Writes {
+        fn count(&self) -> usize {
+            self.0.lock().len()
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().concat()
+        }
+    }
+
+    /// Reply `i`: a pooled frame for even `i`, a typed response for odd.
+    fn reply(i: u64, pool: &FramePool) -> Reply {
+        let response = Response::PutAck { epoch: i, term: 1 };
+        if i.is_multiple_of(2) {
+            let mut frame = pool.get();
+            response.encode_into(&mut frame);
+            Reply::Frame(frame)
+        } else {
+            Reply::Typed(response)
+        }
+    }
+
+    /// The wire bytes of replies `range`, one vectored frame each.
+    fn frames(range: std::ops::Range<u64>) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for i in range {
+            let mut payload = BytesMut::new();
+            Response::PutAck { epoch: i, term: 1 }.encode_into(&mut payload);
+            write_frame_vectored(&mut wire, payload.as_slice()).unwrap();
+        }
+        wire
+    }
+
+    /// Push `n` reply slots; every one is answered except `held`, whose
+    /// sender comes back.
+    fn slots(
+        n: u64,
+        held: Option<u64>,
+        pool: &FramePool,
+    ) -> (Receiver<Receiver<Reply>>, Vec<Sender<Reply>>) {
+        let (slot_tx, slot_rx) = bounded(n as usize);
+        let mut pending = Vec::new();
+        for i in 0..n {
+            let (tx, rx) = bounded(1);
+            if Some(i) == held {
+                pending.push(tx);
+            } else {
+                assert!(tx.send(reply(i, pool)).is_ok());
+            }
+            assert!(slot_tx.send(rx).is_ok());
+        }
+        (slot_rx, pending)
+    }
+
+    #[test]
+    fn ready_replies_leave_in_one_write_of_the_same_bytes() {
+        let metrics = ServingMetrics::new();
+        let (slot_rx, _) = slots(6, None, &metrics.frame_pool());
+        let socket = Writes::default();
+        writer_loop(socket.clone(), &slot_rx, &metrics);
+        assert_eq!(socket.count(), 1);
+        assert_eq!(socket.bytes(), frames(0..6));
+        let wire = metrics.snapshot().wire;
+        assert_eq!((wire.frames_tx, wire.writes_tx), (6, 1));
+        assert_eq!(wire.bytes_tx, frames(0..6).len() as u64);
+    }
+
+    #[test]
+    fn the_writer_sends_what_is_ready_before_waiting_on_a_pending_reply() {
+        let metrics = Arc::new(ServingMetrics::new());
+        let (slot_rx, mut held) = slots(5, Some(2), &metrics.frame_pool());
+        let socket = Writes::default();
+        let writer = {
+            let (socket, metrics) = (socket.clone(), Arc::clone(&metrics));
+            std::thread::spawn(move || writer_loop(socket, &slot_rx, &metrics))
+        };
+        // Frames 0 and 1 reach the socket while reply 2 is still pending.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while socket.bytes() != frames(0..2) {
+            assert!(
+                Instant::now() < deadline,
+                "frames 0..2 never reached the socket"
+            );
+            std::thread::yield_now();
+        }
+        let reply_2 = held.pop().unwrap();
+        assert!(reply_2.send(reply(2, &metrics.frame_pool())).is_ok());
+        writer.join().unwrap();
+        assert_eq!(socket.bytes(), frames(0..5));
+        assert_eq!(socket.count(), 2, "frames 2..5 were ready together");
+    }
 
     fn engine() -> ServeEngine {
         let online = Arc::new(OnlineStore::default());

@@ -2,17 +2,22 @@
 //! of control-plane promotions, demotions (fences), and writes carrying
 //! any previously issued term are replayed against a 3-node cluster of
 //! real [`ServeEngine`]s and a reference state machine in parallel.
+//! Writes arrive singly or as a burst — one group through
+//! [`WriteState::put_online_many`], the group commit a worker runs for a
+//! drain — which the model applies write by write.
 //!
 //! The safety property under test: **a term's writes are only ever
 //! acknowledged by the single node the control plane assigned that term
-//! to** — no interleaving of stale writes, delayed promotes, or reordered
-//! fences produces an ack from two nodes at the same term (a double-ack),
-//! and a node never applies a write it refused.
+//! to** — no interleaving of stale writes, delayed promotes, reordered
+//! fences, or a newer term met in the middle of a group produces an ack
+//! from two nodes at the same term (a double-ack), and a node never
+//! applies a write it refused.
 
-use fstore_common::{EntityKey, Timestamp, Value};
+use fstore_common::{Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_serve::{
-    fixed_clock, ErrorCode, PromoteHook, Request, Response, ServeEngine, WriteProvider, WriteState,
+    fixed_clock, ErrorCode, OnlineWrite, PromoteHook, Request, Response, ServeEngine,
+    WriteProvider, WriteState,
 };
 use fstore_storage::OnlineStore;
 use proptest::prelude::*;
@@ -25,22 +30,26 @@ fn now() -> Timestamp {
     Timestamp::millis(1_000)
 }
 
-/// A write sink that only counts applications, so the test can prove the
-/// engine applied exactly the writes the model says were acknowledged.
+/// A write sink that only counts applications (and the groups they came
+/// in), so the test can prove the engine applied exactly the writes the
+/// model says were acknowledged, in as many group commits as it predicts.
 #[derive(Default)]
 struct CountingProvider {
     applied: AtomicU64,
+    groups: AtomicU64,
 }
 
 impl WriteProvider for CountingProvider {
-    fn put_online(
+    fn put_online_many(
         &self,
-        _group: &str,
-        _entity: &EntityKey,
-        _values: &[(String, Value)],
+        writes: &[OnlineWrite<'_>],
         _now: Timestamp,
-    ) -> fstore_common::Result<u64> {
-        Ok(self.applied.fetch_add(1, Ordering::SeqCst) + 1)
+    ) -> Vec<fstore_common::Result<u64>> {
+        self.groups.fetch_add(1, Ordering::SeqCst);
+        writes
+            .iter()
+            .map(|_| Ok(self.applied.fetch_add(1, Ordering::SeqCst) + 1))
+            .collect()
     }
 }
 
@@ -88,9 +97,9 @@ struct ModelNode {
     applied: u64,
 }
 
-/// The three operations the control plane and clients can interleave,
-/// with operands resolved at replay time against the issued-term list.
-#[derive(Debug, Clone, Copy)]
+/// The operations the control plane and clients can interleave, with
+/// operands resolved at replay time against the issued-term list.
+#[derive(Debug, Clone)]
 enum Op {
     /// Control plane assigns the next (strictly increasing) term to a node.
     Promote { node: u8 },
@@ -99,6 +108,9 @@ enum Op {
     /// A client write stamped with an already-issued term — possibly
     /// stale, possibly newer than the receiving node has seen.
     Write { node: u8, term_pick: u8 },
+    /// Pipelined client writes landing in one drain: one group commit,
+    /// each write stamped with its own already-issued term.
+    WriteBurst { node: u8, picks: Vec<u8> },
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -107,6 +119,11 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
         (0u8..NODES as u8, any::<u8>())
             .prop_map(|(node, term_pick)| Op::Demote { node, term_pick }),
         (0u8..NODES as u8, any::<u8>()).prop_map(|(node, term_pick)| Op::Write { node, term_pick }),
+        (
+            0u8..NODES as u8,
+            proptest::collection::vec(any::<u8>(), 1..8)
+        )
+            .prop_map(|(node, picks)| Op::WriteBurst { node, picks }),
     ];
     proptest::collection::vec(op, 1..48)
 }
@@ -194,33 +211,37 @@ proptest! {
                     let n = node as usize;
                     let term = pick_term(&owner, term_pick);
                     let response = nodes[n].engine.handle(&put(term), 0, false);
-                    let m = &mut model[n];
-                    let acked = if term > m.term {
-                        // Fence-on-contact: proof of a newer promotion.
-                        m.term = term;
-                        m.leader = false;
-                        false
-                    } else {
-                        m.leader && term == m.term
-                    };
-                    if acked {
-                        prop_assert!(is_ack(&response), "live write at t{term} refused: {response:?}");
-                        m.applied += 1;
-                        // THE safety property: an acknowledged write at
-                        // term t only ever comes from t's assigned owner.
-                        prop_assert_eq!(
-                            owner[term as usize], n,
-                            "double-ack: node {} acked term {} owned by node {}",
-                            n, term, owner[term as usize]
-                        );
-                    } else {
-                        prop_assert_eq!(
-                            refused_term(&response),
-                            Some(m.term),
-                            "stale write at t{} not refused with the node's term",
-                            term
-                        );
+                    check_write(&mut model[n], &owner, n, term, &response);
+                }
+                Op::WriteBurst { node, picks } => {
+                    let n = node as usize;
+                    let terms: Vec<u64> = picks.iter().map(|&p| pick_term(&owner, p)).collect();
+                    let values = vec![("score".to_string(), Value::Float(1.0))];
+                    let writes: Vec<(u64, OnlineWrite<'_>)> = terms
+                        .iter()
+                        .map(|&term| {
+                            let write = OnlineWrite {
+                                group: "user",
+                                entity: "u1",
+                                values: &values,
+                            };
+                            (term, write)
+                        })
+                        .collect();
+                    let groups = nodes[n].counter.groups.load(Ordering::SeqCst);
+                    let responses = nodes[n].state.put_online_many(&writes, now());
+                    prop_assert_eq!(responses.len(), terms.len());
+                    // Accepted writes commit as one group per run; only a
+                    // fence met mid-burst closes a run early.
+                    let (mut runs, mut in_run) = (0, false);
+                    for (term, response) in terms.into_iter().zip(&responses) {
+                        in_run &= term <= model[n].term;
+                        if check_write(&mut model[n], &owner, n, term, response) && !in_run {
+                            runs += 1;
+                            in_run = true;
+                        }
                     }
+                    prop_assert_eq!(nodes[n].counter.groups.load(Ordering::SeqCst) - groups, runs);
                 }
             }
             // Engine and model agree node-by-node after every step, and
@@ -238,6 +259,53 @@ proptest! {
             }
         }
     }
+}
+
+/// Advance one node's model by a write at `term` and check the engine's
+/// answer to it: an ack only from the term's owner, at that term; a typed
+/// refusal naming the node's term otherwise. Returns whether it was acked.
+fn check_write(
+    m: &mut ModelNode,
+    owner: &[usize],
+    n: usize,
+    term: u64,
+    response: &Response,
+) -> bool {
+    let acked = if term > m.term {
+        // Fence-on-contact: proof of a newer promotion.
+        m.term = term;
+        m.leader = false;
+        false
+    } else {
+        m.leader && term == m.term
+    };
+    if acked {
+        prop_assert!(
+            matches!(response, Response::PutAck { term: t, .. } if *t == term),
+            "live write at t{} refused: {:?}",
+            term,
+            response
+        );
+        m.applied += 1;
+        // THE safety property: an acknowledged write at term t only ever
+        // comes from t's assigned owner.
+        prop_assert_eq!(
+            owner[term as usize],
+            n,
+            "double-ack: node {} acked term {} owned by node {}",
+            n,
+            term,
+            owner[term as usize]
+        );
+    } else {
+        prop_assert_eq!(
+            refused_term(response),
+            Some(m.term),
+            "stale write at t{} not refused with the node's term",
+            term
+        );
+    }
+    acked
 }
 
 /// Resolve a generated pick onto the issued-term list (1..=max issued).

@@ -8,7 +8,8 @@ use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingProvenance, EmbeddingTable};
 use fstore_serve::{
-    fixed_clock, start, ErrorCode, FeatureClient, ServeConfig, ServeEngine, StoreApi,
+    fixed_clock, start, ErrorCode, FeatureClient, Request, Response, ServeConfig, ServeEngine,
+    StoreApi,
 };
 use fstore_storage::OnlineStore;
 use std::sync::Arc;
@@ -179,10 +180,62 @@ fn concurrent_clients_match_direct_calls_and_shutdown_is_graceful() {
             assert!(ep.p50_ms.is_some(), "endpoint {name} has latency quantiles");
         }
     }
-
     // Graceful shutdown joins the acceptor, connection threads and
     // workers; reaching the next line is the assertion.
     handle.shutdown();
+
+    // Every client waits for each answer before its next request: at
+    // depth 1 each reply is a socket write of its own. (Counted after
+    // the join: a writer records a write once it returns.)
+    let wire = metrics.snapshot().wire;
+    assert_eq!(wire.frames_tx, (THREADS * PER_THREAD) as u64);
+    assert_eq!(wire.writes_tx, wire.frames_tx);
+}
+
+#[test]
+fn pipelined_replies_ready_together_share_socket_writes() {
+    let _watchdog = common::watchdog("pipelined_replies_ready_together_share_socket_writes");
+    let engine = ServeEngine::new(FeatureServer::new(online_store()), fixed_clock(NOW));
+    // One worker that pauses before each claim: a whole burst queues up,
+    // is drained as one, and its replies are answered back to back.
+    let handle = start(
+        engine,
+        ServeConfig {
+            workers: 1,
+            handler_delay: Some(std::time::Duration::from_millis(2)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = FeatureClient::connect(handle.addr()).unwrap();
+    const BURST: usize = 32;
+    const ROUNDS: usize = 8;
+    let burst: Vec<Request> = (0..BURST)
+        .map(|i| Request::GetFeatures {
+            group: "user".into(),
+            entity: format!("u{i}"),
+            features: vec!["score".into()],
+        })
+        .collect();
+    for _ in 0..ROUNDS {
+        let responses = client.call_many(&burst).unwrap();
+        for (i, response) in responses.iter().enumerate() {
+            match response {
+                Response::Features(v) => assert_eq!(v.entity, format!("u{i}")),
+                other => panic!("reply {i} out of order or failed: {other:?}"),
+            }
+        }
+    }
+    // A writer counts a write once it returns, which may be after the
+    // client has read it: join the connection threads before counting.
+    let metrics = handle.metrics();
+    handle.shutdown();
+    let wire = metrics.snapshot().wire;
+    assert_eq!(wire.frames_tx, (BURST * ROUNDS) as u64);
+    assert!(
+        wire.writes_tx < wire.frames_tx,
+        "no two ready replies shared a write: {wire:?}"
+    );
 }
 
 #[test]

@@ -235,14 +235,14 @@ impl OnlineStore {
     }
 
     /// Write several features of one entity under a single shard lock.
-    pub fn put_row(
+    pub fn put_row<S: AsRef<str>>(
         &self,
         group: &str,
         entity: &EntityKey,
-        values: &[(&str, Value)],
+        values: &[(S, Value)],
         now: Timestamp,
     ) {
-        let ids = self.intern_all(values.iter().map(|(feature, _)| *feature));
+        let ids = self.intern_all(values.iter().map(|(feature, _)| feature.as_ref()));
         self.write_row(
             group,
             entity.as_str(),
