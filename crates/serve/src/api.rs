@@ -1,31 +1,31 @@
-//! The unified client API: one trait covering the full read surface, one
-//! builder constructing any client.
+//! The unified client API: one trait covering the full request surface,
+//! one builder for the resilient client.
 //!
-//! Before this module, every client wrapper re-implemented the typed
-//! request surface by hand — [`FeatureClient`] carried the
-//! `get_features`/`search_nearest` stack, and anything layered on top
-//! ([`RetryingClient`], [`FailoverClient`]) either copied it or forced
-//! callers down to raw [`Request`] values. The split here is:
+//! Behind [`Transport`] sit exactly two client types in this crate: the
+//! bare [`FeatureClient`](crate::FeatureClient) (one connection, no
+//! retries) and [`FailoverClient`] (one or many endpoints, with reconnect,
+//! retry, backoff and circuit breakers); the shard router is a third
+//! implementor. The split here is:
 //!
 //! * [`Transport`] — the one thing a concrete client must provide: send a
 //!   [`Request`], produce a [`Response`]. Retry loops, circuit breakers,
 //!   and the shard router all live behind this seam.
 //! * [`StoreApi`] — the typed request surface (`get_features{,_batch}`,
-//!   `get_embedding`, `search_nearest{,_by_key}`), blanket-implemented
-//!   for every [`Transport`] via the shared response decoders, so the
-//!   encode/decode logic exists exactly once.
-//! * [`ClientBuilder`] — the one documented way to construct a client:
-//!   endpoints → socket timeouts and deadline budget → retry policy →
-//!   failover. Validation mirrors [`ServeConfig::builder`]: a
-//!   configuration that would silently degenerate is refused instead of
-//!   constructed.
+//!   `get_embedding`, `search_nearest{,_by_key}`, writes and admin),
+//!   blanket-implemented for every [`Transport`] via the shared response
+//!   decoders, so the encode/decode logic exists exactly once.
+//! * [`ClientBuilder`] — the validated way to construct a
+//!   [`FailoverClient`]: endpoints → socket timeouts and deadline budget →
+//!   retry policy → breaker tuning. Validation mirrors
+//!   [`ServeConfig::builder`]: a configuration that would silently
+//!   degenerate is refused instead of constructed.
 //!
 //! [`ServeConfig::builder`]: crate::server::ServeConfig::builder
 
-use crate::client::{ClientConfig, ClientError, EmbeddingRead, FeatureClient, Neighbors};
+use crate::client::{ClientConfig, ClientError, EmbeddingRead, Neighbors};
 use crate::failover::{BreakerConfig, FailoverClient};
 use crate::protocol::{ErrorCode, Request, Response, SearchOptions, WireVector};
-use crate::retry::{RetryPolicy, RetryingClient};
+use crate::retry::RetryPolicy;
 use fstore_common::{FsError, Value};
 use std::time::Duration;
 
@@ -53,9 +53,10 @@ pub trait Transport {
     /// order. The default implementation is sequential (one round trip
     /// per request); transports that own a socket override it to
     /// pipeline — all frames written before the first response is read,
-    /// as [`FeatureClient::call_many`] does. Any failure fails the whole
-    /// batch: responses are positional, so a partial result would leave
-    /// the caller unable to say which request each response answers.
+    /// as [`FeatureClient::call_many`](crate::FeatureClient::call_many)
+    /// does. A transport failure fails the whole batch: responses are
+    /// positional, so a partial result would leave the caller unable to
+    /// say which request each response answers.
     fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         requests.iter().map(|r| self.call(r)).collect()
     }
@@ -124,11 +125,6 @@ pub trait StoreApi {
     /// forward it to `term` so writes stamped with any older term are
     /// refused (control-plane admin, sent to demoted ex-leaders).
     fn demote(&mut self, shard: u32, term: u64) -> Result<WriteAck, ClientError>;
-
-    /// Send a burst of raw requests, responses in request order. On a
-    /// pipelining transport every request is in flight at once; callers
-    /// decode each response with the `expect_*` helpers in this module.
-    fn send_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError>;
 }
 
 impl<T: Transport + ?Sized> StoreApi for T {
@@ -226,10 +222,6 @@ impl<T: Transport + ?Sized> StoreApi for T {
     fn demote(&mut self, shard: u32, term: u64) -> Result<WriteAck, ClientError> {
         expect_put_ack(self.call(&Request::Demote { shard, term })?)
     }
-
-    fn send_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        self.call_many(requests)
-    }
 }
 
 // ------------------------------------------------------- response decoders
@@ -316,56 +308,14 @@ pub fn expect_neighbors(response: Response) -> Result<Neighbors, ClientError> {
 
 // ------------------------------------------------------------ the builder
 
-/// Any client the builder can produce, behind one [`Transport`] (and
-/// therefore one [`StoreApi`]). The variant is decided by what the builder
-/// was given, not by the caller naming a concrete type.
-pub enum AnyClient {
-    /// One endpoint, no retries: a bare connection.
-    Direct(FeatureClient),
-    /// One endpoint with reconnect-and-retry.
-    Retrying(RetryingClient),
-    /// An ordered endpoint list behind per-endpoint circuit breakers.
-    Failover(FailoverClient),
-}
-
-impl Transport for AnyClient {
-    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self {
-            AnyClient::Direct(c) => c.call(request),
-            AnyClient::Retrying(c) => c.call(request),
-            AnyClient::Failover(c) => c.call(request),
-        }
-    }
-
-    fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        match self {
-            AnyClient::Direct(c) => c.call_many(requests),
-            AnyClient::Retrying(c) => c.call_many(requests),
-            AnyClient::Failover(c) => c.call_many(requests),
-        }
-    }
-}
-
-impl std::fmt::Debug for AnyClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnyClient::Direct(_) => f.write_str("AnyClient::Direct"),
-            AnyClient::Retrying(_) => f.write_str("AnyClient::Retrying"),
-            AnyClient::Failover(_) => f.write_str("AnyClient::Failover"),
-        }
-    }
-}
-
-/// The one documented way to construct a client — endpoints, then socket
-/// timeouts and deadline budget, then retry policy, then failover tuning.
-///
-/// What [`ClientBuilder::build`] produces follows from what was given:
-///
-/// * one endpoint, no retry policy → [`AnyClient::Direct`]
-/// * one endpoint + [`retry`](Self::retry) → [`AnyClient::Retrying`]
-/// * several endpoints (leader first) → [`AnyClient::Failover`], using the
-///   retry policy between endpoint rounds and the breaker config per
-///   endpoint
+/// The validated way to construct a [`FailoverClient`] — endpoints, then
+/// socket timeouts and deadline budget, then retry policy, then breaker
+/// tuning. One endpoint or several (leader first), the result is the same
+/// type: it connects lazily, retries idempotent requests per the retry
+/// policy ([`RetryPolicy::default`] unless set), and keeps a circuit
+/// breaker per endpoint ([`BreakerConfig::default`] unless set). A bare
+/// connection with no retries is
+/// [`FeatureClient::connect_with`](crate::FeatureClient::connect_with).
 ///
 /// ```no_run
 /// use fstore_serve::{ClientBuilder, RetryPolicy, StoreApi};
@@ -373,7 +323,7 @@ impl std::fmt::Debug for AnyClient {
 ///
 /// let mut client = ClientBuilder::new()
 ///     .endpoint("127.0.0.1:7600")
-///     .endpoint("127.0.0.1:7601") // follower: two endpoints → failover
+///     .endpoint("127.0.0.1:7601") // follower: reads fail over to it
 ///     .deadline_budget(Duration::from_millis(250))
 ///     .retry(RetryPolicy::default())
 ///     .build()
@@ -450,8 +400,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Per-endpoint circuit-breaker tuning for the failover path (implies
-    /// nothing with a single endpoint and no retry policy).
+    /// Per-endpoint circuit-breaker tuning.
     pub fn breakers(mut self, config: BreakerConfig) -> Self {
         self.breakers = Some(config);
         self
@@ -474,7 +423,7 @@ impl ClientBuilder {
     ///   (`base > max`) — the backoff curve would be nonsense;
     /// * a breaker config with a zero failure threshold — the breaker
     ///   could never close.
-    pub fn build(self) -> fstore_common::Result<AnyClient> {
+    pub fn build(self) -> fstore_common::Result<FailoverClient> {
         if self.endpoints.is_empty() {
             return Err(FsError::InvalidArgument(
                 "client builder needs at least one endpoint".into(),
@@ -520,28 +469,13 @@ impl ClientBuilder {
             }
         }
 
-        let multi = self.endpoints.len() > 1;
-        if multi || self.breakers.is_some() {
-            let addrs: Vec<&str> = self.endpoints.iter().map(String::as_str).collect();
-            return Ok(AnyClient::Failover(FailoverClient::connect(
-                &addrs,
-                self.config,
-                self.retry.unwrap_or_default(),
-                self.breakers.unwrap_or_default(),
-            )));
-        }
-        let addr = self.endpoints.into_iter().next().expect("checked above");
-        match self.retry {
-            Some(policy) => Ok(AnyClient::Retrying(RetryingClient::new(
-                addr,
-                self.config,
-                policy,
-            ))),
-            None => Ok(AnyClient::Direct(
-                FeatureClient::connect_with(&addr, &self.config)
-                    .map_err(|e| FsError::Storage(format!("connect {addr}: {e}")))?,
-            )),
-        }
+        let addrs: Vec<&str> = self.endpoints.iter().map(String::as_str).collect();
+        Ok(FailoverClient::connect(
+            &addrs,
+            self.config,
+            self.retry.unwrap_or_default(),
+            self.breakers.unwrap_or_default(),
+        ))
     }
 }
 
@@ -607,27 +541,39 @@ mod tests {
     }
 
     #[test]
-    fn builder_picks_the_client_shape_from_its_inputs() {
-        // Lazy-connecting shapes build without a live server.
-        let retrying = ClientBuilder::new()
-            .endpoint("127.0.0.1:1")
-            .retry(RetryPolicy::default())
-            .build()
-            .unwrap();
-        assert!(matches!(retrying, AnyClient::Retrying(_)));
-        let failover = ClientBuilder::new()
-            .endpoints(["127.0.0.1:1", "127.0.0.1:2"])
-            .build()
-            .unwrap();
-        assert!(matches!(failover, AnyClient::Failover(_)));
-        // A single endpoint with breaker tuning still gets the failover
-        // machinery (that is where breakers live).
-        let single_breaker = ClientBuilder::new()
-            .endpoint("127.0.0.1:1")
-            .breakers(BreakerConfig::default())
-            .build()
-            .unwrap();
-        assert!(matches!(single_breaker, AnyClient::Failover(_)));
+    fn every_valid_builder_config_yields_a_failover_client() {
+        // The client connects lazily, so every shape builds without a
+        // live server.
+        let tuned = BreakerConfig {
+            failure_threshold: 7,
+            ..BreakerConfig::default()
+        };
+        let configs = [
+            (ClientBuilder::new().endpoint("127.0.0.1:1"), 3),
+            (
+                ClientBuilder::new()
+                    .endpoint("127.0.0.1:1")
+                    .retry(RetryPolicy::default()),
+                3,
+            ),
+            (
+                ClientBuilder::new().endpoint("127.0.0.1:1").breakers(tuned),
+                7,
+            ),
+            (
+                ClientBuilder::new()
+                    .endpoints(["127.0.0.1:1", "127.0.0.1:2"])
+                    .retry(RetryPolicy::default())
+                    .breakers(tuned),
+                7,
+            ),
+        ];
+        for (builder, threshold) in configs {
+            let wanted = builder.endpoints.clone();
+            let client: FailoverClient = builder.build().unwrap();
+            assert_eq!(client.endpoints(), wanted, "endpoints in given order");
+            assert_eq!(client.breaker_config().failure_threshold, threshold);
+        }
     }
 
     #[test]

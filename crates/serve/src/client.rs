@@ -232,11 +232,11 @@ impl FeatureClient {
         Self::connect_with(addr, &ClientConfig::default())
     }
 
-    /// Connect with explicit socket deadlines and (optionally) a
-    /// per-request deadline budget. Prefer
-    /// [`ClientBuilder`](crate::ClientBuilder), which validates the config
-    /// and picks the right client shape.
-    #[doc(hidden)]
+    /// The bare client's constructor: one eager connection with explicit
+    /// socket deadlines and (optionally) a per-request deadline budget —
+    /// no reconnect, no retry, no breaker. For those, build a
+    /// [`FailoverClient`](crate::FailoverClient) with
+    /// [`ClientBuilder`](crate::ClientBuilder).
     pub fn connect_with(addr: impl ToSocketAddrs, config: &ClientConfig) -> std::io::Result<Self> {
         let stream = match config.connect_timeout {
             Some(bound) => {
@@ -317,9 +317,7 @@ impl FeatureClient {
     /// request order. One syscall writes the whole burst in the common
     /// case. Any transport failure poisons the connection (responses for
     /// in-flight requests are lost) — callers that retry must treat the
-    /// batch as a unit, the way [`RetryingClient`] does.
-    ///
-    /// [`RetryingClient`]: crate::retry::RetryingClient
+    /// batch as a unit.
     pub fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         if requests.is_empty() {
             return Ok(Vec::new());

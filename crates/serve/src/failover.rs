@@ -8,7 +8,9 @@
 //! and admits a single probe: success closes the circuit, failure re-opens
 //! it. Because followers converge to byte-identical snapshot answers
 //! (PR 6's replication invariant), failing a read over to a follower can
-//! change staleness but never correctness.
+//! change staleness but never correctness. A list of one endpoint is the
+//! resilient single-node client: it reconnects, retries idempotent
+//! requests with [`RetryPolicy`] backoff, and seals write failures.
 //!
 //! The breaker takes `Instant`s as arguments rather than reading the
 //! clock itself, which keeps the closed → open → half-open → closed walk
@@ -169,9 +171,9 @@ pub struct FailoverClient {
 }
 
 impl FailoverClient {
-    /// `addrs` in preference order — leader first, then followers. Prefer
-    /// [`ClientBuilder`](crate::ClientBuilder) with several endpoints,
-    /// which validates the policy and breaker config first.
+    /// `addrs` in preference order — leader first, then followers.
+    /// [`ClientBuilder`](crate::ClientBuilder) is the validated path to
+    /// the same type: it checks the policy and breaker config first.
     #[doc(hidden)]
     pub fn connect(
         addrs: &[&str],
@@ -255,7 +257,7 @@ impl FailoverClient {
     }
 
     /// The shared endpoint walk behind [`FailoverClient::call`] and
-    /// [`FailoverClient::call_many`]: pick the healthiest endpoint, run
+    /// [`FailoverClient::finish_many`]: pick the healthiest endpoint, run
     /// `op` against it, and classify the outcome. A definitive answer
     /// (including a typed fatal error) returns immediately; transport
     /// failures and typed pushback (`Overloaded`, `ShuttingDown` —
@@ -349,18 +351,18 @@ impl FailoverClient {
         )
     }
 
-    /// Pipeline a batch on the healthiest endpoint
+    /// Pipeline a burst on the healthiest endpoint
     /// ([`FeatureClient::call_many`]) with the same endpoint walk as
-    /// [`FailoverClient::call`]. The batch is the retry unit: it moves to
-    /// another endpoint only when *every* request in it is idempotent,
-    /// and one typed pushback response fails (and re-routes) the whole
-    /// batch — responses are positional, so a partially-shed batch has no
-    /// honest success value.
-    pub fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.run_many(None, requests, true)
+    /// [`FailoverClient::call`]: exactly [`start_many`](Self::start_many)
+    /// then [`finish_many`](Self::finish_many), so a burst is settled by
+    /// one rule whether or not the caller split it. Accepts borrowed or
+    /// owned requests alike.
+    pub fn call_many<R: Borrow<Request>>(
+        &mut self,
+        requests: &[R],
+    ) -> Result<Vec<Response>, ClientError> {
+        let started = self.start_many(requests);
+        self.finish_many(started, requests)
     }
 
     /// The write half of [`call_many`](Self::call_many): pick the
@@ -382,19 +384,18 @@ impl FailoverClient {
     }
 
     /// The read half of [`call_many`](Self::call_many): read the
-    /// responses of a [`start_many`](Self::start_many) burst, with the
-    /// same breaker and stats accounting. The started attempt counts as
-    /// the first of the endpoint walk, so on any failure an
-    /// all-idempotent burst carries on exactly as `call_many` would —
-    /// typed pushback anywhere in it, backoff, retry, next endpoint — and
-    /// a burst holding a write is sealed
-    /// ([`crate::retry::seal_write_failure`]), never re-sent.
+    /// responses of a [`start_many`](Self::start_many) burst and settle
+    /// them. The started attempt counts as the first of the endpoint walk.
     ///
-    /// One difference from `call_many`: a burst holding a write that the
-    /// server answered comes back as answered, typed pushback included.
-    /// Admission sheds job by job, so a shed read can sit beside an
-    /// applied write; each answer belongs to its own request, and the
-    /// caller settles them one by one (re-sending only what is safe).
+    /// * An all-idempotent burst is the retry unit: typed pushback
+    ///   anywhere in it, or any transport failure, fails it over — backoff,
+    ///   retry, next endpoint — since re-sending reads is always safe.
+    /// * A burst holding a write is never re-sent. If the server answered,
+    ///   it comes back as answered, a shed read staying in its slot as
+    ///   typed pushback: admission sheds job by job, so a shed read can sit
+    ///   beside an applied write, and each answer belongs to its own
+    ///   request. If the burst was lost, the failure is sealed
+    ///   ([`crate::retry::seal_write_failure`]).
     pub fn finish_many<R: Borrow<Request>>(
         &mut self,
         started: StartedBurst,
@@ -414,23 +415,10 @@ impl FailoverClient {
             });
             (i, received)
         });
-        self.run_many(first, requests, false)
-    }
-
-    /// The endpoint walk for a burst. `whole` makes one pushback answer
-    /// fail the burst even when it holds a write (`call_many`'s rule);
-    /// otherwise only an all-idempotent burst is failed by pushback.
-    fn run_many<R: Borrow<Request>>(
-        &mut self,
-        first: Option<Attempt<Vec<Response>>>,
-        requests: &[R],
-        whole: bool,
-    ) -> Result<Vec<Response>, ClientError> {
         let write = requests
             .iter()
             .map(Borrow::borrow)
             .find(|r| !r.is_idempotent());
-        let fold_pushback = whole || write.is_none();
         self.run(
             first,
             write.is_none(),
@@ -438,12 +426,9 @@ impl FailoverClient {
                 conn.send_many(requests)?;
                 conn.recv_many(requests.len())
             },
-            |responses| {
-                if fold_pushback {
-                    responses.iter().find_map(crate::retry::pushback)
-                } else {
-                    None
-                }
+            |responses| match write {
+                Some(_) => None,
+                None => responses.iter().find_map(crate::retry::pushback),
             },
             |dispatched, error| match write {
                 Some(w) => crate::retry::seal_write_failure(w, dispatched, error),
@@ -719,24 +704,27 @@ mod tests {
             read("u1"),
             read("u1"),
         ];
-        let mut split = client(&[&addr]);
-        let started = split.start_many(&burst);
-        let answers = split
-            .finish_many(started, &burst)
-            .expect("a shed read does not fail the burst");
-        assert_eq!(answers.len(), burst.len());
-        assert!(
-            crate::retry::pushback(&answers[0]).is_none(),
-            "the write keeps its own answer: {:?}",
-            answers[0]
-        );
-        assert!(
-            answers[1..]
-                .iter()
-                .any(|a| crate::retry::pushback(a).is_some()),
-            "expected a shed read: {answers:?}"
-        );
-        assert_eq!(split.stats(), FailoverStats::default());
+        let mut burster = client(&[&addr]);
+        // Split into its two halves, then whole: one rule settles both.
+        let started = burster.start_many(&burst);
+        let split = burster.finish_many(started, &burst);
+        let whole = burster.call_many(&burst);
+        for outcome in [split, whole] {
+            let answers = outcome.expect("a shed read does not fail the burst");
+            assert_eq!(answers.len(), burst.len());
+            assert!(
+                crate::retry::pushback(&answers[0]).is_none(),
+                "the write keeps its own answer: {:?}",
+                answers[0]
+            );
+            assert!(
+                answers[1..]
+                    .iter()
+                    .any(|a| crate::retry::pushback(a).is_some()),
+                "expected a shed read: {answers:?}"
+            );
+        }
+        assert_eq!(burster.stats(), FailoverStats::default());
         server.shutdown();
     }
 }

@@ -30,14 +30,18 @@
 //! * [`api`] — the unified client API: the [`api::Transport`] seam (one
 //!   request in, one response out), the [`api::StoreApi`] typed request
 //!   surface blanket-implemented for every transport, and the
-//!   [`api::ClientBuilder`] that is the one documented way to construct
-//!   any client.
-//! * [`client`] — a blocking client with connect/read/write deadlines and
-//!   optional per-request deadline budgets; also the E14 load generator.
+//!   [`api::ClientBuilder`] that validates a config and builds a
+//!   [`failover::FailoverClient`].
+//! * [`client`] — the bare blocking client ([`client::FeatureClient`]):
+//!   one connection with connect/read/write deadlines and optional
+//!   per-request deadline budgets; also the E14 load generator.
 //! * [`retry`] — jittered exponential backoff with idempotency-aware
-//!   failure classification, and a reconnecting [`retry::RetryingClient`].
-//! * [`failover`] — [`failover::FailoverClient`]: an ordered endpoint list
-//!   (leader first, then followers) behind per-endpoint circuit breakers.
+//!   failure classification, pushback detection and write sealing.
+//! * [`failover`] — [`failover::FailoverClient`], the one resilient
+//!   client: an ordered endpoint list (leader first, then followers, or a
+//!   single endpoint) behind per-endpoint circuit breakers, with
+//!   reconnect, retry and backoff. Every burst it sends is settled by one
+//!   rule, request by request.
 //! * `fault` (feature `testing`) — a deterministic fault-injecting TCP
 //!   proxy for chaos tests and the E18 experiment.
 //! * [`repl`] — the [`repl::ReplProvider`] seam: a leader built with
@@ -60,7 +64,7 @@ pub mod retry;
 pub mod server;
 
 pub use admission::{AdmissionController, AdmitReject};
-pub use api::{AnyClient, ClientBuilder, StoreApi, Transport, WriteAck};
+pub use api::{ClientBuilder, StoreApi, Transport, WriteAck};
 pub use catalog::{CatalogError, IndexCatalog, IndexMap, IndexSnapshot, IndexSpec, SearchOutcome};
 pub use client::{ClientConfig, ClientError, DeltaBatch, EmbeddingRead, FeatureClient, Neighbors};
 pub use codec::{
@@ -80,7 +84,7 @@ pub use protocol::{
     WireDelta, WireError, WireHit, WireVector, MAX_FRAME_LEN,
 };
 pub use repl::{ReplLogState, ReplProvider};
-pub use retry::{classify, ErrorClass, RetryPolicy, RetryingClient};
+pub use retry::{classify, ErrorClass, RetryPolicy};
 pub use server::{
     atomic_clock, fixed_clock, start, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig,
     ServeConfigBuilder, ServeEngine, ServerHandle, WriteProvider, WriteState,

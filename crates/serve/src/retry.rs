@@ -4,17 +4,16 @@
 //! The policy is deliberately split into pure functions —
 //! [`RetryPolicy::backoff`] maps `(attempt, unit-uniform)` to a delay and
 //! [`classify`] maps a [`ClientError`] to an [`ErrorClass`] — so property
-//! tests can pin down the retry behaviour without sockets or sleeps. The
-//! [`RetryingClient`] wrapper glues them to a real connection: it
-//! reconnects after transport failures, backs off before every retry
-//! (crucially including `Overloaded`, so a shedding server is never
-//! hammered by its own rejects), and refuses to retry anything that is
-//! not idempotent or not transient.
+//! tests can pin down the retry behaviour without sockets or sleeps.
+//! [`FailoverClient`](crate::FailoverClient) — one endpoint or many — and
+//! the shard router glue them to real connections: they reconnect after
+//! transport failures, back off before every retry (crucially including
+//! `Overloaded`, so a shedding server is never hammered by its own
+//! rejects), and refuse to retry anything that is not idempotent or not
+//! transient.
 
-use crate::api::Transport;
-use crate::client::{ClientConfig, ClientError, FeatureClient};
+use crate::client::ClientError;
 use crate::protocol::{ErrorCode, Request, Response};
-use fstore_common::rng::{Rng, Xoshiro256};
 use std::time::Duration;
 
 /// How a failed call should be treated by a retry loop.
@@ -153,146 +152,6 @@ impl RetryPolicy {
         request.is_idempotent()
             && attempt + 1 < self.max_attempts
             && classify(error) != ErrorClass::Fatal
-    }
-}
-
-/// A [`FeatureClient`] wrapper that reconnects and retries per a
-/// [`RetryPolicy`]. One endpoint only — for an ordered endpoint list with
-/// circuit breakers see [`crate::failover::FailoverClient`].
-pub struct RetryingClient {
-    addr: String,
-    config: ClientConfig,
-    policy: RetryPolicy,
-    conn: Option<FeatureClient>,
-    rng: Xoshiro256,
-    retries: u64,
-}
-
-impl RetryingClient {
-    /// Prefer [`ClientBuilder`](crate::ClientBuilder) with a
-    /// [`retry`](crate::ClientBuilder::retry) policy, which validates the
-    /// policy before constructing the client.
-    #[doc(hidden)]
-    pub fn new(addr: impl Into<String>, config: ClientConfig, policy: RetryPolicy) -> Self {
-        RetryingClient {
-            addr: addr.into(),
-            config,
-            policy,
-            conn: None,
-            rng: Xoshiro256::seeded(0x5e77_1e5e_ed5e_ed00),
-            retries: 0,
-        }
-    }
-
-    /// Retries performed so far (not counting first attempts).
-    pub fn retry_count(&self) -> u64 {
-        self.retries
-    }
-
-    fn ensure_conn(&mut self) -> Result<&mut FeatureClient, ClientError> {
-        if self.conn.is_none() {
-            self.conn = Some(
-                FeatureClient::connect_with(self.addr.as_str(), &self.config)
-                    .map_err(ClientError::Io)?,
-            );
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    /// Send one request, retrying transient failures of idempotent
-    /// requests with backoff. Non-idempotent requests get exactly one
-    /// try on an established connection, and a transport failure of one
-    /// comes back as [`ClientError::WriteFailed`] — `applied:
-    /// Some(false)` when the connect itself failed (provably never
-    /// dispatched), `applied: None` when the failure arrived after
-    /// dispatch. Typed server pushback (`Overloaded`, `ShuttingDown`)
-    /// counts as a transient failure even though it arrives as a
-    /// well-formed response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let mut attempt: u32 = 0;
-        loop {
-            let (error, dispatched) = match self.ensure_conn() {
-                Err(error) => (error, false),
-                Ok(conn) => match conn.call(request) {
-                    Ok(response) => match pushback(&response) {
-                        Some(error) => (error, true),
-                        None => return Ok(response),
-                    },
-                    Err(error) => {
-                        if classify(&error) == ErrorClass::Transport {
-                            // The stream may hold half a frame; never
-                            // reuse it.
-                            self.conn = None;
-                        }
-                        (error, true)
-                    }
-                },
-            };
-            if !self.policy.should_retry(request, &error, attempt) {
-                return Err(seal_write_failure(request, dispatched, error));
-            }
-            let unit = self.rng.next_f64();
-            std::thread::sleep(self.policy.backoff(attempt, unit));
-            self.retries += 1;
-            attempt += 1;
-        }
-    }
-
-    /// Pipeline a batch of requests ([`FeatureClient::call_many`]) with
-    /// the same reconnect-and-retry treatment as [`RetryingClient::call`].
-    /// The batch is the retry unit: it is retried only when *every*
-    /// request in it is idempotent (a transport failure mid-batch cannot
-    /// say which requests already executed), and one typed pushback
-    /// response fails the whole batch — responses are positional, so a
-    /// partially-shed batch has no honest success value.
-    pub fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let retryable = requests.iter().all(Request::is_idempotent);
-        let mut attempt: u32 = 0;
-        loop {
-            let (error, dispatched) = match self.ensure_conn() {
-                Err(error) => (error, false),
-                Ok(conn) => match conn.call_many(requests) {
-                    Ok(responses) => match responses.iter().find_map(pushback) {
-                        Some(error) => (error, true),
-                        None => return Ok(responses),
-                    },
-                    Err(error) => {
-                        if classify(&error) == ErrorClass::Transport {
-                            self.conn = None;
-                        }
-                        (error, true)
-                    }
-                },
-            };
-            if !retryable
-                || attempt + 1 >= self.policy.max_attempts
-                || classify(&error) == ErrorClass::Fatal
-            {
-                // A batch holding any write gets the same sealed verdict
-                // as a single write: never blind-retried, outcome typed.
-                return Err(match requests.iter().find(|r| !r.is_idempotent()) {
-                    Some(write) => seal_write_failure(write, dispatched, error),
-                    None => error,
-                });
-            }
-            let unit = self.rng.next_f64();
-            std::thread::sleep(self.policy.backoff(attempt, unit));
-            self.retries += 1;
-            attempt += 1;
-        }
-    }
-}
-
-impl Transport for RetryingClient {
-    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        RetryingClient::call(self, request)
-    }
-
-    fn call_many(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        RetryingClient::call_many(self, requests)
     }
 }
 

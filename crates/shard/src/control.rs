@@ -21,7 +21,7 @@
 use crate::map::{ShardId, ShardMap};
 use fstore_common::{SnapshotCell, Versioned};
 use fstore_serve::{
-    ClientBuilder, ClientConfig, ClientError, ControlSnapshot, ErrorCode, FeatureClient, StoreApi,
+    ClientConfig, ClientError, ControlSnapshot, ErrorCode, FeatureClient, StoreApi,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -229,16 +229,14 @@ impl ControlPlane {
 
     /// A one-shot direct connection under the probe deadlines.
     fn probe_client(&self, addr: &str) -> Option<FeatureClient> {
-        let built = ClientBuilder::new()
-            .endpoint(addr)
-            .connect_timeout(self.config.probe.connect_timeout)
-            .read_timeout(self.config.probe.read_timeout)
-            .write_timeout(self.config.probe.write_timeout)
-            .build();
-        match built {
-            Ok(fstore_serve::AnyClient::Direct(c)) => Some(c),
-            _ => None,
-        }
+        let probe = &self.config.probe;
+        let config = ClientConfig {
+            connect_timeout: probe.connect_timeout,
+            read_timeout: probe.read_timeout,
+            write_timeout: probe.write_timeout,
+            ..ClientConfig::default()
+        };
+        FeatureClient::connect_with(addr, &config).ok()
     }
 
     /// Retry undelivered promote and fence commands. An entry leaves the

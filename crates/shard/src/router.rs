@@ -376,8 +376,7 @@ fn answer_parts(
         return answers;
     }
     let reads: Vec<&Request> = failed_reads.iter().map(|&i| parts[i].as_ref()).collect();
-    let started = client.start_many(&reads);
-    match client.finish_many(started, &reads) {
+    match client.call_many(&reads) {
         Ok(responses) => {
             for (i, response) in failed_reads.into_iter().zip(responses) {
                 answers[i] = Some(Ok(response));

@@ -106,8 +106,8 @@ pub mod prelude {
     };
     pub use fstore_query::{AggFunc, Program};
     pub use fstore_serve::{
-        ClientBuilder, FeatureClient, IndexCatalog, IndexSpec, SearchOptions, ServeConfig,
-        ServeEngine, ServingMetrics, StoreApi, WireVector,
+        ClientBuilder, FailoverClient, FeatureClient, IndexCatalog, IndexSpec, SearchOptions,
+        ServeConfig, ServeEngine, ServingMetrics, StoreApi, WireVector,
     };
     pub use fstore_shard::{ClusterConfig, RouterClient, ShardCluster, ShardId, ShardMap};
     pub use fstore_storage::{
