@@ -95,8 +95,9 @@ pub struct DeltaRecord {
 pub enum DeltaQuery {
     /// In-window: the records with `seq > from`, in order (empty = caught up).
     Deltas(Vec<DeltaRecord>),
-    /// The caller lagged past the retention window — records it needs were
-    /// evicted. It must re-bootstrap from a full snapshot.
+    /// The caller must re-bootstrap from a full snapshot: records it needs
+    /// were evicted, or it is *ahead* of the log (its leader restarted
+    /// without its history, or is a promoted replica with a fresh log).
     Lagged {
         /// Oldest sequence number still retained.
         oldest_retained: u64,
@@ -105,23 +106,26 @@ pub enum DeltaQuery {
 
 struct LogInner {
     ring: EpochRing<DeltaRecord>,
-    next_seq: u64,
+    /// The most recent record's sequence number, or the one opened after.
+    last_seq: u64,
 }
 
 /// The leader's in-memory publication log: a bounded ring of the most recent
 /// [`DeltaRecord`]s (the same [`EpochRing`] the snapshot cells use for
-/// history retention).
+/// history retention). It assigns no sequence numbers: records arrive
+/// numbered by the leader's publication stream, which also numbers its WAL.
 pub struct PubLog {
     inner: Mutex<LogInner>,
 }
 
 impl PubLog {
-    /// An empty log retaining at most `retention` records (clamped to ≥ 1).
-    pub fn new(retention: usize) -> Self {
+    /// An empty log retaining at most `retention` records (clamped to ≥ 1)
+    /// whose first record will be `last_seq + 1`.
+    pub fn new(retention: usize, last_seq: u64) -> Self {
         PubLog {
             inner: Mutex::new(LogInner {
                 ring: EpochRing::new(retention),
-                next_seq: 1,
+                last_seq,
             }),
         }
     }
@@ -131,81 +135,53 @@ impl PubLog {
         self.inner.lock().ring.capacity()
     }
 
-    /// Record a publication, returning the sequence number it was assigned.
-    pub fn append(&self, component: ComponentKind, component_epoch: u64, body: String) -> u64 {
-        self.append_many(component, component_epoch, [body]).start
-    }
-
-    /// Record a group of publications of one component under one lock, at
-    /// consecutive sequence numbers in iteration order; returns the range
-    /// they were assigned (empty for an empty group).
-    pub fn append_many(
-        &self,
-        component: ComponentKind,
-        component_epoch: u64,
-        bodies: impl IntoIterator<Item = String>,
-    ) -> std::ops::Range<u64> {
+    /// Record publications under one lock. Their sequence numbers must
+    /// continue the log's: `last_seq + 1`, `+ 2`, … in iteration order.
+    pub fn append(&self, records: impl IntoIterator<Item = DeltaRecord>) {
         let mut evicted = Vec::new();
         let mut inner = self.inner.lock();
-        let first = inner.next_seq;
-        for body in bodies {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            evicted.extend(inner.ring.push(
-                seq,
-                DeltaRecord {
-                    seq,
-                    component,
-                    component_epoch,
-                    body,
-                },
-            ));
+        for record in records {
+            assert!(
+                record.seq == inner.last_seq + 1,
+                "a gap in the publication log"
+            );
+            inner.last_seq = record.seq;
+            evicted.extend(inner.ring.push(record.seq, record));
         }
-        let seqs = first..inner.next_seq;
         // Freed after the lock is released, so no reader or later append
         // waits on the allocator.
         drop(inner);
         drop(evicted);
-        seqs
     }
 
-    /// Sequence number of the most recent record (`0` if none yet).
+    /// Sequence number of the most recent record (the opening sequence if
+    /// none yet).
     pub fn last_seq(&self) -> u64 {
-        self.inner.lock().next_seq - 1
+        self.inner.lock().last_seq
     }
 
-    /// Oldest sequence number still retained (`next` if the log is empty —
-    /// i.e. nothing older than the next record survives).
+    /// Oldest sequence number still retained (`last_seq + 1` if the log is
+    /// empty — i.e. nothing older than the next record survives).
     pub fn oldest_retained(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.ring.oldest_key().unwrap_or(inner.next_seq)
+        inner.ring.oldest_key().unwrap_or(inner.last_seq + 1)
     }
 
     /// Everything after sequence number `from`, or [`DeltaQuery::Lagged`] if
-    /// records in `(from, oldest_retained)` have been evicted.
+    /// records in `(from, oldest_retained)` have been evicted or `from` is
+    /// past the last record.
     pub fn since(&self, from: u64) -> DeltaQuery {
         let inner = self.inner.lock();
-        let last = inner.next_seq - 1;
-        if from >= last {
+        if from == inner.last_seq {
             return DeltaQuery::Deltas(Vec::new());
         }
-        let oldest = inner.ring.oldest_key().unwrap_or(inner.next_seq);
-        if from + 1 < oldest {
+        let oldest = inner.ring.oldest_key().unwrap_or(inner.last_seq + 1);
+        if from + 1 < oldest || from > inner.last_seq {
             return DeltaQuery::Lagged {
                 oldest_retained: oldest,
             };
         }
         DeltaQuery::Deltas(inner.ring.after(from).map(|(_, r)| r.clone()).collect())
-    }
-
-    /// Run `f` with the log frozen (no appends can interleave), passing the
-    /// current last sequence number. Full-snapshot capture uses this so the
-    /// snapshot's replication epoch and its contents stay consistent: any
-    /// publication that installs concurrently will be re-delivered as a delta
-    /// `> last_seq`, and applies are idempotent.
-    pub fn frozen<R>(&self, f: impl FnOnce(u64) -> R) -> R {
-        let inner = self.inner.lock();
-        f(inner.next_seq - 1)
     }
 }
 
@@ -213,7 +189,7 @@ impl fmt::Debug for PubLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("PubLog")
-            .field("last_seq", &(inner.next_seq - 1))
+            .field("last_seq", &inner.last_seq)
             .field("retained", &inner.ring.len())
             .field("retention", &inner.ring.capacity())
             .finish()
@@ -224,24 +200,66 @@ impl fmt::Debug for PubLog {
 mod tests {
     use super::*;
 
-    #[test]
-    fn append_assigns_monotone_seqs_from_one() {
-        let log = PubLog::new(8);
-        assert_eq!(log.last_seq(), 0);
-        assert_eq!(log.oldest_retained(), 1);
-        assert_eq!(log.append(ComponentKind::Offline, 1, "a".into()), 1);
-        assert_eq!(log.append(ComponentKind::Embeddings, 1, "b".into()), 2);
-        assert_eq!(log.last_seq(), 2);
-        assert_eq!(log.oldest_retained(), 1);
+    /// Append one record at the next sequence number.
+    fn push(log: &PubLog, component: ComponentKind, component_epoch: u64, body: &str) {
+        log.append([DeltaRecord {
+            seq: log.last_seq() + 1,
+            component,
+            component_epoch,
+            body: body.into(),
+        }]);
     }
 
     #[test]
-    fn append_many_takes_consecutive_seqs_and_evicts_past_retention() {
-        let log = PubLog::new(3);
-        log.append(ComponentKind::Offline, 1, "a".into());
-        let seqs = log.append_many(ComponentKind::Online, 0, ["b", "c", "d"].map(String::from));
-        assert_eq!(seqs, 2..5);
-        assert_eq!(log.append_many(ComponentKind::Online, 0, []), 5..5);
+    fn records_keep_the_sequence_their_stream_assigned() {
+        let log = PubLog::new(8, 0);
+        assert_eq!(log.last_seq(), 0);
+        assert_eq!(log.oldest_retained(), 1);
+        push(&log, ComponentKind::Offline, 1, "a");
+        push(&log, ComponentKind::Embeddings, 1, "b");
+        assert_eq!(log.last_seq(), 2);
+        assert_eq!(log.oldest_retained(), 1);
+
+        // A log opened over a stream that already published continues it.
+        let reopened = PubLog::new(8, 41);
+        assert_eq!(reopened.oldest_retained(), 42);
+        assert_eq!(reopened.since(41), DeltaQuery::Deltas(Vec::new()));
+        assert_eq!(
+            reopened.since(40),
+            DeltaQuery::Lagged {
+                oldest_retained: 42
+            }
+        );
+        push(&reopened, ComponentKind::Online, 0, "c");
+        match reopened.since(41) {
+            DeltaQuery::Deltas(d) => assert_eq!(d.iter().map(|r| r.seq).collect::<Vec<_>>(), [42]),
+            q => panic!("unexpected {q:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a gap in the publication log")]
+    fn a_sequence_gap_is_refused() {
+        let log = PubLog::new(8, 0);
+        log.append([DeltaRecord {
+            seq: 2,
+            component: ComponentKind::Online,
+            component_epoch: 0,
+            body: String::new(),
+        }]);
+    }
+
+    #[test]
+    fn a_group_appends_in_order_and_evicts_past_retention() {
+        let log = PubLog::new(3, 0);
+        push(&log, ComponentKind::Offline, 1, "a");
+        log.append((2..).zip(["b", "c", "d"]).map(|(seq, body)| DeltaRecord {
+            seq,
+            component: ComponentKind::Online,
+            component_epoch: 0,
+            body: body.into(),
+        }));
+        log.append([]);
         assert_eq!(log.last_seq(), 4);
         assert_eq!(log.oldest_retained(), 2);
         match log.since(1) {
@@ -255,9 +273,9 @@ mod tests {
 
     #[test]
     fn since_returns_tail_in_order() {
-        let log = PubLog::new(8);
+        let log = PubLog::new(8, 0);
         for i in 0..5 {
-            log.append(ComponentKind::Online, 0, format!("{i}"));
+            push(&log, ComponentKind::Online, 0, &format!("{i}"));
         }
         match log.since(2) {
             DeltaQuery::Deltas(d) => {
@@ -267,14 +285,15 @@ mod tests {
             q => panic!("unexpected {q:?}"),
         }
         assert_eq!(log.since(5), DeltaQuery::Deltas(Vec::new()));
-        assert_eq!(log.since(99), DeltaQuery::Deltas(Vec::new()));
+        // A caller ahead of the log (its leader restarted) must re-bootstrap.
+        assert_eq!(log.since(99), DeltaQuery::Lagged { oldest_retained: 1 });
     }
 
     #[test]
     fn lagging_past_retention_is_reported() {
-        let log = PubLog::new(3);
+        let log = PubLog::new(3, 0);
         for i in 0..10 {
-            log.append(ComponentKind::Offline, i, String::new());
+            push(&log, ComponentKind::Offline, i, "");
         }
         // Records 8, 9, 10 retained; a follower at 5 can't catch up.
         assert_eq!(log.oldest_retained(), 8);
@@ -284,14 +303,6 @@ mod tests {
             DeltaQuery::Deltas(d) => assert_eq!(d.len(), 3),
             q => panic!("unexpected {q:?}"),
         }
-    }
-
-    #[test]
-    fn frozen_exposes_a_stable_last_seq() {
-        let log = PubLog::new(4);
-        log.append(ComponentKind::Index, 1, String::new());
-        let seen = log.frozen(|last| last);
-        assert_eq!(seen, 1);
     }
 
     #[test]

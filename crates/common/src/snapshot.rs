@@ -123,8 +123,8 @@ impl<V> EpochRing<V> {
 }
 
 /// A callback fired after every publication into a [`SnapshotCell`], with the
-/// just-installed snapshot/epoch pair. A cell can carry several hooks (e.g.
-/// replication *and* durability observing the same publish path); they run in
+/// just-installed snapshot/epoch pair. A cell can carry several hooks (a
+/// leader's publication stream is one, a test observer another); they run in
 /// registration order under the cell's writer mutex (publication order ==
 /// callback order) and must not publish back into the same cell.
 pub type PublishHook<T> = Box<dyn Fn(&Versioned<T>) + Send + Sync>;
@@ -211,7 +211,7 @@ pub struct SnapshotCell<T> {
     /// skew monitoring across epochs without re-materializing.
     history: Mutex<EpochRing<Arc<T>>>,
     /// Observers notified after each publication, in registration order
-    /// (replication and durability both tap in here).
+    /// (a leader's publication stream taps in here).
     hooks: Mutex<Vec<PublishHook<T>>>,
 }
 
@@ -326,23 +326,11 @@ impl<T> SnapshotCell<T> {
     }
 
     /// Install an observer fired after every publication (see
-    /// [`PublishHook`]). Replaces any previously installed hooks; use
-    /// [`add_publish_hook`](Self::add_publish_hook) to observe alongside
-    /// existing observers.
-    pub fn set_publish_hook(&self, hook: impl Fn(&Versioned<T>) + Send + Sync + 'static) {
-        *self.hooks.lock() = vec![Box::new(hook)];
-    }
-
-    /// Install an *additional* observer without disturbing the ones already
-    /// registered. Hooks fire in registration order, so e.g. a replication
-    /// hook and a durability hook can both tap the same publish path.
+    /// [`PublishHook`]), alongside the ones already registered. Hooks fire
+    /// in registration order and cannot be removed, so no caller can unhook
+    /// another's observer (a leader's publication stream taps in here).
     pub fn add_publish_hook(&self, hook: impl Fn(&Versioned<T>) + Send + Sync + 'static) {
         self.hooks.lock().push(Box::new(hook));
-    }
-
-    /// Remove every publication observer.
-    pub fn clear_publish_hook(&self) {
-        self.hooks.lock().clear();
     }
 
     /// Adopt `value` as the snapshot at `epoch` — the replication entry
@@ -491,15 +479,12 @@ mod tests {
         let cell = SnapshotCell::new(0u64);
         {
             let seen = Arc::clone(&seen);
-            cell.set_publish_hook(move |v| seen.lock().push((v.epoch.as_u64(), *v.value)));
+            cell.add_publish_hook(move |v| seen.lock().push((v.epoch.as_u64(), *v.value)));
         }
         cell.publish(10);
         cell.update(|cur, _| (cur + 1, ()));
-        assert_eq!(*seen.lock(), vec![(1, 10), (2, 11)]);
-
-        cell.clear_publish_hook();
-        cell.publish(99);
-        assert_eq!(seen.lock().len(), 2);
+        cell.restore(20, ReadEpoch(5));
+        assert_eq!(*seen.lock(), vec![(1, 10), (2, 11), (5, 20)]);
     }
 
     #[test]
@@ -513,14 +498,13 @@ mod tests {
         cell.publish(1);
         assert_eq!(*seen.lock(), vec![("repl", 1), ("durable", 1)]);
 
-        // set_publish_hook replaces the whole set.
+        // A later hook joins the set; it never replaces the earlier ones.
         {
             let seen = Arc::clone(&seen);
-            cell.set_publish_hook(move |v| seen.lock().push(("only", v.epoch.as_u64())));
+            cell.add_publish_hook(move |v| seen.lock().push(("late", v.epoch.as_u64())));
         }
         cell.publish(2);
-        assert_eq!(seen.lock().last(), Some(&("only", 2)));
-        assert_eq!(seen.lock().len(), 3);
+        assert_eq!(seen.lock()[2..], [("repl", 2), ("durable", 2), ("late", 2)]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! disk.
 //!
 //! The publication log ([`fstore_common::PubLog`]) and the WAL both store
-//! delta bodies as opaque JSON strings; this module defines the
-//! per-component body types, the publish tap that diffs publications into
-//! them, and the apply functions followers and crash recovery use to
-//! replay them. Full snapshots — what a follower bootstraps from and what
+//! delta bodies as opaque JSON strings (one string, encoded once); this
+//! module defines the per-component body types, the publish tap that diffs
+//! publications into them, and the apply functions followers and crash
+//! recovery use to replay them. Full snapshots — what a follower bootstraps from and what
 //! a checkpoint holds — are binary (see [`encode_snapshot`]). (It lives
 //! here rather than in `fstore-repl` so durability does not depend on
 //! replication; `fstore-repl` re-exports it.) Three invariants keep
@@ -451,9 +451,24 @@ impl OnlineRows {
         block
     }
 
-    /// Write every slot into `store`. Puts overwrite, so installing over
-    /// state that already holds some of these rows is idempotent.
+    /// Make `store` hold exactly these rows: delete the entries the block
+    /// lacks (a leader history it does not continue), then write every
+    /// slot. An entry held on both sides is overwritten, never missing.
     pub fn install(self, store: &OnlineStore) {
+        let mut ids = Vec::new();
+        store.resolve_into(&self.names, &mut ids);
+        // Rows are sorted (`capture`); an unsorted block's slots write back
+        // whatever the search misses.
+        store.retain(|group, entity, feature, _| {
+            self.rows
+                .binary_search_by(|r| (&r.group[..], &r.entity[..]).cmp(&(group, entity)))
+                .is_ok_and(|i| {
+                    let slots = &self.rows[i].slots;
+                    slots
+                        .iter()
+                        .any(|(id, ..)| ids[*id as usize] == Some(feature))
+                })
+        });
         for row in self.rows {
             let entity = EntityKey::new(row.entity);
             for (id, value, written_at) in row.slots {
@@ -468,51 +483,53 @@ impl OnlineRows {
 // Publish tap
 // ---------------------------------------------------------------------------
 
-/// Hook the publish path of every cell-backed component: each later
-/// publication is diffed against the one before it and handed to `sink`
-/// as `(component, component epoch, body)` — even an empty diff, since the
-/// epoch bump itself is state a replica must reproduce. A diff or encode
-/// that fails ships the component's full state instead: correct, only
-/// larger, because applies upsert.
-pub fn tap_publications(
-    parts: &LeaderParts,
-    sink: impl Fn(ComponentKind, u64, String) + Clone + Send + Sync + 'static,
-) {
+/// Hook every cell-backed component into the parts' publication stream:
+/// once the stream has a sink, each publication is diffed against the one
+/// before it and published — even an empty diff, since the epoch bump is
+/// state a replica must reproduce. A diff or encode that fails ships the
+/// component's full state instead (applies upsert).
+pub(crate) fn tap_publications(parts: &LeaderParts) {
     parts.offline.add_publish_hook(tap(
+        parts,
         parts.offline.snapshot(),
         ComponentKind::Offline,
         diff_offline,
-        sink.clone(),
     ));
     parts.embeddings.add_publish_hook(tap(
+        parts,
         parts.embeddings.snapshot(),
         ComponentKind::Embeddings,
         |base, new| Ok(diff_embeddings(base, new)),
-        sink.clone(),
     ));
     parts.indexes.add_publish_hook(tap(
+        parts,
         parts.indexes.current().value,
         ComponentKind::Index,
         |base, new| Ok(diff_indexes(base, new)),
-        sink,
     ));
 }
 
 fn tap<T: Default + Send + Sync + 'static, D: Serialize + 'static>(
+    parts: &LeaderParts,
     base: Arc<T>,
     component: ComponentKind,
     diff: fn(&T, &T) -> Result<D>,
-    sink: impl Fn(ComponentKind, u64, String) + Send + Sync + 'static,
 ) -> impl Fn(&Versioned<T>) + Send + Sync + 'static {
+    let stream = Arc::clone(&parts.stream);
     let base = Mutex::new(base);
     move |v| {
-        // Held across `sink`: a component's deltas sink in publication order.
+        // Held across the publish: a component's deltas keep their order.
         let mut base = base.lock();
-        let body = diff(&base, &v.value)
-            .and_then(|delta| encode(&delta))
-            .or_else(|_| encode(&diff(&T::default(), &v.value)?))
-            .expect("a published component's full state encodes");
-        sink(component, v.epoch.as_u64(), body);
+        if stream.lock().live() {
+            let body = diff(&base, &v.value)
+                .and_then(|delta| encode(&delta))
+                .or_else(|_| encode(&diff(&T::default(), &v.value)?))
+                .expect("a published component's full state encodes");
+            // A WAL failure fuses the stream; the hook has nobody to tell.
+            let _ = stream
+                .lock()
+                .publish(component, v.epoch.as_u64(), vec![body], || {});
+        }
         *base = Arc::clone(&v.value);
     }
 }
@@ -918,6 +935,20 @@ mod tests {
         }
         assert_eq!(rows.export_rows(), puts.export_rows());
         assert_eq!(rows.stats().snapshot(), puts.stats().snapshot());
+    }
+
+    #[test]
+    fn online_rows_install_leaves_exactly_the_captured_rows() {
+        let (t, key) = (Timestamp::millis(5), EntityKey::new);
+        let (leader, replica) = (OnlineStore::default(), OnlineStore::default());
+        leader.put("user", &key("a"), "x", Value::Int(1), t);
+        leader.put("user", &key("b"), "y", Value::Int(2), t);
+        replica.put("user", &key("a"), "x", Value::Int(9), t);
+        replica.put("user", &key("a"), "stale", Value::Int(9), t);
+        replica.put("user", &key("gone"), "x", Value::Int(9), t);
+        replica.put("other", &key("b"), "y", Value::Int(9), t);
+        OnlineRows::capture(&leader).install(&replica);
+        assert_eq!(replica.export_rows(), leader.export_rows());
     }
 
     #[test]

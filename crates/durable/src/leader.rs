@@ -1,6 +1,6 @@
-//! The durable leader: a serving stack whose every publication is
-//! write-ahead logged, periodically checkpointed, and recoverable after a
-//! crash into the last *published* epoch.
+//! The durable leader: a serving stack whose publications are write-ahead
+//! logged, periodically checkpointed, and recoverable after a crash into
+//! the last *published* epoch.
 //!
 //! [`DurableLeader::open`] is both cold start and crash recovery — the two
 //! are deliberately the same code path:
@@ -12,68 +12,89 @@
 //!    same idempotent apply functions follower sync uses;
 //! 3. re-checkpoint at the recovered sequence and rotate the WAL, so the
 //!    next restart replays nothing that this one already folded in;
-//! 4. hook every component's publish path ([`add_publish_hook`], so a
-//!    replication leader can hook the same cells independently) to log
-//!    future publications.
+//! 4. attach the WAL to the parts' publication stream at that sequence.
 //!
-//! The WAL taps the identical publish path the replication `PubLog` taps:
-//! a publication is diffed against the previous snapshot and appended as a
-//! delta + epoch-tagged commit marker. Durability and replication are the
-//! same stream, written to disk instead of shipped to followers.
-//!
-//! [`add_publish_hook`]: fstore_storage::OfflineDb::add_publish_hook
+//! **One stream per [`LeaderParts`]:** one publish tap, one sequence
+//! counter, and two optional sinks (the WAL, then a `ReplLeader`'s
+//! `PubLog`). Hooks fire after a cell swaps, so the contract is *logged
+//! before replicated*, and fail-stop: a publication the WAL refuses never
+//! reaches the log and fuses the stream, which then refuses writes,
+//! publications and checkpoints until [`DurableLeader::open`].
 
 use crate::checkpoint::CheckpointStore;
 use crate::codec::{self, FullSnapshot, OnlineRows};
 use crate::wal::{FsyncPolicy, WalWriter};
-use fstore_common::{ComponentKind, DeltaRecord, EntityKey, ReadEpoch, Result, Timestamp, Value};
+use fstore_common::{
+    ComponentKind, DeltaRecord, EntityKey, FsError, PubLog, ReadEpoch, Result, Timestamp, Value,
+};
 use fstore_core::FeatureServer;
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
-use fstore_serve::{Clock, IndexCatalog, IndexMap, ServeEngine, ServingMetrics};
+use fstore_serve::{Clock, IndexCatalog, IndexMap, OnlineWrite, ServeEngine, ServingMetrics};
 use fstore_storage::{OfflineDb, OnlineStore};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The replicable components of one serving stack — what a durable leader
 /// recovers, a replication leader publishes, and a follower replicates
-/// into. Clones share the components (snapshot cells and `Arc`s).
+/// into — and their publication stream. Clones share both.
 #[derive(Clone)]
 pub struct LeaderParts {
     pub offline: OfflineDb,
     pub online: Arc<OnlineStore>,
     pub embeddings: EmbeddingDb,
     pub indexes: Arc<IndexCatalog>,
+    pub(crate) stream: Arc<Mutex<Stream>>,
 }
 
 impl LeaderParts {
     /// Fresh, empty components sharing one embedding catalog between the
-    /// embedding handle and the index catalog.
+    /// embedding handle and the index catalog, on a stream with no sink.
     pub fn new() -> Self {
         let embeddings = EmbeddingDb::new();
-        LeaderParts {
+        let parts = LeaderParts {
             offline: OfflineDb::new(),
             online: Arc::new(OnlineStore::default()),
             indexes: Arc::new(IndexCatalog::new(embeddings.clone())),
             embeddings,
-        }
+            stream: Arc::default(),
+        };
+        codec::tap_publications(&parts);
+        parts
     }
 
-    /// The components a [`DurableLeader`] recovered, so a replication
-    /// leader can be layered over the same cells. Pair with
-    /// `ReplLeader::attach_durable` so online writes hit the WAL too.
+    /// The components a [`DurableLeader`] recovered, with its stream, so a
+    /// `ReplLeader` built over them logs what the WAL logs.
     pub fn from_durable(durable: &DurableLeader) -> Self {
         durable.parts.clone()
     }
 
-    /// Capture a [`FullSnapshot`] of the components at `repl_epoch`, which
-    /// callers pin however their log requires (the replication leader under
-    /// `PubLog::frozen`, the durable leader under its WAL lock): a
-    /// publication that installs concurrently is re-delivered as a later
-    /// delta, and applies are idempotent, so readers converge.
-    pub fn capture(&self, repl_epoch: u64) -> FullSnapshot {
+    /// Whether `other` publishes through this stream.
+    pub fn shares_stream(&self, other: &LeaderParts) -> bool {
+        Arc::ptr_eq(&self.stream, &other.stream)
+    }
+
+    /// Open the replication log, numbered on from the stream's last
+    /// sequence (after a restart, the recovered one). A stream feeds one log.
+    pub fn attach_log(&self, retention: usize) -> Arc<PubLog> {
+        let mut state = self.stream.lock();
+        assert!(state.log.is_none(), "a publication stream feeds one log");
+        let log = Arc::new(PubLog::new(retention, state.seq));
+        state.log = Some(Arc::clone(&log));
+        log
+    }
+
+    /// Capture a [`FullSnapshot`] at the last published sequence, under the
+    /// stream lock: a publication racing the capture lands at a later
+    /// sequence and is re-delivered; applies are idempotent.
+    pub fn capture(&self) -> FullSnapshot {
+        let stream = self.stream.lock();
+        self.capture_at(stream.seq)
+    }
+
+    fn capture_at(&self, repl_epoch: u64) -> FullSnapshot {
         let off = self.offline.read();
         let emb = self.embeddings.read();
         let idx = self.indexes.current();
@@ -119,6 +140,62 @@ impl LeaderParts {
         )
     }
 
+    /// [`put_online_many`](Self::put_online_many) with a group of one.
+    pub fn put_online(
+        &self,
+        group: &str,
+        entity: &EntityKey,
+        values: &[(&str, Value)],
+        now: Timestamp,
+    ) -> Result<u64> {
+        let write = OnlineWrite {
+            group,
+            entity: entity.as_str(),
+            values,
+        };
+        let mut results = self.put_online_many(&[write], now);
+        results.pop().expect("one result per write")
+    }
+
+    /// Write a group of entities' features in order — each body encoded
+    /// once, then to the WAL (one write), the online store and the log —
+    /// and return each write's sequence. The online store has no cell to
+    /// hook, so both leaders' online writes come through here. A write that
+    /// does not encode fails alone; a group the WAL refuses fails whole,
+    /// unapplied.
+    pub fn put_online_many<S: AsRef<str>>(
+        &self,
+        writes: &[OnlineWrite<'_, S>],
+        now: Timestamp,
+    ) -> Vec<Result<u64>> {
+        let mut results: Vec<Result<u64>> = Vec::with_capacity(writes.len());
+        let mut bodies = Vec::with_capacity(writes.len());
+        for w in writes {
+            match codec::online_body(w.group, w.entity, w.values, now) {
+                Ok(body) => {
+                    bodies.push(body);
+                    results.push(Ok(0));
+                }
+                Err(e) => results.push(Err(e)),
+            }
+        }
+        let mut stream = self.stream.lock();
+        let mut published = stream.publish(ComponentKind::Online, 0, bodies, || {
+            for (w, _) in writes.iter().zip(&results).filter(|(_, r)| r.is_ok()) {
+                self.online
+                    .put_row(w.group, &EntityKey::new(w.entity), w.values, now);
+            }
+        });
+        drop(stream);
+        for result in results.iter_mut().filter(|r| r.is_ok()) {
+            *result = match &mut published {
+                Ok(seqs) => Ok(seqs.next().expect("one sequence per encoded write")),
+                Err(e) => Err(e.clone()),
+            };
+        }
+        results
+    }
+
     /// A ready-to-start [`ServeEngine`] over the components, stamping
     /// feature vectors with the offline epoch: answers at equal epochs — on
     /// a synced follower, or across a crash-restart — are byte-identical.
@@ -137,6 +214,63 @@ impl LeaderParts {
 impl Default for LeaderParts {
     fn default() -> Self {
         LeaderParts::new()
+    }
+}
+
+/// One leader's publication stream: the sequence counter and the sinks
+/// each publication goes to, WAL first, then the replication log.
+#[derive(Default)]
+pub(crate) struct Stream {
+    /// The last sequence number assigned to a publication.
+    seq: u64,
+    wal: Option<WalWriter>,
+    log: Option<Arc<PubLog>>,
+    /// The WAL error that lost a publication; the stream refuses with it.
+    fuse: Option<FsError>,
+    metrics: Option<Arc<ServingMetrics>>,
+}
+
+impl Stream {
+    /// Whether a sink is attached: until one is, the tap does no diff work.
+    pub(crate) fn live(&self) -> bool {
+        self.wal.is_some() || self.log.is_some()
+    }
+
+    /// Publish one component's bodies at the next sequences: to the WAL,
+    /// then `apply`, then to the log. A failed WAL append fuses the stream.
+    pub(crate) fn publish(
+        &mut self,
+        component: ComponentKind,
+        component_epoch: u64,
+        bodies: Vec<String>,
+        apply: impl FnOnce(),
+    ) -> Result<Range<u64>> {
+        if let Some(e) = &self.fuse {
+            return Err(e.clone());
+        }
+        let first = self.seq + 1;
+        if bodies.is_empty() {
+            return Ok(first..first);
+        }
+        if let Some(wal) = &mut self.wal {
+            let info = wal
+                .append_group(first, component, component_epoch, &bodies)
+                .map_err(|e| self.fuse.insert(e).clone())?;
+            if let Some(m) = &self.metrics {
+                m.record_wal_append(info.bytes, info.fsynced);
+            }
+        }
+        apply();
+        self.seq += bodies.len() as u64;
+        if let Some(log) = &self.log {
+            log.append((first..).zip(bodies).map(|(seq, body)| DeltaRecord {
+                seq,
+                component,
+                component_epoch,
+                body,
+            }));
+        }
+        Ok(first..self.seq + 1)
     }
 }
 
@@ -179,51 +313,7 @@ pub struct DurableLeader {
     store: CheckpointStore,
     config: DurableConfig,
     parts: LeaderParts,
-    wal: Arc<Wal>,
     last_recovery: RecoveryReport,
-}
-
-/// The live WAL, shared by the leader and its publish hooks.
-struct Wal {
-    writer: Mutex<WalWriter>,
-    /// The last sequence number assigned to a publication — the leader's
-    /// "published epoch" for durability purposes.
-    seq: AtomicU64,
-    metrics: Mutex<Option<Arc<ServingMetrics>>>,
-}
-
-impl Wal {
-    /// Append a group of publications (a delta each + one commit marker,
-    /// one write) and return the sequence of the commit — the group's
-    /// last. Sequence assignment happens under the writer lock, so on-disk
-    /// order always matches sequence order even when cells publish
-    /// concurrently; a refused append takes no sequence.
-    ///
-    /// An `Err` means the commit marker is not known to be on disk — the
-    /// write path that acknowledges clients
-    /// ([`DurableLeader::log_online_many`]) must refuse to ack on it.
-    /// Publish *hooks* have nowhere to surface the error and drop it; the
-    /// state they described becomes durable again at the next checkpoint.
-    /// (A production system would trip a fail-stop fuse there.)
-    fn log_many(
-        &self,
-        component: ComponentKind,
-        component_epoch: u64,
-        bodies: &[String],
-    ) -> Result<u64> {
-        let mut writer = self.writer.lock();
-        let first = self.seq.load(Ordering::Acquire) + 1;
-        if bodies.is_empty() {
-            return Ok(first - 1);
-        }
-        let info = writer.append_group(first, component, component_epoch, bodies)?;
-        let last = first + bodies.len() as u64 - 1;
-        self.seq.store(last, Ordering::Release);
-        if let Some(m) = self.metrics.lock().as_ref() {
-            m.record_wal_append(info.bytes, info.fsynced);
-        }
-        Ok(last)
-    }
 }
 
 impl DurableLeader {
@@ -260,10 +350,17 @@ impl DurableLeader {
 
         // 3. Re-checkpoint at the recovered sequence and rotate the WAL, so
         // the *next* restart replays nothing this one already folded in.
-        store.write(&parts.capture(recovered_epoch))?;
+        store.write(&parts.capture_at(recovered_epoch))?;
         let rotate = recovered_epoch != checkpoint_epoch || cold_start;
         let writer = WalWriter::open(store.wal_path(recovered_epoch), config.fsync, rotate)?;
         store.gc(recovered_epoch);
+
+        // 4. From here on every publication is logged.
+        *parts.stream.lock() = Stream {
+            seq: recovered_epoch,
+            wal: Some(writer),
+            ..Stream::default()
+        };
 
         let report = RecoveryReport {
             cold_start,
@@ -274,36 +371,18 @@ impl DurableLeader {
             truncated_bytes: replay.truncated_bytes,
             recovery_ms: started.elapsed().as_millis() as u64,
         };
-
-        let leader = Arc::new(DurableLeader {
+        let leader = DurableLeader {
             store,
             config,
             parts,
-            wal: Arc::new(Wal {
-                writer: Mutex::new(writer),
-                seq: AtomicU64::new(recovered_epoch),
-                metrics: Mutex::new(None),
-            }),
             last_recovery: report,
-        });
-
-        // 4. Hook the publish paths — from here on, every publication is
-        // logged before anyone can observe a state that contains it only
-        // in memory.
-        let wal = Arc::clone(&leader.wal);
-        codec::tap_publications(&leader.parts, move |component, epoch, body| {
-            let _ = wal.log_many(component, epoch, std::slice::from_ref(&body));
-        });
-        Ok((leader, report))
+        };
+        Ok((Arc::new(leader), report))
     }
 
-    /// Write one entity's features to the WAL *and then* the online store,
-    /// returning the WAL sequence the write committed at. The online
-    /// store has no snapshot cell to hook, so durable online writes must
-    /// go through here (mirroring the replication leader's rule). An
-    /// `Err` means the commit marker is not known durable — callers that
-    /// acknowledge clients must surface it instead of acking — and the
-    /// write was not applied: nobody can read a value that is not logged.
+    /// Write one entity's features to the WAL *and then* the online store
+    /// ([`LeaderParts::put_online`]). An `Err` means the write is not known
+    /// durable and was not applied: callers must not acknowledge it.
     pub fn put_online(
         &self,
         group: &str,
@@ -311,34 +390,25 @@ impl DurableLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64> {
-        let body = codec::online_body(group, entity.as_str(), values, now)?;
-        let seq = self.log_online_many(std::slice::from_ref(&body))?;
-        self.parts.online.put_row(group, entity, values, now);
-        Ok(seq)
-    }
-
-    /// WAL-log a group of encoded online deltas ([`codec::online_body`])
-    /// before they are applied — what a replication leader calls so its
-    /// writes are durable: one write, one commit marker and (under
-    /// [`FsyncPolicy::Always`]) one fsync for the whole group. Returns the
-    /// WAL sequence of the commit marker; `Err` means the group is not
-    /// known to be on disk and none of it may be applied or acknowledged.
-    pub fn log_online_many(&self, bodies: &[String]) -> Result<u64> {
-        self.wal.log_many(ComponentKind::Online, 0, bodies)
+        self.parts.put_online(group, entity, values, now)
     }
 
     /// Take a checkpoint at the current published sequence and rotate the
-    /// WAL. Capturing under the WAL lock pins the sequence: a publication
-    /// that installed its cell but has not logged yet will land *after*
-    /// this checkpoint's sequence and be replayed idempotently on restart.
+    /// WAL, under the stream lock ([`LeaderParts::capture`]). A fused stream
+    /// refuses: its state holds a publication followers never received.
     pub fn checkpoint(&self) -> Result<()> {
-        let mut writer = self.wal.writer.lock();
-        let seq = self.published_seq();
-        self.store.write(&self.parts.capture(seq))?;
-        *writer = WalWriter::open(self.store.wal_path(seq), self.config.fsync, true)?;
-        self.store.gc(seq);
-        drop(writer);
-        if let Some(m) = self.wal.metrics.lock().as_ref() {
+        let mut guard = self.parts.stream.lock();
+        let state = &mut *guard;
+        if let Some(e) = &state.fuse {
+            return Err(e.clone());
+        }
+        self.store.write(&self.parts.capture_at(state.seq))?;
+        // Appends past a failed rotation would land in a file recovery
+        // never reads: fail-stop instead.
+        let rotated = WalWriter::open(self.store.wal_path(state.seq), self.config.fsync, true);
+        state.wal = Some(rotated.map_err(|e| state.fuse.insert(e).clone())?);
+        self.store.gc(state.seq);
+        if let Some(m) = &state.metrics {
             m.record_checkpoint();
         }
         Ok(())
@@ -351,12 +421,12 @@ impl DurableLeader {
             self.last_recovery.recovery_ms,
             self.last_recovery.recovered_epoch,
         );
-        *self.wal.metrics.lock() = Some(metrics);
+        self.parts.stream.lock().metrics = Some(metrics);
     }
 
     /// The last sequence number assigned to a publication.
     pub fn published_seq(&self) -> u64 {
-        self.wal.seq.load(Ordering::Acquire)
+        self.parts.stream.lock().seq
     }
 
     /// What the `open` that produced this leader recovered.
@@ -390,6 +460,8 @@ impl DurableLeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fstore_common::{Schema, ValueType};
+    use fstore_storage::TableConfig;
 
     #[test]
     fn a_write_the_wal_refuses_is_an_error_and_never_readable() {
@@ -397,13 +469,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let (leader, _) = DurableLeader::open(&dir, DurableConfig::default()).unwrap();
         // Every write to /dev/full fails with ENOSPC.
-        *leader.wal.writer.lock() =
-            WalWriter::open("/dev/full", FsyncPolicy::Always, false).unwrap();
+        leader.parts.stream.lock().wal =
+            Some(WalWriter::open("/dev/full", FsyncPolicy::Always, false).unwrap());
 
         let key = EntityKey::new("u1");
         let put = leader.put_online("user", &key, &[("score", Value::Int(1))], Timestamp::EPOCH);
         assert!(put.is_err(), "a failed WAL append was acknowledged");
         assert_eq!(leader.online().get("user", &key, "score"), None);
+
+        // The stream is fused: nothing later is applied or checkpointed,
+        // even once the disk would take it again.
+        leader.parts.stream.lock().wal =
+            Some(WalWriter::open(dir.join("spare.log"), FsyncPolicy::Always, true).unwrap());
+        let later = leader.put_online("user", &key, &[("score", Value::Int(2))], Timestamp::EPOCH);
+        assert_eq!(
+            later, put,
+            "a fused stream answers with the error that fused it"
+        );
+        assert_eq!(leader.online().get("user", &key, "score"), None);
+        assert!(leader.checkpoint().is_err(), "a fused stream checkpointed");
+        assert_eq!(leader.published_seq(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parts_with_no_sink_publish_nothing() {
+        let parts = LeaderParts::new();
+        parts
+            .offline
+            .write(|s| s.create_table("t", TableConfig::new(Schema::of(&[("x", ValueType::Int)]))))
+            .unwrap();
+        assert!(!parts.stream.lock().live());
+        assert_eq!(parts.stream.lock().seq, 0);
+
+        // A log attached later numbers on from the stream and takes only
+        // what is published after it.
+        let log = parts.attach_log(8);
+        parts
+            .offline
+            .write(|s| s.append("t", &[Value::Int(1)]))
+            .unwrap();
+        assert_eq!(log.last_seq(), 1);
+        assert_eq!(parts.capture().repl_epoch, 1);
     }
 }

@@ -104,17 +104,9 @@ impl EmbeddingDb {
         }
     }
 
-    /// Observe every publication (replication taps in here; see
-    /// [`fstore_common::snapshot::PublishHook`]). Replaces existing hooks.
-    pub fn set_publish_hook(
-        &self,
-        hook: impl Fn(&Versioned<EmbeddingStore>) + Send + Sync + 'static,
-    ) {
-        self.inner.cell.set_publish_hook(hook);
-    }
-
-    /// Observe every publication *alongside* existing observers — lets
-    /// replication and durability both tap the same publish path.
+    /// Observe every publication, alongside the existing observers (a
+    /// leader's publication stream taps in here; see
+    /// [`fstore_common::snapshot::PublishHook`]).
     pub fn add_publish_hook(
         &self,
         hook: impl Fn(&Versioned<EmbeddingStore>) + Send + Sync + 'static,

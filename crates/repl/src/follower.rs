@@ -12,7 +12,8 @@
 //!    applies records in sequence order, each at its leader-dictated
 //!    component epoch — so every response the follower serves echoes an
 //!    epoch the leader actually published.
-//! 3. A follower that lagged past the leader's retention window is told so
+//! 3. A follower that lagged past the leader's retention window, or is
+//!    ahead of a restarted or promoted leader's log, is told so
 //!    (`lagged`) and recovers by re-pulling a full snapshot; the fallback
 //!    is counted and exported through [`ServingMetrics`].
 //!
@@ -88,11 +89,10 @@ impl Follower {
 
     /// Bootstrap through a persistent snapshot cache: install the cached
     /// snapshot from disk (no wire transfer) and catch up through ordinary
-    /// delta sync. A missing or corrupt cache — or one that has lagged past
-    /// the leader's retention window (the first sync round answers
-    /// `lagged`) — falls back to a full wire pull, which repopulates the
-    /// cache. Every wire pull keeps the cache fresh, so the *next* restart
-    /// bootstraps from disk.
+    /// delta sync. A missing or corrupt cache — or one the first sync round
+    /// answers `lagged` — falls back to a full wire pull, which repopulates
+    /// the cache. Every wire pull keeps the cache fresh, so the *next*
+    /// restart bootstraps from disk.
     pub fn bootstrap_with_cache(
         leader_addr: impl Into<String>,
         cache: SnapshotCache,
@@ -151,7 +151,7 @@ impl Follower {
         let repl_epoch = snapshot.repl_epoch;
         self.parts.install(snapshot)?;
         self.applied.store(repl_epoch, Ordering::Release);
-        self.leader_epoch.fetch_max(repl_epoch, Ordering::AcqRel);
+        self.leader_epoch.store(repl_epoch, Ordering::Release);
         Ok(())
     }
 
@@ -166,8 +166,8 @@ impl Follower {
         let (state, batch) = client
             .repl_sync(self.applied.load(Ordering::Acquire))
             .map_err(|e| FsError::Storage(format!("poll deltas: {e}")))?;
-        self.leader_epoch
-            .fetch_max(state.leader_epoch.max(batch.leader_epoch), Ordering::AcqRel);
+        let leader_epoch = state.leader_epoch.max(batch.leader_epoch);
+        self.leader_epoch.store(leader_epoch, Ordering::Release);
 
         let mut applied = 0usize;
         let mut resynced = false;
@@ -345,10 +345,10 @@ impl Follower {
     }
 
     /// Promote this follower to a replication leader in place: wrap its
-    /// components in a fresh [`ReplLeader`] (new publication log, new
-    /// publish hooks) retaining `retention` deltas. Every epoch the
-    /// follower replicated is already folded into the components, so other
-    /// followers bootstrap from the promoted leader's full snapshot.
+    /// components in a fresh [`ReplLeader`] (a new log on their stream)
+    /// retaining `retention` deltas. Every epoch the follower replicated is
+    /// already folded into the components; other followers, ahead of the
+    /// fresh log, bootstrap from the promoted leader's full snapshot.
     ///
     /// Stop the sync loop first ([`SyncHandle::stop`]) — a promotion while
     /// deltas from the old leader are still being applied would interleave

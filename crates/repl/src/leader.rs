@@ -1,16 +1,13 @@
-//! The leader side: publish hooks feeding the publication log, and the
+//! The leader side: a publication log on the components' stream, and the
 //! [`ReplProvider`] implementation the serving layer answers followers
 //! through.
 //!
-//! A [`ReplLeader`] wraps the four replicable components. Installing it
-//! registers a publish hook on every snapshot cell (offline store,
-//! embedding catalog, index catalog); each hook diffs the newly published
-//! snapshot against the previous one and appends the delta — stamped with
-//! the component's own cell epoch — to the shared [`PubLog`]. The online
-//! store has no cell, so replicated online writes go through
-//! [`ReplLeader::put_online_many`] (or `put_online`, a group of one),
-//! which encodes each write once, logs the group with one WAL write,
-//! applies, then publishes the group under one log lock.
+//! A [`ReplLeader`] wraps the four replicable components and opens the
+//! replication log on their publication stream ([`LeaderParts::attach_log`]),
+//! whose tap appends each cell publication's delta — stamped with the
+//! component's own cell epoch — after the WAL on a [`DurableLeader`]'s
+//! parts. Online writes have no cell; they go through
+//! [`LeaderParts::put_online_many`], the path both leaders share.
 //!
 //! Every publication is logged, even one whose diff is empty: the epoch
 //! bump itself is state a follower must reproduce, or its echoed epochs
@@ -18,20 +15,16 @@
 
 use crate::codec;
 use fstore_common::{
-    ComponentKind, DeltaQuery, EntityKey, FsError, PubLog, Timestamp, Value, DEFAULT_LOG_RETENTION,
+    DeltaQuery, EntityKey, FsError, PubLog, Timestamp, Value, DEFAULT_LOG_RETENTION,
 };
 use fstore_durable::{DurableLeader, LeaderParts};
 use fstore_serve::{Clock, OnlineWrite, ReplLogState, ReplProvider, ServeEngine};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A replication leader: the publication log plus the components feeding it.
 pub struct ReplLeader {
     log: Arc<PubLog>,
     parts: LeaderParts,
-    /// An attached durable leader, so replicated online writes are also
-    /// WAL-logged (cell-backed components log through their own hooks).
-    durable: Mutex<Option<Arc<DurableLeader>>>,
 }
 
 impl ReplLeader {
@@ -42,33 +35,24 @@ impl ReplLeader {
 
     /// Wrap `parts` as a leader retaining at most `retention` deltas;
     /// followers that lag further re-bootstrap from a full snapshot.
-    ///
-    /// Installs publish hooks on every component cell, so publications
-    /// *after* this call are replicated. State already present is covered
-    /// by the full snapshot a follower bootstraps from.
+    /// Publications *after* this call are replicated; state already present
+    /// is covered by the full snapshot a follower bootstraps from.
     pub fn with_retention(parts: LeaderParts, retention: usize) -> Arc<Self> {
-        let log = Arc::new(PubLog::new(retention));
-        let sink = Arc::clone(&log);
-        codec::tap_publications(&parts, move |component, epoch, body| {
-            sink.append(component, epoch, body);
-        });
         Arc::new(ReplLeader {
-            log,
+            log: parts.attach_log(retention),
             parts,
-            durable: Mutex::new(None),
         })
     }
 
-    /// Attach a [`DurableLeader`] built over the *same* components, making
-    /// this leader's replicated online writes durable too. Hooks stack:
-    /// cell-backed publications already reach both the publication log and
-    /// the WAL through their own [`add_publish_hook`] registrations; the
-    /// online store has no cell, so [`put_online_many`](Self::put_online_many)
-    /// forwards each group of writes explicitly once attached.
-    ///
-    /// [`add_publish_hook`]: fstore_storage::OfflineDb::add_publish_hook
+    /// Assert that this leader was built over `durable`'s parts
+    /// ([`LeaderParts::from_durable`]), whose stream already reaches the WAL
+    /// before the log: there is nothing to attach.
     pub fn attach_durable(&self, durable: Arc<DurableLeader>) {
-        *self.durable.lock() = Some(durable);
+        assert!(
+            self.parts
+                .shares_stream(&LeaderParts::from_durable(&durable)),
+            "a replication leader must be built over the durable leader's parts"
+        );
     }
 
     pub fn log(&self) -> &Arc<PubLog> {
@@ -79,12 +63,9 @@ impl ReplLeader {
         &self.parts
     }
 
-    /// Write one entity's features to the online store *and* record the
-    /// write in the publication log, returning the publication sequence
-    /// it landed at: [`put_online_many`](Self::put_online_many) with a
-    /// group of one. Replicated online writes must go through here or
-    /// there — a bare [`fstore_storage::OnlineStore::put`] is invisible to
-    /// followers (the online store has no snapshot cell to hook).
+    /// Write one entity's features and replicate the write
+    /// ([`LeaderParts::put_online`]); a bare
+    /// [`fstore_storage::OnlineStore::put`] is invisible to followers.
     pub fn put_online(
         &self,
         group: &str,
@@ -92,60 +73,16 @@ impl ReplLeader {
         values: &[(&str, Value)],
         now: Timestamp,
     ) -> Result<u64, FsError> {
-        let write = OnlineWrite {
-            group,
-            entity: entity.as_str(),
-            values,
-        };
-        let mut results = self.put_online_many(&[write], now);
-        results.pop().expect("one result per write")
+        self.parts.put_online(group, entity, values, now)
     }
 
-    /// Write a group of entities' features, in order, and return per
-    /// write the publication sequence it landed at — consecutive across
-    /// the writes that succeed. Each body is encoded once; the group is
-    /// WAL-logged with one write and one commit marker (with a durable
-    /// leader attached), applied, then published under one log lock.
-    ///
-    /// A write that does not encode fails alone. A group whose commit
-    /// marker is *not* known durable fails whole: none of it was applied
-    /// or published.
+    /// Write and replicate a group ([`LeaderParts::put_online_many`]).
     pub fn put_online_many<S: AsRef<str>>(
         &self,
         writes: &[OnlineWrite<'_, S>],
         now: Timestamp,
     ) -> Vec<Result<u64, FsError>> {
-        let mut results: Vec<Result<u64, FsError>> = Vec::with_capacity(writes.len());
-        let mut bodies = Vec::with_capacity(writes.len());
-        for w in writes {
-            match codec::online_body(w.group, w.entity, w.values, now) {
-                Ok(body) => {
-                    bodies.push(body);
-                    results.push(Ok(0));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-        if let Some(durable) = self.durable.lock().as_ref() {
-            if let Err(e) = durable.log_online_many(&bodies) {
-                return results.into_iter().map(|r| r.and(Err(e.clone()))).collect();
-            }
-        }
-        let encoded = writes.iter().zip(&results).filter(|(_, r)| r.is_ok());
-        for (w, _) in encoded {
-            let entity = EntityKey::new(w.entity);
-            self.parts.online.put_row(w.group, &entity, w.values, now);
-        }
-        let mut seqs = self.log.append_many(ComponentKind::Online, 0, bodies);
-        for result in results.iter_mut().filter(|r| r.is_ok()) {
-            *result = Ok(seqs.next().expect("one sequence per encoded write"));
-        }
-        results
-    }
-
-    /// The attached durable leader, if any.
-    pub fn durable(&self) -> Option<Arc<DurableLeader>> {
-        self.durable.lock().clone()
+        self.parts.put_online_many(writes, now)
     }
 
     /// A ready-to-start [`ServeEngine`] over the leader's components
@@ -158,18 +95,17 @@ impl ReplLeader {
     }
 }
 
-/// The serving layer's write seam: a [`ReplLeader`] is what a fenced
-/// [`WriteState`](fstore_serve::WriteState) applies accepted writes
-/// through, so wire-level `PutOnline` lands in the online store, the
-/// publication log (followers), and — with a durable leader attached —
-/// the WAL, before the ack leaves the box.
+/// The serving layer's write seam: a fenced
+/// [`WriteState`](fstore_serve::WriteState) applies accepted writes through
+/// a [`ReplLeader`], so wire-level `PutOnline` is logged and replicated
+/// before the ack leaves the box.
 impl fstore_serve::WriteProvider for ReplLeader {
     fn put_online_many(
         &self,
         writes: &[OnlineWrite<'_>],
         now: Timestamp,
     ) -> Vec<Result<u64, FsError>> {
-        ReplLeader::put_online_many(self, writes, now)
+        self.parts.put_online_many(writes, now)
     }
 }
 
@@ -183,12 +119,7 @@ impl ReplProvider for ReplLeader {
     }
 
     fn full_snapshot(&self) -> Result<(u64, Vec<u8>), FsError> {
-        // Freezing the log pins `repl_epoch` while the components are
-        // captured: a publication that lands concurrently has already
-        // installed its cell (hooks fire after install) but blocks on the
-        // log, so its delta gets a seq > repl_epoch and is re-delivered.
-        // Applies are idempotent, so the follower converges either way.
-        let snapshot = self.log.frozen(|repl_epoch| self.parts.capture(repl_epoch));
+        let snapshot = self.parts.capture();
         Ok((snapshot.repl_epoch, codec::encode_snapshot(&snapshot)?))
     }
 
@@ -201,7 +132,7 @@ impl ReplProvider for ReplLeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstore_common::{Schema, ValueType};
+    use fstore_common::{ComponentKind, Schema, ValueType};
     use fstore_storage::{OnlineStore, TableConfig};
 
     #[test]

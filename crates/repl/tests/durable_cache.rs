@@ -169,7 +169,7 @@ fn replication_leader_over_a_durable_one_survives_a_crash() {
     {
         let (durable, report) = DurableLeader::open(&dir, DurableConfig::default()).unwrap();
         assert!(report.cold_start);
-        // Replication taps the same cells durability already hooked.
+        // Replication shares the durable leader's publication stream.
         let leader = ReplLeader::new(LeaderParts::from_durable(&durable));
         leader.attach_durable(Arc::clone(&durable));
 
@@ -197,7 +197,7 @@ fn replication_leader_over_a_durable_one_survives_a_crash() {
             )
             .unwrap();
 
-        // Both streams saw all three publications.
+        // The WAL and the log saw all three publications, at one seq each.
         assert_eq!(leader.log().last_seq(), 3);
         assert_eq!(durable.published_seq(), 3);
         // Crash: no checkpoint.

@@ -228,14 +228,9 @@ impl IndexCatalog {
         Ok(snapshot)
     }
 
-    /// Observe every map publication (replication taps in here; see
-    /// [`fstore_common::snapshot::PublishHook`]). Replaces existing hooks.
-    pub fn set_publish_hook(&self, hook: impl Fn(&Versioned<IndexMap>) + Send + Sync + 'static) {
-        self.snapshots.set_publish_hook(hook);
-    }
-
-    /// Observe every map publication *alongside* existing observers — lets
-    /// replication and durability both tap the same publish path.
+    /// Observe every map publication, alongside the existing observers (a
+    /// leader's publication stream taps in here; see
+    /// [`fstore_common::snapshot::PublishHook`]).
     pub fn add_publish_hook(&self, hook: impl Fn(&Versioned<IndexMap>) + Send + Sync + 'static) {
         self.snapshots.add_publish_hook(hook);
     }
@@ -707,7 +702,7 @@ mod tests {
         let catalog = IndexCatalog::new(grid_store());
         {
             let seen = Arc::clone(&seen);
-            catalog.set_publish_hook(move |v| {
+            catalog.add_publish_hook(move |v| {
                 let snap = &v.value["emb"];
                 seen.lock()
                     .push((v.epoch.as_u64(), snap.generation, snap.built_from_version));

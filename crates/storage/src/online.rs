@@ -334,23 +334,33 @@ impl OnlineStore {
     /// evicted. Called by the materialization scheduler's housekeeping tick.
     pub fn sweep_expired(&self, now: Timestamp, ttl: Duration) -> usize {
         let cutoff = now - ttl;
-        let mut evicted = 0usize;
+        let evicted = self.retain(|_, _, _, entry| entry.written_at >= cutoff);
+        self.stats
+            .expired
+            .fetch_add(evicted as u64, Ordering::Relaxed);
+        evicted
+    }
+
+    /// Keep only the entries `keep(group, entity, feature, entry)` accepts,
+    /// locking each shard in turn; returns how many were deleted.
+    pub fn retain(
+        &self,
+        mut keep: impl FnMut(&str, &str, FeatureId, &OnlineEntry) -> bool,
+    ) -> usize {
+        let mut deleted = 0usize;
         for shard in &self.shards {
             let mut guard = shard.write();
-            for rows in guard.values_mut() {
-                rows.retain(|_, row| {
+            for (group, rows) in guard.iter_mut() {
+                rows.retain(|entity, row| {
                     let before = row.len();
-                    row.retain(|s| s.entry.written_at >= cutoff);
-                    evicted += before - row.len();
+                    row.retain(|s| keep(group, entity, s.id, &s.entry));
+                    deleted += before - row.len();
                     !row.is_empty()
                 });
             }
             guard.retain(|_, rows| !rows.is_empty());
         }
-        self.stats
-            .expired
-            .fetch_add(evicted as u64, Ordering::Relaxed);
-        evicted
+        deleted
     }
 
     /// Total number of stored feature entries (O(entities); for tests/metrics).
