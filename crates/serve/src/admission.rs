@@ -40,20 +40,25 @@ impl AdmissionController {
         }
     }
 
-    /// Admit `job` or refuse it without blocking.
+    /// Admit `job` or refuse it without blocking. A refused job's ticket
+    /// is disarmed, not answered: the caller answers the slot with the
+    /// refusal.
     pub fn submit(&self, job: Job) -> Result<(), AdmitReject> {
         if self.draining.load(Ordering::Acquire) {
             self.metrics.record_rejected_draining();
+            job.ticket.disarm();
             return Err(AdmitReject::Draining);
         }
         match self.tx.try_send(job) {
             Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
+            Err(TrySendError::Full(job)) => {
                 self.metrics.record_shed();
+                job.ticket.disarm();
                 Err(AdmitReject::Overloaded)
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(job)) => {
                 self.metrics.record_rejected_draining();
+                job.ticket.disarm();
                 Err(AdmitReject::Draining)
             }
         }
@@ -70,8 +75,8 @@ impl AdmissionController {
         &self.metrics
     }
 
-    /// An owned handle to the metrics sink, for threads that outlive the
-    /// borrow (per-connection writer threads).
+    /// An owned handle to the metrics sink, for what outlives the borrow
+    /// (per-connection outboxes).
     pub fn shared_metrics(&self) -> Arc<ServingMetrics> {
         Arc::clone(&self.metrics)
     }
@@ -85,19 +90,16 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use crate::protocol::Request;
+    use crate::server::Ticket;
     use std::time::Instant;
 
-    fn job() -> (Job, crossbeam::channel::Receiver<crate::batch::Reply>) {
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
-        (
-            Job {
-                request: Request::Health,
-                reply: reply_tx,
-                accepted_at: Instant::now(),
-                deadline: None,
-            },
-            reply_rx,
-        )
+    fn job() -> Job {
+        Job {
+            request: Request::Health,
+            ticket: Ticket::detached(),
+            accepted_at: Instant::now(),
+            deadline: None,
+        }
     }
 
     #[test]
@@ -105,8 +107,8 @@ mod tests {
         let (tx, _rx) = crossbeam::channel::bounded(1);
         let metrics = Arc::new(ServingMetrics::new());
         let ctl = AdmissionController::new(tx, Arc::new(AtomicBool::new(false)), metrics.clone());
-        assert_eq!(ctl.submit(job().0), Ok(()));
-        assert_eq!(ctl.submit(job().0), Err(AdmitReject::Overloaded));
+        assert_eq!(ctl.submit(job()), Ok(()));
+        assert_eq!(ctl.submit(job()), Err(AdmitReject::Overloaded));
         assert_eq!(metrics.shed_count(), 1);
         assert_eq!(ctl.queue_depth(), 1);
     }
@@ -116,6 +118,6 @@ mod tests {
         let (tx, _rx) = crossbeam::channel::bounded(4);
         let draining = Arc::new(AtomicBool::new(true));
         let ctl = AdmissionController::new(tx, draining, Arc::new(ServingMetrics::new()));
-        assert_eq!(ctl.submit(job().0), Err(AdmitReject::Draining));
+        assert_eq!(ctl.submit(job()), Err(AdmitReject::Draining));
     }
 }

@@ -15,27 +15,32 @@
 //! no timers are involved.
 
 use crate::protocol::{Request, Response, SearchOptions};
+use crate::server::Ticket;
 use bytes::BytesMut;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use std::time::Instant;
 
-/// A finished job's answer on its way to the connection's writer thread.
+/// A finished job's answer, waiting in its slot of the connection's
+/// outbox until it reaches the head.
 pub enum Reply {
     /// A feature read, encoded by the worker straight from the store into
-    /// a frame from the server's pool; the writer sends it and returns
-    /// the buffer. Read frames are small and uniform, so the buffers that
-    /// circulate between workers and writers stay small.
+    /// a frame from the server's pool; whoever sends it copies it into
+    /// the run and returns the buffer. Read frames are small and uniform,
+    /// so the pooled buffers stay small.
     Frame(BytesMut),
-    /// Everything else, encoded by the writer into its own buffer — bulk
-    /// answers (replication deltas, snapshots) cost the connection that
-    /// asked for them, not a worker or the shared pool.
+    /// Everything else, encoded straight into the connection's send
+    /// buffer by whoever sends it (a worker, the reader or the stall
+    /// flusher) — bulk answers (replication deltas, snapshots) grow the
+    /// buffer of the connection that asked for them, never the shared
+    /// pool.
     Typed(Response),
 }
 
-/// One admitted request plus the channel its response travels back on.
+/// One admitted request plus the outbox slot its response goes into.
 pub struct Job {
     pub request: Request,
-    pub reply: Sender<Reply>,
+    /// The reply slot reserved for this request on its connection.
+    pub ticket: Ticket,
     /// When admission accepted the job; latency is measured from here so
     /// queue wait shows up in the percentiles.
     pub accepted_at: Instant,
@@ -165,11 +170,10 @@ mod tests {
     use crossbeam::channel::bounded;
 
     fn job(request: Request) -> Job {
-        // The receiver side is dropped; these tests only inspect requests.
-        let (reply, _) = bounded(1);
+        // These tests only inspect requests.
         Job {
             request,
-            reply,
+            ticket: Ticket::detached(),
             accepted_at: Instant::now(),
             deadline: None,
         }

@@ -568,10 +568,10 @@ impl Default for FrameReader {
 
 // ------------------------------------------------------------ frame pool
 
-/// A free-list of reusable [`BytesMut`] encode buffers. A connection
-/// writer takes a buffer, encodes a response into it, writes it out
-/// vectored, and returns it — at steady state the pool absorbs every
-/// per-response payload allocation.
+/// A free-list of reusable [`BytesMut`] encode buffers. A worker takes a
+/// buffer and encodes a feature read into it; whoever sends the reply
+/// copies it into the connection's send run and returns it — at steady
+/// state the pool absorbs every per-response payload allocation.
 ///
 /// Bounded two ways: at most `max_pooled` buffers are retained, and a
 /// buffer that ballooned past `max_retained_capacity` (one huge snapshot

@@ -181,7 +181,7 @@ pub struct ServingMetrics {
     wire_frames_rx: AtomicU64,
     wire_frames_tx: AtomicU64,
     /// Wire: socket writes that sent those frames — below `frames_tx`
-    /// when connection writers coalesce replies that were ready together.
+    /// when a flush coalesces replies that were ready together.
     wire_writes_tx: AtomicU64,
     /// Wire: read-buffer (re)allocations on the receive path. Connection
     /// readers grow their buffer to the connection's working frame size
@@ -189,8 +189,8 @@ pub struct ServingMetrics {
     /// a nonzero *rate* means payloads are still being allocated
     /// per-request.
     wire_payload_allocs: AtomicU64,
-    /// Wire: the shared free-list of encode buffers every connection
-    /// writer draws from (hit/miss counters live inside).
+    /// Wire: the shared free-list of encode buffers workers draw
+    /// feature-read frames from (hit/miss counters live inside).
     frame_pool: Arc<FramePool>,
     /// Embedding responses that had to copy the vector into a private
     /// buffer instead of sharing the store's block (the zero-copy serving
@@ -364,7 +364,8 @@ impl ServingMetrics {
         self.wire_writes_tx.fetch_add(writes, Ordering::Relaxed);
     }
 
-    /// The shared encode-buffer pool connection writers draw from.
+    /// The shared encode-buffer pool workers draw feature-read frames
+    /// from.
     pub fn frame_pool(&self) -> Arc<FramePool> {
         Arc::clone(&self.frame_pool)
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   acceptor ──spawns──▶ connection reader threads (one per socket):
-//!       │                  frame in ─▶ admit ─▶ push reply-slot, in order
+//!       │                  frame in ─▶ reserve seq in the outbox ─▶ admit
 //!       │                        │ submit (admission: bounded, non-blocking)
 //!       │                        ▼
 //!       │               bounded crossbeam channel
@@ -13,23 +13,33 @@
 //!       └──────────────▶ worker pool (batch coalescing, FeatureServer /
 //!                                     EmbeddingStore, metrics; feature
 //!                                     reads encoded store ─▶ pooled frame)
-//!                                │ reply (per-request slot)
+//!                                │ deposit reply in slot `seq`; after the
+//!                                │ drain's reads and its write group,
+//!                                │ flush every connection it answered
 //!                                ▼
-//!                        connection writer threads (one per socket):
-//!                          pop slots in order ─▶ frame every ready reply
-//!                          ─▶ one socket write per run
+//!                        per-connection outbox: frame every ready reply
+//!                        from the head ─▶ one non-blocking send per run
+//!                                │ only if the socket would block
+//!                                ▼
+//!                        stall flusher (spawned at the first stall):
+//!                        finishes the run with blocking writes
 //! ```
 //!
 //! Connection threads never execute store code. Each connection is a
 //! *pipeline*: the reader keeps admitting frames (up to
-//! [`ServeConfig::pipeline_depth`] in flight) while the writer streams
-//! responses back **in request order** — ordering is carried by the queue
-//! of reply slots, so the wire needs no correlation IDs (DESIGN §2.16).
-//! Workers claim a job plus whatever else is queued, coalesce compatible
-//! lookups into one batch serve, and answer the drain's writes as one
-//! fenced group commit ([`WriteState::put_online_many`]). Shutdown is graceful:
-//! admission flips to draining, open sockets are shut down, and workers
-//! finish every admitted job before exiting.
+//! [`ServeConfig::pipeline_depth`] in flight) and responses leave **in
+//! request order** — every request takes the next sequence number of its
+//! connection's outbox, and replies leave from the head of the outbox
+//! only, so the wire needs no correlation IDs (DESIGN §2.16). A worker
+//! that completes the head reply sends it itself: a depth-1 request wakes
+//! one server thread besides its reader. Workers claim a job plus whatever
+//! else is queued, coalesce compatible lookups into one batch serve, and
+//! answer the drain's writes as one fenced group commit
+//! ([`WriteState::put_online_many`]). A worker never blocks on a peer's
+//! socket: a send that would block hands the rest of its run to the
+//! connection's stall flusher. Shutdown is graceful: admission flips to
+//! draining, open sockets are shut down, and workers finish every admitted
+//! job before exiting.
 
 use crate::admission::{AdmissionController, AdmitReject};
 use crate::batch::{self, Job, Reply};
@@ -39,17 +49,18 @@ use crate::metrics::ServingMetrics;
 use crate::protocol::{ErrorCode, Request, Response, RowEncoder, WireDelta, WireVector};
 use crate::repl::{check_snapshot_len, ReplProvider};
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::{bounded, Receiver, TryRecvError};
+use crossbeam::channel::{bounded, Receiver};
 use fstore_common::DeltaQuery;
 use fstore_common::{FsError, Timestamp, Value};
 use fstore_core::{stale_error, FeatureServer, StaleRefused};
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
 use fstore_storage::FeatureId;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -66,23 +77,27 @@ pub struct ServeConfig {
     /// Most jobs one worker claims per drain (batch ceiling).
     pub max_batch: usize,
     /// Artificial per-claim delay — fault injection for load-shedding
-    /// tests and experiments. `None` in production configurations.
+    /// tests and experiments (feature `testing`).
+    #[cfg(feature = "testing")]
     pub handler_delay: Option<std::time::Duration>,
     /// Once a request frame has *started*, the rest of it must arrive
     /// within this bound or the connection is cut — a slow-loris peer can
     /// hold only its own connection thread, never a worker. Waiting for a
     /// frame to start (an idle keep-alive connection) is unbounded.
     pub frame_timeout: Option<std::time::Duration>,
-    /// Write timeout on every connection socket: a peer that stops
-    /// reading its responses cannot wedge a connection thread forever.
+    /// Bound on the blocking writes of a connection's stall flusher, the
+    /// only thread that waits on a peer's socket (workers send without
+    /// blocking): a peer that stops reading its responses has its
+    /// connection cut after this long instead of holding it forever.
     pub write_timeout: Option<std::time::Duration>,
     /// Per-request frame ceiling; frames declaring more are refused with
     /// a typed `FrameTooLarge` error before any payload is read. Clamped
     /// by the protocol-wide [`crate::protocol::MAX_FRAME_LEN`].
     pub max_request_frame: usize,
-    /// Most requests one connection may have in flight (admitted but not
-    /// yet answered). The connection reader stalls at the ceiling, which
-    /// backpressures a pipelining client through TCP itself.
+    /// Most requests one connection may have in flight (reserved in its
+    /// outbox but not yet taken for sending). The connection reader
+    /// stalls at the ceiling, which backpressures a pipelining client
+    /// through TCP itself.
     pub pipeline_depth: usize,
 }
 
@@ -93,6 +108,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 256,
             max_batch: 32,
+            #[cfg(feature = "testing")]
             handler_delay: None,
             frame_timeout: Some(std::time::Duration::from_secs(10)),
             write_timeout: Some(std::time::Duration::from_secs(10)),
@@ -140,6 +156,8 @@ impl ServeConfigBuilder {
         self
     }
 
+    /// Sleep this long before every drain (feature `testing`).
+    #[cfg(feature = "testing")]
     pub fn handler_delay(mut self, delay: std::time::Duration) -> Self {
         self.config.handler_delay = Some(delay);
         self
@@ -1000,6 +1018,7 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
                         draining: &draining,
                         pool: metrics.frame_pool(),
                         scratch: ReadScratch::default(),
+                        touched: Vec::new(),
                     }
                     .run(&config)
                 })
@@ -1066,20 +1085,13 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
     })
 }
 
-/// A reply slot already holding its response — used for refusals decided
-/// on the reader thread (bad frames, admission rejects), which must still
-/// flow through the writer's ordered queue so responses never reorder.
-fn ready(response: Response) -> Receiver<Reply> {
-    let (tx, rx) = bounded(1);
-    let _ = tx.send(Reply::Typed(response));
-    rx
-}
-
-/// Per-socket reader: frame in, admit, push the request's reply slot onto
-/// the writer's ordered queue. The queue is bounded by
-/// [`ServeConfig::pipeline_depth`], so a client pumping requests faster
+/// Per-socket reader: frame in, reserve the request's sequence number in
+/// the connection's [`Outbox`], admit. The outbox holds at most
+/// [`ServeConfig::pipeline_depth`] replies not yet taken for sending, and
+/// `reserve` waits at that ceiling, so a client pumping requests faster
 /// than workers answer them is backpressured through TCP rather than
-/// queuing without limit.
+/// queuing without limit. Refusals decided here (bad frames, admission
+/// rejects) go into their own slot and are sent from here.
 fn connection_loop(
     stream: TcpStream,
     admission: &AdmissionController,
@@ -1090,16 +1102,17 @@ fn connection_loop(
         return;
     };
     let _ = write_half.set_write_timeout(config.write_timeout);
-    let (slot_tx, slot_rx) = bounded::<Receiver<Reply>>(config.pipeline_depth.max(1));
-    let writer = {
-        let metrics = admission.shared_metrics();
-        std::thread::Builder::new()
-            .name("fstore-serve-conn-writer".to_string())
-            .spawn(move || writer_loop(&write_half, &slot_rx, &metrics))
-            .expect("spawn connection writer")
-    };
+    let outbox = Outbox::new(
+        Box::new(write_half),
+        admission.shared_metrics(),
+        config.pipeline_depth,
+    );
     let metrics = admission.metrics();
     let mut reader = FrameReader::new();
+    let refuse = |seq: u64, response: Response| {
+        outbox.deposit(seq, Reply::Typed(response));
+        outbox.flush();
+    };
     loop {
         if draining.load(Ordering::Acquire) {
             break;
@@ -1117,16 +1130,21 @@ fn connection_loop(
             Ok(FrameEvent::TooLarge { declared }) => {
                 // Refuse with a typed error, then close: the payload was
                 // never read, so the stream position is unrecoverable. The
-                // refusal still rides the ordered queue, behind every
+                // refusal still takes its place in the outbox, behind every
                 // response already in flight.
                 metrics.record_frame_too_large();
-                let _ = slot_tx.send(ready(Response::error(
-                    ErrorCode::FrameTooLarge,
-                    format!(
-                        "request frame of {declared} bytes exceeds the {} byte ceiling",
-                        config.max_request_frame
-                    ),
-                )));
+                if let Some(ticket) = outbox.reserve() {
+                    refuse(
+                        ticket.disarm(),
+                        Response::error(
+                            ErrorCode::FrameTooLarge,
+                            format!(
+                                "request frame of {declared} bytes exceeds the {} byte ceiling",
+                                config.max_request_frame
+                            ),
+                        ),
+                    );
+                }
                 break;
             }
             Ok(FrameEvent::TimedOut) => {
@@ -1138,97 +1156,468 @@ fn connection_loop(
             Ok(FrameEvent::Eof) | Err(_) => break,
         };
         metrics.record_wire_rx(reader.take_bytes_rx(), 1, reader.take_allocs());
-        let slot = match decoded {
-            Err(e) => ready(Response::error(ErrorCode::BadRequest, e.to_string())),
-            Ok(request) => {
-                let accepted_at = Instant::now();
-                // Unwrap the deadline envelope here so workers and the
-                // batch planner only ever see plain requests.
-                let (request, deadline) = match request {
-                    Request::WithDeadline { budget_ms, inner } => (
-                        *inner,
-                        Some(accepted_at + std::time::Duration::from_millis(u64::from(budget_ms))),
-                    ),
-                    other => (other, None),
-                };
-                let (reply_tx, reply_rx) = bounded(1);
-                let job = Job {
-                    request,
-                    reply: reply_tx,
-                    accepted_at,
-                    deadline,
-                };
-                match admission.submit(job) {
-                    Ok(()) => reply_rx,
-                    Err(AdmitReject::Overloaded) => ready(Response::error(
-                        ErrorCode::Overloaded,
-                        "serving queue is full",
-                    )),
-                    Err(AdmitReject::Draining) => ready(Response::error(
-                        ErrorCode::ShuttingDown,
-                        "server is draining",
-                    )),
-                }
+        let Some(ticket) = outbox.reserve() else {
+            // A send failed; the peer is gone.
+            break;
+        };
+        let request = match decoded {
+            Ok(request) => request,
+            Err(e) => {
+                refuse(
+                    ticket.disarm(),
+                    Response::error(ErrorCode::BadRequest, e.to_string()),
+                );
+                continue;
             }
         };
-        if slot_tx.send(slot).is_err() {
-            // The writer died on a socket error; the peer is gone.
-            break;
+        let accepted_at = Instant::now();
+        // Unwrap the deadline envelope here so workers and the batch
+        // planner only ever see plain requests.
+        let (request, deadline) = match request {
+            Request::WithDeadline { budget_ms, inner } => (
+                *inner,
+                Some(accepted_at + std::time::Duration::from_millis(u64::from(budget_ms))),
+            ),
+            other => (other, None),
+        };
+        let seq = ticket.seq();
+        let job = Job {
+            request,
+            ticket,
+            accepted_at,
+            deadline,
+        };
+        match admission.submit(job) {
+            Ok(()) => {}
+            Err(AdmitReject::Overloaded) => refuse(
+                seq,
+                Response::error(ErrorCode::Overloaded, "serving queue is full"),
+            ),
+            Err(AdmitReject::Draining) => refuse(
+                seq,
+                Response::error(ErrorCode::ShuttingDown, "server is draining"),
+            ),
         }
     }
-    // Closing the queue lets the writer drain whatever is still in flight
-    // and exit; join so the socket outlives every pending write.
-    drop(slot_tx);
-    let _ = writer.join();
+    // The socket must outlive every reply still owed on it.
+    outbox.close();
 }
 
-/// Per-socket writer: pop reply slots in request order and send their
-/// frames. It blocks for the next reply, then appends every following
-/// reply that is *already answered* to the same buffer — stopping at the
-/// first one still pending (it never waits for one) or past
-/// [`MAX_COALESCED_WRITE`] bytes — and sends the run with one socket
-/// write. At depth 1 that is one write per reply. A feature read arrives
-/// already encoded in a pooled frame, which is copied in and goes back to
-/// the pool at once; any other response is encoded straight into the
-/// buffer. Popping in push order is the entire ordering guarantee —
-/// responses leave the socket in exactly the order requests arrived, so
-/// the wire needs no correlation IDs.
-fn writer_loop(mut w: impl Write, slots: &Receiver<Receiver<Reply>>, metrics: &ServingMetrics) {
-    let pool = metrics.frame_pool();
-    let mut out = BytesMut::new();
-    let mut pending = slots.recv().ok();
-    while let Some(slot) = pending.take() {
+/// The socket side of an [`Outbox`].
+trait Sink: Send + Sync {
+    /// Send as much of `buf` as the socket takes without waiting;
+    /// `WouldBlock` when it takes nothing.
+    fn send_now(&self, buf: &[u8]) -> std::io::Result<usize>;
+
+    /// Send all of `buf`, waiting as long as the write timeout allows.
+    fn send_all(&self, buf: &[u8]) -> std::io::Result<()>;
+}
+
+impl Sink for TcpStream {
+    fn send_now(&self, buf: &[u8]) -> std::io::Result<usize> {
+        send_nonblocking(self, buf)
+    }
+
+    fn send_all(&self, buf: &[u8]) -> std::io::Result<()> {
+        let mut socket = self;
+        socket.write_all(buf)
+    }
+}
+
+/// One `send(2)` with `MSG_DONTWAIT`: std has no per-call non-blocking
+/// send, and `set_nonblocking` would change the file description the
+/// reader's blocking `read` shares.
+#[cfg(target_os = "linux")]
+fn send_nonblocking(socket: &TcpStream, buf: &[u8]) -> std::io::Result<usize> {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+    const MSG_DONTWAIT: c_int = 0x40;
+    const MSG_NOSIGNAL: c_int = 0x4000;
+    extern "C" {
+        fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+    }
+    loop {
+        // SAFETY: `buf` is a live, initialised slice of `buf.len()` bytes
+        // that `send` only reads, and the descriptor belongs to `socket`,
+        // which outlives the call.
+        let sent = unsafe {
+            send(
+                socket.as_raw_fd(),
+                buf.as_ptr().cast(),
+                buf.len(),
+                MSG_DONTWAIT | MSG_NOSIGNAL,
+            )
+        };
+        if sent >= 0 {
+            return Ok(sent as usize);
+        }
+        let err = std::io::Error::last_os_error();
+        if err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// Elsewhere there is no portable non-blocking send: every run goes to
+/// the stall flusher.
+#[cfg(not(target_os = "linux"))]
+fn send_nonblocking(_: &TcpStream, _: &[u8]) -> std::io::Result<usize> {
+    Err(std::io::ErrorKind::WouldBlock.into())
+}
+
+/// A connection's ordered outbox: one reply slot per request, indexed by
+/// the sequence number the reader reserved for it, under one lock with
+/// the head index. Replies are deposited in any order (a drain may
+/// finish request 3 before request 0, and four workers certainly do) and
+/// leave only from the head, so responses reach the socket in exactly the
+/// order requests arrived.
+///
+/// Sending is a role, not a thread. Whoever flushes — a worker after its
+/// drain, or the reader after a refusal — takes the writer role if it is
+/// free, and with it the connection's send buffer, frames every
+/// consecutive ready reply from the head (up to 64 KiB) into it, and
+/// sends the run with one non-blocking send; it keeps the role while the
+/// head is ready. A flush that finds the role taken returns at once: the
+/// holder sees the new reply before it lets go. Only a send that would
+/// block passes the rest of its run, and the role, to the connection's
+/// stall flusher, which finishes it with blocking writes under
+/// [`ServeConfig::write_timeout`].
+pub(crate) struct Outbox {
+    state: std::sync::Mutex<OutboxState>,
+    /// The reader waits here for room, and at the end for the last write.
+    room: Condvar,
+    /// The stall flusher waits here for a run to finish.
+    stall: Condvar,
+    socket: Box<dyn Sink>,
+    metrics: Arc<ServingMetrics>,
+    pool: Arc<FramePool>,
+    depth: usize,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    /// Slots from `head` on: slot `seq` sits at `seq - head`, `None`
+    /// until answered.
+    slots: VecDeque<Option<Reply>>,
+    /// The sequence number of the first slot not yet taken for sending.
+    head: u64,
+    /// Someone holds the writer role; only the holder takes replies off
+    /// the head and sends them.
+    writing: bool,
+    /// The connection's send buffer, out with the writer role's holder.
+    /// One buffer per connection, as a connection writer thread had, so a
+    /// bulk answer grows it on the connection that asked for it.
+    buf: BytesMut,
+    /// A send failed: the peer is gone and replies go nowhere.
+    broken: bool,
+    /// The reader is done; the stall flusher exits.
+    closed: bool,
+    /// The reader is parked on `room` (a flush wakes it only then).
+    reader_waits: bool,
+    /// A run a non-blocking send could not finish.
+    stalled: Option<Run>,
+    /// The stall flusher, spawned at the connection's first stall.
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// [`Condvar::wait`], ignoring poison as [`Outbox::lock`] does.
+fn wait<'a>(cv: &Condvar, state: MutexGuard<'a, OutboxState>) -> MutexGuard<'a, OutboxState> {
+    cv.wait(state).unwrap_or_else(PoisonError::into_inner)
+}
+
+impl OutboxState {
+    fn head_ready(&self) -> bool {
+        matches!(self.slots.front(), Some(Some(_)))
+    }
+}
+
+/// Framed replies on their way to the socket.
+struct Run {
+    bytes: BytesMut,
+    /// How many of `bytes` already left.
+    sent: usize,
+    frames: u64,
+}
+
+impl Outbox {
+    fn new(socket: Box<dyn Sink>, metrics: Arc<ServingMetrics>, depth: usize) -> Arc<Outbox> {
+        Arc::new(Outbox {
+            state: Default::default(),
+            room: Condvar::new(),
+            stall: Condvar::new(),
+            socket,
+            pool: metrics.frame_pool(),
+            metrics,
+            depth: depth.max(1),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reserve the next sequence number, waiting while `depth` replies are
+    /// outstanding. `None` once a send has failed.
+    fn reserve(self: &Arc<Self>) -> Option<Ticket> {
+        let mut state = self.lock();
+        while state.slots.len() >= self.depth && !state.broken {
+            state.reader_waits = true;
+            state = wait(&self.room, state);
+        }
+        state.reader_waits = false;
+        if state.broken {
+            return None;
+        }
+        let seq = state.head + state.slots.len() as u64;
+        state.slots.push_back(None);
+        Some(Ticket {
+            outbox: Some(Arc::clone(self)),
+            seq,
+        })
+    }
+
+    /// Put the reply for `seq` in its slot. It leaves at the next flush
+    /// that finds it at the head.
+    fn deposit(&self, seq: u64, reply: Reply) {
+        let mut state = self.lock();
+        if state.broken {
+            drop(state);
+            self.recycle(reply);
+            return;
+        }
+        let at = (seq - state.head) as usize;
+        state.slots[at] = Some(reply);
+    }
+
+    /// Send every ready reply from the head, unless the writer role is
+    /// taken (its holder sends them) or the head is still pending.
+    fn flush(self: &Arc<Self>) {
+        let mut out = {
+            let mut state = self.lock();
+            if state.writing || !state.head_ready() {
+                return;
+            }
+            state.writing = true;
+            std::mem::take(&mut state.buf)
+        };
+        loop {
+            let frames = self.take_run(&mut out);
+            let sent = match self.socket.send_now(out.as_slice()) {
+                Ok(sent) => sent,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => 0,
+                Err(_) => return self.break_off(),
+            };
+            if sent < out.len() {
+                return self.hand_to_flusher(Run {
+                    bytes: out,
+                    sent,
+                    frames,
+                });
+            }
+            self.metrics.record_wire_tx(out.len() as u64, frames, 1);
+            if !self.keep_role(&mut out) {
+                return;
+            }
+        }
+    }
+
+    /// Frame the ready replies from the head into `out`, up to
+    /// [`MAX_COALESCED_WRITE`] bytes, and return how many. The caller
+    /// holds the writer role. The lock is released while each reply is
+    /// framed, so a bulk encode never holds up the reader or a depositing
+    /// worker.
+    fn take_run(&self, out: &mut BytesMut) -> u64 {
         out.clear();
-        put_reply(&mut out, slot.recv().unwrap_or_else(|_| dropped()), &pool);
-        let mut frames = 1;
+        let mut frames = 0;
         while out.len() < MAX_COALESCED_WRITE {
-            let Ok(slot) = slots.try_recv() else { break };
-            let reply = match slot.try_recv() {
-                Ok(reply) => reply,
-                Err(TryRecvError::Disconnected) => dropped(),
-                Err(TryRecvError::Empty) => {
-                    pending = Some(slot);
+            let reply = {
+                let mut state = self.lock();
+                if !state.head_ready() {
                     break;
                 }
+                state.head += 1;
+                if state.reader_waits {
+                    self.room.notify_one();
+                }
+                state.slots.pop_front().flatten()
             };
-            put_reply(&mut out, reply, &pool);
+            put_reply(out, reply.expect("the head was ready"), &self.pool);
             frames += 1;
         }
-        let result = w.write_all(out.as_slice());
-        metrics.record_wire_tx(out.len() as u64, frames, 1);
+        frames
+    }
+
+    /// After a run is sent: keep the writer role if the head is ready
+    /// again, else give it up and return the send buffer `out`.
+    fn keep_role(&self, out: &mut BytesMut) -> bool {
+        let mut state = self.lock();
+        if state.head_ready() {
+            return true;
+        }
+        state.writing = false;
         // One huge answer (a snapshot) must not pin its buffer to an
         // otherwise quiet connection forever.
-        if out.capacity() > MAX_RETAINED_WRITE_BUFFER {
-            out = BytesMut::new();
+        if out.capacity() <= MAX_RETAINED_WRITE_BUFFER {
+            state.buf = std::mem::take(out);
         }
-        if result.is_err() {
-            // Peer stopped reading; drop the remaining slots (their
-            // workers' replies go nowhere) and let the reader find out
-            // via the closed queue.
-            break;
+        if state.reader_waits {
+            self.room.notify_one();
         }
-        if pending.is_none() {
-            pending = slots.recv().ok();
+        false
+    }
+
+    /// Pass an unfinished run, and the writer role with it, to the stall
+    /// flusher, spawning it at the connection's first stall.
+    fn hand_to_flusher(self: &Arc<Self>, run: Run) {
+        let mut state = self.lock();
+        state.stalled = Some(run);
+        if state.flusher.is_some() {
+            self.stall.notify_one();
+            return;
+        }
+        let outbox = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("fstore-serve-conn-flusher".to_string())
+            .spawn(move || outbox.flusher_loop());
+        match spawned {
+            Ok(flusher) => state.flusher = Some(flusher),
+            Err(_) => {
+                state.stalled = None;
+                drop(state);
+                self.break_off();
+            }
+        }
+    }
+
+    /// The stall flusher: finish each stalled run with blocking writes,
+    /// then keep sending from the head until it is not ready.
+    fn flusher_loop(&self) {
+        loop {
+            let Run {
+                mut bytes,
+                mut sent,
+                mut frames,
+            } = {
+                let mut state = self.lock();
+                loop {
+                    if let Some(run) = state.stalled.take() {
+                        break run;
+                    }
+                    if state.closed {
+                        return;
+                    }
+                    state = wait(&self.stall, state);
+                }
+            };
+            loop {
+                if self.socket.send_all(&bytes.as_slice()[sent..]).is_err() {
+                    self.break_off();
+                    break;
+                }
+                self.metrics.record_wire_tx(bytes.len() as u64, frames, 1);
+                if !self.keep_role(&mut bytes) {
+                    break;
+                }
+                frames = self.take_run(&mut bytes);
+                sent = 0;
+            }
+        }
+    }
+
+    /// A send failed: drop every reply still held and give up the writer
+    /// role, so the reader stops waiting and later deposits go nowhere.
+    fn break_off(&self) {
+        let replies = {
+            let mut state = self.lock();
+            state.broken = true;
+            state.writing = false;
+            state.head += state.slots.len() as u64;
+            if state.reader_waits {
+                self.room.notify_one();
+            }
+            std::mem::take(&mut state.slots)
+        };
+        replies.into_iter().flatten().for_each(|r| self.recycle(r));
+    }
+
+    /// The reader is done: wait until every reserved slot has been sent,
+    /// or a send failed, then stop the stall flusher.
+    fn close(&self) {
+        let flusher = {
+            let mut state = self.lock();
+            while !state.broken && (state.writing || !state.slots.is_empty()) {
+                state.reader_waits = true;
+                state = wait(&self.room, state);
+            }
+            state.reader_waits = false;
+            state.closed = true;
+            self.stall.notify_one();
+            state.flusher.take()
+        };
+        if let Some(flusher) = flusher {
+            let _ = flusher.join();
+        }
+    }
+
+    /// A reply that will never be sent still owes its frame to the pool.
+    fn recycle(&self, reply: Reply) {
+        if let Reply::Frame(frame) = reply {
+            self.pool.put(frame);
+        }
+    }
+}
+
+/// A reserved reply slot, carried by its [`Job`]. Answer it once; a
+/// ticket dropped unanswered answers `Internal "worker dropped the
+/// request"` in its slot, so a lost job never stalls the replies behind
+/// it.
+pub struct Ticket {
+    outbox: Option<Arc<Outbox>>,
+    seq: u64,
+}
+
+impl Ticket {
+    /// The slot's sequence number on its connection.
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Deposit `reply` in the slot and return the outbox, for the caller
+    /// to flush once its drain is done.
+    pub(crate) fn answer(mut self, reply: Reply) -> Option<Arc<Outbox>> {
+        let outbox = self.outbox.take()?;
+        outbox.deposit(self.seq, reply);
+        Some(outbox)
+    }
+
+    /// Give the slot up unanswered, returning its sequence number: the
+    /// caller answers it (admission refused the job).
+    pub(crate) fn disarm(mut self) -> u64 {
+        self.outbox = None;
+        self.seq
+    }
+
+    /// A ticket with no connection behind it: answering it sends nothing.
+    #[cfg(test)]
+    pub(crate) fn detached() -> Ticket {
+        Ticket {
+            outbox: None,
+            seq: 0,
+        }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if let Some(outbox) = self.outbox.take() {
+            outbox.deposit(
+                self.seq,
+                Reply::Typed(Response::error(
+                    ErrorCode::Internal,
+                    "worker dropped the request",
+                )),
+            );
+            outbox.flush();
         }
     }
 }
@@ -1244,19 +1633,11 @@ fn put_reply(out: &mut BytesMut, reply: Reply, pool: &FramePool) {
     }
 }
 
-/// The answer for a request whose worker went away without replying.
-fn dropped() -> Reply {
-    Reply::Typed(Response::error(
-        ErrorCode::Internal,
-        "worker dropped the request",
-    ))
-}
-
-/// Bytes past which a connection writer stops appending ready replies to
-/// the run it is about to send.
+/// Bytes past which a flush stops appending ready replies to the run it
+/// is about to send.
 const MAX_COALESCED_WRITE: usize = 64 * 1024;
 
-/// Most capacity a connection writer keeps between responses.
+/// Most capacity a connection's send buffer keeps between runs.
 const MAX_RETAINED_WRITE_BUFFER: usize = 1024 * 1024;
 
 /// One worker thread's state.
@@ -1267,6 +1648,9 @@ struct Worker<'a> {
     draining: &'a AtomicBool,
     pool: Arc<FramePool>,
     scratch: ReadScratch,
+    /// The connections this drain has answered on, flushed after its reads
+    /// and again after its write group.
+    touched: Vec<Arc<Outbox>>,
 }
 
 impl Worker<'_> {
@@ -1274,6 +1658,7 @@ impl Worker<'_> {
     /// execute, reply, record — until the queue closes.
     fn run(&mut self, config: &ServeConfig) {
         while let Ok(first) = self.rx.recv() {
+            #[cfg(feature = "testing")]
             if let Some(delay) = config.handler_delay {
                 std::thread::sleep(delay);
             }
@@ -1353,16 +1738,18 @@ impl Worker<'_> {
                 }
             }
             plan.singles.into_iter().for_each(|job| self.answer(job));
+            self.flush();
             // Writes go last, so no read of the drain waits behind the
             // group commit's WAL write.
             if !plan.writes.is_empty() {
                 self.commit_writes(plan.writes);
+                self.flush();
             }
         }
     }
 
     /// Answer a drain's `PutOnline` jobs as one fenced group commit.
-    fn commit_writes(&self, jobs: Vec<Job>) {
+    fn commit_writes(&mut self, jobs: Vec<Job>) {
         if jobs.len() >= 2 {
             self.metrics.record_batch(jobs.len());
         }
@@ -1407,19 +1794,20 @@ impl Worker<'_> {
         }
     }
 
-    /// Reply and record one finished job.
-    fn finish(&self, job: Job, reply: Reply, ok: bool) {
+    /// Record one finished job and deposit its reply; it is sent at the
+    /// drain's next flush.
+    fn finish(&mut self, job: Job, reply: Reply, ok: bool) {
         let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
         self.metrics.record(job.request.endpoint(), latency_ms, ok);
-        // The connection may already be gone; its loss is not the worker's
-        // problem, but a frame still belongs to the pool.
-        if let Err(crossbeam::channel::SendError(Reply::Frame(frame))) = job.reply.send(reply) {
-            self.pool.put(frame);
+        if let Some(outbox) = job.ticket.answer(reply) {
+            if !self.touched.iter().any(|o| Arc::ptr_eq(o, &outbox)) {
+                self.touched.push(outbox);
+            }
         }
     }
 
     /// [`finish`](Self::finish) for a typed response.
-    fn finish_typed(&self, job: Job, response: Response) {
+    fn finish_typed(&mut self, job: Job, response: Response) {
         // E21's embedding phase asserts this stays flat: a response whose
         // vector owns a private buffer means the store path copied.
         if let Response::Embedding { vector, .. } = &response {
@@ -1430,39 +1818,63 @@ impl Worker<'_> {
         let ok = !matches!(response, Response::Error { .. });
         self.finish(job, Reply::Typed(response), ok);
     }
+
+    /// Send what this drain answered, connection by connection.
+    fn flush(&mut self) {
+        for outbox in self.touched.drain(..) {
+            outbox.flush();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::write_frame_vectored;
-    use crossbeam::channel::Sender;
     use fstore_common::{EntityKey, Value};
     use fstore_storage::OnlineStore;
+    use std::io::ErrorKind;
 
-    /// A socket stand-in that keeps every `write` call apart.
+    /// A socket stand-in that keeps every send apart. While `stalled`, a
+    /// non-blocking send takes nothing, so every run goes to the stall
+    /// flusher.
     #[derive(Clone, Default)]
-    struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+    struct Writes {
+        sends: Arc<Mutex<Vec<Vec<u8>>>>,
+        stalled: bool,
+    }
 
-    impl Write for Writes {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().push(buf.to_vec());
+    impl Sink for Writes {
+        fn send_now(&self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.stalled {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.sends.lock().push(buf.to_vec());
             Ok(buf.len())
         }
 
-        fn flush(&mut self) -> std::io::Result<()> {
+        fn send_all(&self, buf: &[u8]) -> std::io::Result<()> {
+            self.sends.lock().push(buf.to_vec());
             Ok(())
         }
     }
 
     impl Writes {
         fn count(&self) -> usize {
-            self.0.lock().len()
+            self.sends.lock().len()
         }
 
         fn bytes(&self) -> Vec<u8> {
-            self.0.lock().concat()
+            self.sends.lock().concat()
         }
+    }
+
+    /// An outbox over `socket` with `n` reserved slots.
+    fn outbox(socket: &Writes, n: u64) -> (Arc<Outbox>, Arc<ServingMetrics>, Vec<Ticket>) {
+        let metrics = Arc::new(ServingMetrics::new());
+        let outbox = Outbox::new(Box::new(socket.clone()), Arc::clone(&metrics), 128);
+        let tickets = (0..n).map(|_| outbox.reserve().unwrap()).collect();
+        (outbox, metrics, tickets)
     }
 
     /// Reply `i`: a pooled frame for even `i`, a typed response for odd.
@@ -1477,6 +1889,13 @@ mod tests {
         }
     }
 
+    /// Answer ticket `i` with [`reply`]`(i)`, then flush as a worker does.
+    fn answer(tickets: &mut [Option<Ticket>], i: u64, metrics: &ServingMetrics) {
+        let ticket = tickets[i as usize].take().unwrap();
+        let outbox = ticket.answer(reply(i, &metrics.frame_pool())).unwrap();
+        outbox.flush();
+    }
+
     /// The wire bytes of replies `range`, one vectored frame each.
     fn frames(range: std::ops::Range<u64>) -> Vec<u8> {
         let mut wire = Vec::new();
@@ -1488,33 +1907,14 @@ mod tests {
         wire
     }
 
-    /// Push `n` reply slots; every one is answered except `held`, whose
-    /// sender comes back.
-    fn slots(
-        n: u64,
-        held: Option<u64>,
-        pool: &FramePool,
-    ) -> (Receiver<Receiver<Reply>>, Vec<Sender<Reply>>) {
-        let (slot_tx, slot_rx) = bounded(n as usize);
-        let mut pending = Vec::new();
-        for i in 0..n {
-            let (tx, rx) = bounded(1);
-            if Some(i) == held {
-                pending.push(tx);
-            } else {
-                assert!(tx.send(reply(i, pool)).is_ok());
-            }
-            assert!(slot_tx.send(rx).is_ok());
-        }
-        (slot_rx, pending)
-    }
-
     #[test]
     fn ready_replies_leave_in_one_write_of_the_same_bytes() {
-        let metrics = ServingMetrics::new();
-        let (slot_rx, _) = slots(6, None, &metrics.frame_pool());
         let socket = Writes::default();
-        writer_loop(socket.clone(), &slot_rx, &metrics);
+        let (outbox, metrics, tickets) = outbox(&socket, 6);
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            ticket.answer(reply(i as u64, &metrics.frame_pool()));
+        }
+        outbox.flush();
         assert_eq!(socket.count(), 1);
         assert_eq!(socket.bytes(), frames(0..6));
         let wire = metrics.snapshot().wire;
@@ -1524,27 +1924,89 @@ mod tests {
 
     #[test]
     fn the_writer_sends_what_is_ready_before_waiting_on_a_pending_reply() {
-        let metrics = Arc::new(ServingMetrics::new());
-        let (slot_rx, mut held) = slots(5, Some(2), &metrics.frame_pool());
         let socket = Writes::default();
-        let writer = {
-            let (socket, metrics) = (socket.clone(), Arc::clone(&metrics));
-            std::thread::spawn(move || writer_loop(socket, &slot_rx, &metrics))
-        };
+        let (_outbox, metrics, tickets) = outbox(&socket, 5);
+        let mut tickets: Vec<Option<Ticket>> = tickets.into_iter().map(Some).collect();
         // Frames 0 and 1 reach the socket while reply 2 is still pending.
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while socket.bytes() != frames(0..2) {
-            assert!(
-                Instant::now() < deadline,
-                "frames 0..2 never reached the socket"
-            );
-            std::thread::yield_now();
-        }
-        let reply_2 = held.pop().unwrap();
-        assert!(reply_2.send(reply(2, &metrics.frame_pool())).is_ok());
-        writer.join().unwrap();
+        answer(&mut tickets, 0, &metrics);
+        answer(&mut tickets, 1, &metrics);
+        assert_eq!(socket.bytes(), frames(0..2));
+        answer(&mut tickets, 3, &metrics);
+        answer(&mut tickets, 4, &metrics);
+        assert_eq!(socket.bytes(), frames(0..2), "3 and 4 wait behind 2");
+        answer(&mut tickets, 2, &metrics);
         assert_eq!(socket.bytes(), frames(0..5));
-        assert_eq!(socket.count(), 2, "frames 2..5 were ready together");
+        assert_eq!(socket.count(), 3, "frames 2..5 were ready together");
+    }
+
+    #[test]
+    fn replies_deposited_out_of_order_leave_in_order_in_one_write() {
+        let socket = Writes::default();
+        let (_outbox, metrics, tickets) = outbox(&socket, 4);
+        let mut tickets: Vec<Option<Ticket>> = tickets.into_iter().map(Some).collect();
+        for i in [3, 1, 2] {
+            answer(&mut tickets, i, &metrics);
+            assert_eq!(socket.count(), 0, "the head is still pending");
+        }
+        answer(&mut tickets, 0, &metrics);
+        assert_eq!(socket.count(), 1);
+        assert_eq!(socket.bytes(), frames(0..4));
+    }
+
+    #[test]
+    fn a_dropped_ticket_answers_internal_in_its_slot() {
+        let socket = Writes::default();
+        let (_outbox, metrics, tickets) = outbox(&socket, 3);
+        let mut tickets: Vec<Option<Ticket>> = tickets.into_iter().map(Some).collect();
+        answer(&mut tickets, 0, &metrics);
+        drop(tickets[1].take());
+        answer(&mut tickets, 2, &metrics);
+        let mut expected = frames(0..1);
+        let mut payload = BytesMut::new();
+        Response::error(ErrorCode::Internal, "worker dropped the request")
+            .encode_into(&mut payload);
+        write_frame_vectored(&mut expected, payload.as_slice()).unwrap();
+        expected.extend(frames(2..3));
+        assert_eq!(socket.bytes(), expected);
+    }
+
+    #[test]
+    fn a_send_that_would_block_is_finished_by_the_stall_flusher() {
+        let socket = Writes {
+            stalled: true,
+            ..Writes::default()
+        };
+        let (outbox, metrics, tickets) = outbox(&socket, 3);
+        let mut tickets: Vec<Option<Ticket>> = tickets.into_iter().map(Some).collect();
+        answer(&mut tickets, 0, &metrics);
+        answer(&mut tickets, 1, &metrics);
+        answer(&mut tickets, 2, &metrics);
+        // `close` waits for every reserved slot, then joins the flusher.
+        outbox.close();
+        assert_eq!(socket.bytes(), frames(0..3));
+        let wire = metrics.snapshot().wire;
+        assert_eq!(wire.frames_tx, 3);
+        assert!(wire.writes_tx <= wire.frames_tx);
+    }
+
+    #[test]
+    fn the_reader_waits_at_the_pipeline_depth() {
+        let socket = Writes::default();
+        let metrics = Arc::new(ServingMetrics::new());
+        let outbox = Outbox::new(Box::new(socket.clone()), Arc::clone(&metrics), 2);
+        let first = outbox.reserve().unwrap();
+        let _second = outbox.reserve().unwrap();
+        let third = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || outbox.reserve().unwrap().seq())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!third.is_finished(), "two replies are outstanding");
+        first
+            .answer(reply(0, &metrics.frame_pool()))
+            .unwrap()
+            .flush();
+        assert_eq!(third.join().unwrap(), 2);
     }
 
     fn engine() -> ServeEngine {

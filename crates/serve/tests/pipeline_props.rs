@@ -7,6 +7,12 @@
 //! clean typed error; a crossed response is never acceptable, with or
 //! without faults.
 //!
+//! A third property runs on four workers behind a queue of two, where a
+//! burst's requests complete out of order across workers and some are
+//! shed as `Overloaded` by the connection reader mid-burst: the cases
+//! that would break the ordering if anything but the sequence number
+//! carried it.
+//!
 //! The runner is hand-rolled (one deterministic [`TestRng`], strategies
 //! generated per case) so a single server + proxy pair is shared across
 //! every case instead of rebinding loopback sockets 48 times.
@@ -17,8 +23,8 @@ use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_core::FeatureServer;
 use fstore_serve::fault::FaultyProxy;
 use fstore_serve::{
-    fixed_clock, start, ClientConfig, FeatureClient, Request, Response, ServeConfig, ServeEngine,
-    ServerHandle,
+    fixed_clock, start, ClientConfig, ErrorCode, FeatureClient, Request, Response, ServeConfig,
+    ServeEngine, ServerHandle, WireVector,
 };
 use fstore_storage::OnlineStore;
 use proptest::prelude::*;
@@ -30,6 +36,17 @@ const NOW: Timestamp = Timestamp(10_000);
 const ENTITIES: usize = 32;
 
 fn start_server() -> ServerHandle {
+    let config = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .workers(2)
+        .queue_depth(128)
+        .max_batch(8)
+        .build()
+        .unwrap();
+    start_server_with(config)
+}
+
+fn start_server_with(config: ServeConfig) -> ServerHandle {
     let online = Arc::new(OnlineStore::default());
     for i in 0..ENTITIES {
         online.put(
@@ -41,13 +58,6 @@ fn start_server() -> ServerHandle {
         );
     }
     let engine = ServeEngine::new(FeatureServer::new(online), fixed_clock(NOW));
-    let config = ServeConfig::builder()
-        .addr("127.0.0.1:0")
-        .workers(2)
-        .queue_depth(128)
-        .max_batch(8)
-        .build()
-        .unwrap();
     start(engine, config).unwrap()
 }
 
@@ -67,29 +77,42 @@ fn connect(addr: SocketAddr) -> Option<FeatureClient> {
     .ok()
 }
 
-/// One slot of a burst: `ENTITIES` means `Health`, anything below is a
-/// `GetFeatures` for that entity.
+/// Slot of a `GetFeaturesBatch` over every entity.
+const BATCH: usize = ENTITIES + 1;
+
+/// One slot of a burst: `ENTITIES` means `Health`, [`BATCH`] a batch read
+/// of every entity, anything below is a `GetFeatures` for that entity.
 fn to_request(slot: usize) -> Request {
-    if slot >= ENTITIES {
-        Request::Health
-    } else {
-        Request::GetFeatures {
+    match slot {
+        ENTITIES => Request::Health,
+        BATCH => Request::GetFeaturesBatch {
             group: "user".to_string(),
-            entity: format!("u{slot}"),
+            entities: (0..ENTITIES).map(|e| format!("u{e}")).collect(),
             features: vec!["score".to_string()],
-        }
+        },
+        entity => Request::GetFeatures {
+            group: "user".to_string(),
+            entity: format!("u{entity}"),
+            features: vec!["score".to_string()],
+        },
     }
+}
+
+/// Entity `i`'s stored row, as a feature read answers it.
+fn is_row(i: usize, vector: &WireVector) -> bool {
+    vector.entity == format!("u{i}") && vector.values == vec![Value::Float(i as f64 * 0.5)]
 }
 
 /// The response in slot `i` of a burst must answer request slot `i` — the
 /// wrong type or the wrong entity is a crossed response.
 fn matches_request(slot: usize, response: &Response) -> bool {
     match response {
-        Response::Health { .. } => slot >= ENTITIES,
-        Response::Features(vector) => {
-            slot < ENTITIES
-                && vector.entity == format!("u{slot}")
-                && vector.values == vec![Value::Float(slot as f64 * 0.5)]
+        Response::Health { .. } => slot == ENTITIES,
+        Response::Features(vector) => slot < ENTITIES && is_row(slot, vector),
+        Response::FeaturesBatch(vectors) => {
+            slot == BATCH
+                && vectors.len() == ENTITIES
+                && vectors.iter().enumerate().all(|(i, v)| is_row(i, v))
         }
         _ => false,
     }
@@ -97,7 +120,12 @@ fn matches_request(slot: usize, response: &Response) -> bool {
 
 /// A schedule is a list of bursts; each burst is a list of request slots.
 fn schedule_strategy(max_burst: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
-    collection::vec(collection::vec(0usize..(ENTITIES + 1), 1..max_burst), 1..5)
+    schedule_over(ENTITIES + 1, max_burst)
+}
+
+/// Bursts over the first `kinds` slot values.
+fn schedule_over(kinds: usize, max_burst: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
+    collection::vec(collection::vec(0usize..kinds, 1..max_burst), 1..5)
 }
 
 #[test]
@@ -180,6 +208,64 @@ fn pipelined_bursts_roundtrip_cleanly_without_faults() {
             }
         }
     }
+
+    server.shutdown();
+}
+
+/// Four workers behind a queue of two, each pausing before its drain: a
+/// burst's replies are deposited out of order across workers, and the
+/// reader sheds requests as `Overloaded` mid-burst, into their own slots.
+/// Every slot must still hold its own request's answer or that refusal.
+#[test]
+fn out_of_order_completions_and_mid_burst_sheds_keep_every_slot_in_place() {
+    let _watchdog =
+        common::watchdog("out_of_order_completions_and_mid_burst_sheds_keep_every_slot_in_place");
+    let config = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .workers(4)
+        .queue_depth(2)
+        .max_batch(8)
+        .handler_delay(Duration::from_micros(50))
+        .build()
+        .unwrap();
+    let server = start_server_with(config);
+    let addr = server.addr();
+
+    let schedules = schedule_over(BATCH + 1, 40);
+    let mut rng = TestRng::deterministic("pipeline_props::shed");
+    let (mut answered, mut shed) = (0, 0);
+    for _case in 0..32 {
+        let schedule = schedules.generate(&mut rng);
+        let mut client = connect(addr).expect("connect to loopback server");
+        for burst in &schedule {
+            let requests: Vec<Request> = burst.iter().map(|&s| to_request(s)).collect();
+            let responses = client.call_many(&requests).expect("a burst with sheds");
+            prop_assert_eq!(responses.len(), burst.len());
+            for (&slot, response) in burst.iter().zip(&responses) {
+                if matches!(
+                    response,
+                    Response::Error {
+                        code: ErrorCode::Overloaded,
+                        ..
+                    }
+                ) {
+                    shed += 1;
+                    continue;
+                }
+                prop_assert!(
+                    matches_request(slot, response),
+                    "crossed response: slot {} answered by {:?}",
+                    slot,
+                    response
+                );
+                answered += 1;
+            }
+        }
+    }
+    // Both kinds of slot were exercised.
+    assert!(shed > 0, "no request was shed");
+    assert!(answered > 0, "every request was shed");
+    println!("{answered} answered, {shed} shed");
 
     server.shutdown();
 }
