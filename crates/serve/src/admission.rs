@@ -89,8 +89,8 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::Ticket;
     use crate::protocol::Request;
-    use crate::server::Ticket;
     use std::time::Instant;
 
     fn job() -> Job {

@@ -14,8 +14,8 @@
 //! drain comes back empty and requests run singly with no added latency;
 //! no timers are involved.
 
+use crate::conn::Ticket;
 use crate::protocol::{Request, Response, SearchOptions};
-use crate::server::Ticket;
 use bytes::BytesMut;
 use crossbeam::channel::Receiver;
 use std::time::Instant;

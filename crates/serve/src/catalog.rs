@@ -169,7 +169,7 @@ impl IndexCatalog {
     }
 
     /// Wire swap/staleness reporting into the server's metrics. Called by
-    /// `server::start`; harmless to call again (last attachment wins).
+    /// `conn::start`; harmless to call again (last attachment wins).
     pub fn attach_metrics(&self, metrics: Arc<ServingMetrics>) {
         *self.metrics.lock() = Some(metrics);
         // Back-publish snapshots built before the server started.

@@ -574,12 +574,12 @@ mod tests {
     }
 
     /// A live endpoint serving `user/u1`, with no write leadership.
-    fn follower() -> crate::server::ServerHandle {
+    fn follower() -> crate::conn::ServerHandle {
         serving(crate::server::ServeConfig::default())
     }
 
     /// [`follower`] with its server tuned by `config`.
-    fn serving(config: crate::server::ServeConfig) -> crate::server::ServerHandle {
+    fn serving(config: crate::server::ServeConfig) -> crate::conn::ServerHandle {
         use fstore_common::{EntityKey, Timestamp, Value};
         let online = std::sync::Arc::new(fstore_storage::OnlineStore::default());
         online.put(
@@ -593,7 +593,7 @@ mod tests {
             fstore_core::FeatureServer::new(online),
             crate::server::fixed_clock(Timestamp::millis(1_000)),
         );
-        crate::server::start(engine, config).unwrap()
+        crate::conn::start(engine, config).unwrap()
     }
 
     fn client(addrs: &[&str]) -> FailoverClient {

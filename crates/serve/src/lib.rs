@@ -54,6 +54,7 @@ pub mod batch;
 pub mod catalog;
 pub mod client;
 pub mod codec;
+pub mod conn;
 pub mod failover;
 #[cfg(feature = "testing")]
 pub mod fault;
@@ -70,6 +71,7 @@ pub use client::{ClientConfig, ClientError, DeltaBatch, EmbeddingRead, FeatureCl
 pub use codec::{
     put_frame, write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, Reader,
 };
+pub use conn::{start, ServerHandle};
 pub use failover::{
     BreakerConfig, BreakerState, CircuitBreaker, FailoverClient, FailoverStats, StartedBurst,
 };
@@ -86,6 +88,6 @@ pub use protocol::{
 pub use repl::{ReplLogState, ReplProvider};
 pub use retry::{classify, ErrorClass, RetryPolicy};
 pub use server::{
-    atomic_clock, fixed_clock, start, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig,
-    ServeConfigBuilder, ServeEngine, ServerHandle, WriteProvider, WriteState,
+    atomic_clock, fixed_clock, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig,
+    ServeConfigBuilder, ServeEngine, WriteProvider, WriteState,
 };
