@@ -69,14 +69,8 @@ impl AdmissionController {
         self.tx.len()
     }
 
-    /// The shared metrics sink (connection threads record frame-level
-    /// refusals through it).
-    pub fn metrics(&self) -> &ServingMetrics {
-        &self.metrics
-    }
-
-    /// An owned handle to the metrics sink, for what outlives the borrow
-    /// (per-connection outboxes).
+    /// The shared metrics sink: connection threads record frame-level
+    /// refusals through it, and their outboxes the writes they send.
     pub fn shared_metrics(&self) -> Arc<ServingMetrics> {
         Arc::clone(&self.metrics)
     }

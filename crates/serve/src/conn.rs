@@ -1,4 +1,7 @@
-//! The connection engine of the TCP feature-serving server.
+//! The connection engine: the one connection loop every TCP server of the
+//! workspace runs on, whatever answers its requests. A [`Handler`] answers
+//! one drain of jobs at a time; [`ServeEngine`](crate::ServeEngine) is
+//! one handler, the shard router's TCP front is another.
 //!
 //! Architecture (std threads only — no async runtime):
 //!
@@ -8,13 +11,11 @@
 //!       │                        │ submit (admission: bounded, non-blocking)
 //!       │                        ▼
 //!       │               bounded crossbeam channel
-//!       │                        │ recv + opportunistic drain
+//!       │                        │ recv + opportunistic drain, shed
+//!       │                        │ jobs whose deadline lapsed
 //!       │                        ▼
-//!       └──────────────▶ worker pool (batch coalescing, FeatureServer /
-//!                                     EmbeddingStore, metrics; feature
-//!                                     reads encoded store ─▶ pooled frame)
-//!                                │ deposit reply in slot `seq`; after the
-//!                                │ drain's reads and its write group,
+//!       └──────────────▶ worker pool: Handler::serve, once per drain
+//!                                │ deposit reply in slot `seq` (Drain);
 //!                                │ flush every connection it answered
 //!                                ▼
 //!                        per-connection outbox: frame every ready reply
@@ -25,7 +26,7 @@
 //!                        finishes the run with blocking writes
 //! ```
 //!
-//! Connection threads never execute store code. Each connection is a
+//! Connection threads never execute handler code. Each connection is a
 //! *pipeline*: the reader keeps admitting frames (up to
 //! [`ServeConfig::pipeline_depth`] in flight) and responses leave **in
 //! request order** — every request takes the next sequence number of its
@@ -33,22 +34,21 @@
 //! only, so the wire needs no correlation IDs (DESIGN §2.16). A worker
 //! that completes the head reply sends it itself: a depth-1 request wakes
 //! one server thread besides its reader. Workers claim a job plus whatever
-//! else is queued, coalesce compatible lookups into one batch serve, and
-//! answer the drain's writes as one fenced group commit
-//! ([`WriteState::put_online_many`]). A worker never blocks on a peer's
-//! socket: a send that would block hands the rest of its run to the
-//! connection's stall flusher. Shutdown is graceful: admission flips to
-//! draining, open sockets are shut down, and workers finish every admitted
-//! job before exiting.
+//! else is queued (up to [`ServeConfig::max_batch`]) and hand the drain to
+//! the handler whole. A worker never blocks on a peer's socket: a send
+//! that would block hands the rest of its run to the connection's stall
+//! flusher. Shutdown is graceful: admission flips to draining, open
+//! sockets are shut down, and workers finish every admitted job before
+//! exiting.
 
 use crate::admission::{AdmissionController, AdmitReject};
-use crate::batch::{Job, Reply};
+use crate::batch::{self, Job, Reply};
 use crate::codec::{put_frame, FrameEvent, FramePool, FrameReader};
 use crate::metrics::ServingMetrics;
 use crate::protocol::{ErrorCode, Request, Response};
-use crate::server::{ReadScratch, ServeConfig, ServeEngine, Worker};
+use crate::server::ServeConfig;
 use bytes::BytesMut;
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -58,6 +58,93 @@ use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// What a server does with its requests. The engine calls [`serve`]
+/// once per drain — every job a worker claimed at once, in arrival order,
+/// minus those whose deadline lapsed in the queue — so a handler can
+/// coalesce a drain (batch reads, one group commit, one routed burst).
+///
+/// [`serve`]: Handler::serve
+pub trait Handler: Send + Sync + 'static {
+    /// One worker thread's own state, made on that thread.
+    type Worker;
+
+    /// Called once by [`start`], before any worker runs.
+    fn attach_metrics(&self, _metrics: &Arc<ServingMetrics>) {}
+
+    fn worker(&self) -> Self::Worker;
+
+    /// Answer every job of one drain through `out`. The engine flushes
+    /// what is still unsent when this returns.
+    fn serve(&self, worker: &mut Self::Worker, jobs: Vec<Job>, out: &mut Drain<'_>);
+}
+
+/// A worker's side of the connections it answers: it records each
+/// finished job, deposits its reply in the job's outbox slot, and sends
+/// on [`flush`](Self::flush).
+pub struct Drain<'a> {
+    rx: &'a Receiver<Job>,
+    metrics: &'a ServingMetrics,
+    draining: &'a AtomicBool,
+    pool: Arc<FramePool>,
+    /// The connections answered since the last flush.
+    touched: Vec<Arc<Outbox>>,
+}
+
+impl Drain<'_> {
+    /// Record one finished job and deposit its reply; it is sent at the
+    /// next flush.
+    pub fn answer(&mut self, job: Job, reply: Reply, ok: bool) {
+        let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
+        self.metrics.record(job.request.endpoint(), latency_ms, ok);
+        if let Some(outbox) = job.ticket.answer(reply) {
+            if !self.touched.iter().any(|o| Arc::ptr_eq(o, &outbox)) {
+                self.touched.push(outbox);
+            }
+        }
+    }
+
+    /// [`answer`](Self::answer) with a typed response.
+    pub fn answer_typed(&mut self, job: Job, response: Response) {
+        // E21's embedding phase asserts this stays flat: a response whose
+        // vector owns a private buffer means the store path copied.
+        if let Response::Embedding { vector, .. } = &response {
+            if !vector.is_shared() {
+                self.metrics.record_embed_copy();
+            }
+        }
+        let ok = !matches!(response, Response::Error { .. });
+        self.answer(job, Reply::Typed(response), ok);
+    }
+
+    /// Send what was answered since the last flush, connection by
+    /// connection.
+    pub fn flush(&mut self) {
+        for outbox in self.touched.drain(..) {
+            outbox.flush();
+        }
+    }
+
+    /// The server's pool for [`Reply::Frame`] buffers.
+    pub fn pool(&self) -> &FramePool {
+        &self.pool
+    }
+
+    pub fn metrics(&self) -> &ServingMetrics {
+        self.metrics
+    }
+
+    /// Jobs admitted but not yet claimed by a worker. Reading it locks
+    /// the job queue.
+    pub fn queue_depth(&self) -> u32 {
+        self.rx.len() as u32
+    }
+
+    /// Whether the server is draining toward shutdown.
+    pub fn draining(&self) -> bool {
+        self.draining.load(Ordering::Acquire)
+    }
+}
+
 /// A running server. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] aborts ungracefully (threads detach).
 pub struct ServerHandle {
@@ -65,9 +152,10 @@ pub struct ServerHandle {
     metrics: Arc<ServingMetrics>,
     admission: Option<AdmissionController>,
     draining: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    /// Returns the connection threads it has not joined, and whether one
+    /// it joined had panicked.
+    acceptor: Option<JoinHandle<(Vec<JoinHandle<()>>, bool)>>,
     workers: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
 }
 
@@ -94,17 +182,19 @@ impl ServerHandle {
         self.draining.store(true, Ordering::Release);
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("acceptor thread panicked");
-        }
+        let (threads, mut panicked) = self
+            .acceptor
+            .take()
+            .map(|acceptor| acceptor.join().expect("acceptor thread panicked"))
+            .unwrap_or_default();
         // Shut sockets down so connection threads fall out of read_frame.
         for (_, conn) in self.conns.lock().drain(..) {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        let conn_threads: Vec<_> = std::mem::take(&mut *self.conn_threads.lock());
-        for t in conn_threads {
-            t.join().expect("connection thread panicked");
+        for t in threads {
+            panicked |= t.join().is_err();
         }
+        assert!(!panicked, "connection thread panicked");
         // Last senders go away here; workers drain the queue and exit.
         drop(self.admission.take());
         for w in self.workers.drain(..) {
@@ -114,58 +204,53 @@ impl ServerHandle {
 }
 
 /// Bind, spawn the acceptor and worker pool, and return a handle.
-pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<ServerHandle> {
+pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let metrics = Arc::new(ServingMetrics::new());
     let draining = Arc::new(AtomicBool::new(false));
     let (tx, rx) = bounded::<Job>(config.queue_depth.max(1));
     let admission = AdmissionController::new(tx, Arc::clone(&draining), Arc::clone(&metrics));
-    let engine = Arc::new(engine);
-    if let Some(catalog) = engine.index_catalog() {
-        catalog.attach_metrics(Arc::clone(&metrics));
-    }
+    handler.attach_metrics(&metrics);
+    let handler = Arc::new(handler);
 
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|i| {
             let rx = rx.clone();
-            let engine = Arc::clone(&engine);
+            let handler = Arc::clone(&handler);
             let metrics = Arc::clone(&metrics);
             let draining = Arc::clone(&draining);
             let config = config.clone();
             std::thread::Builder::new()
                 .name(format!("fstore-serve-worker-{i}"))
                 .spawn(move || {
-                    Worker {
+                    let mut out = Drain {
                         rx: &rx,
-                        engine: &engine,
                         metrics: &metrics,
                         draining: &draining,
                         pool: metrics.frame_pool(),
-                        scratch: ReadScratch::default(),
                         touched: Vec::new(),
-                    }
-                    .run(&config)
+                    };
+                    work(&*handler, &mut out, &config);
                 })
                 .expect("spawn worker")
         })
         .collect();
 
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
 
     let acceptor = {
-        let draining = Arc::clone(&draining);
         let admission = admission.clone();
-        let conn_threads = Arc::clone(&conn_threads);
         let conns = Arc::clone(&conns);
         let config = config.clone();
         std::thread::Builder::new()
             .name("fstore-serve-acceptor".to_string())
             .spawn(move || {
+                let mut threads: Vec<JoinHandle<()>> = Vec::new();
+                let mut panicked = false;
                 let mut next_conn_id: u64 = 0;
                 for stream in listener.incoming() {
-                    if draining.load(Ordering::Acquire) {
+                    if admission.is_draining() {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
@@ -178,13 +263,12 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
                         conns.lock().push((conn_id, registered));
                     }
                     let admission = admission.clone();
-                    let draining = Arc::clone(&draining);
                     let conns = Arc::clone(&conns);
                     let config = config.clone();
                     let handle = std::thread::Builder::new()
                         .name("fstore-serve-conn".to_string())
                         .spawn(move || {
-                            connection_loop(stream, &admission, &draining, &config);
+                            connection_loop(stream, &admission, &config);
                             // Deregister so the clone doesn't hold the fd
                             // open after the connection is done — the peer
                             // must see EOF, and dead sockets must not pile
@@ -192,8 +276,15 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
                             conns.lock().retain(|(id, _)| *id != conn_id);
                         })
                         .expect("spawn connection thread");
-                    conn_threads.lock().push(handle);
+                    // Join the threads whose connection has ended: an
+                    // unjoined thread keeps its stack mapped, and some
+                    // 32 k of them exhaust `vm.max_map_count`.
+                    for done in threads.extract_if(.., |t| t.is_finished()) {
+                        panicked |= done.join().is_err();
+                    }
+                    threads.push(handle);
                 }
+                (threads, panicked)
             })
             .expect("spawn acceptor")
     };
@@ -205,9 +296,43 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
         draining,
         acceptor: Some(acceptor),
         workers,
-        conn_threads,
         conns,
     })
+}
+
+/// One worker thread: claim a job, drain the queue opportunistically,
+/// shed what expired, hand the rest to the handler — until the queue
+/// closes.
+fn work<H: Handler>(handler: &H, out: &mut Drain<'_>, config: &ServeConfig) {
+    let mut worker = handler.worker();
+    while let Ok(first) = out.rx.recv() {
+        #[cfg(feature = "testing")]
+        if let Some(delay) = config.handler_delay {
+            std::thread::sleep(delay);
+        }
+        let jobs = batch::drain(out.rx, first, config.max_batch.max(1));
+        // Deadline check at dequeue: a job whose budget lapsed while it
+        // sat in the queue is shed unexecuted — its caller has already
+        // timed out, so running it would only delay live requests.
+        let now = Instant::now();
+        let (jobs, expired): (Vec<Job>, Vec<Job>) = jobs
+            .into_iter()
+            .partition(|j| j.deadline.is_none_or(|d| d > now));
+        for job in expired {
+            out.metrics.record_deadline_shed();
+            out.answer_typed(
+                job,
+                Response::error(
+                    ErrorCode::DeadlineExceeded,
+                    "deadline budget expired before a worker dequeued the request",
+                ),
+            );
+        }
+        if !jobs.is_empty() {
+            handler.serve(&mut worker, jobs, out);
+        }
+        out.flush();
+    }
 }
 
 /// Per-socket reader: frame in, reserve the request's sequence number in
@@ -217,29 +342,24 @@ pub fn start(engine: ServeEngine, config: ServeConfig) -> std::io::Result<Server
 /// than workers answer them is backpressured through TCP rather than
 /// queuing without limit. Refusals decided here (bad frames, admission
 /// rejects) go into their own slot and are sent from here.
-fn connection_loop(
-    stream: TcpStream,
-    admission: &AdmissionController,
-    draining: &AtomicBool,
-    config: &ServeConfig,
-) {
+fn connection_loop(stream: TcpStream, admission: &AdmissionController, config: &ServeConfig) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let _ = write_half.set_write_timeout(config.write_timeout);
+    let metrics = admission.shared_metrics();
     let outbox = Outbox::new(
         Box::new(write_half),
-        admission.shared_metrics(),
+        Arc::clone(&metrics),
         config.pipeline_depth,
     );
-    let metrics = admission.metrics();
     let mut reader = FrameReader::new();
     let refuse = |seq: u64, response: Response| {
         outbox.deposit(seq, Reply::Typed(response));
         outbox.flush();
     };
     loop {
-        if draining.load(Ordering::Acquire) {
+        if admission.is_draining() {
             break;
         }
         // Idle bound: none (a keep-alive connection may sit quiet forever);

@@ -13,8 +13,11 @@
 //! * [`protocol`] — a compact length-prefixed binary wire protocol with
 //!   typed error responses; decoding is total (no panics on hostile
 //!   input) and oversized frames are refused before allocation.
-//! * [`server`] — a std-only threaded TCP server: connection threads do
-//!   framing, a bounded crossbeam channel feeds a worker pool.
+//! * [`conn`] — the connection engine, a std-only threaded TCP server:
+//!   connection threads do framing, a bounded crossbeam channel feeds a
+//!   worker pool, and each worker hands its drain to a [`conn::Handler`].
+//! * [`server`] — [`ServeEngine`], the handler of a feature server, and
+//!   its fenced [`WriteState`].
 //! * [`catalog`] — per-table ANN index snapshots behind atomically
 //!   swappable `Arc`s: background rebuild + swap while search traffic
 //!   keeps flowing, with generation counters and staleness metrics.

@@ -1,30 +1,28 @@
 //! The feature-serving engine: [`ServeConfig`], the fenced [`WriteState`]
-//! and the [`ServeEngine`] that answers requests; the connection engine
-//! that runs it lives in [`crate::conn`].
+//! and the [`ServeEngine`] that answers requests — the [`Handler`] the
+//! connection engine ([`crate::conn`]) runs for a feature server.
 
 use crate::batch::{self, Job, Reply};
 use crate::catalog::{CatalogError, IndexCatalog, SearchOutcome};
-use crate::codec::FramePool;
-use crate::conn::Outbox;
+use crate::conn::{Drain, Handler};
 use crate::metrics::ServingMetrics;
 use crate::protocol::{ErrorCode, Request, Response, RowEncoder, WireDelta, WireVector};
 use crate::repl::{check_snapshot_len, ReplProvider};
 use bytes::{BufMut, BytesMut};
-use crossbeam::channel::Receiver;
 use fstore_common::DeltaQuery;
 use fstore_common::{FsError, Timestamp, Value};
 use fstore_core::{stale_error, FeatureServer, StaleRefused};
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
 use fstore_storage::FeatureId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Bind address; port 0 picks a free port (see [`ServerHandle::addr`]).
+    /// Bind address; port 0 picks a free port (see
+    /// [`ServerHandle::addr`](crate::ServerHandle::addr)).
     pub addr: String,
     /// Worker threads executing requests.
     pub workers: usize,
@@ -512,11 +510,6 @@ impl ServeEngine {
         self
     }
 
-    /// The attached index catalog, if any.
-    pub fn index_catalog(&self) -> Option<&Arc<IndexCatalog>> {
-        self.indexes.as_ref()
-    }
-
     /// Make this server a replication leader: the provider answers the
     /// `ReplSubscribe` / `ReplSnapshot` / `ReplDeltas` endpoints. Without
     /// one, those requests get a typed `BadRequest` error.
@@ -890,118 +883,92 @@ fn fs_error_response(e: &FsError) -> Response {
     Response::error(code, e.to_string())
 }
 
-/// One worker thread's state.
-pub(crate) struct Worker<'a> {
-    pub(crate) rx: &'a Receiver<Job>,
-    pub(crate) engine: &'a ServeEngine,
-    pub(crate) metrics: &'a ServingMetrics,
-    pub(crate) draining: &'a AtomicBool,
-    pub(crate) pool: Arc<FramePool>,
-    pub(crate) scratch: ReadScratch,
-    /// The connections this drain has answered on, flushed after its reads
-    /// and again after its write group.
-    pub(crate) touched: Vec<Arc<Outbox>>,
-}
+/// The serve engine as a connection-engine handler. Each drain is
+/// planned: lookups that share `(group, features)` coalesce into one batch
+/// read, searches that share `(table, k, options)` into one multi-query
+/// pass, and the drain's writes answer last, as one fenced group commit.
+impl Handler for ServeEngine {
+    type Worker = ReadScratch;
 
-impl Worker<'_> {
-    /// Claim one job, drain the queue opportunistically, coalesce,
-    /// execute, reply, record — until the queue closes.
-    pub(crate) fn run(&mut self, config: &ServeConfig) {
-        while let Ok(first) = self.rx.recv() {
-            #[cfg(feature = "testing")]
-            if let Some(delay) = config.handler_delay {
-                std::thread::sleep(delay);
-            }
-            let jobs = batch::drain(self.rx, first, config.max_batch.max(1));
-            // Deadline check at dequeue: a job whose budget lapsed while it
-            // sat in the queue is shed unexecuted — its caller has already
-            // timed out, so running it would only delay live requests.
-            let now = Instant::now();
-            let (jobs, expired): (Vec<Job>, Vec<Job>) = jobs
-                .into_iter()
-                .partition(|j| j.deadline.is_none_or(|d| d > now));
-            for job in expired {
-                self.metrics.record_deadline_shed();
-                self.finish_typed(
-                    job,
-                    Response::error(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline budget expired before a worker dequeued the request",
-                    ),
-                );
-            }
-            let plan = batch::plan(jobs);
-
-            for batch in plan.batches {
-                self.metrics.record_batch(batch.jobs.len());
-                // Ids, clock and epoch are fixed once for the group; each
-                // member then gets its own frame, so one member's
-                // FailOnStale refusal never touches the others' answers.
-                self.engine
-                    .begin_read_into(batch.key().1, &mut self.scratch);
-                for job in batch.jobs {
-                    let Request::GetFeatures {
-                        group,
-                        entity,
-                        features,
-                    } = &job.request
-                    else {
-                        unreachable!("plan() only batches GetFeatures")
-                    };
-                    let mut frame = self.pool.get();
-                    let ok = self.engine.put_features(
-                        group,
-                        entity,
-                        features,
-                        &mut self.scratch,
-                        &mut frame,
-                    );
-                    self.finish(job, Reply::Frame(frame), ok);
-                }
-            }
-            for batch in plan.searches {
-                self.metrics.record_batch(batch.jobs.len());
-                let (table, k, options) = batch.key();
-                let outcome = self.engine.index_catalog().and_then(|catalog| {
-                    let queries: Vec<&[f32]> = batch
-                        .jobs
-                        .iter()
-                        .map(|j| match &j.request {
-                            Request::SearchNearest { query, .. } => query.as_slice(),
-                            _ => unreachable!("plan() only batches SearchNearest"),
-                        })
-                        .collect();
-                    catalog
-                        .search_many(table, &queries, k as usize, &options.to_params())
-                        .ok()
-                });
-                match outcome {
-                    Some(results) => {
-                        for (job, result) in batch.jobs.into_iter().zip(results) {
-                            self.finish_typed(job, search_response(result));
-                        }
-                    }
-                    // No catalog or no snapshot: re-serve singly so each
-                    // job gets the same typed error the single path
-                    // produces.
-                    None => batch.jobs.into_iter().for_each(|job| self.answer(job)),
-                }
-            }
-            plan.singles.into_iter().for_each(|job| self.answer(job));
-            self.flush();
-            // Writes go last, so no read of the drain waits behind the
-            // group commit's WAL write.
-            if !plan.writes.is_empty() {
-                self.commit_writes(plan.writes);
-                self.flush();
-            }
+    fn attach_metrics(&self, metrics: &Arc<ServingMetrics>) {
+        if let Some(catalog) = &self.indexes {
+            catalog.attach_metrics(Arc::clone(metrics));
         }
     }
 
+    fn worker(&self) -> ReadScratch {
+        ReadScratch::default()
+    }
+
+    fn serve(&self, scratch: &mut ReadScratch, jobs: Vec<Job>, out: &mut Drain<'_>) {
+        let plan = batch::plan(jobs);
+        for batch in plan.batches {
+            out.metrics().record_batch(batch.jobs.len());
+            // Ids, clock and epoch are fixed once for the group; each
+            // member then gets its own frame, so one member's FailOnStale
+            // refusal never touches the others' answers.
+            self.begin_read_into(batch.key().1, scratch);
+            for job in batch.jobs {
+                let Request::GetFeatures {
+                    group,
+                    entity,
+                    features,
+                } = &job.request
+                else {
+                    unreachable!("plan() only batches GetFeatures")
+                };
+                let mut frame = out.pool().get();
+                let ok = self.put_features(group, entity, features, scratch, &mut frame);
+                out.answer(job, Reply::Frame(frame), ok);
+            }
+        }
+        for batch in plan.searches {
+            out.metrics().record_batch(batch.jobs.len());
+            let (table, k, options) = batch.key();
+            let outcome = self.indexes.as_ref().and_then(|catalog| {
+                let queries: Vec<&[f32]> = batch
+                    .jobs
+                    .iter()
+                    .map(|j| match &j.request {
+                        Request::SearchNearest { query, .. } => query.as_slice(),
+                        _ => unreachable!("plan() only batches SearchNearest"),
+                    })
+                    .collect();
+                catalog
+                    .search_many(table, &queries, k as usize, &options.to_params())
+                    .ok()
+            });
+            match outcome {
+                Some(results) => {
+                    for (job, result) in batch.jobs.into_iter().zip(results) {
+                        out.answer_typed(job, search_response(result));
+                    }
+                }
+                // No catalog or no snapshot: re-serve singly so each job
+                // gets the same typed error the single path produces.
+                None => batch
+                    .jobs
+                    .into_iter()
+                    .for_each(|job| self.answer(job, scratch, out)),
+            }
+        }
+        plan.singles
+            .into_iter()
+            .for_each(|job| self.answer(job, scratch, out));
+        // Writes go last, and the reads leave first, so no read of the
+        // drain waits behind the group commit's WAL write.
+        if !plan.writes.is_empty() {
+            out.flush();
+            self.commit_writes(plan.writes, out);
+        }
+    }
+}
+
+impl ServeEngine {
     /// Answer a drain's `PutOnline` jobs as one fenced group commit.
-    fn commit_writes(&mut self, jobs: Vec<Job>) {
+    fn commit_writes(&self, jobs: Vec<Job>, out: &mut Drain<'_>) {
         if jobs.len() >= 2 {
-            self.metrics.record_batch(jobs.len());
+            out.metrics().record_batch(jobs.len());
         }
         let answers = {
             let writes: Vec<(u64, OnlineWrite<'_>)> = jobs
@@ -1010,69 +977,32 @@ impl Worker<'_> {
                     fenced_write(&job.request).expect("plan() only groups PutOnline as writes")
                 })
                 .collect();
-            self.engine
-                .writes
-                .put_online_many(&writes, self.engine.now())
+            self.writes.put_online_many(&writes, self.now())
         };
         for (job, response) in jobs.into_iter().zip(answers) {
-            self.finish_typed(job, response);
+            out.answer_typed(job, response);
         }
     }
 
     /// Execute one job on its own. Feature reads encode straight into the
     /// frame; everything else goes through the typed `handle`.
-    fn answer(&mut self, job: Job) {
+    fn answer(&self, job: Job, scratch: &mut ReadScratch, out: &mut Drain<'_>) {
         match &job.request {
             Request::GetFeatures { .. } | Request::GetFeaturesBatch { .. } => {
-                let mut frame = self.pool.get();
-                let ok = self
-                    .engine
-                    .read_into(&job.request, &mut self.scratch, &mut frame);
-                self.finish(job, Reply::Frame(frame), ok);
+                let mut frame = out.pool().get();
+                let ok = self.read_into(&job.request, scratch, &mut frame);
+                out.answer(job, Reply::Frame(frame), ok);
             }
             request => {
                 // Only `Health` reports the queue depth, and reading it
                 // locks the job queue — nothing else pays for that.
                 let queue_depth = match request {
-                    Request::Health => self.rx.len() as u32,
+                    Request::Health => out.queue_depth(),
                     _ => 0,
                 };
-                let draining = self.draining.load(Ordering::Acquire);
-                let response = self.engine.handle(request, queue_depth, draining);
-                self.finish_typed(job, response);
+                let response = self.handle(request, queue_depth, out.draining());
+                out.answer_typed(job, response);
             }
-        }
-    }
-
-    /// Record one finished job and deposit its reply; it is sent at the
-    /// drain's next flush.
-    fn finish(&mut self, job: Job, reply: Reply, ok: bool) {
-        let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
-        self.metrics.record(job.request.endpoint(), latency_ms, ok);
-        if let Some(outbox) = job.ticket.answer(reply) {
-            if !self.touched.iter().any(|o| Arc::ptr_eq(o, &outbox)) {
-                self.touched.push(outbox);
-            }
-        }
-    }
-
-    /// [`finish`](Self::finish) for a typed response.
-    fn finish_typed(&mut self, job: Job, response: Response) {
-        // E21's embedding phase asserts this stays flat: a response whose
-        // vector owns a private buffer means the store path copied.
-        if let Response::Embedding { vector, .. } = &response {
-            if !vector.is_shared() {
-                self.metrics.record_embed_copy();
-            }
-        }
-        let ok = !matches!(response, Response::Error { .. });
-        self.finish(job, Reply::Typed(response), ok);
-    }
-
-    /// Send what this drain answered, connection by connection.
-    fn flush(&mut self) {
-        for outbox in self.touched.drain(..) {
-            outbox.flush();
         }
     }
 }

@@ -18,7 +18,9 @@
 //!   `StoreApi` works against a cluster unchanged.
 //! * [`server`] — [`start_router`]: the router behind a plain TCP
 //!   socket speaking the ordinary wire protocol; clients cannot tell a
-//!   router from a single shard server.
+//!   router from a single shard server. The front is a handler on the
+//!   serve crate's connection engine (`fstore_serve::conn`), not a
+//!   connection loop of its own.
 //! * [`cluster`] — the in-process [`ShardCluster`] harness tests and
 //!   experiments use to stand up N shards × (leader + followers), kill
 //!   leaders, and drive promotions end to end.

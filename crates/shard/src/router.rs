@@ -33,8 +33,9 @@
 //!
 //! Because [`RouterClient`] implements the same [`Transport`] trait as
 //! every single-node client, the entire `StoreApi` surface works against
-//! a sharded cluster unchanged — and `RouterServer` can put the router
-//! behind a plain TCP socket by decoding, calling, and encoding.
+//! a sharded cluster unchanged — and [`start_router`](crate::start_router)
+//! puts the router behind a plain TCP socket, routing each drain of its
+//! connection engine as one burst.
 //!
 //! Before every call the router compares the control plane's map version
 //! with the one it routed with last; on a change it rebinds each shard's
@@ -50,7 +51,7 @@ use fstore_serve::{
     BreakerConfig, ClientConfig, ClientError, ErrorCode, FailoverClient, FailoverStats, Request,
     Response, RetryPolicy, StartedBurst, WireHit,
 };
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -470,8 +471,12 @@ impl RouterClient {
     /// waits for the next flight. A sub-burst is written whole before its
     /// answers are read, so keep a burst within what a shard server
     /// queues per connection (`ServeConfig::pipeline_depth`); the TCP
-    /// front routes at most `ROUTER_PIPELINE` requests at a time.
-    pub fn route_burst(&mut self, requests: &[Request]) -> Vec<Result<Response, ClientError>> {
+    /// front routes one drain at a time, at most `ServeConfig::max_batch`
+    /// requests.
+    pub fn route_burst<R: Borrow<Request>>(
+        &mut self,
+        requests: &[R],
+    ) -> Vec<Result<Response, ClientError>> {
         self.refresh();
         self.burst(requests)
     }
@@ -483,7 +488,7 @@ impl RouterClient {
     /// request routed alone, and before a request that shares an entity
     /// with a request of the flight when either one writes it — so two
     /// requests whose order could show apply in caller order.
-    fn burst(&mut self, requests: &[Request]) -> Vec<Result<Response, ClientError>> {
+    fn burst<R: Borrow<Request>>(&mut self, requests: &[R]) -> Vec<Result<Response, ClientError>> {
         let mut results = Vec::with_capacity(requests.len());
         let mut map = Arc::clone(&self.map);
         let mut flight = Flight::new(0);
@@ -491,9 +496,11 @@ impl RouterClient {
         // The first request of the flight being planned.
         let mut start = 0;
         for (i, request) in requests.iter().enumerate() {
+            let request = request.borrow();
             let alone = !joins_flight(request);
             let flying = &requests[start..i];
-            if !plans.is_empty() && (alone || flying.iter().any(|e| conflicts(e, request))) {
+            if !plans.is_empty() && (alone || flying.iter().any(|e| conflicts(e.borrow(), request)))
+            {
                 self.land(&flight, plans.drain(..), flying, &mut results);
             }
             if alone {
@@ -517,17 +524,17 @@ impl RouterClient {
 
     /// Fly `flight` and settle its `requests` (with their `plans`) into
     /// `results`, in caller order.
-    fn land(
+    fn land<R: Borrow<Request>>(
         &mut self,
         flight: &Flight<'_>,
         plans: impl Iterator<Item = Plan>,
-        requests: &[Request],
+        requests: &[R],
         results: &mut Vec<Result<Response, ClientError>>,
     ) {
         let mut answers = self.fly(flight);
         for (plan, request) in plans.zip(requests) {
             let result = settle(plan, &mut answers);
-            results.push(match request {
+            results.push(match request.borrow() {
                 Request::PutOnline {
                     group,
                     entity,

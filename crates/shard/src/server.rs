@@ -1,36 +1,42 @@
 //! A TCP front for the router: accepts ordinary wire-protocol
 //! connections and answers them through a [`RouterClient`].
 //!
-//! The router tier is deliberately thin — framing, decode, route, encode.
-//! All real work (admission, batching, deadline shedding) happens on the
-//! shard servers; all routing logic lives in [`RouterClient`]. Each
-//! connection gets its own router (and therefore its own per-shard
-//! connections), so concurrent clients scatter in parallel without a
-//! shared lock, the same way each client connection to a shard server is
-//! independent.
+//! The front is a [`Handler`] on the serve crate's connection engine, so
+//! it runs on the same reader, ordered outbox, admission, deadline
+//! shedding, frame and write timeouts, metrics and graceful drain as
+//! every shard server. Only routing is its own: each drain the engine
+//! hands it flies as one routed burst. All real work (batching, store
+//! reads, group commits) happens on the shard servers; all routing logic
+//! lives in [`RouterClient`].
 
 use crate::control::ControlPlane;
 use crate::router::{RouterClient, RouterConfig};
 use fstore_serve::api::Transport;
+use fstore_serve::batch::Job;
+use fstore_serve::conn::{Drain, Handler};
 use fstore_serve::{
-    put_frame, ClientError, ErrorCode, FrameEvent, FramePool, FrameReader, Request, Response,
-    WireError, MAX_FRAME_LEN,
+    ClientError, ErrorCode, Request, Response, ServeConfig, ServerHandle, WireError,
 };
-use parking_lot::Mutex;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// A running router server; dropping it (or calling
-/// [`shutdown`](RouterHandle::shutdown)) stops the acceptor, cuts open
+/// Routing workers behind the front: one, so the drains of a connection
+/// route one after another. With two, two drains of one connection could
+/// route at once and reorder a write and a read on the same entity;
+/// [`RouterClient::route_burst`] keeps order only inside one burst. The
+/// price: every front connection shares this worker's `RouterClient` —
+/// its shard connections and breakers — so a hung shard can hold the
+/// other connections for up to one client `read_timeout` before its
+/// breaker opens.
+const ROUTING_WORKERS: usize = 1;
+
+/// A running router front; dropping it (or calling
+/// [`shutdown`](RouterHandle::shutdown)) refuses new work, cuts open
 /// connections, and joins every thread.
 pub struct RouterHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    acceptor: Option<JoinHandle<()>>,
+    server: Option<ServerHandle>,
 }
 
 impl RouterHandle {
@@ -38,26 +44,21 @@ impl RouterHandle {
         self.addr
     }
 
+    /// Stop the front; panics, as [`ServerHandle::shutdown`] does, if one
+    /// of its threads panicked.
     pub fn shutdown(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for conn in self.conns.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        if let Some(server) = self.server.take() {
+            server.shutdown();
         }
     }
 }
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        self.halt();
+        if let Some(server) = self.server.take() {
+            // A panic must not leave `drop`: during an unwind it aborts.
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| server.shutdown()));
+        }
     }
 }
 
@@ -67,141 +68,50 @@ pub fn start_router(
     control: Arc<ControlPlane>,
     config: RouterConfig,
 ) -> std::io::Result<RouterHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        let conns = Arc::clone(&conns);
-        // One encode-buffer pool for the whole router tier; every
-        // connection's responses are serialized out of recycled buffers.
-        let pool = Arc::new(FramePool::default());
-        std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            for incoming in listener.incoming() {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(socket) = incoming else { continue };
-                if socket.set_nodelay(true).is_err() {
-                    continue;
-                }
-                if let Ok(registered) = socket.try_clone() {
-                    conns.lock().push(registered);
-                }
-                let router = RouterClient::new(Arc::clone(&control), config.clone());
-                let pool = Arc::clone(&pool);
-                workers.push(std::thread::spawn(move || {
-                    connection_loop(socket, router, &pool);
-                }));
-            }
-            for worker in workers {
-                let _ = worker.join();
-            }
-        })
+    let serve = ServeConfig {
+        addr: addr.to_string(),
+        workers: ROUTING_WORKERS,
+        ..ServeConfig::default()
     };
-
+    let server = fstore_serve::start(Front { control, config }, serve)?;
     Ok(RouterHandle {
-        addr,
-        stop,
-        conns,
-        acceptor: Some(acceptor),
+        addr: server.addr(),
+        server: Some(server),
     })
 }
 
-/// Requests one router connection keeps decoded and waiting while earlier
-/// ones are still being routed — the front's pipeline depth.
-const ROUTER_PIPELINE: usize = 64;
+/// The router as a connection-engine handler.
+struct Front {
+    control: Arc<ControlPlane>,
+    config: RouterConfig,
+}
 
-/// Serve one connection: a reader thread keeps decoding frames ahead
-/// (up to [`ROUTER_PIPELINE`] in flight) while this thread routes them.
-/// It blocks for one request, then takes whatever else is already
-/// queued: a lone request goes through `router.call`, several go out as
-/// one burst ([`RouterClient::route_burst`] — one flight, each request
-/// answered on its own). Every response of the round is encoded, in
-/// arrival order, into one pooled buffer and written with one call, so
-/// frame I/O overlaps the routing work.
-fn connection_loop(socket: TcpStream, mut router: RouterClient, pool: &FramePool) {
-    let Ok(read_half) = socket.try_clone() else {
-        return;
-    };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Request, Response>>(ROUTER_PIPELINE);
-    let reader_thread = std::thread::spawn(move || {
-        let mut reader = FrameReader::new();
-        loop {
-            let decoded = match reader.read_frame(&read_half, MAX_FRAME_LEN, None, None) {
-                // Undecodable payload → typed refusal that must still go
-                // out in order.
-                Ok(FrameEvent::Frame(payload)) => Request::decode(payload).map_err(|e| {
-                    Response::error(ErrorCode::BadRequest, format!("undecodable request: {e}"))
-                }),
-                Ok(FrameEvent::TooLarge { declared }) => {
-                    // Refuse, then stop: the payload was never read, so
-                    // the stream position is unrecoverable.
-                    let _ = tx.send(Err(Response::error(
-                        ErrorCode::FrameTooLarge,
-                        format!("request frame declared {declared} bytes"),
-                    )));
-                    return;
-                }
-                _ => return, // EOF, cut by shutdown, or dead peer
-            };
-            if tx.send(decoded).is_err() {
-                return; // the writer side died on a socket error
-            }
+impl Handler for Front {
+    type Worker = RouterClient;
+
+    fn worker(&self) -> RouterClient {
+        RouterClient::new(Arc::clone(&self.control), self.config.clone())
+    }
+
+    /// A lone request goes through `router.call`; a drain of several flies
+    /// as one burst ([`RouterClient::route_burst`]: one flight, each
+    /// request answered on its own). A drain is at most
+    /// `ServeConfig::max_batch` (32) requests, within the 128 a shard
+    /// connection queues (`ServeConfig::pipeline_depth`).
+    fn serve(&self, router: &mut RouterClient, mut jobs: Vec<Job>, out: &mut Drain<'_>) {
+        if jobs.len() == 1 {
+            let job = jobs.pop().expect("one job this drain");
+            let response = router
+                .call(&job.request)
+                .unwrap_or_else(|error| error_response(&error));
+            return out.answer_typed(job, response);
         }
-    });
-    let mut writer = &socket;
-    let mut round: Vec<Result<Request, Response>> = Vec::with_capacity(ROUTER_PIPELINE);
-    let mut requests: Vec<Request> = Vec::with_capacity(ROUTER_PIPELINE);
-    while let Ok(first) = rx.recv() {
-        round.push(first);
-        round.extend(rx.try_iter().take(ROUTER_PIPELINE - 1));
-        let mut buf = pool.get();
-        if round.len() == 1 {
-            let response = match round.pop().expect("one request this round") {
-                Ok(request) => router
-                    .call(&request)
-                    .unwrap_or_else(|error| error_response(&error)),
-                Err(refusal) => refusal,
-            };
-            put_frame(&mut buf, |buf| response.encode_into(buf));
-        } else {
-            // Refusals keep their slot; everything decodable flies as one
-            // burst.
-            let refusals: Vec<Option<Response>> = round
-                .drain(..)
-                .map(|decoded| match decoded {
-                    Ok(request) => {
-                        requests.push(request);
-                        None
-                    }
-                    Err(refusal) => Some(refusal),
-                })
-                .collect();
-            let mut routed = router.route_burst(&requests).into_iter();
-            for refusal in refusals {
-                let response = refusal.unwrap_or_else(|| {
-                    routed
-                        .next()
-                        .expect("one result per routed request")
-                        .unwrap_or_else(|error| error_response(&error))
-                });
-                put_frame(&mut buf, |buf| response.encode_into(buf));
-            }
-            requests.clear();
-        }
-        let ok = writer.write_all(buf.as_slice()).is_ok();
-        pool.put(buf);
-        if !ok {
-            break;
+        let requests: Vec<&Request> = jobs.iter().map(|job| &job.request).collect();
+        let routed = router.route_burst(&requests);
+        for (job, result) in jobs.into_iter().zip(routed) {
+            out.answer_typed(job, result.unwrap_or_else(|error| error_response(&error)));
         }
     }
-    // Unblock the reader (it may be parked waiting for a frame) and join.
-    let _ = socket.shutdown(Shutdown::Both);
-    let _ = reader_thread.join();
 }
 
 /// Map a router-side client failure onto a wire error response. A typed

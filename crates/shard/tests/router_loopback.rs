@@ -16,10 +16,12 @@ use fstore_common::{EntityKey, Timestamp, Value};
 use fstore_embed::{EmbeddingProvenance, EmbeddingTable};
 use fstore_repl::{LeaderParts, ReplLeader};
 use fstore_serve::{
-    fixed_clock, start, ClientError, ErrorCode, FeatureClient, IndexSpec, Request, Response,
-    ServeConfig, StoreApi, WireHit,
+    fixed_clock, start, write_frame, ClientError, ErrorCode, FeatureClient, FrameEvent,
+    FrameReader, IndexSpec, Request, Response, ServeConfig, StoreApi, WireHit, MAX_FRAME_LEN,
 };
 use fstore_shard::{ClusterConfig, ShardCluster, ShardId};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -456,6 +458,48 @@ fn router_tcp_front_speaks_the_wire_protocol() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
         other => panic!("expected a BadRequest refusal, got {other:?}"),
     }
+
+    // An undecodable frame in the middle of a pipelined burst answers
+    // BadRequest in its own slot; its neighbours answer normally.
+    let timeout = Some(Duration::from_secs(5));
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect to router");
+    let read = |u: usize| Request::GetFeatures {
+        group: "user".into(),
+        entity: format!("u{u}"),
+        features: vec!["score".into()],
+    };
+    let mut burst = Vec::new();
+    write_frame(&mut burst, &read(1).encode()).unwrap();
+    write_frame(&mut burst, &[0xde, 0xad, 0xbe, 0xef, 0x42]).unwrap();
+    write_frame(&mut burst, &read(2).encode()).unwrap();
+    raw.write_all(&burst).unwrap();
+    let mut reader = FrameReader::new();
+    let mut next = |raw: &TcpStream| match reader.read_frame(raw, MAX_FRAME_LEN, timeout, timeout) {
+        Ok(FrameEvent::Frame(payload)) => Some(Response::decode(payload).expect("a response")),
+        Ok(FrameEvent::Eof) => None,
+        other => panic!("expected a frame or EOF, got {other:?}"),
+    };
+    for slot in [Some(1), None, Some(2)] {
+        match (slot, next(&raw)) {
+            (Some(u), Some(Response::Features(v))) => {
+                assert_eq!(v.values, vec![Value::Float(score_for(u))])
+            }
+            (None, Some(Response::Error { code, .. })) => assert_eq!(code, ErrorCode::BadRequest),
+            (slot, other) => panic!("slot {slot:?}: unexpected {other:?}"),
+        }
+    }
+
+    // A frame declaring more than MAX_FRAME_LEN answers FrameTooLarge, and
+    // then the front closes the connection.
+    raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    match next(&raw) {
+        Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::FrameTooLarge),
+        other => panic!("expected a FrameTooLarge refusal, got {other:?}"),
+    }
+    assert!(
+        next(&raw).is_none(),
+        "the front must close after the refusal"
+    );
 
     handle.shutdown();
     cluster.shutdown();
