@@ -62,6 +62,7 @@ pub mod failover;
 #[cfg(feature = "testing")]
 pub mod fault;
 pub mod metrics;
+mod outbox;
 pub mod protocol;
 pub mod repl;
 pub mod retry;
