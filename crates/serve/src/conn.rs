@@ -8,15 +8,19 @@
 //! ```text
 //!   acceptor ──spawns──▶ connection reader threads (one per socket):
 //!       │                  frame in ─▶ reserve seq in the outbox ─▶ admit
-//!       │                        │ submit (admission: bounded, non-blocking)
-//!       │                        ▼
-//!       │               bounded crossbeam channel
-//!       │                        │ recv + opportunistic drain, shed
-//!       │                        │ jobs whose deadline lapsed
-//!       │                        ▼
-//!       └──────────────▶ worker pool: Handler::serve, once per drain
-//!                                │ deposit reply in slot `seq` (Drain);
-//!                                │ flush every connection it answered
+//!       │                        │ a lone read on an idle connection,
+//!       │                        │ with a worker state free: served right
+//!       │                        │ here, as a one-job drain ──────────┐
+//!       │                        │ otherwise: submit (admission:      │
+//!       │                        │ bounded, non-blocking)             │
+//!       │                        ▼                                    │
+//!       │               bounded crossbeam channel                     │
+//!       │                        │ recv + opportunistic drain         │
+//!       │                        ▼                                    │
+//!       └──────────────▶ worker pool: take a worker state, then ◀─────┘
+//!                        the drain: shed jobs whose deadline lapsed,
+//!                        Handler::serve, deposit each reply in slot
+//!                        `seq` (Drain), flush every connection answered
 //!                                ▼
 //!                        per-connection outbox: frame every ready reply
 //!                        from the head ─▶ one non-blocking send per run
@@ -26,20 +30,30 @@
 //!                        finishes the run with blocking writes
 //! ```
 //!
-//! Connection threads never execute handler code. Each connection is a
-//! *pipeline*: the reader keeps admitting frames (up to
-//! [`ServeConfig::pipeline_depth`] in flight) and responses leave **in
+//! Each connection is a *pipeline*: the reader keeps admitting frames (up
+//! to [`ServeConfig::pipeline_depth`] in flight) and responses leave **in
 //! request order** — every request takes the next sequence number of its
 //! connection's outbox, and replies leave from the head of the outbox
-//! only, so the wire needs no correlation IDs (DESIGN §2.16). A worker
-//! that completes the head reply sends it itself: a depth-1 request wakes
-//! one server thread besides its reader. Workers claim a job plus whatever
-//! else is queued (up to [`ServeConfig::max_batch`]) and hand the drain to
-//! the handler whole. A worker never blocks on a peer's socket: a send
-//! that would block hands the rest of its run to the connection's stall
-//! flusher. Shutdown is graceful: admission flips to draining, open
-//! sockets are shut down, and workers finish every admitted job before
-//! exiting.
+//! only, so the wire needs no correlation IDs (DESIGN §2.16). Workers
+//! claim a job plus whatever else is queued (up to
+//! [`ServeConfig::max_batch`]) and hand the drain to the handler whole;
+//! whoever completes the head reply sends it itself.
+//!
+//! The handler's worker states are the execution permits: `start` makes
+//! [`ServeConfig::workers`] of them, and every drain runs under one, so at
+//! most that many [`Handler::serve`] calls run at once. A reader serves a
+//! request itself — no thread hop at all — only when the request is its
+//! connection's one unsent request (everything before it has been
+//! answered and taken for sending, so per-connection execution order is
+//! the queue path's), nothing more is buffered behind it, the server is
+//! not draining, the handler [answers it inline](Handler::answers_inline),
+//! and a worker state is free on the first try. Everything else — pipelined
+//! bursts, writes, a busy server — goes through admission and the queue.
+//!
+//! Nobody blocks on a peer's socket: a send that would block hands the
+//! rest of its run to the connection's stall flusher. Shutdown is
+//! graceful: admission flips to draining, open sockets are shut down, and
+//! workers finish every admitted job before exiting.
 
 use crate::admission::{AdmissionController, AdmitReject};
 use crate::batch::{self, Job, Reply};
@@ -53,7 +67,7 @@ use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -64,22 +78,37 @@ use std::time::Instant;
 ///
 /// [`serve`]: Handler::serve
 pub trait Handler: Send + Sync + 'static {
-    /// One worker thread's own state, made on that thread.
-    type Worker;
+    /// The state one drain runs with (scratch buffers, a client). [`start`]
+    /// makes [`ServeConfig::workers`] of them up front, and a drain holds
+    /// one for its whole run, on whichever thread runs it — a worker or a
+    /// connection's reader — so at most that many drains run at once.
+    type Worker: Send;
 
     /// Called once by [`start`], before any worker runs.
     fn attach_metrics(&self, _metrics: &Arc<ServingMetrics>) {}
 
+    /// Make one worker state; [`start`] calls this once per worker.
     fn worker(&self) -> Self::Worker;
+
+    /// Whether `request`, arriving alone on an idle connection, may be
+    /// served on that connection's reader thread (a one-job drain under a
+    /// free worker state) instead of going through the queue to a worker.
+    /// That saves the thread hop, but it moves the request's allocations
+    /// to the reader thread, and glibc gives every allocating thread an
+    /// arena of its own: memory that outlives the request (log records,
+    /// replication deltas, a router's connection buffers) then spreads
+    /// over one arena per connection and raises resident memory. So say
+    /// yes only for requests whose allocations die with their reply.
+    fn answers_inline(&self, request: &Request) -> bool;
 
     /// Answer every job of one drain through `out`. The engine flushes
     /// what is still unsent when this returns.
     fn serve(&self, worker: &mut Self::Worker, jobs: Vec<Job>, out: &mut Drain<'_>);
 }
 
-/// A worker's side of the connections it answers: it records each
-/// finished job, deposits its reply in the job's outbox slot, and sends
-/// on [`flush`](Self::flush).
+/// One thread's outlet for its drains — a worker's, or a reader's when
+/// it serves inline: it records each finished job, deposits its reply in
+/// the job's outbox slot, and sends on [`flush`](Self::flush).
 pub struct Drain<'a> {
     rx: &'a Receiver<Job>,
     metrics: &'a ServingMetrics,
@@ -211,27 +240,22 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
     let (tx, rx) = bounded::<Job>(config.queue_depth.max(1));
     let admission = AdmissionController::new(tx, Arc::clone(&draining), Arc::clone(&metrics));
     handler.attach_metrics(&metrics);
-    let handler = Arc::new(handler);
+    let workers = config.workers.max(1);
+    let engine = Arc::new(Engine {
+        states: States::new((0..workers).map(|_| handler.worker()).collect()),
+        handler,
+        rx,
+        metrics: Arc::clone(&metrics),
+        draining: Arc::clone(&draining),
+        config,
+    });
 
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+    let workers: Vec<JoinHandle<()>> = (0..workers)
         .map(|i| {
-            let rx = rx.clone();
-            let handler = Arc::clone(&handler);
-            let metrics = Arc::clone(&metrics);
-            let draining = Arc::clone(&draining);
-            let config = config.clone();
+            let engine = Arc::clone(&engine);
             std::thread::Builder::new()
                 .name(format!("fstore-serve-worker-{i}"))
-                .spawn(move || {
-                    let mut out = Drain {
-                        rx: &rx,
-                        metrics: &metrics,
-                        draining: &draining,
-                        pool: metrics.frame_pool(),
-                        touched: Vec::new(),
-                    };
-                    work(&*handler, &mut out, &config);
-                })
+                .spawn(move || engine.work())
                 .expect("spawn worker")
         })
         .collect();
@@ -241,7 +265,6 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
     let acceptor = {
         let admission = admission.clone();
         let conns = Arc::clone(&conns);
-        let config = config.clone();
         std::thread::Builder::new()
             .name("fstore-serve-acceptor".to_string())
             .spawn(move || {
@@ -263,11 +286,11 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
                     }
                     let admission = admission.clone();
                     let conns = Arc::clone(&conns);
-                    let config = config.clone();
+                    let engine = Arc::clone(&engine);
                     let handle = std::thread::Builder::new()
                         .name("fstore-serve-conn".to_string())
                         .spawn(move || {
-                            connection_loop(stream, &admission, &config);
+                            engine.connection_loop(stream, &admission);
                             // Deregister so the clone doesn't hold the fd
                             // open after the connection is done — the peer
                             // must see EOF, and dead sockets must not pile
@@ -299,25 +322,55 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
     })
 }
 
-/// One worker thread: claim a job, drain the queue opportunistically,
-/// shed what expired, hand the rest to the handler — until the queue
-/// closes.
-fn work<H: Handler>(handler: &H, out: &mut Drain<'_>, config: &ServeConfig) {
-    let mut worker = handler.worker();
-    while let Ok(first) = out.rx.recv() {
+/// What the worker threads and connection readers of one server share.
+struct Engine<H: Handler> {
+    handler: H,
+    states: States<H::Worker>,
+    rx: Receiver<Job>,
+    metrics: Arc<ServingMetrics>,
+    draining: Arc<AtomicBool>,
+    config: ServeConfig,
+}
+
+impl<H: Handler> Engine<H> {
+    /// A fresh outlet for one thread's drains.
+    fn outlet(&self) -> Drain<'_> {
+        Drain {
+            rx: &self.rx,
+            metrics: &self.metrics,
+            draining: &self.draining,
+            pool: self.metrics.frame_pool(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// One worker thread: claim a job, take a worker state, and run the
+    /// drain — until the queue closes.
+    fn work(&self) {
+        let mut out = self.outlet();
+        let max_batch = self.config.max_batch.max(1);
+        while let Ok(first) = self.rx.recv() {
+            let mut worker = self.states.take();
+            self.run(&mut worker, first, max_batch, &mut out);
+            self.states.put(worker);
+        }
+    }
+
+    /// One drain, on a worker or inline on a reader: claim up to `max`
+    /// jobs starting at `first` (the queued ones without waiting), shed
+    /// those whose deadline lapsed, hand the rest to the handler, and
+    /// send whatever is still unsent.
+    fn run(&self, worker: &mut H::Worker, first: Job, max: usize, out: &mut Drain<'_>) {
         #[cfg(feature = "testing")]
-        if let Some(delay) = config.handler_delay {
+        if let Some(delay) = self.config.handler_delay {
             std::thread::sleep(delay);
         }
-        let jobs = batch::drain(out.rx, first, config.max_batch.max(1));
+        let mut jobs = batch::drain(&self.rx, first, max);
         // Deadline check at dequeue: a job whose budget lapsed while it
         // sat in the queue is shed unexecuted — its caller has already
         // timed out, so running it would only delay live requests.
         let now = Instant::now();
-        let (jobs, expired): (Vec<Job>, Vec<Job>) = jobs
-            .into_iter()
-            .partition(|j| j.deadline.is_none_or(|d| d > now));
-        for job in expired {
+        for job in jobs.extract_if(.., |j| j.deadline.is_some_and(|d| d <= now)) {
             out.metrics.record_deadline_shed();
             out.answer_typed(
                 job,
@@ -328,121 +381,196 @@ fn work<H: Handler>(handler: &H, out: &mut Drain<'_>, config: &ServeConfig) {
             );
         }
         if !jobs.is_empty() {
-            handler.serve(&mut worker, jobs, out);
+            self.handler.serve(worker, jobs, out);
         }
         out.flush();
     }
-}
 
-/// Per-socket reader: frame in, reserve the request's sequence number in
-/// the connection's [`Outbox`], admit. The outbox holds at most
-/// [`ServeConfig::pipeline_depth`] replies not yet taken for sending, and
-/// `reserve` waits at that ceiling, so a client pumping requests faster
-/// than workers answer them is backpressured through TCP rather than
-/// queuing without limit. Refusals decided here (bad frames, admission
-/// rejects) go into their own slot and are sent from here.
-fn connection_loop(stream: TcpStream, admission: &AdmissionController, config: &ServeConfig) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let _ = write_half.set_write_timeout(config.write_timeout);
-    let metrics = admission.shared_metrics();
-    let outbox = Outbox::new(
-        Box::new(write_half),
-        Arc::clone(&metrics),
-        config.pipeline_depth,
-    );
-    let mut reader = FrameReader::new();
-    let refuse = |seq: u64, response: Response| {
-        outbox.deposit(seq, Reply::Typed(response));
-        outbox.flush();
-    };
-    loop {
-        if admission.is_draining() {
-            break;
-        }
-        // Idle bound: none (a keep-alive connection may sit quiet forever);
-        // frame bound: once a frame starts, it must finish or the peer is
-        // a slow-loris and the connection is cut.
-        let decoded = match reader.read_frame(
-            &stream,
-            config.max_request_frame,
-            None,
-            config.frame_timeout,
-        ) {
-            Ok(FrameEvent::Frame(payload)) => Request::decode(payload),
-            Ok(FrameEvent::TooLarge { declared }) => {
-                // Refuse with a typed error, then close: the payload was
-                // never read, so the stream position is unrecoverable. The
-                // refusal still takes its place in the outbox, behind every
-                // response already in flight.
-                metrics.record_frame_too_large();
-                if let Some(ticket) = outbox.reserve() {
+    /// Per-socket reader: frame in, reserve the request's sequence number
+    /// in the connection's [`Outbox`], then serve it here or admit it. The
+    /// outbox holds at most [`ServeConfig::pipeline_depth`] replies not
+    /// yet taken for sending, and `reserve` waits at that ceiling, so a
+    /// client pumping requests faster than workers answer them is
+    /// backpressured through TCP rather than queuing without limit.
+    /// Refusals decided here (bad frames, admission rejects) go into their
+    /// own slot and are sent from here.
+    fn connection_loop(&self, stream: TcpStream, admission: &AdmissionController) {
+        let config = &self.config;
+        let Ok(write_half) = stream.try_clone() else {
+            return;
+        };
+        let _ = write_half.set_write_timeout(config.write_timeout);
+        let metrics = &self.metrics;
+        let outbox = Outbox::new(
+            Box::new(write_half),
+            Arc::clone(metrics),
+            config.pipeline_depth,
+        );
+        let mut out = self.outlet();
+        let mut reader = FrameReader::new();
+        let refuse = |seq: u64, response: Response| {
+            outbox.deposit(seq, Reply::Typed(response));
+            outbox.flush();
+        };
+        loop {
+            if admission.is_draining() {
+                break;
+            }
+            // Idle bound: none (a keep-alive connection may sit quiet
+            // forever); frame bound: once a frame starts, it must finish or
+            // the peer is a slow-loris and the connection is cut.
+            let decoded = match reader.read_frame(
+                &stream,
+                config.max_request_frame,
+                None,
+                config.frame_timeout,
+            ) {
+                Ok(FrameEvent::Frame(payload)) => Request::decode(payload),
+                Ok(FrameEvent::TooLarge { declared }) => {
+                    // Refuse with a typed error, then close: the payload was
+                    // never read, so the stream position is unrecoverable.
+                    // The refusal still takes its place in the outbox,
+                    // behind every response already in flight.
+                    metrics.record_frame_too_large();
+                    if let Some(ticket) = outbox.reserve() {
+                        refuse(
+                            ticket.disarm(),
+                            Response::error(
+                                ErrorCode::FrameTooLarge,
+                                format!(
+                                    "request frame of {declared} bytes exceeds the {} byte ceiling",
+                                    config.max_request_frame
+                                ),
+                            ),
+                        );
+                    }
+                    break;
+                }
+                Ok(FrameEvent::TimedOut) => {
+                    // The peer started a frame and stalled; it is not
+                    // reading responses either, so cut the connection
+                    // silently.
+                    metrics.record_frame_timeout();
+                    break;
+                }
+                Ok(FrameEvent::Eof) | Err(_) => break,
+            };
+            metrics.record_wire_rx(reader.take_bytes_rx(), 1, reader.take_allocs());
+            let Some(ticket) = outbox.reserve() else {
+                // A send failed; the peer is gone.
+                break;
+            };
+            let request = match decoded {
+                Ok(request) => request,
+                Err(e) => {
                     refuse(
                         ticket.disarm(),
-                        Response::error(
-                            ErrorCode::FrameTooLarge,
-                            format!(
-                                "request frame of {declared} bytes exceeds the {} byte ceiling",
-                                config.max_request_frame
-                            ),
-                        ),
+                        Response::error(ErrorCode::BadRequest, e.to_string()),
                     );
+                    continue;
                 }
-                break;
-            }
-            Ok(FrameEvent::TimedOut) => {
-                // The peer started a frame and stalled; it is not reading
-                // responses either, so cut the connection silently.
-                metrics.record_frame_timeout();
-                break;
-            }
-            Ok(FrameEvent::Eof) | Err(_) => break,
-        };
-        metrics.record_wire_rx(reader.take_bytes_rx(), 1, reader.take_allocs());
-        let Some(ticket) = outbox.reserve() else {
-            // A send failed; the peer is gone.
-            break;
-        };
-        let request = match decoded {
-            Ok(request) => request,
-            Err(e) => {
-                refuse(
-                    ticket.disarm(),
-                    Response::error(ErrorCode::BadRequest, e.to_string()),
-                );
+            };
+            let accepted_at = Instant::now();
+            // Unwrap the deadline envelope here so workers and the batch
+            // planner only ever see plain requests.
+            let (request, deadline) = match request {
+                Request::WithDeadline { budget_ms, inner } => (
+                    *inner,
+                    Some(accepted_at + std::time::Duration::from_millis(u64::from(budget_ms))),
+                ),
+                other => (other, None),
+            };
+            let seq = ticket.seq();
+            let inline = reader.buffered() == 0
+                && outbox.only_unsent(seq)
+                && !admission.is_draining()
+                && self.handler.answers_inline(&request);
+            let job = Job {
+                request,
+                ticket,
+                accepted_at,
+                deadline,
+            };
+            if let Some(mut worker) = inline.then(|| self.states.try_take()).flatten() {
+                self.run(&mut worker, job, 1, &mut out);
+                self.states.put(worker);
                 continue;
             }
-        };
-        let accepted_at = Instant::now();
-        // Unwrap the deadline envelope here so workers and the batch
-        // planner only ever see plain requests.
-        let (request, deadline) = match request {
-            Request::WithDeadline { budget_ms, inner } => (
-                *inner,
-                Some(accepted_at + std::time::Duration::from_millis(u64::from(budget_ms))),
-            ),
-            other => (other, None),
-        };
-        let seq = ticket.seq();
-        let job = Job {
-            request,
-            ticket,
-            accepted_at,
-            deadline,
-        };
-        match admission.submit(job) {
-            Ok(()) => {}
-            Err(AdmitReject::Overloaded) => refuse(
-                seq,
-                Response::error(ErrorCode::Overloaded, "serving queue is full"),
-            ),
-            Err(AdmitReject::Draining) => refuse(
-                seq,
-                Response::error(ErrorCode::ShuttingDown, "server is draining"),
-            ),
+            match admission.submit(job) {
+                Ok(()) => {}
+                Err(AdmitReject::Overloaded) => refuse(
+                    seq,
+                    Response::error(ErrorCode::Overloaded, "serving queue is full"),
+                ),
+                Err(AdmitReject::Draining) => refuse(
+                    seq,
+                    Response::error(ErrorCode::ShuttingDown, "server is draining"),
+                ),
+            }
+        }
+        // The socket must outlive every reply still owed on it.
+        outbox.close();
+    }
+}
+
+/// The handler's worker states: the execution permits. A worker thread
+/// waits for one; a reader only tries, and queues its request when none
+/// is free or a worker thread is already waiting — queued work goes
+/// first, so readers cannot starve it.
+struct States<W> {
+    state: std::sync::Mutex<Free<W>>,
+    /// A worker thread waits here for a state to come back.
+    returned: Condvar,
+}
+
+struct Free<W> {
+    states: Vec<W>,
+    /// Worker threads parked on `returned` (a return wakes one only then).
+    waiting: usize,
+}
+
+impl<W> States<W> {
+    fn new(states: Vec<W>) -> States<W> {
+        States {
+            state: std::sync::Mutex::new(Free { states, waiting: 0 }),
+            returned: Condvar::new(),
         }
     }
-    // The socket must outlive every reply still owed on it.
-    outbox.close();
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Free<W>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take a state, waiting until one is free.
+    fn take(&self) -> W {
+        let mut free = self.lock();
+        loop {
+            if let Some(state) = free.states.pop() {
+                return state;
+            }
+            free.waiting += 1;
+            free = self
+                .returned
+                .wait(free)
+                .unwrap_or_else(PoisonError::into_inner);
+            free.waiting -= 1;
+        }
+    }
+
+    /// Take a state if one is free now and no worker thread waits for it.
+    fn try_take(&self) -> Option<W> {
+        let mut free = self.lock();
+        if free.waiting > 0 {
+            return None;
+        }
+        free.states.pop()
+    }
+
+    fn put(&self, state: W) {
+        let mut free = self.lock();
+        free.states.push(state);
+        if free.waiting > 0 {
+            self.returned.notify_one();
+        }
+    }
 }

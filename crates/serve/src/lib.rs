@@ -15,7 +15,10 @@
 //!   input) and oversized frames are refused before allocation.
 //! * [`conn`] — the connection engine, a std-only threaded TCP server:
 //!   connection threads do framing, a bounded crossbeam channel feeds a
-//!   worker pool, and each worker hands its drain to a [`conn::Handler`].
+//!   worker pool, and each worker hands its drain to a [`conn::Handler`];
+//!   a lone read on an idle connection is served by its reader thread,
+//!   under a free worker state. Each connection's replies leave in order
+//!   through its outbox.
 //! * [`server`] — [`ServeEngine`], the handler of a feature server, and
 //!   its fenced [`WriteState`].
 //! * [`catalog`] — per-table ANN index snapshots behind atomically

@@ -190,6 +190,13 @@ impl Outbox {
         })
     }
 
+    /// Whether `seq` is the connection's one unsent request: every request
+    /// before it has been answered and taken for sending.
+    pub(crate) fn only_unsent(&self, seq: u64) -> bool {
+        let state = self.lock();
+        state.head == seq && state.slots.len() == 1
+    }
+
     /// Put the reply for `seq` in its slot. It leaves at the next flush
     /// that finds it at the head.
     pub(crate) fn deposit(&self, seq: u64, reply: Reply) {

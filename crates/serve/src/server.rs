@@ -900,6 +900,31 @@ impl Handler for ServeEngine {
         ReadScratch::default()
     }
 
+    /// Reads, searches and `Health`: their allocations die with the reply.
+    /// Writes and admin requests append publication-log records, and the
+    /// `Repl*` requests build delta and snapshot replies — long-lived or
+    /// bulk memory that, made on reader threads, would spread over one
+    /// allocator arena per connection (measured with every request
+    /// inline: `peak_rss_mb` +28 % in the median under a write and
+    /// replication load). Those keep to the workers.
+    fn answers_inline(&self, request: &Request) -> bool {
+        match request {
+            Request::Health
+            | Request::GetFeatures { .. }
+            | Request::GetFeaturesBatch { .. }
+            | Request::GetEmbedding { .. }
+            | Request::SearchNearest { .. }
+            | Request::SearchNearestByKey { .. } => true,
+            Request::PutOnline { .. }
+            | Request::Promote { .. }
+            | Request::Demote { .. }
+            | Request::ReplSubscribe
+            | Request::ReplSnapshot
+            | Request::ReplDeltas { .. }
+            | Request::WithDeadline { .. } => false,
+        }
+    }
+
     fn serve(&self, scratch: &mut ReadScratch, jobs: Vec<Job>, out: &mut Drain<'_>) {
         let plan = batch::plan(jobs);
         for batch in plan.batches {

@@ -46,7 +46,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most a depth-1 `GetFeatures` round trip may allocate.
-const CEILING: u64 = 15;
+const CEILING: u64 = 14;
 const WARM_UP: u64 = 2_000;
 const CALLS: u64 = 10_000;
 

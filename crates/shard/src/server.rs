@@ -93,6 +93,14 @@ impl Handler for Front {
         RouterClient::new(Arc::clone(&self.control), self.config.clone())
     }
 
+    /// Never: routing on a reader thread would grow the `RouterClient`'s
+    /// connection and frame buffers in that thread's allocator arena, one
+    /// arena per front connection, and raise resident memory. Every
+    /// request goes to the routing worker.
+    fn answers_inline(&self, _request: &Request) -> bool {
+        false
+    }
+
     /// A lone request goes through `router.call`; a drain of several flies
     /// as one burst ([`RouterClient::route_burst`]: one flight, each
     /// request answered on its own). A drain is at most

@@ -10,9 +10,11 @@
 //! first cold unpinned block; inserts make room by rotating across
 //! shards so the bound holds even when one block exceeds a shard's
 //! proportional share. Byte accounting
-//! is exact — the resident gauge always equals the sum of cached block
-//! payloads (the eviction proptests pin this down) — and a peak
-//! watermark records the worst case. The byte budget is adjustable at
+//! is exact — at rest the resident gauge equals the sum of cached block
+//! payloads (the eviction proptests pin this down); while faults are in
+//! flight it also holds their reservations, taken before any room is
+//! made, so concurrent faults never overshoot the budget together — and a
+//! peak watermark records the worst case. The byte budget is adjustable at
 //! runtime; the tier demoter shrinks it as resident tables grow so
 //! tables + cache stay inside one RAM budget.
 
@@ -112,26 +114,41 @@ impl BlockCache {
     /// Insert a freshly faulted block, evicting cold unpinned blocks —
     /// from any shard — until the *global* budget has room for it, so
     /// the resident total stays bounded even when one block exceeds a
-    /// shard's proportional share. Room is made before the insert, so a
-    /// fresh block is never a victim of its own fault. If another thread
-    /// faulted the same block first, its copy wins (the bytes are
-    /// identical) and no double accounting happens. Returns the cached
-    /// block.
+    /// shard's proportional share. The block's bytes are reserved before
+    /// any room is made, so concurrent faults each see the others'
+    /// blocks and together never go over budget. Room is made before the
+    /// insert, so a fresh block is never a victim of its own fault. If
+    /// another thread faulted the same block first, its copy wins (the
+    /// bytes are identical) and the reservation is released. Returns the
+    /// cached block.
     pub fn insert(&self, key: BlockKey, data: Arc<[f32]>) -> Arc<[f32]> {
         let bytes = (data.len() * 4) as u64;
         if let Some(existing) = self.shard(key).lock().map.get(&key) {
             return Arc::clone(&existing.data);
         }
         let budget = self.budget.load(Ordering::Relaxed);
-        while self.resident.load(Ordering::Relaxed) + bytes > budget {
-            if !self.evict_somewhere() {
-                break; // everything cached is pinned — bounded overshoot
+        let mut evictions = self.evictions.load(Ordering::Relaxed);
+        let mut resident = self.add_resident(bytes as i64);
+        while resident > budget {
+            // A sweep that found nothing may only have arrived after other
+            // faults evicted what was cached when the gauge was read; each
+            // eviction is counted under its shard lock, so the sweep sees
+            // the count move. Only a sweep that found nothing while nobody
+            // evicted means what is cached is pinned (or more faults are in
+            // flight than the budget holds) — bounded overshoot.
+            if !self.evict_somewhere() && self.evictions.load(Ordering::Relaxed) == evictions {
+                break;
             }
+            evictions = self.evictions.load(Ordering::Relaxed);
+            resident = self.resident.load(Ordering::Relaxed);
         }
         let mut shard = self.shard(key).lock();
         if let Some(existing) = shard.map.get(&key) {
             // Lost a fault race while evicting; first copy wins.
-            return Arc::clone(&existing.data);
+            let existing = Arc::clone(&existing.data);
+            drop(shard);
+            self.add_resident(-(bytes as i64));
+            return existing;
         }
         shard.bytes += bytes;
         shard.ring.push(key);
@@ -146,7 +163,6 @@ impl BlockCache {
         );
         drop(shard);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let resident = self.add_resident(bytes as i64);
         self.peak.fetch_max(resident, Ordering::Relaxed);
         data
     }
@@ -160,7 +176,9 @@ impl BlockCache {
         for i in 0..n {
             let mut shard = self.shards[(start + i) % n].lock();
             if let Some(freed) = Self::evict_one(&mut shard) {
-                drop(shard);
+                // Under the shard lock: a fault that next finds this shard
+                // empty also finds the gauge lowered and the eviction
+                // counted.
                 self.add_resident(-(freed as i64));
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 return true;
