@@ -69,12 +69,6 @@ impl AdmissionController {
         self.tx.len()
     }
 
-    /// The shared metrics sink: connection threads record frame-level
-    /// refusals through it, and their outboxes the writes they send.
-    pub fn shared_metrics(&self) -> Arc<ServingMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }

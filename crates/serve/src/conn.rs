@@ -240,9 +240,9 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
     let (tx, rx) = bounded::<Job>(config.queue_depth.max(1));
     let admission = AdmissionController::new(tx, Arc::clone(&draining), Arc::clone(&metrics));
     handler.attach_metrics(&metrics);
-    let workers = config.workers.max(1);
+    let pool_size = config.workers.max(1);
     let engine = Arc::new(Engine {
-        states: States::new((0..workers).map(|_| handler.worker()).collect()),
+        states: States::new((0..pool_size).map(|_| handler.worker()).collect()),
         handler,
         rx,
         metrics: Arc::clone(&metrics),
@@ -250,7 +250,7 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
         config,
     });
 
-    let workers: Vec<JoinHandle<()>> = (0..workers)
+    let workers: Vec<JoinHandle<()>> = (0..pool_size)
         .map(|i| {
             let engine = Arc::clone(&engine);
             std::thread::Builder::new()

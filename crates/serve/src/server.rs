@@ -24,7 +24,9 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServerHandle::addr`](crate::ServerHandle::addr)).
     pub addr: String,
-    /// Worker threads executing requests.
+    /// Worker threads executing requests, and the most requests executing
+    /// at once (a connection reader answering a lone read takes one of
+    /// the workers' states).
     pub workers: usize,
     /// Bounded queue depth between connections and workers — the admission
     /// control limit. Submissions beyond this are shed as `Overloaded`.
