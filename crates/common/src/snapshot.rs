@@ -112,14 +112,6 @@ impl<V> EpochRing<V> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.items.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Oldest-to-newest iteration over the entries keyed above `key`,
-    /// found by binary search: the cost follows what is returned, not
-    /// what is retained.
-    pub fn after(&self, key: u64) -> impl Iterator<Item = (u64, &V)> {
-        let start = self.items.partition_point(|(k, _)| *k <= key);
-        self.items.range(start..).map(|(k, v)| (*k, v))
-    }
 }
 
 /// A callback fired after every publication into a [`SnapshotCell`], with the
@@ -542,16 +534,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_ring_hands_back_what_it_displaced_and_seeks_past_a_key() {
+    fn epoch_ring_hands_back_what_it_displaced() {
         let mut ring = EpochRing::new(4);
         for k in [2u64, 4, 6, 8, 10] {
             assert_eq!(ring.push(k, k * 10), (k == 10).then_some(20));
         }
-        let keys = |from| ring.after(from).map(|(k, _)| k).collect::<Vec<_>>();
-        assert_eq!(keys(0), vec![4, 6, 8, 10]);
-        assert_eq!(keys(5), vec![6, 8, 10]);
-        assert_eq!(keys(6), vec![8, 10]);
-        assert!(keys(10).is_empty());
         assert_eq!(ring.push(10, 7), Some(100));
     }
 

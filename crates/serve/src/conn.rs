@@ -8,9 +8,9 @@
 //! ```text
 //!   acceptor ──spawns──▶ connection reader threads (one per socket):
 //!       │                  frame in ─▶ reserve seq in the outbox ─▶ admit
-//!       │                        │ a lone read on an idle connection,
-//!       │                        │ with a worker state free: served right
-//!       │                        │ here, as a one-job drain ──────────┐
+//!       │                        │ a lone read or write on an idle
+//!       │                        │ connection, with a worker state free:
+//!       │                        │ served right here, one-job drain ──┐
 //!       │                        │ otherwise: submit (admission:      │
 //!       │                        │ bounded, non-blocking)             │
 //!       │                        ▼                                    │
@@ -48,7 +48,9 @@
 //! the queue path's), nothing more is buffered behind it, the server is
 //! not draining, the handler [answers it inline](Handler::answers_inline),
 //! and a worker state is free on the first try. Everything else — pipelined
-//! bursts, writes, a busy server — goes through admission and the queue.
+//! bursts (so a burst of writes still commits as one group), admin and
+//! replication requests, a busy server — goes through admission and the
+//! queue.
 //!
 //! Nobody blocks on a peer's socket: a send that would block hands the
 //! rest of its run to the connection's stall flusher. Shutdown is
@@ -95,10 +97,11 @@ pub trait Handler: Send + Sync + 'static {
     /// free worker state) instead of going through the queue to a worker.
     /// That saves the thread hop, but it moves the request's allocations
     /// to the reader thread, and glibc gives every allocating thread an
-    /// arena of its own: memory that outlives the request (log records,
-    /// replication deltas, a router's connection buffers) then spreads
-    /// over one arena per connection and raises resident memory. So say
-    /// yes only for requests whose allocations die with their reply.
+    /// arena of its own: a heap block that outlives the request (a
+    /// buffer that grows per connection, one allocation per retained
+    /// record) then pins pages in one arena per connection and raises
+    /// resident memory. So say yes only for requests whose allocations
+    /// die with their reply or land in buffers that stop growing.
     fn answers_inline(&self, request: &Request) -> bool;
 
     /// Answer every job of one drain through `out`. The engine flushes

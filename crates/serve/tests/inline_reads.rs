@@ -3,7 +3,8 @@
 //! thread, under a free worker state; a pipelined burst, a request the
 //! handler keeps off the reader, and anything arriving while every state
 //! is taken go through the queue to a worker. The worker states bound the
-//! `serve` calls running at once, whichever threads run them.
+//! `serve` calls running at once, whichever threads run them — and so
+//! the write commits, since `ServeEngine` commits a lone write inline.
 
 mod common;
 
@@ -298,8 +299,8 @@ fn a_pipelined_write_then_read_reads_the_write() {
 }
 
 #[test]
-fn a_depth_one_write_is_queued_and_the_read_after_it_is_inline() {
-    let _watchdog = common::watchdog("a_depth_one_write_is_queued_and_the_read_after_it_is_inline");
+fn a_depth_one_write_and_the_read_after_it_are_both_inline() {
+    let _watchdog = common::watchdog("a_depth_one_write_and_the_read_after_it_are_both_inline");
     let (server, seen) = traced(ServeConfig::default());
     let mut client = FeatureClient::connect(server.addr()).unwrap();
     for i in 0..20 {
@@ -314,16 +315,99 @@ fn a_depth_one_write_is_queued_and_the_read_after_it_is_inline() {
         );
     }
     server.shutdown();
-    let threads = seen.threads();
-    assert_eq!(threads.len(), 40);
-    for pair in threads.chunks(2) {
-        assert!(pair[0].starts_with(WORKER), "{threads:?}");
-        assert_eq!(pair[1], READER, "{threads:?}");
+    assert_eq!(seen.threads(), vec![READER; 40]);
+}
+
+/// A write leader that counts the commits running at once. Its sequence
+/// counter is deliberately not atomic: two commits at once could hand
+/// out one sequence number twice.
+#[derive(Default)]
+struct Counting {
+    in_flight: AtomicUsize,
+    most_in_flight: AtomicUsize,
+    seq: AtomicU64,
+}
+
+impl WriteProvider for Counting {
+    fn put_online_many(
+        &self,
+        writes: &[OnlineWrite<'_>],
+        _now: Timestamp,
+    ) -> Vec<fstore_common::Result<u64>> {
+        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.most_in_flight.fetch_max(now, Ordering::SeqCst);
+        let until = Instant::now() + Duration::from_micros(20);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+        let answers = writes
+            .iter()
+            .map(|_| {
+                let seq = self.seq.load(Ordering::SeqCst) + 1;
+                self.seq.store(seq, Ordering::SeqCst);
+                Ok(seq)
+            })
+            .collect();
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        answers
     }
 }
 
 #[test]
-fn the_serve_engine_answers_reads_inline_and_nothing_else() {
+fn one_worker_state_runs_one_commit_at_a_time() {
+    let _watchdog = common::watchdog("one_worker_state_runs_one_commit_at_a_time");
+    const CLIENTS: usize = 4;
+    const WRITES: usize = 500;
+    let counting = Arc::new(Counting::default());
+    let engine = ServeEngine::new(
+        FeatureServer::new(Arc::new(OnlineStore::default())),
+        fixed_clock(NOW),
+    )
+    .with_write_provider(Arc::clone(&counting) as Arc<dyn WriteProvider>, 1);
+    let seen = Arc::new(Seen::default());
+    let handler = Traced {
+        engine,
+        seen: Arc::clone(&seen),
+    };
+    let server = start(handler, ServeConfig::builder().workers(1).build().unwrap()).unwrap();
+    let addr = server.addr();
+    let acks: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut client = FeatureClient::connect(addr).unwrap();
+                    (0..WRITES)
+                        .map(|i| match client.call(&write(i as f64)).unwrap() {
+                            Response::PutAck { epoch, .. } => epoch,
+                            other => panic!("unexpected {other:?}"),
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    server.shutdown();
+    assert_eq!(counting.most_in_flight.load(Ordering::SeqCst), 1);
+    assert_eq!(seen.most_running.load(Ordering::SeqCst), 1);
+    let mut distinct = acks.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), CLIENTS * WRITES, "an ack's seq repeats");
+    let threads = seen.threads();
+    let inline = threads.iter().filter(|t| *t == READER).count();
+    let queued = threads.iter().filter(|t| t.starts_with(WORKER)).count();
+    println!("{inline} committed inline, {queued} by the worker");
+    assert!(inline > 0, "no write committed inline");
+    assert!(queued > 0, "no write reached the worker");
+    assert_eq!(inline + queued, CLIENTS * WRITES);
+}
+
+#[test]
+fn the_serve_engine_answers_reads_and_writes_inline_and_nothing_else() {
     let engine = engine();
     let inner = Request::Health;
     let table: Vec<(Request, bool)> = vec![
@@ -372,7 +456,7 @@ fn the_serve_engine_answers_reads_inline_and_nothing_else() {
             },
             false,
         ),
-        (write(1.0), false),
+        (write(1.0), true),
         (promote(), false),
         (Request::Demote { shard: 0, term: 1 }, false),
     ];

@@ -95,8 +95,11 @@ impl Handler for Front {
 
     /// Never: routing on a reader thread would grow the `RouterClient`'s
     /// connection and frame buffers in that thread's allocator arena, one
-    /// arena per front connection, and raise resident memory. Every
-    /// request goes to the routing worker.
+    /// arena per front connection (`sharded_mix` `peak_rss_mb` rose from
+    /// 113.5 to 131.5 MiB in the median of three runs with the front
+    /// inline). Those buffers live as long as the worker state, not the
+    /// request, so unlike the engine's writes this holds however the
+    /// shards keep their logs. Every request goes to the routing worker.
     fn answers_inline(&self, _request: &Request) -> bool {
         false
     }

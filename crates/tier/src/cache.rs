@@ -57,6 +57,10 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     pub peak_resident_bytes: u64,
     pub pinned_bytes: u64,
+    /// Inserts that gave up making room and went over budget, because
+    /// nothing cached could be evicted (everything pinned, or more faults
+    /// in flight than the budget holds).
+    pub overshoot_inserts: u64,
 }
 
 /// The sharded block cache. All methods take `&self`; one mutex per
@@ -71,6 +75,7 @@ pub struct BlockCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
+    overshoot_inserts: AtomicU64,
 }
 
 impl BlockCache {
@@ -87,6 +92,7 @@ impl BlockCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            overshoot_inserts: AtomicU64::new(0),
         }
     }
 
@@ -135,8 +141,9 @@ impl BlockCache {
             // eviction is counted under its shard lock, so the sweep sees
             // the count move. Only a sweep that found nothing while nobody
             // evicted means what is cached is pinned (or more faults are in
-            // flight than the budget holds) — bounded overshoot.
+            // flight than the budget holds) — bounded overshoot, counted.
             if !self.evict_somewhere() && self.evictions.load(Ordering::Relaxed) == evictions {
+                self.overshoot_inserts.fetch_add(1, Ordering::Relaxed);
                 break;
             }
             evictions = self.evictions.load(Ordering::Relaxed);
@@ -320,6 +327,7 @@ impl BlockCache {
             resident_bytes: self.resident.load(Ordering::Relaxed),
             peak_resident_bytes: self.peak.load(Ordering::Relaxed),
             pinned_bytes: pinned,
+            overshoot_inserts: self.overshoot_inserts.load(Ordering::Relaxed),
         }
     }
 
@@ -424,6 +432,8 @@ mod tests {
         // 256 bytes resident, all pinned: inserts overshoot, never evict.
         assert_eq!(c.resident_bytes(), 256);
         assert_eq!(c.get(key(1, 0)).unwrap().len(), 16);
+        // The third and fourth inserts found nothing to evict.
+        assert_eq!(c.stats().overshoot_inserts, 2);
     }
 
     #[test]

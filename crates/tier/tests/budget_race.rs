@@ -54,6 +54,10 @@ fn concurrent_faults_never_go_over_budget() {
         assert_eq!(stats.resident_bytes, cache.recount_bytes(), "round {round}");
         assert!(stats.resident_bytes <= BUDGET, "round {round}");
         assert_eq!(
+            stats.overshoot_inserts, 0,
+            "round {round}: nothing is pinned"
+        );
+        assert_eq!(
             stats.inserts,
             u64::from(THREADS * BLOCKS_PER_THREAD),
             "round {round}"
