@@ -12,7 +12,8 @@
 //! report achieved throughput, shed counts, and server-side latency
 //! percentiles.
 //!
-//! Results are also written to `BENCH_serve.json` for tracking.
+//! Results are also written to `BENCH_serve.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use fstore_common::{EntityKey, Result, Rng, Timestamp, Value, Xoshiro256};
 use fstore_core::FeatureServer;
@@ -257,13 +258,7 @@ pub fn run(quick: bool) -> Result<()> {
         entities: ENTITIES,
         levels: results,
     };
-    let path = "BENCH_serve.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_serve.json", &artifact)?;
     println!(
         "\nShape check: against the fast store, achieved ≈ offered with zero\n\
          shed until the transport saturates (blocking clients self-throttle,\n\

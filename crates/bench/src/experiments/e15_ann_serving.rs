@@ -17,7 +17,8 @@
 //!    `Overloaded`) and confirm recall after the swap beats the degraded
 //!    baseline.
 //!
-//! Results are also written to `BENCH_ann_serve.json` for tracking.
+//! Results are also written to `BENCH_ann_serve.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::{f1, f3, Table};
 use crate::workloads::clustered_vectors;
@@ -403,13 +404,7 @@ pub fn run(quick: bool) -> Result<()> {
         families: family_results,
         swap,
     };
-    let path = "BENCH_ann_serve.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_ann_serve.json", &artifact)?;
     println!(
         "\nShape check: IVF and HNSW hold recall@10 ≥ ~0.9 at a measurable\n\
          speedup over the exact scan, over a real socket. During two mid-\n\

@@ -38,7 +38,8 @@
 //! reported but not asserted — on a single-core runner lock-free readers
 //! cannot convert parallelism into extra reads/s, and a reader-shared
 //! rwlock's convoy only surfaces with real parallelism.
-//! Results are written to `BENCH_epoch.json`.
+//! Results are also written to `BENCH_epoch.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::{f1, Table};
 use fstore_common::{
@@ -448,13 +449,7 @@ pub fn run(quick: bool) -> Result<()> {
         offline_throughput_speedup,
         embedding_resolve_p99_speedup,
     };
-    let path = "BENCH_epoch.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_epoch.json", &artifact)?;
     println!(
         "\nShape check: under a lock the time to a consistent view includes\n\
          every publication and every peer reader ahead in the queue; under\n\

@@ -25,7 +25,8 @@
 //!    runner, where real CPU-bound handlers could not. Aggregate speedup
 //!    must be ≥ 2× — the hard claim of the replication design.
 //!
-//! Results are written to `BENCH_repl.json`.
+//! Results are also written to `BENCH_repl.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::{f1, Table};
 use fstore_common::{stats::exact_quantile, EntityKey, Result, Timestamp, Value, ValueType};
@@ -402,13 +403,7 @@ pub fn run(quick: bool) -> Result<()> {
         throughput,
         read_speedup,
     };
-    let path = "BENCH_repl.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_repl.json", &artifact)?;
     println!(
         "\nShape check: the mid-storm bootstrap is one snapshot install, after\n\
          which steady-state lag sits at a handful of deltas — far inside the\n\

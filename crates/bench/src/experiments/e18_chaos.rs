@@ -30,7 +30,8 @@
 //! * Bounded recovery: after the faults clear, the failover client is
 //!   back to 20 consecutive successes within 5 s.
 //!
-//! Results are written to `BENCH_chaos.json`.
+//! Results are also written to `BENCH_chaos.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::Table;
 use fstore_common::{EntityKey, FsError, Result, Schema, Timestamp, Value, ValueType};
@@ -449,13 +450,7 @@ pub fn run(quick: bool) -> Result<()> {
         recovery_ms,
         recovery_bound_ms: recovery_bound.as_secs_f64() * 1e3,
     };
-    let path = "BENCH_chaos.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_chaos.json", &artifact)?;
 
     proxy.shutdown();
     if let Some(h) = f1_current {

@@ -23,7 +23,8 @@
 //!   (binary checkpoint + WAL tail replay) is measurably faster than
 //!   rebuilding the same state through the ordinary publish path.
 //!
-//! Results are written to `BENCH_durable.json`.
+//! Results are also written to `BENCH_durable.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::Table;
 use fstore_common::{EntityKey, FsError, Result, Schema, Timestamp, Value, ValueType};
@@ -437,13 +438,7 @@ pub fn run(quick: bool) -> Result<()> {
         rematerialize_ms,
         speedup,
     };
-    let path = "BENCH_durable.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_durable.json", &artifact)?;
 
     std::fs::remove_dir_all(&dir).ok();
     println!(

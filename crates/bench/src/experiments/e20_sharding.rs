@@ -26,7 +26,8 @@
 //!    outage must return the seeded truth: zero wrong answers, zero
 //!    errors.
 //!
-//! Results are written to `BENCH_shard.json`.
+//! Results are also written to `BENCH_shard.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::{f1, Table};
 use fstore_common::{EntityKey, Result, Timestamp, Value};
@@ -443,13 +444,7 @@ pub fn run(quick: bool) -> Result<()> {
         promotion_map_version,
         writes_resumed_after_promotion,
     };
-    let path = "BENCH_shard.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_shard.json", &artifact)?;
     println!(
         "\nShape check: every shard is service-time-bound at the same ~500 rps,\n\
          so aggregate throughput tracks shard count minus hash imbalance and\n\

@@ -19,7 +19,8 @@
 //! path's payload-allocation counter must not move once every
 //! connection's frame buffer has grown to size.
 //!
-//! Results are also written to `BENCH_wire.json` for tracking.
+//! Results are also written to `BENCH_wire.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use fstore_common::{EntityKey, Result, Rng, Timestamp, Value, Xoshiro256};
 use fstore_core::FeatureServer;
@@ -305,13 +306,7 @@ pub fn run(quick: bool) -> Result<()> {
         speedup_depth8,
         speedup_depth32,
     };
-    let path = "BENCH_wire.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_wire.json", &artifact)?;
     println!(
         "\nspeedup vs depth 1: {speedup_depth8:.2}x at depth 8, {speedup_depth32:.2}x at depth 32"
     );

@@ -21,7 +21,8 @@
 //!   allocation discipline, extended to the embedding path),
 //!
 //! and the cache hit rate plus fault latency p50/p99 are reported in the
-//! table and in `BENCH_tier.json`.
+//! table and in `BENCH_tier.json` (see
+//! [`write_artifact`](super::write_artifact)).
 
 use fstore_common::{Result, Rng, Timestamp, Xoshiro256};
 use fstore_core::FeatureServer;
@@ -243,13 +244,7 @@ pub fn run(quick: bool) -> Result<()> {
         embed_copies,
         tier: tier_section,
     };
-    let path = "BENCH_tier.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_tier.json", &artifact)?;
     println!(
         "\nShape check: a working set {:.1}x the RAM budget served entirely\n\
          over TCP with resident embedding bytes bounded by the budget, every\n\

@@ -25,7 +25,8 @@
 //!    at the old leader (bypassing the router) is refused with the
 //!    current term.
 //!
-//! Results are written to `BENCH_failover.json`.
+//! Results are also written to `BENCH_failover.json` by
+//! [`write_artifact`](super::write_artifact).
 
 use crate::table::{f1, Table};
 use fstore_common::{EntityKey, Result, Timestamp, Value};
@@ -454,13 +455,7 @@ pub fn run(quick: bool) -> Result<()> {
         zombie_refused_after_fence,
         zombie_refusal_names_term,
     };
-    let path = "BENCH_failover.json";
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&artifact).expect("artifact serializes"),
-    )
-    .map_err(|e| fstore_common::FsError::Storage(format!("write {path}: {e}")))?;
-    println!("\nwrote {path}");
+    super::write_artifact("BENCH_failover.json", &artifact)?;
     println!(
         "\nShape check: acked writes survive the leader's death because the\n\
          kill finds them replicated; the outage window is probe cadence +\n\

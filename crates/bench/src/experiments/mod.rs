@@ -26,7 +26,8 @@ pub mod e21_wire_pipelining;
 pub mod e22_tiered_embeddings;
 pub mod e23_write_failover;
 
-use fstore_common::Result;
+use fstore_common::{FsError, Result};
+use serde::Serialize;
 
 /// One runnable experiment.
 pub struct Experiment {
@@ -170,6 +171,24 @@ pub fn run_selected(ids: &[String], quick: bool) -> Result<()> {
             );
         }
     }
+    Ok(())
+}
+
+/// Write one experiment's JSON artifact to `experiment-artifacts/<name>`
+/// beside the running binary (`target/release/experiment-artifacts/` for
+/// a release run), never into the source tree, and print where it went.
+/// The binary itself is `target/release/experiments`, so the directory
+/// cannot take that name.
+pub fn write_artifact(name: &str, artifact: &impl Serialize) -> Result<()> {
+    let exe = std::env::current_exe().map_err(|e| FsError::Storage(format!("current_exe: {e}")))?;
+    let dir = exe.with_file_name("experiment-artifacts");
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| FsError::Storage(format!("mkdir {}: {e}", dir.display())))?;
+    let path = dir.join(name);
+    let json = serde_json::to_string_pretty(artifact).expect("artifact serializes");
+    std::fs::write(&path, json)
+        .map_err(|e| FsError::Storage(format!("write {}: {e}", path.display())))?;
+    println!("\nwrote {}", path.display());
     Ok(())
 }
 

@@ -2,62 +2,10 @@
 //! the paper's proprietary production data).
 
 use fstore_common::{
-    Duration, EntityKey, FieldDef, Result, Rng, Schema, Timestamp, Value, ValueType, Xoshiro256,
-    Zipf,
+    EntityKey, FieldDef, Rng, Schema, Timestamp, Value, ValueType, Xoshiro256, Zipf,
 };
 use fstore_embed::{Corpus, CorpusConfig, EmbeddingTable};
-use fstore_storage::{OfflineStore, OnlineStore, TableConfig};
-
-/// Schema of the synthetic ride-sharing trips table.
-pub fn trips_schema() -> Schema {
-    Schema::of(&[
-        ("user_id", ValueType::Str),
-        ("ts", ValueType::Timestamp),
-        ("fare", ValueType::Float),
-        ("distance_km", ValueType::Float),
-        ("city", ValueType::Str),
-    ])
-}
-
-/// Populate `trips` with `days` days × `per_day` trips over `users` users
-/// (Zipf-skewed activity). Returns the number of rows.
-pub fn load_trips(
-    offline: &mut OfflineStore,
-    users: usize,
-    days: i32,
-    per_day: usize,
-    seed: u64,
-) -> Result<usize> {
-    offline.create_table(
-        "trips",
-        TableConfig::new(trips_schema()).with_time_column("ts"),
-    )?;
-    let mut rng = Xoshiro256::seeded(seed);
-    let zipf = Zipf::new(users, 1.0);
-    let cities = ["sf", "nyc", "la", "chi"];
-    let mut rows = 0usize;
-    for day in 0..days {
-        let base = fstore_common::Date::from_days(day).start();
-        for i in 0..per_day {
-            let user = zipf.sample(&mut rng);
-            let ts = base + Duration::millis(i as i64 * (86_400_000 / per_day as i64));
-            let dist = 1.0 + rng.exponential(0.25);
-            let fare = 2.5 + 1.6 * dist + rng.normal() * 0.8;
-            offline.append(
-                "trips",
-                &[
-                    Value::from(format!("u{user}")),
-                    Value::Timestamp(ts),
-                    Value::Float(fare),
-                    Value::Float(dist),
-                    Value::from(*rng.choose(&cities)),
-                ],
-            )?;
-            rows += 1;
-        }
-    }
-    Ok(rows)
-}
+use fstore_storage::OnlineStore;
 
 /// Fill an online store with `entities × features` float values.
 pub fn fill_online(
@@ -257,14 +205,6 @@ pub fn topic_features(table: &EmbeddingTable, corpus: &Corpus) -> (Vec<Vec<f64>>
     (xs, ys)
 }
 
-/// Random unit-ish f32 vectors for index benchmarks.
-pub fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = Xoshiro256::seeded(seed);
-    (0..n)
-        .map(|_| (0..dim).map(|_| rng.normal() as f32).collect())
-        .collect()
-}
-
 /// Clustered vectors (mixture of Gaussians) — the shape real embedding
 /// tables have, and the structure IVF's coarse quantizer exploits.
 pub fn clustered_vectors(
@@ -293,18 +233,6 @@ mod tests {
     use super::*;
     use fstore_embed::sgns::train_sgns;
     use fstore_embed::SgnsConfig;
-    use fstore_storage::ScanRequest;
-
-    #[test]
-    fn trips_load_and_scan() {
-        let mut off = OfflineStore::new();
-        let n = load_trips(&mut off, 20, 3, 100, 1).unwrap();
-        assert_eq!(n, 300);
-        assert_eq!(off.num_rows("trips").unwrap(), 300);
-        assert_eq!(off.partition_dates("trips").unwrap().len(), 3);
-        let res = off.scan("trips", &ScanRequest::all()).unwrap();
-        assert_eq!(res.rows.len(), 300);
-    }
 
     #[test]
     fn online_fill() {

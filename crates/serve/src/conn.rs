@@ -234,7 +234,8 @@ impl ServerHandle {
     }
 }
 
-/// Bind, spawn the acceptor and worker pool, and return a handle.
+/// Bind, spawn the acceptor and worker pool, and return a handle. Fails
+/// if the bind or one of those spawns fails.
 pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -253,15 +254,16 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
         config,
     });
 
-    let workers: Vec<JoinHandle<()>> = (0..pool_size)
+    // On a failed spawn the workers already running exit by themselves:
+    // returning drops `admission`, the queue's last sender.
+    let workers = (0..pool_size)
         .map(|i| {
             let engine = Arc::clone(&engine);
             std::thread::Builder::new()
                 .name(format!("fstore-serve-worker-{i}"))
                 .spawn(move || engine.work())
-                .expect("spawn worker")
         })
-        .collect();
+        .collect::<std::io::Result<Vec<JoinHandle<()>>>>()?;
 
     let conns: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -287,31 +289,42 @@ pub fn start<H: Handler>(handler: H, config: ServeConfig) -> std::io::Result<Ser
                     if let Ok(registered) = stream.try_clone() {
                         conns.lock().push((conn_id, registered));
                     }
-                    let admission = admission.clone();
-                    let conns = Arc::clone(&conns);
-                    let engine = Arc::clone(&engine);
-                    let handle = std::thread::Builder::new()
-                        .name("fstore-serve-conn".to_string())
-                        .spawn(move || {
-                            engine.connection_loop(stream, &admission);
-                            // Deregister so the clone doesn't hold the fd
-                            // open after the connection is done — the peer
-                            // must see EOF, and dead sockets must not pile
-                            // up until shutdown.
-                            conns.lock().retain(|(id, _)| *id != conn_id);
-                        })
-                        .expect("spawn connection thread");
-                    // Join the threads whose connection has ended: an
-                    // unjoined thread keeps its stack mapped, and some
-                    // 32 k of them exhaust `vm.max_map_count`.
+                    // Join the threads whose connection has ended, before
+                    // spawning another: an unjoined thread keeps its stack
+                    // mapped, and some 32 k of them exhaust
+                    // `vm.max_map_count`.
                     for done in threads.extract_if(.., |t| t.is_finished()) {
                         panicked |= done.join().is_err();
                     }
-                    threads.push(handle);
+                    let spawned = {
+                        let admission = admission.clone();
+                        let conns = Arc::clone(&conns);
+                        let engine = Arc::clone(&engine);
+                        std::thread::Builder::new()
+                            .name("fstore-serve-conn".to_string())
+                            .spawn(move || {
+                                engine.connection_loop(stream, &admission);
+                                // Deregister so the clone doesn't hold the
+                                // fd open after the connection is done —
+                                // the peer must see EOF, and dead sockets
+                                // must not pile up until shutdown.
+                                conns.lock().retain(|(id, _)| *id != conn_id);
+                            })
+                    };
+                    match spawned {
+                        Ok(handle) => threads.push(handle),
+                        // Out of threads or memory: close this one
+                        // connection unanswered (the failed spawn dropped
+                        // its stream; deregistering drops the clone) and
+                        // keep accepting.
+                        Err(_) => {
+                            conns.lock().retain(|(id, _)| *id != conn_id);
+                            engine.metrics.record_spawn_refusal();
+                        }
+                    }
                 }
                 (threads, panicked)
-            })
-            .expect("spawn acceptor")
+            })?
     };
 
     Ok(ServerHandle {

@@ -89,8 +89,8 @@ pub use metrics::{
     TierSnapshot, WireSnapshot,
 };
 pub use protocol::{
-    read_frame_bounded, write_frame, ErrorCode, FrameOutcome, Request, Response, SearchOptions,
-    WireDelta, WireError, WireHit, WireVector, MAX_FRAME_LEN,
+    write_frame, ErrorCode, Request, Response, SearchOptions, WireDelta, WireError, WireHit,
+    WireVector, MAX_FRAME_LEN,
 };
 pub use repl::{ReplLogState, ReplProvider};
 pub use retry::{classify, ErrorClass, RetryPolicy};

@@ -154,6 +154,9 @@ pub struct ServingMetrics {
     /// Connections cut because a started frame did not finish within the
     /// frame read budget (slow-loris containment).
     frame_timeouts: AtomicU64,
+    /// Connections closed unanswered because their reader thread could
+    /// not be spawned (the acceptor keeps accepting).
+    spawn_refusals: AtomicU64,
     /// Replication (follower role): consecutive sync/connect failures as
     /// of the last attempt (0 = last round succeeded). A rising value is
     /// the first sign the leader is unreachable.
@@ -225,6 +228,7 @@ impl Default for ServingMetrics {
             deadline_shed: AtomicU64::new(0),
             frames_too_large: AtomicU64::new(0),
             frame_timeouts: AtomicU64::new(0),
+            spawn_refusals: AtomicU64::new(0),
             repl_consecutive_failures: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
@@ -315,6 +319,12 @@ impl ServingMetrics {
     /// frame read budget.
     pub fn record_frame_timeout(&self) {
         self.frame_timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one connection closed because its reader thread could not
+    /// be spawned.
+    pub fn record_spawn_refusal(&self) {
+        self.spawn_refusals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record the follower's consecutive sync-failure count (0 on success).
@@ -517,6 +527,7 @@ impl ServingMetrics {
             deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
             frames_too_large: self.frames_too_large.load(Ordering::Relaxed),
             frame_timeouts: self.frame_timeouts.load(Ordering::Relaxed),
+            spawn_refusals: self.spawn_refusals.load(Ordering::Relaxed),
             repl_consecutive_failures: self.repl_consecutive_failures.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
@@ -586,6 +597,9 @@ pub struct MetricsSnapshot {
     pub deadline_shed: u64,
     pub frames_too_large: u64,
     pub frame_timeouts: u64,
+    /// Connections closed unanswered because no reader thread could be
+    /// spawned for them.
+    pub spawn_refusals: u64,
     pub repl_consecutive_failures: u64,
     pub wal_appends: u64,
     pub wal_fsyncs: u64,
@@ -775,11 +789,13 @@ mod tests {
         m.record_deadline_shed();
         m.record_frame_too_large();
         m.record_frame_timeout();
+        m.record_spawn_refusal();
         m.set_repl_consecutive_failures(3);
         let snap = m.snapshot();
         assert_eq!(snap.deadline_shed, 2);
         assert_eq!(snap.frames_too_large, 1);
         assert_eq!(snap.frame_timeouts, 1);
+        assert_eq!(snap.spawn_refusals, 1);
         assert_eq!(snap.repl_consecutive_failures, 3);
         assert_eq!(m.deadline_shed_count(), 2);
         assert_eq!(m.frames_too_large_count(), 1);

@@ -20,7 +20,6 @@ use crate::codec::{put_str, put_str_seq, Reader};
 use bytes::{BufMut, Bytes, BytesMut};
 use fstore_common::{ComponentKind, DeltaRecord, Duration, Timestamp, Value, VectorBuf};
 use fstore_core::{FeatureVector, RowSink};
-use std::io::Read;
 
 pub use crate::codec::{
     write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, WireError,
@@ -831,106 +830,6 @@ impl Response {
 /// One vectored syscall in the common case.
 pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     write_frame_vectored(w, payload)
-}
-
-/// Outcome of a [`read_frame_bounded`] call.
-#[derive(Debug)]
-pub enum FrameOutcome {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// Clean EOF at a frame boundary.
-    Eof,
-    /// The declared length exceeds the caller's ceiling; nothing past the
-    /// prefix was read, so the caller can still write a typed refusal
-    /// before closing.
-    TooLarge { declared: usize },
-    /// The peer started a frame but did not deliver the rest within the
-    /// budget (slow-loris, stall, or mid-frame death by firewall).
-    TimedOut,
-}
-
-/// Read one frame with a size ceiling and a time bound on the frame body.
-///
-/// Waiting for the *first byte* of a frame blocks indefinitely — an idle
-/// keep-alive connection is not a fault. But once a frame has started,
-/// the whole thing (rest of the length prefix plus payload) must arrive
-/// within `frame_timeout`, so a peer that drips one byte per second can
-/// hold only its own connection thread, never wedge the read loop. The
-/// timeout is enforced as a hard deadline via `set_read_timeout` on
-/// `socket` (which must be the same fd `reader` wraps).
-///
-/// This is the one-shot form; connection loops use [`FrameReader`], which
-/// keeps the same two-phase contract while reusing one buffer across
-/// frames and carrying pipelined partial frames between reads.
-pub fn read_frame_bounded<R: Read>(
-    socket: &std::net::TcpStream,
-    reader: &mut R,
-    max_len: usize,
-    frame_timeout: Option<std::time::Duration>,
-) -> std::io::Result<FrameOutcome> {
-    use std::time::Instant;
-
-    // Idle phase: block until a frame begins (or clean EOF).
-    socket.set_read_timeout(None)?;
-    let mut len_bytes = [0u8; 4];
-    match reader.read_exact(&mut len_bytes[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(FrameOutcome::Eof),
-        Err(e) => return Err(e),
-    }
-
-    // Frame phase: everything else races one deadline.
-    let deadline = frame_timeout.map(|t| Instant::now() + t);
-    if !read_until_deadline(socket, reader, &mut len_bytes[1..], deadline)? {
-        return Ok(FrameOutcome::TimedOut);
-    }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_len.min(MAX_FRAME_LEN) {
-        return Ok(FrameOutcome::TooLarge { declared: len });
-    }
-    let mut payload = vec![0u8; len];
-    if !read_until_deadline(socket, reader, &mut payload, deadline)? {
-        return Ok(FrameOutcome::TimedOut);
-    }
-    Ok(FrameOutcome::Frame(payload))
-}
-
-/// Fill `buf`, giving the socket at most the time left until `deadline`.
-/// Returns `Ok(false)` when the deadline lapsed first.
-fn read_until_deadline<R: Read>(
-    socket: &std::net::TcpStream,
-    reader: &mut R,
-    buf: &mut [u8],
-    deadline: Option<std::time::Instant>,
-) -> std::io::Result<bool> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        if let Some(d) = deadline {
-            let Some(remaining) = d.checked_duration_since(std::time::Instant::now()) else {
-                return Ok(false);
-            };
-            // set_read_timeout(Some(0)) is an error; clamp to 1 ms.
-            socket.set_read_timeout(Some(remaining.max(std::time::Duration::from_millis(1))))?;
-        }
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 // ------------------------------------------------------------- composites
