@@ -2,13 +2,21 @@
 //! guarding every durable record the workspace writes to disk (WAL frames,
 //! segment files, cached snapshots).
 //!
-//! Table-driven, one table built at compile time; no external crate, per the
-//! vendored-deps policy. The incremental form ([`crc32_update`]) lets callers
-//! checksum a header and a payload without concatenating them.
+//! Slicing-by-16: sixteen sliced tables built at compile time fold 16
+//! bytes per step, and the bytewise loop over the first table takes the
+//! final `< 16` bytes. No external crate, per the vendored-deps policy. The
+//! incremental form ([`crc32_update`]) lets callers checksum a header and a
+//! payload without concatenating them.
 
-/// The 256-entry lookup table for the reflected IEEE polynomial.
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step, one table each.
+const SLICES: usize = 16;
+
+/// `TABLES[0]` is the bytewise table of the reflected IEEE polynomial;
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so a
+/// byte that sits `k` places before the end of a 16-byte step is looked up
+/// in table `k`.
+const fn make_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,20 +29,41 @@ const fn make_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; SLICES] = make_tables();
 
 /// Feed `bytes` into a running checksum previously returned by
 /// [`crc32`] or `crc32_update`. Start a chain with `crc32_update(0, ..)`.
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let mut crc = !crc;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut steps = bytes.chunks_exact(SLICES);
+    for step in &mut steps {
+        // The running CRC folds into the first four bytes; byte `j` of the
+        // step is then `15 - j` places before its end.
+        let mut step: [u8; SLICES] = step.try_into().expect("a 16-byte step");
+        let head = crc ^ u32::from_le_bytes([step[0], step[1], step[2], step[3]]);
+        step[..4].copy_from_slice(&head.to_le_bytes());
+        crc = (0..SLICES).fold(0, |acc, j| {
+            acc ^ TABLES[SLICES - 1 - j][usize::from(step[j])]
+        });
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }

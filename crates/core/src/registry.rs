@@ -102,7 +102,9 @@ pub struct FeatureDef {
     pub description: String,
     pub tags: Vec<String>,
     pub created_at: Timestamp,
-    /// Inferred output type of the expression (pre-aggregation).
+    /// Inferred type of the feature's values: the aggregate's output type
+    /// when the feature aggregates, else the expression's. The offline log
+    /// table is typed by it, so training reads what serving returns.
     pub value_type: ValueType,
     /// Source columns the expression reads (lineage).
     pub inputs: Vec<String>,
@@ -187,7 +189,7 @@ impl FeatureRegistry {
             )));
         }
         let program = Program::compile(&spec.expression, schema)?;
-        let value_type = program.output_type().ok_or_else(|| {
+        let input_type = program.output_type().ok_or_else(|| {
             FsError::Plan(format!("feature `{}` is the constant NULL", spec.name))
         })?;
         if let Some((func, window)) = &spec.aggregation {
@@ -198,7 +200,7 @@ impl FeatureRegistry {
                 )));
             }
             // Numeric-only aggregates must see numeric expressions.
-            let numeric_ok = matches!(value_type, ValueType::Int | ValueType::Float)
+            let numeric_ok = matches!(input_type, ValueType::Int | ValueType::Float)
                 || matches!(
                     func,
                     AggFunc::Count
@@ -215,6 +217,10 @@ impl FeatureRegistry {
                 )));
             }
         }
+        let value_type = spec
+            .aggregation
+            .as_ref()
+            .map_or(input_type, |(func, _)| func.output_type(input_type));
         if !spec.cadence.is_positive() {
             return Err(FsError::InvalidArgument(format!(
                 "cadence for `{}` must be positive",

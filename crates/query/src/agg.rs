@@ -3,7 +3,7 @@
 //! aggregation functions over raw streams).
 
 use fstore_common::stats::{OnlineMoments, P2Quantile};
-use fstore_common::{FsError, Result, Value};
+use fstore_common::{FsError, Result, Value, ValueType};
 use std::collections::HashSet;
 
 /// The supported aggregate functions.
@@ -29,6 +29,19 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
+    /// The type of the value [`AggAccumulator::finish`] yields for inputs
+    /// of type `input`: the counts are `Int`, the numeric summaries
+    /// `Float`, and the value-picking aggregates keep the input's type.
+    pub fn output_type(&self, input: ValueType) -> ValueType {
+        match self {
+            AggFunc::Count | AggFunc::CountAll | AggFunc::CountDistinct => ValueType::Int,
+            AggFunc::Sum | AggFunc::Avg | AggFunc::StdDev | AggFunc::Quantile(_) => {
+                ValueType::Float
+            }
+            AggFunc::Min | AggFunc::Max | AggFunc::Last => input,
+        }
+    }
+
     /// Parse an aggregate spec like `"sum"`, `"p95"`, `"quantile(0.5)"`.
     pub fn parse(s: &str) -> Result<AggFunc> {
         let t = s.trim().to_ascii_lowercase();
@@ -229,6 +242,40 @@ mod tests {
         assert_eq!(AggFunc::Min.apply(&vs), Value::Int(1));
         assert_eq!(AggFunc::Max.apply(&vs), Value::Int(4));
         assert_eq!(AggFunc::Last.apply(&vs), Value::Int(4));
+    }
+
+    #[test]
+    fn output_type_is_the_type_finish_yields() {
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::CountAll,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::StdDev,
+            AggFunc::Quantile(0.5),
+            AggFunc::CountDistinct,
+            AggFunc::Last,
+        ];
+        let inputs = [
+            (ValueType::Int, ints(&[3, 1, 2])),
+            (ValueType::Float, vec![Value::Float(0.5), Value::Float(2.0)]),
+            (
+                ValueType::Str,
+                vec![Value::Str("b".into()), Value::Str("a".into())],
+            ),
+        ];
+        for (ty, vs) in &inputs {
+            for f in funcs {
+                let numeric = matches!(ty, ValueType::Int | ValueType::Float);
+                if !numeric && f.output_type(*ty) == ValueType::Float {
+                    continue; // numeric-only aggregates; the registry refuses them
+                }
+                let got = f.apply(vs).value_type();
+                assert_eq!(got, Some(f.output_type(*ty)), "{f:?} over {ty:?}");
+            }
+        }
     }
 
     #[test]

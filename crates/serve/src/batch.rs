@@ -6,9 +6,8 @@
 //! feature ids, the clock and the epoch once for the group, then encodes
 //! each member's row straight into its own response frame. `SearchNearest`
 //! requests coalesce the same way on `(table, k, options)`: the worker
-//! resolves the index snapshot `Arc` once and runs the whole group as one
-//! multi-query pass, so a swap
-//! cannot land between members of a batch. Every `PutOnline` of a drain
+//! resolves the index snapshot `Arc` once and runs each member's search
+//! against it in turn, so a swap cannot land between members of a batch. Every `PutOnline` of a drain
 //! forms one write group, answered with one fenced group commit (one
 //! lock, one WAL write, one publication-log append). Under light load the
 //! drain comes back empty and requests run singly with no added latency;
@@ -72,8 +71,8 @@ impl FeatureBatch {
 }
 
 /// A coalesced group of vector searches: same table, same k, same options.
-/// Every member resolves one index snapshot and runs as one multi-query
-/// pass against it.
+/// The batch resolves one index snapshot, and each member runs its own
+/// search against it.
 pub struct SearchBatch {
     /// The member jobs (never empty); every request is `SearchNearest` for
     /// this batch's `(table, k, options)`.

@@ -300,10 +300,11 @@ impl IndexCatalog {
         Ok(outcome(&snapshot, hits, None))
     }
 
-    /// One multi-query pass for a coalesced search batch: the snapshot
-    /// `Arc` is resolved once, so every member answers from the same
-    /// generation even if a swap lands mid-batch. The outer error is the
-    /// table-level failure (no snapshot); inner results are per-query.
+    /// A coalesced search batch: the snapshot `Arc` is resolved once and
+    /// each query runs its own search against it, so every member answers
+    /// from the same generation even if a swap lands mid-batch. The outer
+    /// error is the table-level failure (no snapshot); inner results are
+    /// per-query.
     #[allow(clippy::type_complexity)]
     pub fn search_many(
         &self,

@@ -26,8 +26,8 @@
 //!   keeps flowing, with generation counters and staleness metrics.
 //! * [`batch`] — workers opportunistically coalesce queued single-entity
 //!   lookups that share `(group, features)` into one batch serve, and
-//!   vector searches that share `(table, k, options)` into one
-//!   multi-query pass.
+//!   vector searches that share `(table, k, options)` into one batch
+//!   whose members each run their own search over one shared snapshot.
 //! * [`admission`] — the bounded queue *is* the admission limit; overflow
 //!   is shed immediately with a distinct `Overloaded` error, and shutdown
 //!   drains admitted work before the pool exits.

@@ -887,8 +887,9 @@ fn fs_error_response(e: &FsError) -> Response {
 
 /// The serve engine as a connection-engine handler. Each drain is
 /// planned: lookups that share `(group, features)` coalesce into one batch
-/// read, searches that share `(table, k, options)` into one multi-query
-/// pass, and the drain's writes answer last, as one fenced group commit.
+/// read, searches that share `(table, k, options)` into one batch of
+/// searches over one shared snapshot, and the drain's writes answer last,
+/// as one fenced group commit.
 impl Handler for ServeEngine {
     type Worker = ReadScratch;
 

@@ -256,8 +256,8 @@ impl Segment {
     }
 
     /// Fault one block from disk: a single `read_at` of the block's
-    /// payload, CRC-verified, decoded to `f32`s. Returns the decoded rows
-    /// as one shared allocation the cache can hold.
+    /// payload, CRC-verified, decoded to `f32`s straight into one shared
+    /// allocation the cache can hold.
     pub fn read_block(&self, block: usize) -> Result<Arc<[f32]>> {
         if block >= self.num_blocks() {
             return Err(FsError::InvalidArgument(format!(
@@ -279,11 +279,10 @@ impl Segment {
                 self.path.display()
             )));
         }
-        let floats: Vec<f32> = buf
+        Ok(buf
             .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        Ok(floats.into())
+            .map(|b| f32::from_le_bytes(b.try_into().expect("a 4-byte chunk")))
+            .collect())
     }
 }
 
