@@ -123,7 +123,6 @@ fn chaos_client_config() -> ClientConfig {
         read_timeout: Some(Duration::from_millis(150)),
         write_timeout: Some(Duration::from_millis(150)),
         deadline_budget: None,
-        ..ClientConfig::default()
     }
 }
 

@@ -28,7 +28,7 @@ pub use error::{FsError, Result};
 pub use repl::{ComponentKind, DeltaQuery, DeltaRecord, PubLog, DEFAULT_LOG_RETENTION};
 pub use rng::{Rng, SplitMix64, Xoshiro256, Zipf};
 pub use schema::{FieldDef, Schema};
-pub use snapshot::{EpochRing, ReadEpoch, SnapshotCell, Versioned};
+pub use snapshot::{ReadEpoch, SnapshotCell, Versioned};
 pub use time::{Date, Duration, SimClock, Timestamp};
 pub use value::{EntityKey, Value, ValueType};
 pub use vector::VectorBuf;

@@ -6,113 +6,26 @@
 //! published at) up front and then run entirely lock-free: a concurrent
 //! publication swaps the cell to a new snapshot but never touches the one a
 //! reader is already holding. Writers serialize among themselves on a
-//! dedicated mutex so read-copy-update sequences ([`SnapshotCell::update`])
-//! never lose updates, but they never block readers for longer than the
-//! pointer swap itself.
+//! dedicated mutex so read-copy-update sequences ([`SnapshotCell::update`],
+//! [`SnapshotCell::write`]) never lose updates, but they never block readers
+//! for longer than the pointer swap itself.
+//!
+//! A cell holds one snapshot and no history: a superseded snapshot lives
+//! exactly as long as the last reader holding it. A writer mutates a clone
+//! of the current snapshot and publishes it only on success, so the owners
+//! of a cell (`OfflineDb`, `EmbeddingDb`) need no working copy of their own.
 //!
 //! This is the shape `IndexCatalog` pioneered for ANN index hot-swaps;
 //! hoisting it here lets the offline store, the embedding catalog, and the
 //! index catalog all share one concurrency model (see DESIGN.md
 //! "Concurrency model").
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-
-/// How many published snapshots a [`SnapshotCell`] retains by default (the
-/// current one plus recent history) for skew monitoring and replication
-/// catch-up. Configurable per cell via
-/// [`SnapshotCell::set_history_depth`].
-pub const DEFAULT_HISTORY_DEPTH: usize = 4;
-
-/// A bounded ring of the most recent entries keyed by a monotone `u64`
-/// (a [`ReadEpoch`] for snapshot history, a replication sequence number for
-/// the publication log — both uses share this one structure).
-///
-/// Pushing past capacity evicts the oldest entry; pushing an existing key
-/// replaces that entry in place, so at-least-once producers stay idempotent.
-#[derive(Debug, Clone)]
-pub struct EpochRing<V> {
-    cap: usize,
-    items: VecDeque<(u64, V)>,
-}
-
-impl<V> EpochRing<V> {
-    /// An empty ring retaining at most `cap` entries (clamped to ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        EpochRing {
-            cap: cap.max(1),
-            items: VecDeque::new(),
-        }
-    }
-
-    /// Maximum number of retained entries.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Change the retention bound, evicting oldest entries if shrinking.
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        while self.items.len() > self.cap {
-            self.items.pop_front();
-        }
-    }
-
-    /// Insert `value` under `key`. Keys must be pushed in non-decreasing
-    /// order; re-pushing the newest key replaces its value. Returns the
-    /// value this displaced (replaced or evicted), so a caller holding a
-    /// lock can drop it after releasing the lock.
-    pub fn push(&mut self, key: u64, value: V) -> Option<V> {
-        if let Some(back) = self.items.back_mut() {
-            debug_assert!(key >= back.0, "EpochRing keys must be monotone");
-            if back.0 == key {
-                return Some(std::mem::replace(&mut back.1, value));
-            }
-        }
-        // Evict before inserting, so a full ring never grows its buffer
-        // past `cap` entries; `set_capacity` trims shrinks, so one is enough.
-        let evicted = if self.items.len() >= self.cap {
-            self.items.pop_front().map(|(_, v)| v)
-        } else {
-            None
-        };
-        self.items.push_back((key, value));
-        evicted
-    }
-
-    /// The entry published under `key`, if still retained.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        self.items.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Newest retained entry.
-    pub fn latest(&self) -> Option<(u64, &V)> {
-        self.items.back().map(|(k, v)| (*k, v))
-    }
-
-    /// Key of the oldest retained entry.
-    pub fn oldest_key(&self) -> Option<u64> {
-        self.items.front().map(|(k, _)| *k)
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Oldest-to-newest iteration.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.items.iter().map(|(k, v)| (*k, v))
-    }
-}
 
 /// A callback fired after every publication into a [`SnapshotCell`], with the
 /// just-installed snapshot/epoch pair. A cell can carry several hooks (a
@@ -175,15 +88,17 @@ impl<T> Clone for Versioned<T> {
 }
 
 /// An atomically swappable `Arc` to an immutable snapshot, plus a monotone
-/// epoch counter.
+/// epoch counter. The cell holds exactly one snapshot: once no reader holds
+/// a superseded one, it is freed.
 ///
 /// * Readers call [`load`](Self::load) or [`read`](Self::read); both take the
 ///   internal lock only long enough to clone an `Arc` and never block on a
 ///   writer building a new snapshot.
 /// * Writers call [`publish`](Self::publish) to swap in a fully built value,
-///   or [`update`](Self::update) / [`try_update`](Self::try_update) for
-///   read-copy-update against the current snapshot. Writers are serialized on
-///   a dedicated mutex, so an `update` closure always sees the latest
+///   [`update`](Self::update) to build a replacement from the current
+///   snapshot, or [`write`](Self::write) / [`write_at`](Self::write_at) to
+///   mutate a clone of it and publish only on success. Writers are
+///   serialized on a dedicated mutex, so every writer starts from the latest
 ///   published value.
 ///
 /// Snapshots must be immutable once published — the type system cannot
@@ -199,9 +114,6 @@ pub struct SnapshotCell<T> {
     /// Mirror of the current epoch for lock-free [`epoch`](Self::epoch)
     /// queries; written only while holding the `current` write lock.
     epoch: AtomicU64,
-    /// Recent publications (including the current one), keyed by epoch, for
-    /// skew monitoring across epochs without re-materializing.
-    history: Mutex<EpochRing<Arc<T>>>,
     /// Observers notified after each publication, in registration order
     /// (a leader's publication stream taps in here).
     hooks: Mutex<Vec<PublishHook<T>>>,
@@ -210,21 +122,13 @@ pub struct SnapshotCell<T> {
 impl<T> SnapshotCell<T> {
     /// Create a cell holding `value` at [`ReadEpoch::ZERO`].
     pub fn new(value: T) -> Self {
-        Self::from_arc(Arc::new(value))
-    }
-
-    /// Like [`new`](Self::new) but adopts an existing `Arc`.
-    pub fn from_arc(value: Arc<T>) -> Self {
-        let mut history = EpochRing::new(DEFAULT_HISTORY_DEPTH);
-        history.push(0, Arc::clone(&value));
         SnapshotCell {
             current: RwLock::new(Versioned {
-                value,
+                value: Arc::new(value),
                 epoch: ReadEpoch::ZERO,
             }),
             writer: Mutex::new(()),
             epoch: AtomicU64::new(0),
-            history: Mutex::new(history),
             hooks: Mutex::new(Vec::new()),
         }
     }
@@ -250,13 +154,8 @@ impl<T> SnapshotCell<T> {
     /// with. Readers that resolved the previous snapshot keep it; new readers
     /// see the new one.
     pub fn publish(&self, value: T) -> ReadEpoch {
-        self.publish_arc(Arc::new(value))
-    }
-
-    /// Like [`publish`](Self::publish) but adopts an existing `Arc`.
-    pub fn publish_arc(&self, value: Arc<T>) -> ReadEpoch {
         let _writer = self.writer.lock();
-        self.install(value)
+        self.install(value, None)
     }
 
     /// Read-copy-update: build a replacement snapshot from the current one
@@ -266,55 +165,8 @@ impl<T> SnapshotCell<T> {
     /// plus an arbitrary result.
     pub fn update<R>(&self, f: impl FnOnce(&T, ReadEpoch) -> (T, R)) -> (ReadEpoch, R) {
         let _writer = self.writer.lock();
-        let cur = self.current.read().clone();
-        let (next, out) = f(&cur.value, cur.epoch.next());
-        (self.install(Arc::new(next)), out)
-    }
-
-    /// Fallible [`update`](Self::update): if the closure errors, nothing is
-    /// published and the epoch does not advance.
-    pub fn try_update<R, E>(
-        &self,
-        f: impl FnOnce(&T, ReadEpoch) -> Result<(T, R), E>,
-    ) -> Result<(ReadEpoch, R), E> {
-        let _writer = self.writer.lock();
-        let cur = self.current.read().clone();
-        let (next, out) = f(&cur.value, cur.epoch.next())?;
-        Ok((self.install(Arc::new(next)), out))
-    }
-
-    /// How many publications the history ring retains.
-    pub fn history_depth(&self) -> usize {
-        self.history.lock().capacity()
-    }
-
-    /// Change the history ring's retention bound (oldest entries are evicted
-    /// when shrinking).
-    pub fn set_history_depth(&self, depth: usize) {
-        self.history.lock().set_capacity(depth);
-    }
-
-    /// The retained publications, oldest to newest (the newest entry is the
-    /// current snapshot). A skew monitor can diff "the epoch the trainer saw"
-    /// against "the epoch serving sees" without re-materializing either.
-    pub fn history(&self) -> Vec<Versioned<T>> {
-        self.history
-            .lock()
-            .iter()
-            .map(|(k, v)| Versioned {
-                value: Arc::clone(v),
-                epoch: ReadEpoch(k),
-            })
-            .collect()
-    }
-
-    /// Resolve the snapshot published at exactly `epoch`, if the history ring
-    /// still retains it.
-    pub fn at_epoch(&self, epoch: ReadEpoch) -> Option<Versioned<T>> {
-        self.history.lock().get(epoch.0).map(|v| Versioned {
-            value: Arc::clone(v),
-            epoch,
-        })
+        let (next, out) = f(&self.load(), self.epoch().next());
+        (self.install(next, None), out)
     }
 
     /// Install an observer fired after every publication (see
@@ -331,39 +183,66 @@ impl<T> SnapshotCell<T> {
     /// the current epoch (at-least-once delivery) replaces the snapshot in
     /// place. Returns the epoch actually installed.
     pub fn restore(&self, value: T, epoch: ReadEpoch) -> ReadEpoch {
-        self.restore_arc(Arc::new(value), epoch)
-    }
-
-    /// Like [`restore`](Self::restore) but adopts an existing `Arc`.
-    pub fn restore_arc(&self, value: Arc<T>, epoch: ReadEpoch) -> ReadEpoch {
         let _writer = self.writer.lock();
-        let epoch = epoch.max(self.current.read().epoch);
-        self.install_at(value, epoch)
+        self.install(value, Some(epoch))
     }
 
-    /// Swap in `value` at the next epoch. Caller must hold the writer mutex.
-    fn install(&self, value: Arc<T>) -> ReadEpoch {
-        let next = self.current.read().epoch.next();
-        self.install_at(value, next)
-    }
-
-    /// Swap in `value` stamped `epoch` (non-decreasing; caller must hold the
-    /// writer mutex), record it in the history ring, then fire the publish
-    /// hook after the `current` write guard is released.
-    fn install_at(&self, value: Arc<T>, epoch: ReadEpoch) -> ReadEpoch {
-        let installed = Versioned { value, epoch };
-        {
-            let mut cur = self.current.write();
-            *cur = installed.clone();
+    /// Swap in `value` at `epoch` (clamped so the cell never regresses) or,
+    /// for `None`, at the next epoch; then fire the publish hooks. Caller
+    /// must hold the writer mutex.
+    fn install(&self, value: T, epoch: Option<ReadEpoch>) -> ReadEpoch {
+        let cur = self.epoch();
+        let epoch = epoch.map_or(cur.next(), |e| e.max(cur));
+        let installed = Versioned {
+            value: Arc::new(value),
+            epoch,
+        };
+        let superseded = {
+            let mut current = self.current.write();
+            let superseded = std::mem::replace(&mut *current, installed.clone());
             self.epoch.store(epoch.0, Ordering::Release);
-        }
-        self.history
-            .lock()
-            .push(epoch.0, Arc::clone(&installed.value));
+            superseded
+        };
+        // Outside the readers' lock: if no reader holds the old snapshot,
+        // freeing it here never stalls a `load`.
+        drop(superseded);
         for hook in self.hooks.lock().iter() {
             hook(&installed);
         }
         epoch
+    }
+}
+
+impl<T: Clone> SnapshotCell<T> {
+    /// Mutate a clone of the current snapshot and publish it as the next
+    /// epoch, all under the writer mutex. On `Err` the clone is dropped:
+    /// nothing is published and the epoch does not advance, so a failed
+    /// write is all-or-nothing. Returns the closure's result and the epoch
+    /// the write was published at.
+    pub fn write<R, E>(&self, f: impl FnOnce(&mut T) -> Result<R, E>) -> Result<(R, ReadEpoch), E> {
+        self.write_inner(None, f)
+    }
+
+    /// [`write`](Self::write) at a leader-dictated `epoch`, clamped exactly
+    /// as [`restore`](Self::restore) clamps it — the replication entry point
+    /// for one delta.
+    pub fn write_at<R, E>(
+        &self,
+        epoch: ReadEpoch,
+        f: impl FnOnce(&mut T) -> Result<R, E>,
+    ) -> Result<(R, ReadEpoch), E> {
+        self.write_inner(Some(epoch), f)
+    }
+
+    fn write_inner<R, E>(
+        &self,
+        epoch: Option<ReadEpoch>,
+        f: impl FnOnce(&mut T) -> Result<R, E>,
+    ) -> Result<(R, ReadEpoch), E> {
+        let _writer = self.writer.lock();
+        let mut next = T::clone(&self.load());
+        let out = f(&mut next)?;
+        Ok((out, self.install(next, epoch)))
     }
 }
 
@@ -432,37 +311,67 @@ mod tests {
     }
 
     #[test]
-    fn failed_try_update_publishes_nothing() {
-        let cell = SnapshotCell::new(7u32);
-        let r = cell.try_update(|_, _| Err::<(u32, ()), &str>("nope"));
-        assert!(r.is_err());
+    fn failed_write_publishes_nothing() {
+        let cell = SnapshotCell::new(vec![7u32]);
+        let r = cell.write(|v| {
+            v.push(8); // partial mutation...
+            Err::<(), _>("nope")
+        });
+        assert_eq!(r, Err("nope"));
         assert_eq!(cell.epoch(), ReadEpoch::ZERO);
-        assert_eq!(*cell.load(), 7);
+        assert_eq!(*cell.load(), vec![7]);
 
-        let r: Result<_, &str> = cell.try_update(|cur, _| Ok((cur + 1, ())));
-        assert_eq!(r.unwrap().0, ReadEpoch(1));
-        assert_eq!(*cell.load(), 8);
+        // The next write starts from the published snapshot, not from the
+        // aborted clone.
+        let r: Result<_, &str> = cell.write(|v| {
+            v.push(9);
+            Ok(v.len())
+        });
+        assert_eq!(r, Ok((2, ReadEpoch(1))));
+        assert_eq!(*cell.load(), vec![7, 9]);
     }
 
     #[test]
-    fn history_ring_retains_last_n_publications() {
+    fn write_at_installs_at_the_dictated_epoch_and_never_regresses() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let cell = SnapshotCell::new(0u32);
-        assert_eq!(cell.history_depth(), DEFAULT_HISTORY_DEPTH);
-        for v in 1..=6u32 {
-            cell.publish(v);
+        {
+            let seen = Arc::clone(&seen);
+            cell.add_publish_hook(move |v| seen.lock().push((v.epoch.as_u64(), *v.value)));
         }
-        // Default depth 4: epochs 3..=6 retained, 0..=2 evicted.
-        let hist = cell.history();
-        assert_eq!(
-            hist.iter().map(|v| v.epoch.as_u64()).collect::<Vec<_>>(),
-            vec![3, 4, 5, 6]
-        );
-        assert_eq!(*cell.at_epoch(ReadEpoch(4)).unwrap().value, 4);
-        assert!(cell.at_epoch(ReadEpoch(2)).is_none());
+        let ok = |n| {
+            move |v: &mut u32| -> Result<(), ()> {
+                *v = n;
+                Ok(())
+            }
+        };
+        assert_eq!(cell.write_at(ReadEpoch(5), ok(1)), Ok(((), ReadEpoch(5))));
+        // At-least-once redelivery of the same epoch replaces in place.
+        assert_eq!(cell.write_at(ReadEpoch(5), ok(2)), Ok(((), ReadEpoch(5))));
+        // A stale epoch is clamped to the current one.
+        assert_eq!(cell.write_at(ReadEpoch(3), ok(3)), Ok(((), ReadEpoch(5))));
+        // A failed replica write publishes nothing and fires no hook.
+        assert_eq!(cell.write_at(ReadEpoch(6), |_| Err::<(), _>(())), Err(()));
+        assert_eq!(cell.epoch(), ReadEpoch(5));
+        assert_eq!(*cell.load(), 3);
+        assert_eq!(*seen.lock(), vec![(5, 1), (5, 2), (5, 3)]);
+    }
 
-        cell.set_history_depth(2);
-        assert_eq!(cell.history().len(), 2);
-        assert_eq!(cell.at_epoch(ReadEpoch(6)).map(|v| *v.value), Some(6));
+    #[test]
+    fn a_superseded_snapshot_is_freed_once_its_readers_drop_it() {
+        let cell = SnapshotCell::new(vec![0u8; 1024]);
+        cell.publish(vec![1u8; 1024]);
+        let reader = cell.load();
+        let weak = Arc::downgrade(&reader);
+        cell.publish(vec![2u8; 1024]);
+        assert!(weak.upgrade().is_some(), "a reader keeps its snapshot");
+        drop(reader);
+        assert!(
+            weak.upgrade().is_none(),
+            "the cell keeps only its current snapshot"
+        );
+        cell.publish(vec![3u8; 1024]);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]
@@ -514,32 +423,6 @@ mod tests {
         assert_eq!(*cell.load(), 9);
         // Ordinary publication resumes from the restored epoch.
         assert_eq!(cell.publish(1), ReadEpoch(8));
-    }
-
-    #[test]
-    fn epoch_ring_replaces_same_key_and_evicts_oldest() {
-        let mut ring = EpochRing::new(3);
-        assert!(ring.is_empty());
-        for k in 1..=4u64 {
-            ring.push(k, k * 10);
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.oldest_key(), Some(2));
-        assert_eq!(ring.get(1), None);
-        ring.push(4, 99);
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.latest(), Some((4, &99)));
-        ring.set_capacity(1);
-        assert_eq!(ring.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![4]);
-    }
-
-    #[test]
-    fn epoch_ring_hands_back_what_it_displaced() {
-        let mut ring = EpochRing::new(4);
-        for k in [2u64, 4, 6, 8, 10] {
-            assert_eq!(ring.push(k, k * 10), (k == 10).then_some(20));
-        }
-        assert_eq!(ring.push(10, 7), Some(100));
     }
 
     #[test]

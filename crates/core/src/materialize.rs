@@ -52,8 +52,11 @@ pub struct MaterializationPlan {
 }
 
 impl MaterializationPlan {
-    /// Publish the plan: write-through each value to the online store and
-    /// append it to the feature's offline log table (created on first use).
+    /// Publish the plan: append every value to the feature's offline log
+    /// table (created on first use), then write each one through to the
+    /// online store. The online writes come last, so an append error leaves
+    /// nothing served that no training set will see; under
+    /// [`OfflineDb::write`] the appends roll back too.
     pub fn apply(
         &self,
         offline: &mut OfflineStore,
@@ -67,13 +70,6 @@ impl MaterializationPlan {
             )?;
         }
         for (entity, value) in &self.values {
-            online.put(
-                self.def.online_group(),
-                &EntityKey::new(entity.clone()),
-                &self.def.name,
-                value.clone(),
-                self.ran_at,
-            );
             offline.append(
                 &log_table,
                 &[
@@ -82,6 +78,15 @@ impl MaterializationPlan {
                     value.clone(),
                 ],
             )?;
+        }
+        for (entity, value) in &self.values {
+            online.put(
+                self.def.online_group(),
+                &EntityKey::new(entity.clone()),
+                &self.def.name,
+                value.clone(),
+                self.ran_at,
+            );
         }
         Ok(MaterializationRun {
             feature: self.def.name.clone(),
@@ -596,6 +601,40 @@ mod tests {
             Duration::ZERO
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_failed_append_serves_nothing_online() {
+        let (mut off, online, mut reg) = setup();
+        add_trip(&mut off, "u1", Timestamp::millis(1), 5.0);
+        add_trip(&mut off, "u2", Timestamp::millis(2), 7.0);
+        let def = reg
+            .publish(
+                FeatureSpec::new("f", "user_id", "trips", "fare"),
+                &off,
+                Timestamp::EPOCH,
+            )
+            .unwrap();
+        // A log table already there whose `value` column cannot take the
+        // feature's Float values: every append fails.
+        off.create_table(
+            def.log_table(),
+            TableConfig::new(feature_log_schema(ValueType::Bool)).with_time_column("ts"),
+        )
+        .unwrap();
+        let db = OfflineDb::from_store(off);
+        let epoch = db.epoch();
+
+        let err = Materializer::run_db(&def, &db, &online, Timestamp::millis(10));
+        assert!(err.is_err(), "the append must fail: {err:?}");
+        for user in ["u1", "u2"] {
+            assert!(
+                online.get("user_id", &EntityKey::new(user), "f").is_none(),
+                "{user} served a value the log never took"
+            );
+        }
+        assert_eq!(db.epoch(), epoch, "the failed run published nothing");
+        assert_eq!(db.snapshot().num_rows(&def.log_table()).unwrap(), 0);
     }
 
     #[test]

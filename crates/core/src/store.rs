@@ -8,7 +8,7 @@ use crate::pit::{point_in_time_join, LabelEvent, PitFeature, TrainingSet};
 use crate::quality::ColumnProfile;
 use crate::registry::{FeatureDef, FeatureRegistry, FeatureSpec};
 use crate::serving::FeatureServer;
-use fstore_common::{Duration, ReadEpoch, Result, SimClock, Timestamp, Value};
+use fstore_common::{Duration, Result, SimClock, Timestamp, Value};
 use fstore_storage::{OfflineDb, OfflineStore, OnlineStore, TableConfig};
 use std::sync::Arc;
 
@@ -84,11 +84,6 @@ impl FeatureStore {
     /// profiles against it never block (and are never blocked by) writers.
     pub fn offline_snapshot(&self) -> Arc<OfflineStore> {
         self.offline.snapshot()
-    }
-
-    /// The offline store's current publication epoch.
-    pub fn read_epoch(&self) -> ReadEpoch {
-        self.offline.epoch()
     }
 
     pub fn online(&self) -> Arc<OnlineStore> {

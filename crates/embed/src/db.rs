@@ -7,25 +7,20 @@
 //! [`SnapshotCell`]: readers resolve one `Arc` per request and are never
 //! blocked, a republish is one pointer swap, and every publication bumps a
 //! [`ReadEpoch`] that responses can echo so clients can assert which
-//! publication answered them. Cheap because [`EmbeddingStore`] shares its
-//! (immutable) versions via `Arc` internally.
+//! publication answered them. A write ([`EmbeddingDb::write`]) clones the
+//! current snapshot under the cell's writer mutex, mutates the clone and
+//! publishes it only on success; there is no working copy, and the cell
+//! keeps no snapshot but the current one. Cheap because [`EmbeddingStore`]
+//! shares its (immutable) versions via `Arc` internally.
 
 use crate::store::{EmbeddingProvenance, EmbeddingStore, EmbeddingTable};
 use fstore_common::{ReadEpoch, Result, SnapshotCell, Timestamp, Versioned};
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-struct Inner {
-    /// The writer's working copy; the mutex serializes writers only.
-    writer: Mutex<EmbeddingStore>,
-    /// The published snapshot readers resolve from.
-    cell: SnapshotCell<EmbeddingStore>,
-}
 
 /// Cheaply clonable shared handle to an epoch-versioned embedding store.
 #[derive(Clone)]
 pub struct EmbeddingDb {
-    inner: Arc<Inner>,
+    cell: Arc<SnapshotCell<EmbeddingStore>>,
 }
 
 impl EmbeddingDb {
@@ -37,27 +32,24 @@ impl EmbeddingDb {
     /// Adopt an existing store as epoch zero.
     pub fn from_store(store: EmbeddingStore) -> Self {
         EmbeddingDb {
-            inner: Arc::new(Inner {
-                cell: SnapshotCell::new(store.clone()),
-                writer: Mutex::new(store),
-            }),
+            cell: Arc::new(SnapshotCell::new(store)),
         }
     }
 
     /// Resolve the current snapshot; hold the `Arc` for as long as a
     /// consistent view is needed. Never blocks on a republish.
     pub fn snapshot(&self) -> Arc<EmbeddingStore> {
-        self.inner.cell.load()
+        self.cell.load()
     }
 
     /// Resolve the current snapshot together with its publication epoch.
     pub fn read(&self) -> Versioned<EmbeddingStore> {
-        self.inner.cell.read()
+        self.cell.read()
     }
 
     /// The epoch of the most recent publication.
     pub fn epoch(&self) -> ReadEpoch {
-        self.inner.cell.epoch()
+        self.cell.epoch()
     }
 
     /// Publish `table` as the next version of `name` and swap the new
@@ -84,24 +76,15 @@ impl EmbeddingDb {
             .1)
     }
 
-    /// Run a mutation against the working copy and publish the result as the
-    /// next snapshot. On `Err` nothing is published and the working copy is
-    /// rolled back, so failed mutations never leak into later publications.
+    /// Run a mutation against a clone of the current snapshot and publish
+    /// the result as the next snapshot. On `Err` the clone is dropped and
+    /// nothing is published, so failed mutations never leak into later
+    /// publications.
     pub fn write<R>(
         &self,
         f: impl FnOnce(&mut EmbeddingStore) -> Result<R>,
     ) -> Result<(R, ReadEpoch)> {
-        let mut store = self.inner.writer.lock();
-        match f(&mut store) {
-            Ok(out) => {
-                let epoch = self.inner.cell.publish(store.clone());
-                Ok((out, epoch))
-            }
-            Err(e) => {
-                *store = (*self.inner.cell.load()).clone();
-                Err(e)
-            }
-        }
+        self.cell.write(f)
     }
 
     /// Observe every publication, alongside the existing observers (a
@@ -111,54 +94,24 @@ impl EmbeddingDb {
         &self,
         hook: impl Fn(&Versioned<EmbeddingStore>) + Send + Sync + 'static,
     ) {
-        self.inner.cell.add_publish_hook(hook);
-    }
-
-    /// Recent publications, oldest to newest (retention defaults to
-    /// [`fstore_common::snapshot::DEFAULT_HISTORY_DEPTH`]; see
-    /// [`set_history_depth`](Self::set_history_depth)).
-    pub fn history(&self) -> Vec<Versioned<EmbeddingStore>> {
-        self.inner.cell.history()
-    }
-
-    /// The snapshot published at exactly `epoch`, if still retained.
-    pub fn at_epoch(&self, epoch: ReadEpoch) -> Option<Versioned<EmbeddingStore>> {
-        self.inner.cell.at_epoch(epoch)
-    }
-
-    /// Change the history ring's retention bound.
-    pub fn set_history_depth(&self, depth: usize) {
-        self.inner.cell.set_history_depth(depth);
+        self.cell.add_publish_hook(hook);
     }
 
     /// Replication: run a mutation and publish at the explicit
     /// (leader-dictated) `epoch` so follower responses echo the leader's
-    /// epochs exactly. On `Err` the working copy rolls back and nothing is
-    /// published.
+    /// epochs exactly. On `Err` nothing is published.
     pub fn apply_replica<R>(
         &self,
         epoch: ReadEpoch,
         f: impl FnOnce(&mut EmbeddingStore) -> Result<R>,
     ) -> Result<R> {
-        let mut store = self.inner.writer.lock();
-        match f(&mut store) {
-            Ok(out) => {
-                self.inner.cell.restore(store.clone(), epoch);
-                Ok(out)
-            }
-            Err(e) => {
-                *store = (*self.inner.cell.load()).clone();
-                Err(e)
-            }
-        }
+        self.cell.write_at(epoch, f).map(|(out, _)| out)
     }
 
     /// Replication: adopt `store` wholesale as the snapshot at `epoch`
     /// (follower bootstrap / full-snapshot fallback).
     pub fn restore(&self, store: EmbeddingStore, epoch: ReadEpoch) {
-        let mut writer = self.inner.writer.lock();
-        *writer = store.clone();
-        self.inner.cell.restore(store, epoch);
+        self.cell.restore(store, epoch);
     }
 }
 

@@ -254,11 +254,6 @@ fn comparable(a: InferredType, b: InferredType) -> bool {
     unify(a, b).is_some()
 }
 
-/// Check a literal-only expression (no schema). Convenience for tests.
-pub fn infer_literal_type(expr: &Expr) -> Result<InferredType> {
-    infer_type(expr, &Schema::of(&[]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -386,14 +386,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Ceiling on a response frame's declared length (clamped by the
-    /// protocol-wide [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)); a peer
-    /// declaring more gets a typed refusal before any payload is read.
-    pub fn max_response_frame(mut self, bound: usize) -> Self {
-        self.config.max_response_frame = bound;
-        self
-    }
-
     /// Retry transient failures of idempotent requests per `policy`.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -404,12 +396,6 @@ impl ClientBuilder {
     pub fn breakers(mut self, config: BreakerConfig) -> Self {
         self.breakers = Some(config);
         self
-    }
-
-    /// The socket-deadline config the builder has accumulated so far —
-    /// for call sites that still need a raw [`ClientConfig`].
-    pub fn client_config(&self) -> ClientConfig {
-        self.config.clone()
     }
 
     /// Validate and construct. Refused configurations (mirroring
@@ -432,11 +418,6 @@ impl ClientBuilder {
         if self.config.deadline_budget == Some(Duration::ZERO) {
             return Err(FsError::InvalidArgument(
                 "deadline budget must be positive".into(),
-            ));
-        }
-        if self.config.max_response_frame == 0 {
-            return Err(FsError::InvalidArgument(
-                "max response frame must be positive".into(),
             ));
         }
         if let Some(policy) = &self.retry {
@@ -490,11 +471,6 @@ mod tests {
         assert!(ClientBuilder::new()
             .endpoint("127.0.0.1:1")
             .deadline_budget(Duration::ZERO)
-            .build()
-            .is_err());
-        assert!(ClientBuilder::new()
-            .endpoint("127.0.0.1:1")
-            .max_response_frame(0)
             .build()
             .is_err());
         assert!(ClientBuilder::new()

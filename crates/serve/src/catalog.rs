@@ -85,11 +85,6 @@ impl IndexSnapshot {
     pub fn dim(&self) -> usize {
         self.index.dim()
     }
-
-    /// The entity key behind a dataset row id.
-    pub fn key_of(&self, row: usize) -> Option<&str> {
-        self.keys.get(row).map(String::as_str)
-    }
 }
 
 /// Why a catalog search could not be answered. Each variant maps onto a

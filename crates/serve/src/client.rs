@@ -38,10 +38,6 @@ pub struct ClientConfig {
     /// [`Request::WithDeadline`] envelope with this budget, letting the
     /// server shed it once the caller must have given up.
     pub deadline_budget: Option<Duration>,
-    /// Ceiling on a response frame's declared length; a peer declaring
-    /// more is refused before any payload is allocated or read. Clamped
-    /// by the protocol-wide [`MAX_FRAME_LEN`].
-    pub max_response_frame: usize,
 }
 
 impl Default for ClientConfig {
@@ -51,7 +47,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             deadline_budget: None,
-            max_response_frame: MAX_FRAME_LEN,
         }
     }
 }
@@ -222,7 +217,6 @@ pub struct FeatureClient {
     buf: BytesMut,
     deadline_budget: Option<Duration>,
     read_timeout: Option<Duration>,
-    max_response_frame: usize,
 }
 
 impl FeatureClient {
@@ -272,20 +266,14 @@ impl FeatureClient {
             buf: BytesMut::new(),
             deadline_budget: config.deadline_budget,
             read_timeout: config.read_timeout,
-            max_response_frame: config.max_response_frame.min(MAX_FRAME_LEN),
         })
-    }
-
-    /// Change the per-request deadline budget on a live connection.
-    pub fn set_deadline_budget(&mut self, budget: Option<Duration>) {
-        self.deadline_budget = budget;
     }
 
     /// Read and decode one response frame off the connection's reader.
     fn read_response(&mut self) -> Result<Response, ClientError> {
         match self.reader.read_frame(
             &self.stream,
-            self.max_response_frame,
+            MAX_FRAME_LEN,
             self.read_timeout,
             self.read_timeout,
         )? {
@@ -369,24 +357,6 @@ impl FeatureClient {
         }
     }
 
-    /// Subscribe to a replication leader: its log state, for deciding
-    /// between delta catch-up and a full-snapshot bootstrap.
-    pub fn repl_state(&mut self) -> Result<ReplLogState, ClientError> {
-        match self.call(&Request::ReplSubscribe)? {
-            Response::ReplState {
-                leader_epoch,
-                oldest_retained,
-                retention,
-            } => Ok(ReplLogState {
-                leader_epoch,
-                oldest_retained,
-                retention,
-            }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::UnexpectedResponse("ReplState")),
-        }
-    }
-
     /// A full leader snapshot as `(repl_epoch, payload)`; every delta with
     /// `seq <= repl_epoch` is already folded into the payload.
     ///
@@ -400,7 +370,7 @@ impl FeatureClient {
         write_frame_vectored(&mut w, self.buf.as_slice())?;
         let frame = match self.reader.read_frame_owned(
             &self.stream,
-            self.max_response_frame,
+            MAX_FRAME_LEN,
             self.read_timeout,
             self.read_timeout,
         )? {

@@ -63,7 +63,7 @@ use crate::codec::{FrameEvent, FramePool, FrameReader};
 use crate::metrics::ServingMetrics;
 use crate::outbox::Outbox;
 pub use crate::outbox::Ticket;
-use crate::protocol::{ErrorCode, Request, Response};
+use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME_LEN};
 use crate::server::ServeConfig;
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
@@ -437,7 +437,7 @@ impl<H: Handler> Engine<H> {
             // the peer is a slow-loris and the connection is cut.
             let decoded = match reader.read_frame(
                 &stream,
-                config.max_request_frame,
+                MAX_FRAME_LEN,
                 None,
                 config.frame_timeout,
             ) {
@@ -454,8 +454,7 @@ impl<H: Handler> Engine<H> {
                             Response::error(
                                 ErrorCode::FrameTooLarge,
                                 format!(
-                                    "request frame of {declared} bytes exceeds the {} byte ceiling",
-                                    config.max_request_frame
+                                    "request frame of {declared} bytes exceeds the {MAX_FRAME_LEN} byte ceiling"
                                 ),
                             ),
                         );

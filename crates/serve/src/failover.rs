@@ -206,12 +206,6 @@ impl FailoverClient {
         self.stats
     }
 
-    /// The breaker state of endpoint `i` (list order), for tests and
-    /// experiment assertions.
-    pub fn breaker_state(&self, i: usize, now: Instant) -> BreakerState {
-        self.endpoints[i].breaker.state(now)
-    }
-
     /// Pick the healthiest endpoint that will accept a call right now:
     /// first closed breaker in list order, else first half-open breaker
     /// willing to probe.

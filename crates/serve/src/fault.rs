@@ -43,8 +43,6 @@ pub struct Faults {
     /// Probability (per mille) that a server→client frame is cut short:
     /// the proxy forwards half the frame and drops the connection.
     drop_midframe_permille: AtomicU32,
-    /// Added latency before each forwarded chunk, in microseconds.
-    chunk_delay_us: AtomicU64,
 
     // Observability for assertions.
     connections_refused: AtomicU64,
@@ -74,20 +72,12 @@ impl Faults {
         self.drop_midframe_permille.store(pm, Ordering::Release);
     }
 
-    pub fn set_chunk_delay(&self, delay: Duration) {
-        self.chunk_delay_us.store(
-            delay.as_micros().min(u64::MAX as u128) as u64,
-            Ordering::Release,
-        );
-    }
-
     /// Clear every fault at once (traffic becomes transparent again).
     pub fn clear(&self) {
         self.set_refuse_connections(false);
         self.set_stall(false);
         self.corrupt_permille.store(0, Ordering::Release);
         self.drop_midframe_permille.store(0, Ordering::Release);
-        self.chunk_delay_us.store(0, Ordering::Release);
     }
 
     pub fn connections_refused(&self) -> u64 {
@@ -114,13 +104,6 @@ impl Faults {
     fn wait_out_stall(&self) {
         while self.stalled() {
             std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    fn apply_chunk_delay(&self) {
-        let us = self.chunk_delay_us.load(Ordering::Acquire);
-        if us > 0 {
-            std::thread::sleep(Duration::from_micros(us));
         }
     }
 }
@@ -252,7 +235,6 @@ fn pump_raw(mut from: TcpStream, mut to: TcpStream, faults: &Faults) {
         match from.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                faults.apply_chunk_delay();
                 if to.write_all(&buf[..n]).is_err() {
                     break;
                 }
@@ -284,7 +266,6 @@ fn pump_frames(mut from: TcpStream, mut to: TcpStream, faults: &Faults, mut rng:
         if !read_exact_patient(&mut from, &mut payload, faults) {
             break;
         }
-        faults.apply_chunk_delay();
 
         let cut_pm = faults.drop_midframe_permille.load(Ordering::Acquire) as u64;
         if cut_pm > 0 && rng.below(1000) < cut_pm {

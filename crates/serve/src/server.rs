@@ -47,10 +47,6 @@ pub struct ServeConfig {
     /// blocking): a peer that stops reading its responses has its
     /// connection cut after this long instead of holding it forever.
     pub write_timeout: Option<std::time::Duration>,
-    /// Per-request frame ceiling; frames declaring more are refused with
-    /// a typed `FrameTooLarge` error before any payload is read. Clamped
-    /// by the protocol-wide [`crate::protocol::MAX_FRAME_LEN`].
-    pub max_request_frame: usize,
     /// Most requests one connection may have in flight (reserved in its
     /// outbox but not yet taken for sending). The connection reader
     /// stalls at the ceiling, which backpressures a pipelining client
@@ -69,7 +65,6 @@ impl Default for ServeConfig {
             handler_delay: None,
             frame_timeout: Some(std::time::Duration::from_secs(10)),
             write_timeout: Some(std::time::Duration::from_secs(10)),
-            max_request_frame: crate::protocol::MAX_FRAME_LEN,
             pipeline_depth: 128,
         }
     }
@@ -133,12 +128,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-request frame ceiling in bytes.
-    pub fn max_request_frame(mut self, bytes: usize) -> Self {
-        self.config.max_request_frame = bytes;
-        self
-    }
-
     /// Most requests one connection may have in flight at once.
     pub fn pipeline_depth(mut self, depth: usize) -> Self {
         self.config.pipeline_depth = depth;
@@ -164,14 +153,6 @@ impl ServeConfigBuilder {
             return Err(FsError::InvalidArgument(
                 "serve config needs a positive max batch".into(),
             ));
-        }
-        if self.config.max_request_frame == 0
-            || self.config.max_request_frame > crate::protocol::MAX_FRAME_LEN
-        {
-            return Err(FsError::InvalidArgument(format!(
-                "max_request_frame must be in 1..={}",
-                crate::protocol::MAX_FRAME_LEN
-            )));
         }
         if self.config.pipeline_depth == 0 {
             return Err(FsError::InvalidArgument(

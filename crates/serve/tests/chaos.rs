@@ -53,7 +53,6 @@ fn fast_client_config() -> ClientConfig {
         read_timeout: Some(Duration::from_millis(500)),
         write_timeout: Some(Duration::from_millis(500)),
         deadline_budget: None,
-        ..ClientConfig::default()
     }
 }
 

@@ -71,7 +71,6 @@ fn connect(addr: SocketAddr) -> Option<FeatureClient> {
             read_timeout: Some(Duration::from_millis(500)),
             write_timeout: Some(Duration::from_millis(500)),
             deadline_budget: None,
-            ..ClientConfig::default()
         },
     )
     .ok()

@@ -50,7 +50,6 @@ impl Default for ControlPlaneConfig {
                 read_timeout: Some(Duration::from_millis(250)),
                 write_timeout: Some(Duration::from_millis(250)),
                 deadline_budget: None,
-                ..ClientConfig::default()
             },
         }
     }

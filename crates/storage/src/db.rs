@@ -7,32 +7,23 @@
 //!   ([`OfflineDb::snapshot`] / [`OfflineDb::read`]) and then scan, join, and
 //!   profile entirely lock-free — a concurrent publication never blocks them
 //!   and never mutates the rows they are looking at;
-//! * **writers** run inside [`OfflineDb::write`], which serializes them on a
-//!   narrow mutex, applies the mutation to a private working copy, and
-//!   publishes the result as the next snapshot (bumping the [`ReadEpoch`])
-//!   only if it succeeded.
+//! * **writers** run inside [`OfflineDb::write`], which forwards to
+//!   [`SnapshotCell::write`]: under the cell's writer mutex it clones the
+//!   current snapshot, applies the mutation to the clone, and publishes the
+//!   result as the next snapshot (bumping the [`ReadEpoch`]) only if it
+//!   succeeded. There is no working copy beside the published snapshot.
 //!
 //! Because [`OfflineStore`] shares its tables and sealed segments via `Arc`
-//! internally, the publish step is O(#tables) pointer bumps — not a data
-//! copy.
+//! internally, that clone is O(#tables) pointer bumps — not a data copy.
 
 use crate::offline::OfflineStore;
 use fstore_common::{ReadEpoch, Result, SnapshotCell, Versioned};
-use parking_lot::Mutex;
 use std::sync::Arc;
-
-struct Inner {
-    /// The writer's working copy. Mutations happen here first; the mutex
-    /// serializes writers and is never held by readers.
-    writer: Mutex<OfflineStore>,
-    /// The published snapshot readers resolve from.
-    cell: SnapshotCell<OfflineStore>,
-}
 
 /// Cheaply clonable shared handle to an epoch-versioned offline store.
 #[derive(Clone)]
 pub struct OfflineDb {
-    inner: Arc<Inner>,
+    cell: Arc<SnapshotCell<OfflineStore>>,
 }
 
 impl OfflineDb {
@@ -45,47 +36,34 @@ impl OfflineDb {
     /// as epoch zero.
     pub fn from_store(store: OfflineStore) -> Self {
         OfflineDb {
-            inner: Arc::new(Inner {
-                cell: SnapshotCell::new(store.clone()),
-                writer: Mutex::new(store),
-            }),
+            cell: Arc::new(SnapshotCell::new(store)),
         }
     }
 
     /// Resolve the current snapshot. Lock-free after one brief `Arc` clone;
     /// hold it for as long as the read needs a consistent view.
     pub fn snapshot(&self) -> Arc<OfflineStore> {
-        self.inner.cell.load()
+        self.cell.load()
     }
 
     /// Resolve the current snapshot together with its publication epoch.
     pub fn read(&self) -> Versioned<OfflineStore> {
-        self.inner.cell.read()
+        self.cell.read()
     }
 
     /// The epoch of the most recent publication.
     pub fn epoch(&self) -> ReadEpoch {
-        self.inner.cell.epoch()
+        self.cell.epoch()
     }
 
     /// Run a mutation and publish the result as the next snapshot.
     ///
-    /// The closure gets exclusive access to the writer's working copy; on
-    /// `Ok` the copy is published (epoch bumps by one), on `Err` the working
-    /// copy is rolled back to the last published snapshot so failed mutations
-    /// are all-or-nothing and never leak into later publications.
+    /// The closure gets exclusive access to a clone of the current snapshot;
+    /// on `Ok` the clone is published (epoch bumps by one), on `Err` it is
+    /// dropped, so failed mutations are all-or-nothing and never leak into
+    /// later publications.
     pub fn write<R>(&self, f: impl FnOnce(&mut OfflineStore) -> Result<R>) -> Result<R> {
-        let mut store = self.inner.writer.lock();
-        match f(&mut store) {
-            Ok(out) => {
-                self.inner.cell.publish(store.clone());
-                Ok(out)
-            }
-            Err(e) => {
-                *store = (*self.inner.cell.load()).clone();
-                Err(e)
-            }
-        }
+        self.cell.write(f).map(|(out, _)| out)
     }
 
     /// Observe every publication, alongside the existing observers (a
@@ -95,55 +73,25 @@ impl OfflineDb {
         &self,
         hook: impl Fn(&Versioned<OfflineStore>) + Send + Sync + 'static,
     ) {
-        self.inner.cell.add_publish_hook(hook);
-    }
-
-    /// How many recent publications the handle retains for
-    /// [`at_epoch`](Self::at_epoch) (default
-    /// [`fstore_common::snapshot::DEFAULT_HISTORY_DEPTH`]).
-    pub fn set_history_depth(&self, depth: usize) {
-        self.inner.cell.set_history_depth(depth);
-    }
-
-    /// Recent publications, oldest to newest — lets a skew monitor diff the
-    /// epoch a trainer saw against the one serving sees.
-    pub fn history(&self) -> Vec<Versioned<OfflineStore>> {
-        self.inner.cell.history()
-    }
-
-    /// The snapshot published at exactly `epoch`, if still retained.
-    pub fn at_epoch(&self, epoch: ReadEpoch) -> Option<Versioned<OfflineStore>> {
-        self.inner.cell.at_epoch(epoch)
+        self.cell.add_publish_hook(hook);
     }
 
     /// Replication: run a mutation and publish the result at the explicit
     /// (leader-dictated) `epoch` instead of minting the next local one, so a
-    /// follower's responses echo exactly the leader's epochs. On `Err` the
-    /// working copy rolls back and nothing is published.
+    /// follower's responses echo exactly the leader's epochs. On `Err`
+    /// nothing is published.
     pub fn apply_replica<R>(
         &self,
         epoch: ReadEpoch,
         f: impl FnOnce(&mut OfflineStore) -> Result<R>,
     ) -> Result<R> {
-        let mut store = self.inner.writer.lock();
-        match f(&mut store) {
-            Ok(out) => {
-                self.inner.cell.restore(store.clone(), epoch);
-                Ok(out)
-            }
-            Err(e) => {
-                *store = (*self.inner.cell.load()).clone();
-                Err(e)
-            }
-        }
+        self.cell.write_at(epoch, f).map(|(out, _)| out)
     }
 
     /// Replication: adopt `store` wholesale as the snapshot at `epoch`
     /// (follower bootstrap / full-snapshot fallback).
     pub fn restore(&self, store: OfflineStore, epoch: ReadEpoch) {
-        let mut writer = self.inner.writer.lock();
-        *writer = store.clone();
-        self.inner.cell.restore(store, epoch);
+        self.cell.restore(store, epoch);
     }
 }
 
@@ -166,6 +114,7 @@ mod tests {
     use super::*;
     use crate::offline::{ScanRequest, TableConfig};
     use fstore_common::{FsError, Schema, Value, ValueType};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     fn int_table() -> TableConfig {
@@ -203,8 +152,8 @@ mod tests {
         assert_eq!(db.epoch(), epoch, "failed write must not bump the epoch");
         assert_eq!(db.snapshot().num_rows("t").unwrap(), 0);
 
-        // The working copy was rolled back too: the next successful write
-        // does not resurrect the aborted row.
+        // The aborted clone is gone: the next successful write does not
+        // resurrect its row.
         db.write(|s| s.append("t", &[Value::Int(8)])).unwrap();
         let vals = db
             .snapshot()
@@ -240,6 +189,36 @@ mod tests {
         assert_eq!(db.epoch(), ReadEpoch(9));
         assert!(db.snapshot().num_rows("t").is_err());
         assert_eq!(db.snapshot().num_rows("u").unwrap(), 0);
+    }
+
+    #[test]
+    fn failed_replica_apply_publishes_nothing() {
+        let db = OfflineDb::new();
+        db.apply_replica(ReadEpoch(3), |s| s.create_table("t", int_table()))
+            .unwrap();
+        let hooked = Arc::new(AtomicUsize::new(0));
+        {
+            let hooked = Arc::clone(&hooked);
+            db.add_publish_hook(move |_| {
+                hooked.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+
+        let err = db.apply_replica(ReadEpoch(4), |s| {
+            s.append("t", &[Value::Int(7)])?; // partial mutation...
+            s.append("t", &[Value::Str("not an int".into())])
+        });
+        assert!(err.is_err());
+        assert_eq!(db.epoch(), ReadEpoch(3), "failed apply must not publish");
+        assert_eq!(db.snapshot().num_rows("t").unwrap(), 0);
+        assert_eq!(hooked.load(Ordering::Relaxed), 0);
+
+        // Redelivery of the same delta applies cleanly on the old state.
+        db.apply_replica(ReadEpoch(4), |s| s.append("t", &[Value::Int(7)]))
+            .unwrap();
+        assert_eq!(db.epoch(), ReadEpoch(4));
+        assert_eq!(db.snapshot().num_rows("t").unwrap(), 1);
+        assert_eq!(hooked.load(Ordering::Relaxed), 1);
     }
 
     #[test]

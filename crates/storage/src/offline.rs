@@ -47,7 +47,7 @@ impl TableConfig {
     }
 }
 
-/// Sealed segments are shared (`Arc`) between the writer's working copy and
+/// Sealed segments are shared (`Arc`) between a writer's clone and
 /// every published snapshot; cloning a partition is O(#segments) pointer
 /// bumps plus — only when a snapshot still references the open builder — one
 /// copy-on-write clone of the open rows (bounded by `segment_rows`).

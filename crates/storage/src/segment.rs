@@ -40,10 +40,6 @@ impl Segment {
         &self.columns[idx]
     }
 
-    pub fn column_by_name(&self, name: &str) -> Option<&Column> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
-    }
-
     pub fn zone_map(&self, idx: usize) -> &ZoneMap {
         &self.zone_maps[idx]
     }

@@ -77,10 +77,6 @@ impl StreamAggregator {
         self.events_seen
     }
 
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
-    }
-
     /// Ingest one event; returns any windows the advancing watermark closed.
     pub fn push(&mut self, event: &Event) -> Vec<WindowEmit> {
         self.events_seen += 1;

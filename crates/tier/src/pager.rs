@@ -33,6 +33,13 @@ use std::sync::Condvar;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
+/// Demotion starts when resident bytes exceed `HIGH_WATERMARK × budget` …
+const HIGH_WATERMARK: f64 = 0.85;
+/// … and stops once they are under `LOW_WATERMARK × budget`.
+const LOW_WATERMARK: f64 = 0.60;
+/// Shards in the block cache.
+const CACHE_SHARDS: usize = 8;
+
 /// Residency policy knobs.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
@@ -42,26 +49,15 @@ pub struct TierConfig {
     pub budget_bytes: u64,
     /// Target payload bytes per segment block (one fault's granularity).
     pub block_bytes: usize,
-    /// Demotion starts when resident bytes exceed `high_watermark ×
-    /// budget` …
-    pub high_watermark: f64,
-    /// … and stops once they are under `low_watermark × budget`.
-    pub low_watermark: f64,
-    /// Shards in the block cache.
-    pub cache_shards: usize,
 }
 
 impl TierConfig {
-    /// Defaults: 64 KiB blocks, demote above 85% of budget down to 60%,
-    /// 8 cache shards.
+    /// Defaults: 64 KiB blocks.
     pub fn new(dir: impl Into<PathBuf>, budget_bytes: u64) -> TierConfig {
         TierConfig {
             dir: dir.into(),
             budget_bytes,
             block_bytes: 64 * 1024,
-            high_watermark: 0.85,
-            low_watermark: 0.60,
-            cache_shards: 8,
         }
     }
 }
@@ -331,8 +327,8 @@ impl TierInner {
     fn demote_pass(&self) -> Result<usize> {
         let _guard = self.pass_lock.lock();
         let budget = self.config.budget_bytes;
-        let high = (budget as f64 * self.config.high_watermark) as u64;
-        let low = (budget as f64 * self.config.low_watermark) as u64;
+        let high = (budget as f64 * HIGH_WATERMARK) as u64;
+        let low = (budget as f64 * LOW_WATERMARK) as u64;
 
         let store = self.db.snapshot();
         let pinned = self.pin_set(&store);
@@ -426,18 +422,9 @@ impl TieredEmbeddings {
     /// Attach tiering to `db`: creates the segment directory, registers a
     /// publish hook, and starts the background demoter.
     pub fn attach(db: &EmbeddingDb, config: TierConfig) -> Result<TieredEmbeddings> {
-        if !(0.0..=1.0).contains(&config.low_watermark)
-            || !(0.0..=1.0).contains(&config.high_watermark)
-            || config.low_watermark > config.high_watermark
-        {
-            return Err(FsError::InvalidArgument(format!(
-                "bad tier watermarks: low {} high {}",
-                config.low_watermark, config.high_watermark
-            )));
-        }
         std::fs::create_dir_all(&config.dir)
             .map_err(|e| FsError::Storage(format!("create {}: {e}", config.dir.display())))?;
-        let cache = Arc::new(BlockCache::new(config.budget_bytes, config.cache_shards));
+        let cache = Arc::new(BlockCache::new(config.budget_bytes, CACHE_SHARDS));
         let stats = Arc::new(TierStats::new(Arc::clone(&cache), config.budget_bytes));
         let inner = Arc::new(TierInner {
             db: db.clone(),

@@ -141,3 +141,57 @@ fn tcp_serving_is_byte_identical_with_working_set_over_budget() {
     handle.shutdown();
     tier.shutdown();
 }
+
+/// Demotion frees what it spills. Once no reader holds the snapshot taken
+/// before a pass, neither that snapshot nor the resident table of a version
+/// the pass spilled stays alive: the db keeps only its current snapshot, so
+/// no retained history pins bytes outside the tier's accounting.
+#[test]
+fn demotion_leaves_no_superseded_snapshot_alive() {
+    let db = EmbeddingDb::new();
+    // 3 versions × 4 KiB against a 10 KiB budget: the pass spills v1 and
+    // v2 (two publications), and keeps the latest resident.
+    for version in 1..=3 {
+        db.publish(
+            "emb",
+            table_for(version),
+            EmbeddingProvenance::default(),
+            Timestamp::millis(i64::from(version)),
+        )
+        .unwrap();
+    }
+    let before = db.read().value;
+    let snapshot = Arc::downgrade(&before);
+    let cold: Vec<_> = before
+        .iter_versions()
+        .filter(|v| v.version < 3)
+        .map(Arc::downgrade)
+        .collect();
+    drop(before);
+
+    let mut config = TierConfig::new(tmp_dir("weak"), BUDGET);
+    config.block_bytes = 512;
+    let tier = TieredEmbeddings::attach(&db, config).unwrap();
+    tier.demote_now().unwrap();
+    let after = db.snapshot();
+    assert!(after.get("emb", 1).unwrap().table.is_spilled());
+    assert!(after.get("emb", 2).unwrap().table.is_spilled());
+    assert!(!after.latest("emb").unwrap().table.is_spilled());
+    assert_eq!(tier.stats().snapshot().spilled_versions, 2);
+
+    assert!(
+        snapshot.upgrade().is_none(),
+        "a superseded snapshot outlived its last reader"
+    );
+    // Each demotion published once; the snapshot between the two still
+    // held v2's resident table, so this also fails if any one superseded
+    // snapshot is kept.
+    assert_eq!(cold.len(), 2);
+    for version in &cold {
+        assert!(
+            version.upgrade().is_none(),
+            "a demoted version's resident table is still alive"
+        );
+    }
+    tier.shutdown();
+}
