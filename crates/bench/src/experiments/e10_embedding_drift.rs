@@ -62,11 +62,10 @@ pub fn run(quick: bool) -> Result<()> {
     let tabular: Vec<DriftMonitor> = (0..DIMS)
         .map(|d| {
             let col: Vec<f64> = reference.iter().map(|v| v[d]).collect();
-            DriftMonitor::fit(format!("dim{d}"), &col, adjusted)
+            DriftMonitor::fit(&col, adjusted)
         })
         .collect::<Result<_>>()?;
-    let embedding =
-        EmbeddingDriftMonitor::fit("emb", &reference, EmbeddingDriftThresholds::default())?;
+    let embedding = EmbeddingDriftMonitor::fit(&reference, EmbeddingDriftThresholds::default())?;
 
     let scenarios: Vec<(&str, Vec<Vec<f64>>)> = vec![
         ("no drift (null case)", sample(n, false, false, 0.0, 2)),

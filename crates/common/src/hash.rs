@@ -62,7 +62,7 @@ impl Hasher for FxHasher64 {
 }
 
 /// `BuildHasher` for [`FxHasher64`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// Drop-in `HashMap` with the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;

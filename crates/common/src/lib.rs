@@ -11,22 +11,24 @@
 //! Nothing in this crate knows about features, embeddings, or stores — it is
 //! the bottom layer of the dependency graph in `DESIGN.md §1`.
 
+#![warn(unreachable_pub)]
+
 pub mod crc;
-pub mod error;
+mod error;
 pub mod hash;
-pub mod repl;
+mod repl;
 pub mod rng;
-pub mod schema;
-pub mod snapshot;
+mod schema;
+mod snapshot;
 pub mod stats;
 pub mod time;
-pub mod value;
-pub mod vector;
+mod value;
+mod vector;
 
 pub use crc::{crc32, crc32_update};
 pub use error::{FsError, Result};
 pub use repl::{ComponentKind, DeltaQuery, DeltaRecord, PubLog, DEFAULT_LOG_RETENTION};
-pub use rng::{Rng, SplitMix64, Xoshiro256, Zipf};
+pub use rng::{Rng, Xoshiro256, Zipf};
 pub use schema::{FieldDef, Schema};
 pub use snapshot::{ReadEpoch, SnapshotCell, Versioned};
 pub use time::{Date, Duration, SimClock, Timestamp};

@@ -59,7 +59,7 @@ impl ComponentKind {
         }
     }
 
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ComponentKind::Offline => "offline",
             ComponentKind::Embeddings => "embeddings",

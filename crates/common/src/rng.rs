@@ -206,25 +206,21 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Probability mass of `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - lo
-    }
-
     /// Draw a rank in `[0, n)`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u = rng.next_f64();
         // partition_point returns the first index whose cdf >= u.
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+    }
+}
+
+#[cfg(test)]
+impl Zipf {
+    /// Probability mass of `rank`: the reference the tests check `sample`
+    /// against.
+    fn pmf(&self, rank: usize) -> f64 {
+        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+        self.cdf[rank] - lo
     }
 }
 

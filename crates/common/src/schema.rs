@@ -121,13 +121,6 @@ impl Schema {
         Ok(())
     }
 
-    /// A new schema with `extra` fields appended (fails on name clashes).
-    pub fn extend(&self, extra: Vec<FieldDef>) -> Result<Schema> {
-        let mut fields = self.fields.to_vec();
-        fields.extend(extra);
-        Schema::new(fields)
-    }
-
     /// Project to a subset of columns, in the given order.
     pub fn project(&self, names: &[&str]) -> Result<Schema> {
         let fields = names
@@ -200,20 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_project() {
+    fn project_selects_in_order() {
         let s = demo();
-        let s2 = s
-            .extend(vec![FieldDef::new("label", ValueType::Bool)])
-            .unwrap();
-        assert_eq!(s2.len(), 4);
-        assert!(s2
-            .extend(vec![FieldDef::new("trips", ValueType::Int)])
-            .is_err());
-
-        let p = s2.project(&["label", "user_id"]).unwrap();
-        assert_eq!(p.fields()[0].name, "label");
+        let p = s.project(&["rating", "user_id"]).unwrap();
+        assert_eq!(p.fields()[0].name, "rating");
         assert_eq!(p.fields()[1].name, "user_id");
-        assert!(s2.project(&["ghost"]).is_err());
+        assert!(s.project(&["ghost"]).is_err());
     }
 
     #[test]

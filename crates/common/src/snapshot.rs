@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// leader's publication stream is one, a test observer another); they run in
 /// registration order under the cell's writer mutex (publication order ==
 /// callback order) and must not publish back into the same cell.
-pub type PublishHook<T> = Box<dyn Fn(&Versioned<T>) + Send + Sync>;
+pub(crate) type PublishHook<T> = Box<dyn Fn(&Versioned<T>) + Send + Sync>;
 
 /// A monotone publication counter. Epoch `0` is the state a cell was
 /// constructed with; every successful publication increments it by one.
@@ -56,7 +56,7 @@ impl ReadEpoch {
     }
 
     /// The epoch the *next* publication will be stamped with.
-    pub fn next(self) -> ReadEpoch {
+    pub(crate) fn next(self) -> ReadEpoch {
         ReadEpoch(self.0 + 1)
     }
 }
@@ -94,9 +94,8 @@ impl<T> Clone for Versioned<T> {
 /// * Readers call [`load`](Self::load) or [`read`](Self::read); both take the
 ///   internal lock only long enough to clone an `Arc` and never block on a
 ///   writer building a new snapshot.
-/// * Writers call [`publish`](Self::publish) to swap in a fully built value,
-///   [`update`](Self::update) to build a replacement from the current
-///   snapshot, or [`write`](Self::write) / [`write_at`](Self::write_at) to
+/// * Writers call [`update`](Self::update) to build a replacement from the
+///   current snapshot, or [`write`](Self::write) / [`write_at`](Self::write_at) to
 ///   mutate a clone of it and publish only on success. Writers are
 ///   serialized on a dedicated mutex, so every writer starts from the latest
 ///   published value.
@@ -150,14 +149,6 @@ impl<T> SnapshotCell<T> {
         ReadEpoch(self.epoch.load(Ordering::Acquire))
     }
 
-    /// Publish a fully built snapshot, returning the epoch it was stamped
-    /// with. Readers that resolved the previous snapshot keep it; new readers
-    /// see the new one.
-    pub fn publish(&self, value: T) -> ReadEpoch {
-        let _writer = self.writer.lock();
-        self.install(value, None)
-    }
-
     /// Read-copy-update: build a replacement snapshot from the current one
     /// and publish it, all under the writer mutex. The closure receives the
     /// current snapshot and the epoch the replacement *will* be published at
@@ -170,7 +161,7 @@ impl<T> SnapshotCell<T> {
     }
 
     /// Install an observer fired after every publication (see
-    /// [`PublishHook`]), alongside the ones already registered. Hooks fire
+    /// `PublishHook`), alongside the ones already registered. Hooks fire
     /// in registration order and cannot be removed, so no caller can unhook
     /// another's observer (a leader's publication stream taps in here).
     pub fn add_publish_hook(&self, hook: impl Fn(&Versioned<T>) + Send + Sync + 'static) {
@@ -265,14 +256,19 @@ mod tests {
     use super::*;
     use std::thread;
 
+    /// Swap in a fully built value (through the read-copy-update path).
+    fn publish<T>(cell: &SnapshotCell<T>, value: T) -> ReadEpoch {
+        cell.update(|_, _| (value, ())).0
+    }
+
     #[test]
     fn starts_at_epoch_zero_and_ticks_on_publish() {
         let cell = SnapshotCell::new(10u32);
         assert_eq!(cell.epoch(), ReadEpoch::ZERO);
         assert_eq!(*cell.load(), 10);
 
-        assert_eq!(cell.publish(11), ReadEpoch(1));
-        assert_eq!(cell.publish(12), ReadEpoch(2));
+        assert_eq!(publish(&cell, 11), ReadEpoch(1));
+        assert_eq!(publish(&cell, 12), ReadEpoch(2));
         assert_eq!(cell.epoch(), ReadEpoch(2));
         assert_eq!(*cell.load(), 12);
     }
@@ -285,7 +281,7 @@ mod tests {
             // Value was constructed to equal the epoch it was published at.
             assert_eq!(*v.value, v.epoch.as_u64());
             let e = cell.epoch();
-            cell.publish(e.as_u64() + 1);
+            publish(&cell, e.as_u64() + 1);
         }
     }
 
@@ -293,7 +289,7 @@ mod tests {
     fn old_snapshots_survive_publication() {
         let cell = SnapshotCell::new(vec![1, 2, 3]);
         let old = cell.load();
-        cell.publish(vec![9]);
+        publish(&cell, vec![9]);
         assert_eq!(*old, vec![1, 2, 3]);
         assert_eq!(*cell.load(), vec![9]);
     }
@@ -360,17 +356,17 @@ mod tests {
     #[test]
     fn a_superseded_snapshot_is_freed_once_its_readers_drop_it() {
         let cell = SnapshotCell::new(vec![0u8; 1024]);
-        cell.publish(vec![1u8; 1024]);
+        publish(&cell, vec![1u8; 1024]);
         let reader = cell.load();
         let weak = Arc::downgrade(&reader);
-        cell.publish(vec![2u8; 1024]);
+        publish(&cell, vec![2u8; 1024]);
         assert!(weak.upgrade().is_some(), "a reader keeps its snapshot");
         drop(reader);
         assert!(
             weak.upgrade().is_none(),
             "the cell keeps only its current snapshot"
         );
-        cell.publish(vec![3u8; 1024]);
+        publish(&cell, vec![3u8; 1024]);
         assert!(weak.upgrade().is_none());
     }
 
@@ -382,7 +378,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             cell.add_publish_hook(move |v| seen.lock().push((v.epoch.as_u64(), *v.value)));
         }
-        cell.publish(10);
+        publish(&cell, 10);
         cell.update(|cur, _| (cur + 1, ()));
         cell.restore(20, ReadEpoch(5));
         assert_eq!(*seen.lock(), vec![(1, 10), (2, 11), (5, 20)]);
@@ -396,7 +392,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             cell.add_publish_hook(move |v| seen.lock().push((tag, v.epoch.as_u64())));
         }
-        cell.publish(1);
+        publish(&cell, 1);
         assert_eq!(*seen.lock(), vec![("repl", 1), ("durable", 1)]);
 
         // A later hook joins the set; it never replaces the earlier ones.
@@ -404,7 +400,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             cell.add_publish_hook(move |v| seen.lock().push(("late", v.epoch.as_u64())));
         }
-        cell.publish(2);
+        publish(&cell, 2);
         assert_eq!(seen.lock()[2..], [("repl", 2), ("durable", 2), ("late", 2)]);
     }
 
@@ -422,7 +418,7 @@ mod tests {
         assert_eq!(cell.epoch(), ReadEpoch(7));
         assert_eq!(*cell.load(), 9);
         // Ordinary publication resumes from the restored epoch.
-        assert_eq!(cell.publish(1), ReadEpoch(8));
+        assert_eq!(publish(&cell, 1), ReadEpoch(8));
     }
 
     #[test]

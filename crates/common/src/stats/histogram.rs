@@ -1,4 +1,4 @@
-//! Fixed-range histograms used for PSI/chi-square drift tests and feature
+//! Fixed-range histograms used for PSI drift tests and feature
 //! distribution profiles.
 
 use crate::error::{FsError, Result};
@@ -17,7 +17,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Result<Self> {
+    pub(crate) fn new(lo: f64, hi: f64, buckets: usize) -> Result<Self> {
         if !(lo.is_finite() && hi.is_finite()) || lo >= hi {
             return Err(FsError::InvalidArgument(format!(
                 "bad histogram range [{lo}, {hi})"
@@ -64,7 +64,7 @@ impl Histogram {
         Ok(h)
     }
 
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         self.total += 1;
         if x.is_nan() || x < self.lo {
             self.underflow += 1;
@@ -96,22 +96,10 @@ impl Histogram {
         }
     }
 
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
-    }
-
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    pub fn count(&self, bucket: usize) -> u64 {
-        self.counts[bucket]
-    }
-
     /// Counts including the under/overflow sentinel buckets, in the order
-    /// `[underflow, b0, b1, …, overflow]`. This is the vector the PSI and
-    /// chi-square tests consume.
-    pub fn counts_with_tails(&self) -> Vec<u64> {
+    /// `[underflow, b0, b1, …, overflow]`. This is the vector the PSI test
+    /// consumes.
+    pub(crate) fn counts_with_tails(&self) -> Vec<u64> {
         let mut v = Vec::with_capacity(self.counts.len() + 2);
         v.push(self.underflow);
         v.extend_from_slice(&self.counts);
@@ -128,19 +116,15 @@ impl Histogram {
             .map(|&c| (c as f64 / n).max(eps))
             .collect()
     }
-
-    pub fn bucket_edges(&self, bucket: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (
-            self.lo + bucket as f64 * w,
-            self.lo + (bucket + 1) as f64 * w,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn total(h: &Histogram) -> u64 {
+        h.counts_with_tails().iter().sum()
+    }
 
     #[test]
     fn rejects_degenerate_construction() {
@@ -155,10 +139,7 @@ mod tests {
     fn buckets_values_in_range() {
         let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
         h.add_all(&[0.0, 1.9, 2.0, 9.9]);
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(4), 1);
-        assert_eq!(h.total(), 4);
+        assert_eq!(h.counts_with_tails(), vec![0, 2, 1, 0, 0, 1, 0]);
     }
 
     #[test]
@@ -168,7 +149,7 @@ mod tests {
         let tails = h.counts_with_tails();
         assert_eq!(tails[0], 2); // -5 and NaN underflow
         assert_eq!(*tails.last().unwrap(), 2); // 2.0 and +inf overflow
-        assert_eq!(h.total(), 5);
+        assert_eq!(total(&h), 5);
     }
 
     #[test]
@@ -177,25 +158,28 @@ mod tests {
         let h = Histogram::fit(&data, 8).unwrap();
         assert_eq!(h.counts_with_tails()[0], 0);
         assert_eq!(*h.counts_with_tails().last().unwrap(), 0);
-        assert_eq!(h.total(), 100);
+        assert_eq!(total(&h), 100);
     }
 
     #[test]
     fn fit_constant_data() {
         let h = Histogram::fit(&[3.0, 3.0, 3.0], 4).unwrap();
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.counts_with_tails().iter().sum::<u64>(), 3);
+        assert_eq!(total(&h), 3);
     }
 
     #[test]
     fn empty_like_shares_geometry() {
-        let h = Histogram::fit(&[0.0, 10.0], 5).unwrap();
+        let mut h = Histogram::fit(&[0.0, 10.0], 5).unwrap();
         let mut e = h.empty_like();
-        assert_eq!(e.total(), 0);
-        e.add(5.0);
-        assert_eq!(e.total(), 1);
-        assert_eq!(e.buckets(), h.buckets());
-        assert_eq!(e.bucket_edges(0), h.bucket_edges(0));
+        assert_eq!(total(&e), 0);
+        for x in [-1.0, 1.9, 2.1, 5.0, 11.0] {
+            h.add(x);
+            e.add(x);
+        }
+        let (mut hc, ec) = (h.counts_with_tails(), e.counts_with_tails());
+        hc[1] -= 1; // the fitted 0.0
+        hc[5] -= 1; // the fitted 10.0
+        assert_eq!(hc, ec);
     }
 
     #[test]

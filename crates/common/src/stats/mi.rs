@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// How to discretize a continuous column before computing MI.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscretizeSpec {
-    pub bins: usize,
+    pub(crate) bins: usize,
 }
 
 impl Default for DiscretizeSpec {
@@ -54,7 +54,7 @@ pub fn discretize_equal_width(xs: &[f64], spec: DiscretizeSpec) -> Result<Vec<us
 }
 
 /// Shannon entropy (nats) of a discrete sample.
-pub fn entropy(labels: &[usize]) -> f64 {
+pub(crate) fn entropy(labels: &[usize]) -> f64 {
     if labels.is_empty() {
         return 0.0;
     }
@@ -73,7 +73,7 @@ pub fn entropy(labels: &[usize]) -> f64 {
 }
 
 /// Mutual information (nats) between two aligned discrete samples.
-pub fn mutual_information(a: &[usize], b: &[usize]) -> Result<f64> {
+pub(crate) fn mutual_information(a: &[usize], b: &[usize]) -> Result<f64> {
     if a.len() != b.len() {
         return Err(FsError::InvalidArgument(format!(
             "MI requires aligned samples ({} vs {})",

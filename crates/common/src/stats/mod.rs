@@ -2,21 +2,16 @@
 //! monitors (E10): streaming moments, histograms, quantile sketches,
 //! two-sample tests, correlation, and mutual information.
 
-pub mod corr;
-pub mod histogram;
-pub mod mi;
-pub mod moments;
-pub mod quantile;
-pub mod two_sample;
+pub(crate) mod corr;
+pub(crate) mod histogram;
+pub(crate) mod mi;
+pub(crate) mod moments;
+pub(crate) mod quantile;
+pub(crate) mod two_sample;
 
 pub use corr::{pearson, spearman};
 pub use histogram::Histogram;
-pub use mi::{
-    discretize_equal_width, entropy, mutual_information, normalized_mutual_information,
-    DiscretizeSpec,
-};
+pub use mi::{discretize_equal_width, normalized_mutual_information, DiscretizeSpec};
 pub use moments::OnlineMoments;
 pub use quantile::{exact_quantile, P2Quantile};
-pub use two_sample::{
-    chi_square_p_value, chi_square_stat, ks_p_value, ks_statistic, population_stability_index,
-};
+pub use two_sample::{ks_p_value, ks_statistic, population_stability_index};

@@ -35,25 +35,6 @@ impl OnlineMoments {
         self.max = self.max.max(x);
     }
 
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }
@@ -63,7 +44,7 @@ impl OnlineMoments {
     }
 
     /// Population variance (divides by n). Zero for n < 2.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -128,31 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: OnlineMoments = xs.iter().copied().collect();
-        let mut left: OnlineMoments = xs[..37].iter().copied().collect();
-        let right: OnlineMoments = xs[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-10);
-        assert!((left.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut m: OnlineMoments = [1.0, 2.0].into_iter().collect();
-        m.merge(&OnlineMoments::new());
-        assert_eq!(m.count(), 2);
-        let mut e = OnlineMoments::new();
-        e.merge(&m);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn stable_for_large_offsets() {
         // Classic catastrophic-cancellation case: huge mean, tiny variance.
         let m: OnlineMoments = (0..1000).map(|i| 1e9 + (i % 2) as f64).collect();
@@ -175,23 +131,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Any split point gives the same merged statistics as the
-            /// sequential accumulation (parallel-Welford exactness).
-            #[test]
-            fn merge_any_split_equals_sequential(
-                xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
-                split_frac in 0.0f64..1.0,
-            ) {
-                let split = ((xs.len() as f64) * split_frac) as usize;
-                let whole: OnlineMoments = xs.iter().copied().collect();
-                let mut left: OnlineMoments = xs[..split].iter().copied().collect();
-                let right: OnlineMoments = xs[split..].iter().copied().collect();
-                left.merge(&right);
-                prop_assert_eq!(left.count(), whole.count());
-                prop_assert!((left.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-                prop_assert!((left.variance() - whole.variance()).abs() <= 1e-5 * (1.0 + whole.variance()));
-            }
-
             /// Against the naive two-pass formulas.
             #[test]
             fn matches_two_pass(xs in proptest::collection::vec(-1e3f64..1e3, 2..100)) {

@@ -1,5 +1,5 @@
-//! Two-sample divergence statistics: Kolmogorov–Smirnov, Population
-//! Stability Index and chi-square. These are the *tabular* drift detectors
+//! Two-sample divergence statistics: Kolmogorov–Smirnov and Population
+//! Stability Index. These are the *tabular* drift detectors
 //! the paper says feature stores already run (§2.2.3) — and that experiment
 //! E10 shows are blind to embedding-space drift.
 
@@ -82,116 +82,6 @@ pub fn population_stability_index(reference: &[f64], live: &[f64]) -> Result<f64
     Ok(psi)
 }
 
-/// Pearson chi-square statistic comparing observed counts against the
-/// distribution of a reference sample (expected counts are the reference
-/// proportions scaled to the observed total). Categories where both are zero
-/// are skipped. Also returns the degrees of freedom used.
-pub fn chi_square_stat(reference: &[u64], observed: &[u64]) -> Result<(f64, usize)> {
-    if reference.len() != observed.len() || reference.is_empty() {
-        return Err(FsError::InvalidArgument(
-            "chi-square category mismatch".into(),
-        ));
-    }
-    let ref_total: u64 = reference.iter().sum();
-    let obs_total: u64 = observed.iter().sum();
-    if ref_total == 0 || obs_total == 0 {
-        return Err(FsError::InvalidArgument(
-            "chi-square requires non-empty samples".into(),
-        ));
-    }
-    let mut stat = 0.0;
-    let mut dof = 0usize;
-    for (&r, &o) in reference.iter().zip(observed) {
-        if r == 0 && o == 0 {
-            continue;
-        }
-        // Floor expected counts to avoid division blow-ups on empty reference cells.
-        let expected = (r as f64 / ref_total as f64 * obs_total as f64).max(0.5);
-        let diff = o as f64 - expected;
-        stat += diff * diff / expected;
-        dof += 1;
-    }
-    Ok((stat, dof.saturating_sub(1)))
-}
-
-/// Upper-tail probability of a chi-square distribution via the regularized
-/// incomplete gamma function (series + continued fraction, Numerical-Recipes
-/// style). Good to ~1e-8 for the dof ranges monitors use.
-pub fn chi_square_p_value(stat: f64, dof: usize) -> f64 {
-    if dof == 0 {
-        return 1.0;
-    }
-    1.0 - lower_reg_gamma(dof as f64 / 2.0, stat / 2.0)
-}
-
-/// Regularized lower incomplete gamma P(a, x).
-fn lower_reg_gamma(a: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut sum = 1.0 / a;
-        let mut term = sum;
-        let mut n = a;
-        for _ in 0..500 {
-            n += 1.0;
-            term *= x / n;
-            sum += term;
-            if term.abs() < sum.abs() * 1e-14 {
-                break;
-            }
-        }
-        sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-    } else {
-        // Continued fraction for Q(a,x), then P = 1 - Q.
-        let mut b = x + 1.0 - a;
-        let mut c = 1e308;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
-            let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < 1e-300 {
-                d = 1e-300;
-            }
-            c = b + an / c;
-            if c.abs() < 1e-300 {
-                c = 1e-300;
-            }
-            d = 1.0 / d;
-            let del = d * c;
-            h *= del;
-            if (del - 1.0).abs() < 1e-14 {
-                break;
-            }
-        }
-        1.0 - h * (-x + a * x.ln() - ln_gamma(a)).exp()
-    }
-}
-
-/// Lanczos log-gamma.
-pub fn ln_gamma(x: f64) -> f64 {
-    const G: [f64; 6] = [
-        76.180_091_729_471_46,
-        -86.505_320_329_416_77,
-        24.014_098_240_830_91,
-        -1.231_739_572_450_155,
-        0.120_865_097_386_617_7e-2,
-        -0.539_523_938_495_3e-5,
-    ];
-    let mut y = x;
-    let tmp = x + 5.5;
-    let tmp = tmp - (x + 0.5) * tmp.ln();
-    let mut ser = 1.000_000_000_190_015;
-    for g in G {
-        y += 1.0;
-        ser += g / y;
-    }
-    -tmp + (2.506_628_274_631_000_5 * ser / x).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,46 +137,5 @@ mod tests {
     fn psi_input_validation() {
         assert!(population_stability_index(&[0.5, 0.5], &[1.0]).is_err());
         assert!(population_stability_index(&[0.0, 1.0], &[0.5, 0.5]).is_err());
-    }
-
-    #[test]
-    fn chi_square_null_vs_shift() {
-        let reference = vec![100u64, 100, 100, 100];
-        let same = vec![95u64, 105, 102, 98];
-        let shifted = vec![10u64, 20, 150, 220];
-        let (s0, dof) = chi_square_stat(&reference, &same).unwrap();
-        let (s1, _) = chi_square_stat(&reference, &shifted).unwrap();
-        assert_eq!(dof, 3);
-        assert!(
-            chi_square_p_value(s0, dof) > 0.05,
-            "null p too small: {}",
-            s0
-        );
-        assert!(chi_square_p_value(s1, dof) < 1e-6);
-    }
-
-    #[test]
-    fn chi_square_validation() {
-        assert!(chi_square_stat(&[1, 2], &[1]).is_err());
-        assert!(chi_square_stat(&[0, 0], &[0, 0]).is_err());
-    }
-
-    #[test]
-    fn ln_gamma_known_values() {
-        // Γ(5) = 24
-        assert!((ln_gamma(5.0) - 24f64.ln()).abs() < 1e-9);
-        // Γ(0.5) = sqrt(pi)
-        assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn chi_square_p_value_edges() {
-        assert_eq!(chi_square_p_value(5.0, 0), 1.0);
-        assert!((chi_square_p_value(0.0, 3) - 1.0).abs() < 1e-9);
-        // Median of chi² with k dof is ≈ k(1-2/(9k))³.
-        let k = 10.0f64;
-        let median = k * (1.0 - 2.0 / (9.0 * k)).powi(3);
-        let p = chi_square_p_value(median, 10);
-        assert!((p - 0.5).abs() < 0.02, "p at median {p}");
     }
 }

@@ -40,11 +40,11 @@ pub struct Timestamp(pub i64);
     serde::Serialize,
     serde::Deserialize,
 )]
-pub struct Duration(pub i64);
+pub struct Duration(pub(crate) i64);
 
-pub const MILLIS_PER_SECOND: i64 = 1_000;
-pub const MILLIS_PER_MINUTE: i64 = 60 * MILLIS_PER_SECOND;
-pub const MILLIS_PER_HOUR: i64 = 60 * MILLIS_PER_MINUTE;
+pub(crate) const MILLIS_PER_SECOND: i64 = 1_000;
+pub(crate) const MILLIS_PER_MINUTE: i64 = 60 * MILLIS_PER_SECOND;
+pub(crate) const MILLIS_PER_HOUR: i64 = 60 * MILLIS_PER_MINUTE;
 pub const MILLIS_PER_DAY: i64 = 24 * MILLIS_PER_HOUR;
 
 impl Duration {
@@ -88,11 +88,6 @@ impl Timestamp {
     /// The partition date (days since epoch, floored) this instant falls in.
     pub fn date(self) -> Date {
         Date(self.0.div_euclid(MILLIS_PER_DAY) as i32)
-    }
-
-    /// Saturating difference `self - earlier`.
-    pub fn since(self, earlier: Timestamp) -> Duration {
-        Duration(self.0 - earlier.0)
     }
 }
 
@@ -160,7 +155,7 @@ impl fmt::Display for Timestamp {
     serde::Serialize,
     serde::Deserialize,
 )]
-pub struct Date(pub i32);
+pub struct Date(pub(crate) i32);
 
 impl Date {
     pub fn from_days(days: i32) -> Self {
@@ -181,16 +176,8 @@ impl Date {
         Timestamp((self.0 as i64 + 1) * MILLIS_PER_DAY)
     }
 
-    pub fn next(self) -> Date {
-        Date(self.0 + 1)
-    }
-
-    pub fn prev(self) -> Date {
-        Date(self.0 - 1)
-    }
-
     /// Civil (year, month, day) via Howard Hinnant's `civil_from_days`.
-    pub fn civil(self) -> (i32, u32, u32) {
+    pub(crate) fn civil(self) -> (i32, u32, u32) {
         let z = self.0 as i64 + 719_468;
         let era = z.div_euclid(146_097);
         let doe = z.rem_euclid(146_097); // day of era [0, 146096]
@@ -201,17 +188,6 @@ impl Date {
         let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
         let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
         ((y + i64::from(m <= 2)) as i32, m, d)
-    }
-
-    /// Inverse of [`Date::civil`] (`days_from_civil`).
-    pub fn from_civil(y: i32, m: u32, d: u32) -> Self {
-        let y = i64::from(y) - i64::from(m <= 2);
-        let era = y.div_euclid(400);
-        let yoe = y.rem_euclid(400);
-        let mp = i64::from(if m > 2 { m - 3 } else { m + 9 });
-        let doy = (153 * mp + 2) / 5 + i64::from(d) - 1;
-        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-        Date((era * 146_097 + doe - 719_468) as i32)
     }
 }
 
@@ -251,16 +227,20 @@ impl SimClock {
         );
         self.now += d;
     }
+}
 
-    /// Jump directly to `t` (must not be earlier than the current instant).
-    pub fn advance_to(&mut self, t: Timestamp) {
-        assert!(
-            t >= self.now,
-            "SimClock cannot move backwards (to {} from {})",
-            t.0,
-            self.now.0
-        );
-        self.now = t;
+#[cfg(test)]
+impl Date {
+    /// Inverse of [`Date::civil`] (`days_from_civil`): the reference the
+    /// round-trip test checks `civil` against.
+    fn from_civil(y: i32, m: u32, d: u32) -> Self {
+        let y = i64::from(y) - i64::from(m <= 2);
+        let era = y.div_euclid(400);
+        let yoe = y.rem_euclid(400);
+        let mp = i64::from(if m > 2 { m - 3 } else { m + 9 });
+        let doy = (153 * mp + 2) / 5 + i64::from(d) - 1;
+        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
+        Date((era * 146_097 + doe - 719_468) as i32)
     }
 }
 
@@ -295,7 +275,7 @@ mod tests {
         let d = Date::from_days(3);
         assert_eq!(d.start().date(), d);
         assert_eq!((d.end() - Duration::millis(1)).date(), d);
-        assert_eq!(d.end().date(), d.next());
+        assert_eq!(d.end().date(), Date::from_days(4));
     }
 
     #[test]
@@ -333,7 +313,7 @@ mod tests {
         let mut c = SimClock::new(Timestamp::EPOCH);
         c.advance(Duration::hours(1));
         assert_eq!(c.now(), Timestamp::millis(MILLIS_PER_HOUR));
-        c.advance_to(Timestamp::millis(MILLIS_PER_DAY));
+        c.advance(Duration::hours(23));
         assert_eq!(c.now().date(), Date::from_days(1));
     }
 
@@ -341,6 +321,6 @@ mod tests {
     #[should_panic(expected = "backwards")]
     fn sim_clock_rejects_regression() {
         let mut c = SimClock::new(Timestamp::millis(10));
-        c.advance_to(Timestamp::millis(5));
+        c.advance(Duration::millis(-5));
     }
 }

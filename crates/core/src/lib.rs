@@ -9,18 +9,19 @@
 //! The [`FeatureStore`] facade wires all of it together around a simulated
 //! clock so every pipeline run is reproducible.
 
-pub mod materialize;
-pub mod modelstore;
-pub mod pit;
-pub mod quality;
-pub mod registry;
-pub mod serving;
-pub mod store;
+#![warn(unreachable_pub)]
 
-pub use materialize::{MaterializationRun, MaterializationScheduler, Materializer};
+mod materialize;
+pub mod modelstore;
+mod pit;
+pub mod quality;
+mod registry;
+mod serving;
+mod store;
+
+pub use materialize::MaterializationRun;
 pub use modelstore::{ModelArtifact, ModelStore};
 pub use pit::{naive_latest_join, point_in_time_join, LabelEvent, PitFeature, TrainingSet};
-pub use quality::{ColumnProfile, FeatureQualityReport, QualityIssue};
 pub use registry::{FeatureDef, FeatureRegistry, FeatureSetDef, FeatureSpec};
 pub use serving::{
     stale_error, FeatureServer, FeatureVector, RowSink, StaleRefused, StalenessPolicy,

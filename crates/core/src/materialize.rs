@@ -20,14 +20,14 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaterializationRun {
     pub feature: String,
-    pub version: u32,
+    pub(crate) version: u32,
     pub ran_at: Timestamp,
     pub entities: usize,
-    pub source_rows: usize,
+    pub(crate) source_rows: usize,
 }
 
 /// Schema of the offline log table each feature materializes into.
-pub fn feature_log_schema(value_type: ValueType) -> Schema {
+pub(crate) fn feature_log_schema(value_type: ValueType) -> Schema {
     Schema::new(vec![
         FieldDef::not_null("entity", ValueType::Str),
         FieldDef::not_null("ts", ValueType::Timestamp),
@@ -43,7 +43,7 @@ pub fn feature_log_schema(value_type: ValueType) -> Schema {
 /// from a lock-free snapshot and take the offline writer lock only for the
 /// append-and-publish step — see [`Materializer::run_db`].
 #[derive(Debug, Clone)]
-pub struct MaterializationPlan {
+pub(crate) struct MaterializationPlan {
     def: FeatureDef,
     ran_at: Timestamp,
     source_rows: usize,
@@ -57,7 +57,7 @@ impl MaterializationPlan {
     /// online store. The online writes come last, so an append error leaves
     /// nothing served that no training set will see; under
     /// [`OfflineDb::write`] the appends roll back too.
-    pub fn apply(
+    pub(crate) fn apply(
         &self,
         offline: &mut OfflineStore,
         online: &OnlineStore,
@@ -99,7 +99,7 @@ impl MaterializationPlan {
 }
 
 /// Stateless executor of single materialization runs.
-pub struct Materializer;
+pub(crate) struct Materializer;
 
 impl Materializer {
     /// Compute one materialization of `def` as of `now` from a read-only
@@ -109,7 +109,7 @@ impl Materializer {
     ///   the most recent source row at or before `now`.
     /// * Aggregated features: evaluate the expression on every source row
     ///   in `(now - window, now]` and fold with the aggregate function.
-    pub fn plan(
+    pub(crate) fn plan(
         def: &FeatureDef,
         offline: &OfflineStore,
         now: Timestamp,
@@ -187,21 +187,11 @@ impl Materializer {
         })
     }
 
-    /// Compute and publish in one call against an exclusively held store.
-    pub fn run(
-        def: &FeatureDef,
-        offline: &mut OfflineStore,
-        online: &OnlineStore,
-        now: Timestamp,
-    ) -> Result<MaterializationRun> {
-        Materializer::plan(def, offline, now)?.apply(offline, online)
-    }
-
     /// Run one materialization against a shared [`OfflineDb`]: the compute
     /// phase scans a lock-free snapshot; the writer lock is held only for
     /// the append-and-publish step. Concurrent readers are never blocked by
     /// the scan-and-evaluate work.
-    pub fn run_db(
+    pub(crate) fn run_db(
         def: &FeatureDef,
         offline: &OfflineDb,
         online: &OnlineStore,
@@ -212,77 +202,9 @@ impl Materializer {
     }
 }
 
-impl Materializer {
-    /// Backfill a feature's history: run materializations at every instant
-    /// in `[from, to]` stepped by `every`, as if the scheduler had been
-    /// running all along. This is how a *newly published* feature gets a
-    /// point-in-time joinable history (training sets need values "as of"
-    /// label events that predate the feature's publication).
-    ///
-    /// Returns the runs executed, oldest first.
-    pub fn backfill(
-        def: &FeatureDef,
-        offline: &mut OfflineStore,
-        online: &OnlineStore,
-        from: Timestamp,
-        to: Timestamp,
-        every: fstore_common::Duration,
-    ) -> Result<Vec<MaterializationRun>> {
-        check_backfill_range(from, to, every)?;
-        let mut runs = Vec::new();
-        let mut t = from;
-        while t <= to {
-            runs.push(Materializer::run(def, offline, online, t)?);
-            t += every;
-        }
-        Ok(runs)
-    }
-
-    /// [`Materializer::backfill`] against a shared [`OfflineDb`]: each step
-    /// plans from a fresh snapshot and locks only to publish, so readers can
-    /// interleave with a long backfill instead of stalling behind it.
-    pub fn backfill_db(
-        def: &FeatureDef,
-        offline: &OfflineDb,
-        online: &OnlineStore,
-        from: Timestamp,
-        to: Timestamp,
-        every: fstore_common::Duration,
-    ) -> Result<Vec<MaterializationRun>> {
-        check_backfill_range(from, to, every)?;
-        let mut runs = Vec::new();
-        let mut t = from;
-        while t <= to {
-            runs.push(Materializer::run_db(def, offline, online, t)?);
-            t += every;
-        }
-        Ok(runs)
-    }
-}
-
-fn check_backfill_range(
-    from: Timestamp,
-    to: Timestamp,
-    every: fstore_common::Duration,
-) -> Result<()> {
-    if from > to {
-        return Err(FsError::InvalidArgument(format!(
-            "backfill range is empty ({} > {})",
-            from.as_millis(),
-            to.as_millis()
-        )));
-    }
-    if !every.is_positive() {
-        return Err(FsError::InvalidArgument(
-            "backfill step must be positive".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Tracks per-feature last-run times and executes due jobs on `tick`.
+/// Tracks per-feature last-run times and executes due jobs on `tick_db`.
 #[derive(Debug, Default)]
-pub struct MaterializationScheduler {
+pub(crate) struct MaterializationScheduler {
     jobs: BTreeMap<String, ScheduledJob>,
 }
 
@@ -293,12 +215,12 @@ struct ScheduledJob {
 }
 
 impl MaterializationScheduler {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MaterializationScheduler::default()
     }
 
     /// Register (or replace) the job for a feature definition.
-    pub fn schedule(&mut self, def: FeatureDef) {
+    pub(crate) fn schedule(&mut self, def: FeatureDef) {
         self.jobs.insert(
             def.name.clone(),
             ScheduledJob {
@@ -308,41 +230,11 @@ impl MaterializationScheduler {
         );
     }
 
-    pub fn unschedule(&mut self, feature: &str) -> bool {
-        self.jobs.remove(feature).is_some()
-    }
-
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Last completed run time of a feature's job.
-    pub fn last_run(&self, feature: &str) -> Option<Timestamp> {
-        self.jobs.get(feature).and_then(|j| j.last_run)
-    }
-
-    /// Run every job whose cadence has elapsed (or that never ran). Returns
-    /// the runs executed this tick, in feature-name order.
-    pub fn tick(
-        &mut self,
-        offline: &mut OfflineStore,
-        online: &OnlineStore,
-        now: Timestamp,
-    ) -> Result<Vec<MaterializationRun>> {
-        let mut runs = Vec::new();
-        for job in self.jobs.values_mut() {
-            if Self::due(job, now) {
-                runs.push(Materializer::run(&job.def, offline, online, now)?);
-                job.last_run = Some(now);
-            }
-        }
-        Ok(runs)
-    }
-
-    /// [`MaterializationScheduler::tick`] against a shared [`OfflineDb`]:
-    /// each due job computes from a lock-free snapshot and takes the writer
-    /// lock only to publish its results.
-    pub fn tick_db(
+    /// Run every job whose cadence has elapsed (or that never ran) against a
+    /// shared [`OfflineDb`], in feature-name order: each due job computes
+    /// from a lock-free snapshot and takes the writer lock only to publish
+    /// its results.
+    pub(crate) fn tick_db(
         &mut self,
         offline: &OfflineDb,
         online: &OnlineStore,
@@ -388,6 +280,17 @@ mod tests {
         (off, OnlineStore::default(), FeatureRegistry::new())
     }
 
+    /// One exclusive compute-and-publish step (the plan/apply pair that
+    /// `Materializer::run_db` runs against a shared store).
+    fn run(
+        def: &FeatureDef,
+        offline: &mut OfflineStore,
+        online: &OnlineStore,
+        now: Timestamp,
+    ) -> Result<MaterializationRun> {
+        Materializer::plan(def, offline, now)?.apply(offline, online)
+    }
+
     fn add_trip(off: &mut OfflineStore, user: &str, t: Timestamp, fare: f64) {
         off.append(
             "trips",
@@ -411,7 +314,7 @@ mod tests {
             .unwrap();
 
         let now = Timestamp::millis(10_000);
-        let run = Materializer::run(&def, &mut off, &online, now).unwrap();
+        let run = run(&def, &mut off, &online, now).unwrap();
         assert_eq!(run.entities, 2);
         assert_eq!(run.source_rows, 3);
 
@@ -441,7 +344,7 @@ mod tests {
                 Timestamp::EPOCH,
             )
             .unwrap();
-        Materializer::run(&def, &mut off, &online, Timestamp::millis(50_000)).unwrap();
+        run(&def, &mut off, &online, Timestamp::millis(50_000)).unwrap();
         let e = online.get("user_id", &EntityKey::new("u1"), "f").unwrap();
         assert_eq!(e.value, Value::Float(10.0), "future row must not leak");
     }
@@ -463,7 +366,7 @@ mod tests {
                 Timestamp::EPOCH,
             )
             .unwrap();
-        Materializer::run(&def, &mut off, &online, day2 + Duration::hours(1)).unwrap();
+        run(&def, &mut off, &online, day2 + Duration::hours(1)).unwrap();
         let e = online
             .get("user_id", &EntityKey::new("u1"), "avg_fare_1d")
             .unwrap();
@@ -490,7 +393,7 @@ mod tests {
                 Timestamp::EPOCH,
             )
             .unwrap();
-        let run = Materializer::run(&def, &mut off, &online, Timestamp::millis(10)).unwrap();
+        let run = run(&def, &mut off, &online, Timestamp::millis(10)).unwrap();
         assert_eq!(run.entities, 1);
     }
 
@@ -507,100 +410,17 @@ mod tests {
             .unwrap();
         let mut sched = MaterializationScheduler::new();
         sched.schedule(def);
-        assert_eq!(sched.job_count(), 1);
+        let db = OfflineDb::from_store(off);
 
         // first tick always runs
         let t0 = Timestamp::millis(10);
-        assert_eq!(sched.tick(&mut off, &online, t0).unwrap().len(), 1);
-        assert_eq!(sched.last_run("f"), Some(t0));
+        assert_eq!(sched.tick_db(&db, &online, t0).unwrap().len(), 1);
         // half an hour later: not due
         let t1 = t0 + Duration::minutes(30);
-        assert!(sched.tick(&mut off, &online, t1).unwrap().is_empty());
+        assert!(sched.tick_db(&db, &online, t1).unwrap().is_empty());
         // one hour later: due again
         let t2 = t0 + Duration::hours(1);
-        assert_eq!(sched.tick(&mut off, &online, t2).unwrap().len(), 1);
-        assert_eq!(sched.last_run("f"), Some(t2));
-
-        assert!(sched.unschedule("f"));
-        assert!(!sched.unschedule("f"));
-    }
-
-    #[test]
-    fn backfill_builds_pit_joinable_history() {
-        let (mut off, online, mut reg) = setup();
-        // trips across 3 days with rising fares
-        for day in 0..3i64 {
-            add_trip(
-                &mut off,
-                "u1",
-                Timestamp::EPOCH + Duration::days(day) + Duration::hours(1),
-                10.0 * (day + 1) as f64,
-            );
-        }
-        let def = reg
-            .publish(
-                FeatureSpec::new("f", "user_id", "trips", "fare"),
-                &off,
-                Timestamp::EPOCH,
-            )
-            .unwrap();
-        let runs = Materializer::backfill(
-            &def,
-            &mut off,
-            &online,
-            Timestamp::EPOCH + Duration::days(1),
-            Timestamp::EPOCH + Duration::days(3),
-            Duration::days(1),
-        )
-        .unwrap();
-        assert_eq!(runs.len(), 3);
-        assert_eq!(off.num_rows(&def.log_table()).unwrap(), 3);
-
-        // PIT join against the backfilled history sees the right epoch
-        let labels = vec![crate::pit::LabelEvent::new(
-            "u1",
-            Timestamp::EPOCH + Duration::days(2) + Duration::hours(12),
-            1.0,
-        )];
-        let ts = crate::pit::point_in_time_join(
-            &off,
-            &labels,
-            &[crate::pit::PitFeature::materialized("f", 1)],
-        )
-        .unwrap();
-        // latest backfill run at or before the label is day 2 (fare 20.0)
-        assert_eq!(ts.rows[0][2], Value::Float(20.0));
-    }
-
-    #[test]
-    fn backfill_validates_inputs() {
-        let (mut off, online, mut reg) = setup();
-        add_trip(&mut off, "u1", Timestamp::millis(1), 1.0);
-        let def = reg
-            .publish(
-                FeatureSpec::new("f", "user_id", "trips", "fare"),
-                &off,
-                Timestamp::EPOCH,
-            )
-            .unwrap();
-        assert!(Materializer::backfill(
-            &def,
-            &mut off,
-            &online,
-            Timestamp::millis(10),
-            Timestamp::millis(5),
-            Duration::hours(1)
-        )
-        .is_err());
-        assert!(Materializer::backfill(
-            &def,
-            &mut off,
-            &online,
-            Timestamp::millis(5),
-            Timestamp::millis(10),
-            Duration::ZERO
-        )
-        .is_err());
+        assert_eq!(sched.tick_db(&db, &online, t2).unwrap().len(), 1);
     }
 
     #[test]
@@ -648,9 +468,9 @@ mod tests {
                 Timestamp::EPOCH,
             )
             .unwrap();
-        Materializer::run(&def, &mut off, &online, Timestamp::millis(100)).unwrap();
+        run(&def, &mut off, &online, Timestamp::millis(100)).unwrap();
         add_trip(&mut off, "u1", Timestamp::millis(200), 9.0);
-        Materializer::run(&def, &mut off, &online, Timestamp::millis(300)).unwrap();
+        run(&def, &mut off, &online, Timestamp::millis(300)).unwrap();
         // history has both runs — that's what PIT joins read
         assert_eq!(off.num_rows(&def.log_table()).unwrap(), 2);
         let e = online.get("user_id", &EntityKey::new("u1"), "f").unwrap();

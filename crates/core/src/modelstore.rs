@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// A stored model version.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ModelArtifact {
-    pub name: String,
+    pub(crate) name: String,
     pub version: u32,
     /// Model parameters as JSON (produced by `fstore-models` serializers).
     pub params: serde_json::Value,
@@ -23,12 +23,12 @@ pub struct ModelArtifact {
     pub features: Vec<(String, u32)>,
     /// Embedding versions consumed, if any (`name@vN`) — the lineage used
     /// by E12's patch propagation.
-    pub embeddings: Vec<String>,
+    pub(crate) embeddings: Vec<String>,
     /// Training data time range `[from, to]`.
     pub training_range: (Timestamp, Timestamp),
     pub seed: u64,
     pub metrics: BTreeMap<String, f64>,
-    pub created_at: Timestamp,
+    pub(crate) created_at: Timestamp,
 }
 
 impl ModelArtifact {
@@ -61,27 +61,6 @@ impl ModelStore {
             .get(name)
             .and_then(|v| v.last())
             .ok_or_else(|| FsError::not_found("model", name.to_string()))
-    }
-
-    pub fn get(&self, name: &str, version: u32) -> Result<&ModelArtifact> {
-        self.models
-            .get(name)
-            .and_then(|v| v.iter().find(|a| a.version == version))
-            .ok_or_else(|| FsError::not_found("model version", format!("{name}@v{version}")))
-    }
-
-    pub fn list(&self) -> Vec<&ModelArtifact> {
-        self.models.values().filter_map(|v| v.last()).collect()
-    }
-
-    /// Models whose recorded lineage includes embedding `name@vN` — the
-    /// downstream consumers an embedding patch must re-verify (E12).
-    pub fn consumers_of_embedding(&self, qualified: &str) -> Vec<&ModelArtifact> {
-        self.models
-            .values()
-            .flatten()
-            .filter(|a| a.embeddings.iter().any(|e| e == qualified))
-            .collect()
     }
 
     /// Export one model's full version history as JSON.
@@ -137,32 +116,9 @@ mod tests {
         assert_eq!(a2.version, 2);
         assert_eq!(a2.qualified_name(), "eta@v2");
         assert_eq!(store.latest("eta").unwrap().version, 2);
-        assert_eq!(store.get("eta", 1).unwrap().params, json!({"w": [1.0]}));
-        assert!(store.get("eta", 3).is_err());
+        assert_eq!(store.models["eta"][0].params, json!({"w": [1.0]}));
+        assert_eq!(store.models["eta"].len(), 2);
         assert!(store.latest("ghost").is_err());
-    }
-
-    #[test]
-    fn list_returns_latest_of_each() {
-        let mut store = ModelStore::new();
-        store.save(artifact("a", json!(1))).unwrap();
-        store.save(artifact("a", json!(2))).unwrap();
-        store.save(artifact("b", json!(3))).unwrap();
-        let names: Vec<String> = store.list().iter().map(|a| a.qualified_name()).collect();
-        assert_eq!(names, vec!["a@v2".to_string(), "b@v1".to_string()]);
-    }
-
-    #[test]
-    fn embedding_lineage_query() {
-        let mut store = ModelStore::new();
-        let mut a = artifact("search", json!({}));
-        a.embeddings.push("ent_emb@v3".into());
-        store.save(a).unwrap();
-        store.save(artifact("plain", json!({}))).unwrap();
-        let consumers = store.consumers_of_embedding("ent_emb@v3");
-        assert_eq!(consumers.len(), 1);
-        assert_eq!(consumers[0].name, "search");
-        assert!(store.consumers_of_embedding("ent_emb@v4").is_empty());
     }
 
     #[test]
@@ -178,7 +134,7 @@ mod tests {
         let mut other = ModelStore::new();
         assert_eq!(other.import_json(&json).unwrap(), 2);
         assert_eq!(other.latest("m").unwrap(), store.latest("m").unwrap());
-        assert_eq!(other.get("m", 1).unwrap().metrics["f1"], 0.91);
+        assert_eq!(other.models["m"][0].metrics["f1"], 0.91);
 
         assert!(other.import_json("[]").is_err());
         assert!(other.import_json("not json").is_err());

@@ -17,9 +17,9 @@ use fstore_storage::{OfflineStore, ScanRequest};
 /// A labeled event to build a training row for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelEvent {
-    pub entity: EntityKey,
-    pub ts: Timestamp,
-    pub label: Value,
+    pub(crate) entity: EntityKey,
+    pub(crate) ts: Timestamp,
+    pub(crate) label: Value,
 }
 
 impl LabelEvent {
@@ -35,7 +35,7 @@ impl LabelEvent {
 /// Where to find one feature's history in the offline store.
 ///
 /// Materialized features follow the `feat__<name>_v<n>(entity, ts, value)`
-/// convention ([`crate::materialize::feature_log_schema`]); this struct also
+/// convention (`crate::materialize::feature_log_schema`); this struct also
 /// lets PIT joins run over arbitrary tables.
 #[derive(Debug, Clone)]
 pub struct PitFeature {
@@ -62,11 +62,6 @@ impl PitFeature {
             max_age: None,
         }
     }
-
-    pub fn with_max_age(mut self, age: Duration) -> Self {
-        self.max_age = Some(age);
-        self
-    }
 }
 
 /// A materialized training set: `entity, ts, <features…>, label`.
@@ -74,8 +69,6 @@ impl PitFeature {
 pub struct TrainingSet {
     pub schema: Schema,
     pub rows: Vec<Vec<Value>>,
-    /// Per-feature count of label rows that found no eligible value.
-    pub misses: Vec<(String, usize)>,
 }
 
 impl TrainingSet {
@@ -182,38 +175,22 @@ fn join_impl(
         .collect::<Result<_>>()?;
 
     let mut rows = Vec::with_capacity(labels.len());
-    let mut misses = vec![0usize; features.len()];
     for label in labels {
         let mut row = Vec::with_capacity(schema.len());
         row.push(Value::Str(label.entity.as_str().to_string()));
         row.push(Value::Timestamp(label.ts));
-        for (i, (feat, hist)) in features.iter().zip(&histories).enumerate() {
+        for (feat, hist) in features.iter().zip(&histories) {
             let v = if point_in_time {
                 hist.value_as_of(label.entity.as_str(), label.ts, feat.max_age)
             } else {
                 hist.latest(label.entity.as_str())
             };
-            match v {
-                Some(v) => row.push(v.clone()),
-                None => {
-                    misses[i] += 1;
-                    row.push(Value::Null);
-                }
-            }
+            row.push(v.cloned().unwrap_or(Value::Null));
         }
         row.push(label.label.clone());
         rows.push(row);
     }
-    let misses = features
-        .iter()
-        .map(|f| f.feature.clone())
-        .zip(misses)
-        .collect::<Vec<(String, usize)>>();
-    Ok(TrainingSet {
-        schema,
-        rows,
-        misses,
-    })
+    Ok(TrainingSet { schema, rows })
 }
 
 /// Leakage-free training set: each label row joins the latest feature value
@@ -282,7 +259,6 @@ mod tests {
         );
         assert_eq!(ts.rows[1][2], Value::Float(2.0), "ties are inclusive");
         assert_eq!(ts.rows[2][2], Value::Null, "no history before 50");
-        assert_eq!(ts.misses, vec![("score".to_string(), 1)]);
     }
 
     #[test]
@@ -304,11 +280,16 @@ mod tests {
     fn max_age_nulls_stale_features() {
         let off = offline_with_history(&[("u1", 100, 1.0)]);
         let labels = vec![LabelEvent::new("u1", ms(100 + 5_000), 1.0)];
-        let fresh_only =
-            [PitFeature::materialized("score", 1).with_max_age(Duration::millis(1_000))];
+        let fresh_only = [PitFeature {
+            max_age: Some(Duration::millis(1_000)),
+            ..PitFeature::materialized("score", 1)
+        }];
         let ts = point_in_time_join(&off, &labels, &fresh_only).unwrap();
         assert_eq!(ts.rows[0][2], Value::Null);
-        let lenient = [PitFeature::materialized("score", 1).with_max_age(Duration::millis(10_000))];
+        let lenient = [PitFeature {
+            max_age: Some(Duration::millis(10_000)),
+            ..PitFeature::materialized("score", 1)
+        }];
         let ts = point_in_time_join(&off, &labels, &lenient).unwrap();
         assert_eq!(ts.rows[0][2], Value::Float(1.0));
     }

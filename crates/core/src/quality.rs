@@ -8,36 +8,29 @@ use fstore_common::stats::{
     OnlineMoments,
 };
 use fstore_common::{Duration, FsError, Result, Timestamp, Value};
-use fstore_storage::{OfflineStore, OnlineStore, ScanRequest};
+use fstore_storage::OnlineStore;
 
 /// Batch profile of one feature/column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnProfile {
-    pub name: String,
-    pub rows: usize,
-    pub nulls: usize,
-    pub mean: Option<f64>,
-    pub std_dev: Option<f64>,
-    pub min: Option<f64>,
-    pub max: Option<f64>,
-    pub p50: Option<f64>,
-    pub p95: Option<f64>,
+    pub(crate) name: String,
+    pub(crate) rows: usize,
+    pub(crate) nulls: usize,
+    pub(crate) mean: Option<f64>,
+    pub(crate) std_dev: Option<f64>,
+    pub(crate) min: Option<f64>,
+    pub(crate) max: Option<f64>,
+    pub(crate) p50: Option<f64>,
+    pub(crate) p95: Option<f64>,
 }
 
 impl ColumnProfile {
-    pub fn null_rate(&self) -> f64 {
+    pub(crate) fn null_rate(&self) -> f64 {
         if self.rows == 0 {
             0.0
         } else {
             self.nulls as f64 / self.rows as f64
         }
-    }
-
-    /// Profile a column of an offline table (numeric stats skip non-numeric
-    /// values; null counting covers everything).
-    pub fn of_column(offline: &OfflineStore, table: &str, column: &str) -> Result<ColumnProfile> {
-        let values = offline.column_values(table, column, &ScanRequest::all())?;
-        Ok(Self::of_values(column, &values))
     }
 
     /// Profile an in-memory column.
@@ -83,11 +76,11 @@ pub enum QualityIssue {
 #[derive(Debug, Clone, Copy)]
 pub struct QualityThresholds {
     /// Absolute null-rate increase that trips [`QualityIssue::NullSpike`].
-    pub null_rate_jump: f64,
+    pub(crate) null_rate_jump: f64,
     /// Multiple of the cadence after which a feed counts as frozen.
-    pub freshness_tolerance: f64,
+    pub(crate) freshness_tolerance: f64,
     /// NMI above which a feature pair is reported redundant.
-    pub redundancy_nmi: f64,
+    pub(crate) redundancy_nmi: f64,
 }
 
 impl Default for QualityThresholds {
@@ -100,12 +93,9 @@ impl Default for QualityThresholds {
     }
 }
 
-/// The feature-quality report: profiles + detected issues.
-#[derive(Debug, Clone, Default)]
-pub struct FeatureQualityReport {
-    pub profiles: Vec<ColumnProfile>,
-    pub issues: Vec<QualityIssue>,
-}
+/// The feature-quality detectors: null spikes, frozen feeds, redundancy.
+#[derive(Debug)]
+pub struct FeatureQualityReport;
 
 impl FeatureQualityReport {
     /// Compare live profiles against reference profiles (same feature

@@ -17,21 +17,21 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct FeatureSpec {
     /// Feature name, unique within the registry (versions stack under it).
-    pub name: String,
+    pub(crate) name: String,
     /// Column in the source table identifying the entity (e.g. `user_id`).
-    pub entity: String,
+    pub(crate) entity: String,
     /// Offline table the feature is derived from.
-    pub source_table: String,
+    pub(crate) source_table: String,
     /// Row-level expression in the feature language.
-    pub expression: String,
+    pub(crate) expression: String,
     /// Optional window aggregation applied over the expression values:
     /// `(function, window length)`. `None` = latest-row feature.
-    pub aggregation: Option<(AggFunc, Duration)>,
+    pub(crate) aggregation: Option<(AggFunc, Duration)>,
     /// How often materialization should refresh this feature.
-    pub cadence: Duration,
-    pub owner: String,
-    pub description: String,
-    pub tags: Vec<String>,
+    pub(crate) cadence: Duration,
+    pub(crate) owner: String,
+    pub(crate) description: String,
+    pub(crate) tags: Vec<String>,
 }
 
 impl FeatureSpec {
@@ -82,33 +82,32 @@ impl FeatureSpec {
 
 /// Serializable aggregation metadata stored on the published definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AggregationDef {
+pub(crate) struct AggregationDef {
     /// Aggregate spec in [`AggFunc::parse`] syntax (e.g. `"sum"`, `"p95"`).
-    pub func: String,
-    pub window: Duration,
+    pub(crate) func: String,
+    pub(crate) window: Duration,
 }
 
 /// An immutable, published, versioned feature definition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureDef {
     pub name: String,
-    pub version: u32,
-    pub entity: String,
-    pub source_table: String,
+    pub(crate) version: u32,
+    pub(crate) entity: String,
+    pub(crate) source_table: String,
     pub expression: String,
-    pub aggregation: Option<AggregationDef>,
-    pub cadence: Duration,
-    pub owner: String,
-    pub description: String,
-    pub tags: Vec<String>,
-    pub created_at: Timestamp,
+    pub(crate) aggregation: Option<AggregationDef>,
+    pub(crate) cadence: Duration,
+    pub(crate) owner: String,
+    pub(crate) description: String,
+    pub(crate) tags: Vec<String>,
+    pub(crate) created_at: Timestamp,
     /// Inferred type of the feature's values: the aggregate's output type
     /// when the feature aggregates, else the expression's. The offline log
     /// table is typed by it, so training reads what serving returns.
     pub value_type: ValueType,
     /// Source columns the expression reads (lineage).
     pub inputs: Vec<String>,
-    pub deprecated: bool,
 }
 
 impl FeatureDef {
@@ -118,7 +117,7 @@ impl FeatureDef {
     }
 
     /// The aggregate function, reparsed from its stored spec.
-    pub fn agg_func(&self) -> Result<Option<(AggFunc, Duration)>> {
+    pub(crate) fn agg_func(&self) -> Result<Option<(AggFunc, Duration)>> {
         match &self.aggregation {
             None => Ok(None),
             Some(a) => Ok(Some((AggFunc::parse(&a.func)?, a.window))),
@@ -126,13 +125,13 @@ impl FeatureDef {
     }
 
     /// Offline log table this feature materializes into.
-    pub fn log_table(&self) -> String {
+    pub(crate) fn log_table(&self) -> String {
         format!("feat__{}_v{}", self.name, self.version)
     }
 
     /// Online store group this feature serves from (one namespace per
     /// entity kind, mirroring how Feast/Michelangelo group by entity).
-    pub fn online_group(&self) -> &str {
+    pub(crate) fn online_group(&self) -> &str {
         &self.entity
     }
 }
@@ -155,10 +154,10 @@ fn agg_spec_string(f: &AggFunc) -> String {
 /// A named, versioned set of features used together by a model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureSetDef {
-    pub name: String,
+    pub(crate) name: String,
     /// `(feature name, version)` pairs, in serving order.
     pub features: Vec<(String, u32)>,
-    pub created_at: Timestamp,
+    pub(crate) created_at: Timestamp,
 }
 
 /// The central catalog of feature definitions and feature sets.
@@ -169,13 +168,13 @@ pub struct FeatureRegistry {
 }
 
 impl FeatureRegistry {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FeatureRegistry::default()
     }
 
     /// Publish a spec: validate against the live source schema, compile the
     /// expression, infer types, and freeze as the next version.
-    pub fn publish(
+    pub(crate) fn publish(
         &mut self,
         spec: FeatureSpec,
         offline: &OfflineStore,
@@ -247,7 +246,6 @@ impl FeatureRegistry {
             created_at: now,
             value_type,
             inputs: program.inputs().to_vec(),
-            deprecated: false,
         };
         versions.push(def.clone());
         Ok(def)
@@ -262,37 +260,16 @@ impl FeatureRegistry {
     }
 
     /// A specific version.
-    pub fn get_version(&self, name: &str, version: u32) -> Result<&FeatureDef> {
+    pub(crate) fn get_version(&self, name: &str, version: u32) -> Result<&FeatureDef> {
         self.features
             .get(name)
             .and_then(|v| v.iter().find(|d| d.version == version))
             .ok_or_else(|| FsError::not_found("feature version", format!("{name}@v{version}")))
     }
 
-    /// All latest-version features (including deprecated ones).
-    pub fn list(&self) -> Vec<&FeatureDef> {
+    /// All latest-version features.
+    pub(crate) fn list(&self) -> Vec<&FeatureDef> {
         self.features.values().filter_map(|v| v.last()).collect()
-    }
-
-    /// Latest-version features carrying `tag`.
-    pub fn find_by_tag(&self, tag: &str) -> Vec<&FeatureDef> {
-        self.list()
-            .into_iter()
-            .filter(|d| d.tags.iter().any(|t| t == tag))
-            .collect()
-    }
-
-    /// Mark the latest version of `name` deprecated (it stays resolvable).
-    pub fn deprecate(&mut self, name: &str) -> Result<()> {
-        let versions = self
-            .features
-            .get_mut(name)
-            .ok_or_else(|| FsError::not_found("feature", name.to_string()))?;
-        versions
-            .last_mut()
-            .expect("non-empty version list")
-            .deprecated = true;
-        Ok(())
     }
 
     /// Register a feature set (resolves every member to its latest version).
@@ -309,11 +286,6 @@ impl FeatureRegistry {
         let mut resolved = Vec::with_capacity(features.len());
         for f in features {
             let def = self.get(f)?;
-            if def.deprecated {
-                return Err(FsError::Plan(format!(
-                    "feature `{f}` is deprecated and cannot join a new feature set"
-                )));
-            }
             resolved.push((def.name.clone(), def.version));
         }
         let set = FeatureSetDef {
@@ -332,7 +304,7 @@ impl FeatureRegistry {
     }
 
     /// Resolve a set to its pinned feature definitions.
-    pub fn resolve_set(&self, name: &str) -> Result<Vec<&FeatureDef>> {
+    pub(crate) fn resolve_set(&self, name: &str) -> Result<Vec<&FeatureDef>> {
         self.get_set(name)?
             .features
             .iter()
@@ -540,19 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecation_blocks_new_sets() {
-        let off = offline();
-        let mut reg = FeatureRegistry::new();
-        reg.publish(spec(), &off, Timestamp::EPOCH).unwrap();
-        reg.deprecate("avg_fare_7d").unwrap();
-        assert!(reg.get("avg_fare_7d").unwrap().deprecated);
-        assert!(reg
-            .register_set("s", &["avg_fare_7d"], Timestamp::EPOCH)
-            .is_err());
-        assert!(reg.deprecate("ghost").is_err());
-    }
-
-    #[test]
     fn lineage_impact_set() {
         let off = offline();
         let mut reg = FeatureRegistry::new();
@@ -575,8 +534,6 @@ mod tests {
         let off = offline();
         let mut reg = FeatureRegistry::new();
         reg.publish(spec(), &off, Timestamp::EPOCH).unwrap();
-        assert_eq!(reg.find_by_tag("pricing").len(), 1);
-        assert!(reg.find_by_tag("ghost").is_empty());
         let json = reg.export_json().unwrap();
         assert!(json.contains("avg_fare_7d"));
         let parsed: Vec<FeatureDef> = serde_json::from_str(&json).unwrap();

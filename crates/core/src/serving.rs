@@ -9,7 +9,7 @@ use std::sync::Arc;
 /// Supplies the publication epoch a served vector should be stamped with —
 /// typically the offline store's [`fstore_storage::OfflineDb::epoch`], or a
 /// serving stack's aggregate epoch.
-pub type EpochSource = Arc<dyn Fn() -> ReadEpoch + Send + Sync>;
+pub(crate) type EpochSource = Arc<dyn Fn() -> ReadEpoch + Send + Sync>;
 
 /// What to do when a requested feature is missing or older than the
 /// configured maximum age.
@@ -150,8 +150,8 @@ impl FeatureServer {
     /// The one read algorithm: visit `entity`'s row under the shard read
     /// lock and hand each requested feature to `sink`, in request order,
     /// with `max_age` and the staleness policy already applied. Every
-    /// other read entry point — [`serve_at`](Self::serve_at),
-    /// [`serve_batch_at`](Self::serve_batch_at), the network server's
+    /// other read entry point — `serve_at`,
+    /// `serve_batch_at`, the network server's
     /// typed and direct-to-frame paths — is this function with a
     /// different sink.
     ///
@@ -207,7 +207,7 @@ impl FeatureServer {
     /// Like [`serve`](Self::serve) but answered at an explicitly supplied
     /// epoch — the entry point serving layers use to keep one network
     /// response's parts on a single epoch.
-    pub fn serve_at(
+    pub(crate) fn serve_at(
         &self,
         group: &str,
         entity: &EntityKey,
@@ -259,7 +259,7 @@ impl FeatureServer {
     }
 
     /// [`serve_batch`](Self::serve_batch) at an explicitly supplied epoch.
-    pub fn serve_batch_at(
+    pub(crate) fn serve_batch_at(
         &self,
         group: &str,
         entities: &[EntityKey],

@@ -5,7 +5,6 @@
 use crate::materialize::{MaterializationRun, MaterializationScheduler, Materializer};
 use crate::modelstore::ModelStore;
 use crate::pit::{point_in_time_join, LabelEvent, PitFeature, TrainingSet};
-use crate::quality::ColumnProfile;
 use crate::registry::{FeatureDef, FeatureRegistry, FeatureSpec};
 use crate::serving::FeatureServer;
 use fstore_common::{Duration, Result, SimClock, Timestamp, Value};
@@ -14,11 +13,11 @@ use std::sync::Arc;
 
 /// An embedded feature store instance driven by a simulated clock.
 ///
-/// The offline side is epoch-versioned: every ingest, materialization, and
-/// backfill publishes a new immutable snapshot through [`OfflineDb`], and
-/// readers ([`FeatureStore::training_set`], [`FeatureStore::profile`], any
-/// holder of [`FeatureStore::offline_snapshot`]) run lock-free against the
-/// snapshot they resolved.
+/// The offline side is epoch-versioned: every ingest and materialization
+/// publishes a new immutable snapshot through [`OfflineDb`], and readers
+/// ([`FeatureStore::training_set`], any holder of
+/// [`FeatureStore::offline_snapshot`]) run lock-free against the snapshot
+/// they resolved.
 pub struct FeatureStore {
     offline: OfflineDb,
     online: Arc<OnlineStore>,
@@ -55,7 +54,7 @@ impl FeatureStore {
     /// Run due materialization jobs at the current instant. Each job
     /// computes from a lock-free snapshot and takes the writer lock only to
     /// publish its results.
-    pub fn tick(&mut self) -> Result<Vec<MaterializationRun>> {
+    pub(crate) fn tick(&mut self) -> Result<Vec<MaterializationRun>> {
         self.scheduler
             .tick_db(&self.offline, &self.online, self.clock.now())
     }
@@ -107,23 +106,6 @@ impl FeatureStore {
         Materializer::run_db(&def, &self.offline, &self.online, self.clock.now())
     }
 
-    /// Backfill a newly published feature's history from `from` to the
-    /// current instant at the feature's own cadence, so point-in-time joins
-    /// against past label events find values. Each backfill step computes
-    /// from a snapshot and locks only to publish, so concurrent readers
-    /// interleave with the backfill instead of stalling behind it.
-    pub fn backfill(&mut self, feature: &str, from: Timestamp) -> Result<Vec<MaterializationRun>> {
-        let def = self.registry.get(feature)?.clone();
-        Materializer::backfill_db(
-            &def,
-            &self.offline,
-            &self.online,
-            from,
-            self.clock.now(),
-            def.cadence,
-        )
-    }
-
     pub fn registry(&self) -> &FeatureRegistry {
         &self.registry
     }
@@ -156,13 +138,6 @@ impl FeatureStore {
     }
 
     // ---- quality -------------------------------------------------------
-
-    /// Batch profile of one column of an offline table (lock-free snapshot
-    /// read).
-    pub fn profile(&self, table: &str, column: &str) -> Result<ColumnProfile> {
-        let snapshot = self.offline.snapshot();
-        ColumnProfile::of_column(&snapshot, table, column)
-    }
 
     // ---- models --------------------------------------------------------
 
@@ -266,7 +241,6 @@ mod tests {
         fs.clock.advance(Duration::seconds(1)); // trips at t=100ms are now in the past
         fs.publish(FeatureSpec::new("f", "user_id", "trips", "fare * 10"))
             .unwrap();
-        fs.scheduler.unschedule("f"); // isolate materialize_now from the scheduler
         let run = fs.materialize_now("f").unwrap();
         assert_eq!(run.entities, 1);
         let v = fs
@@ -275,55 +249,6 @@ mod tests {
             .unwrap();
         assert_eq!(v.values[0], Value::Float(30.0));
         assert!(fs.materialize_now("ghost").is_err());
-    }
-
-    #[test]
-    fn profile_reads_offline_column() {
-        let fs = base_store();
-        fs.ingest(
-            "trips",
-            &[
-                trip_row("u1", Timestamp::millis(1), 10.0),
-                trip_row("u2", Timestamp::millis(2), 30.0),
-            ],
-        )
-        .unwrap();
-        let p = fs.profile("trips", "fare").unwrap();
-        assert_eq!(p.rows, 2);
-        assert_eq!(p.mean, Some(20.0));
-        assert!(fs.profile("trips", "ghost").is_err());
-    }
-
-    #[test]
-    fn backfill_through_facade() {
-        let mut fs = base_store();
-        fs.ingest(
-            "trips",
-            &[
-                trip_row("u1", Timestamp::millis(1_000), 5.0),
-                trip_row("u1", Timestamp::EPOCH + Duration::hours(3), 9.0),
-            ],
-        )
-        .unwrap();
-        fs.clock.advance(Duration::hours(6));
-        fs.publish(FeatureSpec::new("f", "user_id", "trips", "fare").cadence(Duration::hours(2)))
-            .unwrap();
-        let runs = fs.backfill("f", Timestamp::EPOCH).unwrap();
-        assert_eq!(runs.len(), 4, "0h, 2h, 4h, 6h");
-        // history now answers PIT queries at hour 2 (only the 5.0 trip existed)
-        let now = fs.now();
-        fs.registry_mut().register_set("s", &["f"], now).unwrap();
-        let ts = fs
-            .training_set(
-                "s",
-                &[LabelEvent::new(
-                    "u1",
-                    Timestamp::EPOCH + Duration::hours(2),
-                    1.0,
-                )],
-            )
-            .unwrap();
-        assert_eq!(ts.rows[0][2], Value::Float(5.0));
     }
 
     #[test]

@@ -26,10 +26,6 @@ impl SnapshotCache {
         SnapshotCache { path: path.into() }
     }
 
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
     /// Persist a snapshot payload captured at `repl_epoch` (atomic swap).
     pub fn store(&self, repl_epoch: u64, payload: &[u8]) -> Result<()> {
         let mut body = Vec::with_capacity(payload.len() + 8);
@@ -91,7 +87,7 @@ mod tests {
     #[test]
     fn missing_cache_is_none() {
         let cache = SnapshotCache::new(tmp("never_written.cache"));
-        std::fs::remove_file(cache.path()).ok();
+        std::fs::remove_file(&cache.path).ok();
         assert!(cache.load().unwrap().is_none());
     }
 

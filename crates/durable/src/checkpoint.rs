@@ -56,19 +56,19 @@ pub fn decode_online_bin(bytes: &[u8]) -> Result<(OnlineRows, Vec<IndexBuild>)> 
 /// The durable root's commit record: which checkpoint is live and the
 /// epochs its components were captured at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Manifest {
-    pub version: u32,
+pub(crate) struct Manifest {
+    pub(crate) version: u32,
     /// The WAL sequence number the checkpoint covers: recovery loads the
     /// checkpoint, then replays `wal-<repl_epoch>.log` past it.
-    pub repl_epoch: u64,
-    pub offline_epoch: u64,
-    pub embeddings_epoch: u64,
-    pub index_epoch: u64,
+    pub(crate) repl_epoch: u64,
+    pub(crate) offline_epoch: u64,
+    pub(crate) embeddings_epoch: u64,
+    pub(crate) index_epoch: u64,
 }
 
 /// Everything a checkpoint persists (and recovery loads back): exactly a
 /// full snapshot at the checkpoint's WAL sequence.
-pub type CheckpointData = FullSnapshot;
+pub(crate) type CheckpointData = FullSnapshot;
 
 fn write_file(path: &Path, bytes: &[u8]) -> Result<()> {
     std::fs::write(path, bytes)
@@ -94,10 +94,6 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The WAL file paired with the checkpoint at `repl_epoch`.
     pub fn wal_path(&self, repl_epoch: u64) -> PathBuf {
         self.dir.join(format!("wal-{repl_epoch}.log"))
@@ -112,7 +108,7 @@ impl CheckpointStore {
     }
 
     /// Read the manifest; `None` means a cold (never-checkpointed) root.
-    pub fn load_manifest(&self) -> Result<Option<Manifest>> {
+    pub(crate) fn load_manifest(&self) -> Result<Option<Manifest>> {
         let bytes = match std::fs::read(self.manifest_path()) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -136,7 +132,7 @@ impl CheckpointStore {
     /// A checkpoint for `repl_epoch` that already exists *and* is named by
     /// the manifest is left alone — equal epochs mean equal state (the WAL
     /// sequence totally orders publications), so rewriting it buys nothing.
-    pub fn write(&self, data: &CheckpointData) -> Result<Manifest> {
+    pub(crate) fn write(&self, data: &CheckpointData) -> Result<Manifest> {
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             repl_epoch: data.repl_epoch,
@@ -222,7 +218,7 @@ impl CheckpointStore {
     /// Remove checkpoint directories and WAL files other than the ones for
     /// `keep_epoch`. Called only after a manifest swap, so nothing the live
     /// manifest references is ever deleted.
-    pub fn gc(&self, keep_epoch: u64) {
+    pub(crate) fn gc(&self, keep_epoch: u64) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -340,8 +336,8 @@ mod tests {
         std::fs::write(store.wal_path(9), b"").unwrap();
         store.gc(9);
 
-        assert!(!store.dir().join("checkpoint-5").exists());
-        assert!(store.dir().join("checkpoint-9").exists());
+        assert!(!store.dir.join("checkpoint-5").exists());
+        assert!(store.dir.join("checkpoint-9").exists());
         assert!(store.wal_path(9).exists());
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.repl_epoch, 9);
@@ -381,7 +377,7 @@ mod tests {
     fn a_v1_root_is_an_unsupported_manifest() {
         let store = CheckpointStore::open(tmp_root("v1")).unwrap();
         store.write(&sample_data(3)).unwrap();
-        let path = store.dir().join("MANIFEST.json");
+        let path = store.dir.join("MANIFEST.json");
         let v1 = std::fs::read_to_string(&path)
             .unwrap()
             .replace("\"version\": 2", "\"version\": 1");

@@ -50,7 +50,7 @@ pub fn encode<T: Serialize>(body: &T) -> Result<String> {
 }
 
 /// Decode a wire JSON body.
-pub fn decode<T: Deserialize>(body: &str) -> Result<T> {
+pub(crate) fn decode<T: Deserialize>(body: &str) -> Result<T> {
     serde_json::from_str(body).map_err(|e| FsError::Serde(e.to_string()))
 }
 
@@ -66,43 +66,43 @@ pub use fstore_serve::codec::crc_block;
 
 /// One schema field on the wire ([`FieldDef`] itself does not serialize).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FieldRepr {
-    pub name: String,
-    pub ty: ValueType,
-    pub nullable: bool,
+pub(crate) struct FieldRepr {
+    pub(crate) name: String,
+    pub(crate) ty: ValueType,
+    pub(crate) nullable: bool,
 }
 
 /// A full offline table: configuration plus every row. Used when a table
 /// is new, reconfigured, or otherwise not reachable by appending.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableRepr {
-    pub name: String,
-    pub fields: Vec<FieldRepr>,
-    pub time_column: Option<String>,
-    pub segment_rows: usize,
-    pub rows: Vec<Vec<Value>>,
+pub(crate) struct TableRepr {
+    pub(crate) name: String,
+    pub(crate) fields: Vec<FieldRepr>,
+    pub(crate) time_column: Option<String>,
+    pub(crate) segment_rows: usize,
+    pub(crate) rows: Vec<Vec<Value>>,
 }
 
 /// Rows appended to an existing table. `start_row` is the table's row
 /// count before the append, which is what makes re-delivery idempotent:
 /// an applier that already holds some or all of these rows skips them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableAppend {
-    pub table: String,
-    pub start_row: usize,
-    pub rows: Vec<Vec<Value>>,
+pub(crate) struct TableAppend {
+    pub(crate) table: String,
+    pub(crate) start_row: usize,
+    pub(crate) rows: Vec<Vec<Value>>,
 }
 
 /// What changed between two offline-store snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct OfflineDelta {
-    pub drops: Vec<String>,
-    pub replaces: Vec<TableRepr>,
-    pub appends: Vec<TableAppend>,
+pub(crate) struct OfflineDelta {
+    pub(crate) drops: Vec<String>,
+    pub(crate) replaces: Vec<TableRepr>,
+    pub(crate) appends: Vec<TableAppend>,
 }
 
 /// Capture one table wholesale.
-pub fn table_repr(store: &OfflineStore, name: &str) -> Result<TableRepr> {
+pub(crate) fn table_repr(store: &OfflineStore, name: &str) -> Result<TableRepr> {
     let fields = store
         .schema(name)?
         .fields()
@@ -153,7 +153,7 @@ fn table_config_matches(base: &OfflineStore, new: &OfflineStore, name: &str) -> 
 /// Diff two offline snapshots into a replayable delta. The store is
 /// append-only within a table, so a grown table whose configuration is
 /// unchanged ships only its tail rows; everything else ships wholesale.
-pub fn diff_offline(base: &OfflineStore, new: &OfflineStore) -> Result<OfflineDelta> {
+pub(crate) fn diff_offline(base: &OfflineStore, new: &OfflineStore) -> Result<OfflineDelta> {
     let mut delta = OfflineDelta::default();
     for name in base.table_names() {
         if !new.has_table(name) {
@@ -188,7 +188,7 @@ pub fn diff_offline(base: &OfflineStore, new: &OfflineStore) -> Result<OfflineDe
 /// delta cannot possibly apply to (rows missing below an append's start
 /// row) is an error — the follower treats it as corruption and falls back
 /// to a full snapshot.
-pub fn apply_offline(store: &mut OfflineStore, delta: &OfflineDelta) -> Result<()> {
+pub(crate) fn apply_offline(store: &mut OfflineStore, delta: &OfflineDelta) -> Result<()> {
     for name in &delta.drops {
         if store.has_table(name) {
             store.drop_table(name)?;
@@ -236,12 +236,12 @@ pub struct VersionRepr {
 
 /// The embedding versions touched by one publication.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EmbeddingsDelta {
-    pub versions: Vec<VersionRepr>,
+pub(crate) struct EmbeddingsDelta {
+    pub(crate) versions: Vec<VersionRepr>,
 }
 
 /// Flatten one version.
-pub fn version_repr(v: &EmbeddingVersion) -> VersionRepr {
+pub(crate) fn version_repr(v: &EmbeddingVersion) -> VersionRepr {
     let (keys, vectors) = v.table.export_rows();
     VersionRepr {
         name: v.name.clone(),
@@ -256,7 +256,7 @@ pub fn version_repr(v: &EmbeddingVersion) -> VersionRepr {
 }
 
 /// Rebuild a version from its repr.
-pub fn version_from_repr(r: &VersionRepr) -> Result<EmbeddingVersion> {
+pub(crate) fn version_from_repr(r: &VersionRepr) -> Result<EmbeddingVersion> {
     if r.keys.len() != r.vectors.len() {
         return Err(FsError::Serde(format!(
             "embedding repr `{}@v{}`: {} keys but {} vectors",
@@ -285,7 +285,7 @@ pub fn version_from_repr(r: &VersionRepr) -> Result<EmbeddingVersion> {
 /// share untouched versions by `Arc` across clone-on-write publications,
 /// so pointer identity is an exact changed-or-new test; a deep copy would
 /// merely over-include, which is correct (applies upsert).
-pub fn diff_embeddings(base: &EmbeddingStore, new: &EmbeddingStore) -> EmbeddingsDelta {
+pub(crate) fn diff_embeddings(base: &EmbeddingStore, new: &EmbeddingStore) -> EmbeddingsDelta {
     let mut versions: Vec<VersionRepr> = new
         .list()
         .into_iter()
@@ -300,7 +300,7 @@ pub fn diff_embeddings(base: &EmbeddingStore, new: &EmbeddingStore) -> Embedding
 }
 
 /// Replay an embeddings delta (upsert every shipped version).
-pub fn apply_embeddings(store: &mut EmbeddingStore, delta: &EmbeddingsDelta) -> Result<()> {
+pub(crate) fn apply_embeddings(store: &mut EmbeddingStore, delta: &EmbeddingsDelta) -> Result<()> {
     for repr in &delta.versions {
         store.install_version(version_from_repr(repr)?)?;
     }
@@ -324,13 +324,13 @@ pub struct IndexBuild {
 
 /// The index snapshots swapped by one catalog publication.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IndexDelta {
-    pub builds: Vec<IndexBuild>,
+pub(crate) struct IndexDelta {
+    pub(crate) builds: Vec<IndexBuild>,
 }
 
 /// The index snapshots in `new` that `base` does not share (by `Arc`
 /// identity), as deterministic build instructions sorted by table.
-pub fn diff_indexes(base: &IndexMap, new: &IndexMap) -> IndexDelta {
+pub(crate) fn diff_indexes(base: &IndexMap, new: &IndexMap) -> IndexDelta {
     let mut builds: Vec<IndexBuild> = new
         .iter()
         .filter(|(name, snap)| base.get(*name).is_none_or(|b| !Arc::ptr_eq(b, snap)))
@@ -396,7 +396,7 @@ pub fn online_body<S: AsRef<str>>(
 
 /// Replay an online delta (puts overwrite, hence idempotent): one row write
 /// — one shard lock — per run of features sharing a write timestamp.
-pub fn apply_online(store: &OnlineStore, delta: &OnlineDelta) {
+pub(crate) fn apply_online(store: &OnlineStore, delta: &OnlineDelta) {
     let entity = EntityKey::new(delta.entity.clone());
     for run in delta.features.chunk_by(|a, b| a.2 == b.2) {
         let values: Vec<(&str, Value)> = run.iter().map(|(f, v, _)| (&f[..], v.clone())).collect();

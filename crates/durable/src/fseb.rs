@@ -15,7 +15,7 @@ use fstore_serve::codec::crc_block;
 use serde::{Deserialize, Serialize};
 
 /// File magic for embedding blobs.
-pub const BLOB_MAGIC: &[u8; 4] = b"FSEB";
+pub(crate) const BLOB_MAGIC: &[u8; 4] = b"FSEB";
 
 /// The metadata half of an embedding version: everything but the vectors,
 /// which follow the JSON header as raw little-endian `f32`s in key order.
@@ -32,7 +32,7 @@ pub struct BlobHeader {
 
 impl BlobHeader {
     /// The metadata of `v` (vectors excluded).
-    pub fn of(v: &VersionRepr) -> BlobHeader {
+    pub(crate) fn of(v: &VersionRepr) -> BlobHeader {
         BlobHeader {
             name: v.name.clone(),
             version: v.version,
@@ -46,7 +46,7 @@ impl BlobHeader {
 }
 
 /// Serialize one embedding version as a blob.
-pub fn encode_blob(v: &VersionRepr) -> Result<Vec<u8>> {
+pub(crate) fn encode_blob(v: &VersionRepr) -> Result<Vec<u8>> {
     let header = serde_json::to_string(&BlobHeader::of(v))
         .map_err(|e| FsError::Serde(e.to_string()))?
         .into_bytes();
@@ -72,7 +72,7 @@ pub fn encode_blob(v: &VersionRepr) -> Result<Vec<u8>> {
 
 /// Decode a blob back into a [`VersionRepr`], verifying magic, CRC, and
 /// the vector-byte count against the header.
-pub fn decode_blob(bytes: &[u8]) -> Result<VersionRepr> {
+pub(crate) fn decode_blob(bytes: &[u8]) -> Result<VersionRepr> {
     let body = crc_block::decode(BLOB_MAGIC, bytes)
         .map_err(|e| FsError::Corruption(format!("embedding blob: {e}")))?;
     if body.len() < 4 {

@@ -429,11 +429,6 @@ impl DurableLeader {
         self.parts.stream.lock().seq
     }
 
-    /// What the `open` that produced this leader recovered.
-    pub fn last_recovery(&self) -> RecoveryReport {
-        self.last_recovery
-    }
-
     pub fn offline(&self) -> &OfflineDb {
         &self.parts.offline
     }

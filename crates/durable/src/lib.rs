@@ -11,7 +11,7 @@
 //! * [`checkpoint`] — the binary at-rest forms of the four components
 //!   (offline segments, embedding blobs, an online row block) under an
 //!   atomically swapped manifest.
-//! * [`leader`] — [`DurableLeader`] logs every publication of its
+//! * `leader` — [`DurableLeader`] logs every publication of its
 //!   [`LeaderParts`]; `open` is both cold start and crash recovery.
 //! * [`codec`] — the delta bodies, the binary full snapshot, and the
 //!   idempotent apply functions shared by replication and recovery
@@ -19,19 +19,20 @@
 //! * [`fseb`] — the `"FSEB"` embedding-blob codec, shared by checkpoints
 //!   and the tiered pager (`fstore-tier`) so the at-rest format lives in
 //!   exactly one place.
-//! * [`cache`] — a follower's persisted last full snapshot, so restarts
+//! * `cache` — a follower's persisted last full snapshot, so restarts
 //!   bootstrap from disk and catch up by delta instead of re-pulling the
 //!   leader's whole state.
 
-pub mod cache;
+#![warn(unreachable_pub)]
+
+mod cache;
 pub mod checkpoint;
 pub mod codec;
 pub mod fseb;
-pub mod leader;
+mod leader;
 pub mod wal;
 
 pub use cache::SnapshotCache;
-pub use checkpoint::{CheckpointData, CheckpointStore, Manifest};
-pub use fseb::{decode_blob, encode_blob, BlobHeader, BLOB_MAGIC};
+pub use checkpoint::CheckpointStore;
 pub use leader::{DurableConfig, DurableLeader, LeaderParts, RecoveryReport};
 pub use wal::{FsyncPolicy, WalRecord, WalReplay, WalWriter};

@@ -191,7 +191,7 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(WalRecord, usize)>> {
 #[derive(Debug, Clone, Copy)]
 pub struct AppendInfo {
     pub bytes: u64,
-    pub fsynced: bool,
+    pub(crate) fsynced: bool,
 }
 
 /// An append-only WAL file handle.
@@ -246,10 +246,6 @@ impl WalWriter {
             poisoned: false,
             buf: Vec::new(),
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one record; commit markers trigger the fsync policy.
@@ -369,14 +365,6 @@ impl WalWriter {
     pub fn appends(&self) -> u64 {
         self.appends
     }
-
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 /// What [`recover`] found in (and did to) a WAL file.
@@ -388,7 +376,7 @@ pub struct WalReplay {
     pub last_seq: u64,
     /// Valid-looking deltas after the last commit — logged but never
     /// committed; they are dropped (and truncated) with the torn tail.
-    pub dropped_uncommitted: usize,
+    pub(crate) dropped_uncommitted: usize,
     /// Bytes cut off the end of the file (uncommitted + torn + corrupt).
     pub truncated_bytes: u64,
 }
@@ -506,7 +494,7 @@ mod tests {
         // A logged-but-uncommitted delta must not survive recovery.
         w.append(&WalRecord::Delta(delta(4, "lost"))).unwrap();
         assert_eq!(w.appends(), 7);
-        assert_eq!(w.fsyncs(), 3);
+        assert_eq!(w.fsyncs, 3);
         drop(w);
 
         let replay = recover(&path).unwrap();
@@ -538,11 +526,11 @@ mod tests {
             let info = w.append(&WalRecord::Commit { seq }).unwrap();
             assert_eq!(info.fsynced, seq % 3 == 0);
         }
-        assert_eq!(w.fsyncs(), 2);
+        assert_eq!(w.fsyncs, 2);
 
         let mut w = WalWriter::open(&path, FsyncPolicy::Never, true).unwrap();
         assert!(!w.append(&WalRecord::Commit { seq: 1 }).unwrap().fsynced);
-        assert_eq!(w.fsyncs(), 0);
+        assert_eq!(w.fsyncs, 0);
     }
 
     #[test]
@@ -563,7 +551,7 @@ mod tests {
         );
         let empty = w.append_group(5, ComponentKind::Online, 0, &[] as &[&str]);
         assert_eq!(empty.unwrap().bytes, 0);
-        assert_eq!((w.appends(), w.fsyncs()), (6, 1));
+        assert_eq!((w.appends(), w.fsyncs), (6, 1));
         drop(w);
 
         let bytes = std::fs::read(&path).unwrap();
@@ -605,7 +593,7 @@ mod tests {
         assert!(matches!(refused, Err(FsError::Storage(_))));
         let again = w.append_group(1, ComponentKind::Online, 0, &["x"]);
         assert!(again.unwrap_err().to_string().contains("refuses appends"));
-        assert_eq!((w.appends(), w.bytes()), (0, 0));
+        assert_eq!((w.appends(), w.bytes), (0, 0));
     }
 
     #[test]

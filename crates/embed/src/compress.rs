@@ -71,18 +71,6 @@ impl QuantizedTable {
         })
     }
 
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
     /// Logical size in bytes (codes only): `rows × dim × bits / 8`.
     pub fn payload_bytes(&self) -> usize {
         self.codes.len() * self.dim * self.bits as usize / 8
@@ -100,11 +88,6 @@ impl QuantizedTable {
             t.insert(k.clone(), v)?;
         }
         Ok(t)
-    }
-
-    /// Worst-case reconstruction error per dimension (half a step).
-    pub fn max_error(&self) -> f32 {
-        self.step.iter().fold(0.0f32, |m, &s| m.max(s / 2.0))
     }
 }
 
@@ -176,12 +159,12 @@ impl PcaModel {
         })
     }
 
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.components.cols()
     }
 
     /// Project one vector.
-    pub fn transform(&self, v: &[f32]) -> Result<Vec<f32>> {
+    pub(crate) fn transform(&self, v: &[f32]) -> Result<Vec<f32>> {
         if v.len() != self.mean.len() {
             return Err(FsError::Embedding("PCA transform dim mismatch".into()));
         }
@@ -209,6 +192,15 @@ impl PcaModel {
             out.insert(k.to_string(), self.transform(table.get(k).unwrap())?)?;
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+impl QuantizedTable {
+    /// Worst-case reconstruction error per dimension (half a step): the
+    /// bound the round-trip test checks dequantization against.
+    fn max_error(&self) -> f32 {
+        self.step.iter().fold(0.0f32, |m, &s| m.max(s / 2.0))
     }
 }
 
@@ -270,7 +262,7 @@ mod tests {
         let q8 = QuantizedTable::quantize(&t, 8).unwrap();
         assert_eq!(q4.payload_bytes() * 2, q8.payload_bytes());
         assert_eq!(q8.payload_bytes(), 64 * 32);
-        assert_eq!(q4.len(), 64);
+        assert_eq!(q4.codes.len(), 64);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!    edges, the structured signal the Bootleg-style trainer exploits to
 //!    rescue the tail (E5).
 
-use fstore_common::hash::FxHashMap;
 use fstore_common::{FsError, Result, Rng, Xoshiro256, Zipf};
 
 /// Corpus generation parameters.
@@ -55,14 +54,12 @@ impl Default for CorpusConfig {
 #[derive(Debug, Clone)]
 pub struct KnowledgeGraph {
     /// `entity_type[e]` = type id of entity `e`.
-    pub entity_type: Vec<usize>,
-    /// Relation edges `(head, tail)`, undirected semantics.
-    pub relations: Vec<(usize, usize)>,
+    pub(crate) entity_type: Vec<usize>,
     adjacency: Vec<Vec<usize>>,
 }
 
 impl KnowledgeGraph {
-    pub fn neighbors(&self, entity: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, entity: usize) -> &[usize] {
         &self.adjacency[entity]
     }
 
@@ -77,13 +74,13 @@ impl KnowledgeGraph {
 pub struct Corpus {
     pub config: CorpusConfig,
     /// Sentences of entity ids (rank order: 0 = most popular).
-    pub sentences: Vec<Vec<usize>>,
+    pub(crate) sentences: Vec<Vec<usize>>,
     /// Ground-truth topic of each entity.
     pub topic_of: Vec<usize>,
     /// The knowledge graph over entities.
     pub kg: KnowledgeGraph,
     /// Total occurrences of each entity in the corpus.
-    pub frequency: Vec<u64>,
+    pub(crate) frequency: Vec<u64>,
 }
 
 impl Corpus {
@@ -135,7 +132,6 @@ impl Corpus {
         }
 
         // Relations: each entity links to up to 3 same-topic entities.
-        let mut relations = Vec::new();
         let mut adjacency = vec![Vec::new(); config.vocab];
         for e in 0..config.vocab {
             let peers = &members[topic_of[e]];
@@ -149,7 +145,6 @@ impl Corpus {
                         break cand;
                     }
                 };
-                relations.push((e, other));
                 adjacency[e].push(other);
                 adjacency[other].push(e);
             }
@@ -157,7 +152,6 @@ impl Corpus {
 
         let kg = KnowledgeGraph {
             entity_type: topic_of.clone(),
-            relations,
             adjacency,
         };
         Ok(Corpus {
@@ -175,7 +169,7 @@ impl Corpus {
     }
 
     /// Content fingerprint for provenance.
-    pub fn hash(&self) -> u64 {
+    pub(crate) fn hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for s in &self.sentences {
             for &t in s {
@@ -194,27 +188,14 @@ impl Corpus {
         let per = by_freq.len().div_ceil(bands);
         by_freq.chunks(per).map(<[usize]>::to_vec).collect()
     }
+}
 
-    /// Pairs of entities sharing a topic vs not — ground truth for
-    /// similarity sanity checks.
-    pub fn same_topic(&self, a: usize, b: usize) -> bool {
+#[cfg(test)]
+impl Corpus {
+    /// Whether two entities share a topic: the ground truth the trainers'
+    /// tests check learned similarity against.
+    pub(crate) fn same_topic(&self, a: usize, b: usize) -> bool {
         self.topic_of[a] == self.topic_of[b]
-    }
-
-    /// Token co-occurrence counts within a +-`window` context, as a map
-    /// `(min_id, max_id) -> count`. Shared by PPMI and tests.
-    pub fn cooccurrence(&self, window: usize) -> FxHashMap<(usize, usize), f64> {
-        let mut counts: FxHashMap<(usize, usize), f64> = FxHashMap::default();
-        for sent in &self.sentences {
-            for (i, &a) in sent.iter().enumerate() {
-                let hi = (i + window).min(sent.len() - 1);
-                for &b in &sent[i + 1..=hi] {
-                    let key = (a.min(b), a.max(b));
-                    *counts.entry(key).or_default() += 1.0;
-                }
-            }
-        }
-        counts
     }
 }
 
@@ -302,9 +283,11 @@ mod tests {
     #[test]
     fn kg_relations_are_same_topic() {
         let c = small();
-        assert!(!c.kg.relations.is_empty());
-        for &(h, t) in &c.kg.relations {
-            assert_eq!(c.topic_of[h], c.topic_of[t]);
+        assert!((0..100).any(|e| !c.kg.neighbors(e).is_empty()));
+        for e in 0..100 {
+            for &n in c.kg.neighbors(e) {
+                assert_eq!(c.topic_of[e], c.topic_of[n]);
+            }
         }
         assert_eq!(c.kg.num_types(), 5);
         // adjacency is symmetric-ish: every neighbor edge appears in both lists
@@ -325,16 +308,5 @@ mod tests {
         // first band is strictly more popular than last
         let f = |b: &Vec<usize>| b.iter().map(|&e| c.frequency[e]).sum::<u64>();
         assert!(f(&bands[0]) > f(&bands[9]));
-    }
-
-    #[test]
-    fn cooccurrence_counts_are_symmetric_keys() {
-        let c = small();
-        let co = c.cooccurrence(2);
-        assert!(!co.is_empty());
-        for (&(a, b), &n) in &co {
-            assert!(a <= b);
-            assert!(n > 0.0);
-        }
     }
 }

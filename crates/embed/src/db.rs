@@ -65,17 +65,6 @@ impl EmbeddingDb {
         self.write(|store| store.publish(name, table, provenance, now))
     }
 
-    /// Record a downstream consumer of `qualified` (lineage).
-    pub fn register_consumer(
-        &self,
-        qualified: &str,
-        model: impl Into<String>,
-    ) -> Result<ReadEpoch> {
-        Ok(self
-            .write(|store| store.register_consumer(qualified, model))?
-            .1)
-    }
-
     /// Run a mutation against a clone of the current snapshot and publish
     /// the result as the next snapshot. On `Err` the clone is dropped and
     /// nothing is published, so failed mutations never leak into later
@@ -89,7 +78,7 @@ impl EmbeddingDb {
 
     /// Observe every publication, alongside the existing observers (a
     /// leader's publication stream taps in here; see
-    /// [`fstore_common::snapshot::PublishHook`]).
+    /// `fstore_common::snapshot::PublishHook`).
     pub fn add_publish_hook(
         &self,
         hook: impl Fn(&Versioned<EmbeddingStore>) + Send + Sync + 'static,

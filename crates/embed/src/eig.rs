@@ -9,7 +9,7 @@ use fstore_models::Matrix;
 /// Eigendecomposition of a symmetric matrix: returns `(eigenvalues,
 /// eigenvectors)` sorted by eigenvalue descending; eigenvectors are the
 /// *columns* of the returned matrix.
-pub fn symmetric_eigen(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
+pub(crate) fn symmetric_eigen(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
     let n = a.rows();
     if n != a.cols() {
         return Err(FsError::Embedding("eigen of non-square matrix".into()));
@@ -93,7 +93,7 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<(Vec<f64>, Matrix)> {
 /// the top `k` singular triplets, computed via the `d×d` Gram matrix
 /// (adequate for embedding dims; singular values below `1e-10` are dropped).
 /// `U_k` is `n×k'`, `Σ_k` has `k'` entries, `V_k` is `d×k'` with `k' <= k`.
-pub fn thin_svd(a: &Matrix, k: usize) -> Result<(Matrix, Vec<f64>, Matrix)> {
+pub(crate) fn thin_svd(a: &Matrix, k: usize) -> Result<(Matrix, Vec<f64>, Matrix)> {
     let (n, d) = (a.rows(), a.cols());
     if n == 0 || d == 0 {
         return Err(FsError::Embedding("SVD of empty matrix".into()));
@@ -139,7 +139,7 @@ pub fn thin_svd(a: &Matrix, k: usize) -> Result<(Matrix, Vec<f64>, Matrix)> {
 
 /// Orthogonal Procrustes: the rotation `W` (d×d orthogonal) minimizing
 /// `‖A·W − B‖_F`, via `W = U Vᵀ` where `AᵀB = U Σ Vᵀ`.
-pub fn procrustes(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+pub(crate) fn procrustes(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if a.rows() != b.rows() || a.cols() != b.cols() {
         return Err(FsError::Embedding(
             "Procrustes needs same-shape matrices".into(),

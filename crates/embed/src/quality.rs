@@ -18,7 +18,7 @@ use fstore_common::{FsError, Result};
 use fstore_models::Matrix;
 
 /// Entities present in both tables, sorted (the aligned evaluation set).
-pub fn common_keys(a: &EmbeddingTable, b: &EmbeddingTable) -> Vec<String> {
+pub(crate) fn common_keys(a: &EmbeddingTable, b: &EmbeddingTable) -> Vec<String> {
     a.keys()
         .into_iter()
         .filter(|k| b.contains(k))
@@ -83,7 +83,7 @@ pub fn knn_overlap(
 }
 
 /// Build the aligned embedding matrix of `keys` from `t` (rows in key order).
-pub fn table_matrix(t: &EmbeddingTable, keys: &[String]) -> Result<Matrix> {
+pub(crate) fn table_matrix(t: &EmbeddingTable, keys: &[String]) -> Result<Matrix> {
     let rows: Vec<Vec<f64>> = keys
         .iter()
         .map(|k| {

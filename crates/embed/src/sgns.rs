@@ -35,8 +35,8 @@ impl Default for SgnsConfig {
 }
 
 /// Trainer state: input ("word") and output ("context") vectors.
-pub struct SgnsTrainer {
-    pub config: SgnsConfig,
+pub(crate) struct SgnsTrainer {
+    pub(crate) config: SgnsConfig,
     vocab: usize,
     /// flattened vocab × dim
     input: Vec<f32>,
@@ -49,7 +49,7 @@ pub struct SgnsTrainer {
 }
 
 impl SgnsTrainer {
-    pub fn new(corpus: &Corpus, config: SgnsConfig) -> Result<Self> {
+    pub(crate) fn new(corpus: &Corpus, config: SgnsConfig) -> Result<Self> {
         if config.dim == 0 || config.window == 0 {
             return Err(FsError::Embedding(
                 "SGNS dim and window must be positive".into(),
@@ -135,7 +135,7 @@ impl SgnsTrainer {
     }
 
     /// Train on `corpus` (re-entrant: call again to continue training).
-    pub fn train(&mut self, corpus: &Corpus) -> Result<()> {
+    pub(crate) fn train(&mut self, corpus: &Corpus) -> Result<()> {
         if corpus.config.vocab != self.vocab {
             return Err(FsError::Embedding(
                 "corpus vocab changed under trainer".into(),
@@ -181,7 +181,7 @@ impl SgnsTrainer {
     }
 
     /// Extra positive pairs (KG augmentation hooks in through this).
-    pub fn train_pairs(&mut self, pairs: &[(usize, usize)], lr: f32) -> Result<()> {
+    pub(crate) fn train_pairs(&mut self, pairs: &[(usize, usize)], lr: f32) -> Result<()> {
         let negatives = self.config.negatives;
         for &(a, b) in pairs {
             if a >= self.vocab || b >= self.vocab {
@@ -199,12 +199,12 @@ impl SgnsTrainer {
     }
 
     /// Input vector of entity `id`.
-    pub fn vector(&self, id: usize) -> &[f32] {
+    pub(crate) fn vector(&self, id: usize) -> &[f32] {
         Self::row(&self.input, self.config.dim, id)
     }
 
     /// Export input vectors as an [`EmbeddingTable`].
-    pub fn to_table(&self) -> Result<EmbeddingTable> {
+    pub(crate) fn to_table(&self) -> Result<EmbeddingTable> {
         let mut t = EmbeddingTable::new(self.config.dim)?;
         for e in 0..self.vocab {
             t.insert(Corpus::entity_name(e), self.vector(e).to_vec())?;
@@ -213,7 +213,7 @@ impl SgnsTrainer {
     }
 
     /// Provenance record describing this training run over `corpus`.
-    pub fn provenance(&self, corpus: &Corpus) -> EmbeddingProvenance {
+    pub(crate) fn provenance(&self, corpus: &Corpus) -> EmbeddingProvenance {
         EmbeddingProvenance {
             trainer: "sgns".into(),
             config: serde_json::to_string(&self.config).unwrap_or_default(),

@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// Provenance carried by every published embedding version.
 #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
 pub struct EmbeddingProvenance {
-    /// Trainer identifier (e.g. `"sgns"`, `"kg-sgns"`, `"ppmi-svd"`).
+    /// Trainer identifier (e.g. `"sgns"`, `"kg-sgns"`).
     pub trainer: String,
     /// Trainer hyper-parameters as JSON.
     pub config: String,
@@ -167,7 +167,7 @@ impl EmbeddingTable {
         }
     }
 
-    pub fn contains(&self, key: &str) -> bool {
+    pub(crate) fn contains(&self, key: &str) -> bool {
         match &self.repr {
             TableRepr::Resident(vectors) => vectors.contains_key(key),
             TableRepr::Spilled(pager) => pager.row_of(key).is_some(),
@@ -183,22 +183,11 @@ impl EmbeddingTable {
             .map(|v| v.iter().map(|&x| f64::from(x)).collect())
     }
 
-    /// Cosine similarity between two stored entities.
-    pub fn cosine(&self, a: &str, b: &str) -> Result<f64> {
-        let va = self
-            .fetch(a)?
-            .ok_or_else(|| FsError::not_found("embedding", a.to_string()))?;
-        let vb = self
-            .fetch(b)?
-            .ok_or_else(|| FsError::not_found("embedding", b.to_string()))?;
-        Ok(cosine32(&va, &vb))
-    }
-
     /// Exact k-nearest neighbours of `key` by cosine (brute force — the ANN
     /// indexes in `fstore-index` are the scale path). On a spilled table
     /// this is the exact-rerank path: the scan faults blocks through the
     /// tier cache rather than loading the version whole.
-    pub fn nearest(&self, key: &str, k: usize) -> Result<Vec<(String, f64)>> {
+    pub(crate) fn nearest(&self, key: &str, k: usize) -> Result<Vec<(String, f64)>> {
         let q = self
             .fetch(key)?
             .ok_or_else(|| FsError::not_found("embedding", key.to_string()))?;
@@ -232,14 +221,14 @@ impl EmbeddingTable {
     /// On a spilled table this streams every block through the pager; an
     /// unreadable segment panics, because the segment is CRC-guarded
     /// derived state whose loss is as fatal here as a failed allocation
-    /// (fallible callers can use [`EmbeddingTable::try_export_rows`]).
+    /// (fallible callers can use `EmbeddingTable::try_export_rows`).
     pub fn export_rows(&self) -> (Vec<String>, Vec<Vec<f32>>) {
         self.try_export_rows()
             .expect("spilled embedding segment unreadable")
     }
 
     /// Fallible twin of [`EmbeddingTable::export_rows`].
-    pub fn try_export_rows(&self) -> Result<(Vec<String>, Vec<Vec<f32>>)> {
+    pub(crate) fn try_export_rows(&self) -> Result<(Vec<String>, Vec<Vec<f32>>)> {
         match &self.repr {
             TableRepr::Resident(vectors) => {
                 let mut keys: Vec<&String> = vectors.keys().collect();
@@ -278,7 +267,7 @@ impl EmbeddingTable {
     /// Promote a spilled table to a fully-resident one (no-op when already
     /// resident). Mutating helpers call this so "clone an old version,
     /// patch it, publish" keeps working even when the clone was spilled.
-    pub fn make_resident(&mut self) -> Result<()> {
+    pub(crate) fn make_resident(&mut self) -> Result<()> {
         let TableRepr::Spilled(pager) = &self.repr else {
             return Ok(());
         };
@@ -415,13 +404,6 @@ impl EmbeddingStore {
             .collect()
     }
 
-    pub fn versions_of(&self, name: &str) -> Result<Vec<u32>> {
-        self.embeddings
-            .get(name)
-            .map(|v| v.iter().map(|e| e.version).collect())
-            .ok_or_else(|| FsError::not_found("embedding", name.to_string()))
-    }
-
     /// Replication: adopt a fully formed version — exact version number,
     /// timestamp, provenance, and consumer list — as shipped by a leader.
     /// Replaces the version if it already exists (idempotent re-apply) and
@@ -485,8 +467,27 @@ fn parse_qualified(qualified: &str) -> Result<(&str, u32)> {
 }
 
 #[cfg(test)]
+impl EmbeddingTable {
+    /// Cosine similarity between two stored entities: the reference the
+    /// trainers' tests measure learned structure with.
+    pub(crate) fn cosine(&self, a: &str, b: &str) -> Result<f64> {
+        let va = self
+            .fetch(a)?
+            .ok_or_else(|| FsError::not_found("embedding", a.to_string()))?;
+        let vb = self
+            .fetch(b)?
+            .ok_or_else(|| FsError::not_found("embedding", b.to_string()))?;
+        Ok(cosine32(&va, &vb))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn versions(store: &EmbeddingStore, name: &str) -> Vec<u32> {
+        store.embeddings[name].iter().map(|e| e.version).collect()
+    }
 
     fn table(entries: &[(&str, Vec<f32>)]) -> EmbeddingTable {
         let mut t = EmbeddingTable::new(entries[0].1.len()).unwrap();
@@ -515,13 +516,10 @@ mod tests {
             ("orth", vec![0.0, 1.0]),
             ("anti", vec![-1.0, 0.0]),
         ]);
-        assert!((t.cosine("x", "same").unwrap() - 1.0).abs() < 1e-9);
-        assert!(t.cosine("x", "orth").unwrap().abs() < 1e-9);
         let nn = t.nearest("x", 2).unwrap();
         assert_eq!(nn[0].0, "same");
         assert_eq!(nn[1].0, "orth");
         assert!(t.nearest("ghost", 1).is_err());
-        assert!(t.cosine("x", "ghost").is_err());
     }
 
     #[test]
@@ -540,8 +538,7 @@ mod tests {
 
     #[test]
     fn zero_vector_cosine_is_zero() {
-        let t = table(&[("z", vec![0.0, 0.0]), ("x", vec![1.0, 0.0])]);
-        assert_eq!(t.cosine("z", "x").unwrap(), 0.0);
+        assert_eq!(cosine32(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
     }
 
     #[test]
@@ -575,7 +572,7 @@ mod tests {
         );
         assert_eq!(store.resolve("words@v1").unwrap().version, 1);
         assert_eq!(store.resolve("words").unwrap().version, 2);
-        assert_eq!(store.versions_of("words").unwrap(), vec![1, 2]);
+        assert_eq!(versions(&store, "words"), vec![1, 2]);
         assert!(store.resolve("words@vX").is_err());
         assert!(store.latest("ghost").is_err());
     }
@@ -623,12 +620,12 @@ mod tests {
         };
         store.install_version(v(2, 2.0)).unwrap();
         store.install_version(v(1, 1.0)).unwrap();
-        assert_eq!(store.versions_of("e").unwrap(), vec![1, 2]);
+        assert_eq!(versions(&store, "e"), vec![1, 2]);
         assert_eq!(store.latest("e").unwrap().version, 2);
         assert_eq!(store.consumers("e@v2").unwrap(), ["m2"]);
         // Re-install replaces in place (at-least-once replay).
         store.install_version(v(2, 9.0)).unwrap();
-        assert_eq!(store.versions_of("e").unwrap(), vec![1, 2]);
+        assert_eq!(versions(&store, "e"), vec![1, 2]);
         assert_eq!(store.latest("e").unwrap().table.get("a"), Some(&[9.0][..]));
         // Ordinary publication continues after the installed versions.
         let q = store
@@ -749,10 +746,6 @@ mod tests {
         assert!(spilled.contains("b") && !spilled.contains("ghost"));
         assert_eq!(spilled.get_f64("c"), resident.get_f64("c"));
         assert_eq!(
-            spilled.cosine("a", "b").unwrap(),
-            resident.cosine("a", "b").unwrap()
-        );
-        assert_eq!(
             spilled.nearest("a", 2).unwrap(),
             resident.nearest("a", 2).unwrap()
         );
@@ -782,7 +775,6 @@ mod tests {
         pager.fail = true;
         let t = EmbeddingTable::from_pager(Arc::new(pager)).unwrap();
         assert!(t.fetch("a").is_err());
-        assert!(t.cosine("a", "b").is_err());
         assert!(t.nearest("a", 1).is_err());
         assert!(t.try_export_rows().is_err());
         assert_eq!(t.get_f64("a"), None, "infallible reads degrade to absent");

@@ -18,7 +18,7 @@ pub struct FlatIndex {
 /// A row id under its distance, ordered by distance and then id — the
 /// order every family returns hits in.
 #[derive(Clone, Copy, PartialEq)]
-pub(crate) struct Scored(pub f32, pub u32);
+pub(crate) struct Scored(pub(crate) f32, pub(crate) u32);
 
 impl Eq for Scored {}
 impl PartialOrd for Scored {

@@ -335,10 +335,6 @@ impl HnswIndex {
             Ok(nearest.map(|&Scored(d, n)| (n as usize, d)).collect())
         })
     }
-
-    pub fn max_level(&self) -> usize {
-        self.graph.max_level
-    }
 }
 
 impl VectorIndex for HnswIndex {

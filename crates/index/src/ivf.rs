@@ -77,12 +77,6 @@ impl IvfIndex {
         Ok(self.rows.top_k(Some(&candidates), query, k))
     }
 
-    /// Fraction of the dataset a probe setting scans on average (cost model).
-    pub fn expected_scan_fraction(&self, nprobe: usize) -> f64 {
-        let probed = nprobe.min(self.lists.len()) as f64;
-        probed / self.lists.len() as f64
-    }
-
     pub fn nlist(&self) -> usize {
         self.lists.len()
     }
@@ -214,21 +208,6 @@ mod tests {
             "recall must rise with probes: {r1} {r8} {r64}"
         );
         assert!((r64 - 1.0).abs() < 1e-9, "full probe is exact");
-    }
-
-    #[test]
-    fn scan_fraction_model() {
-        let data = random_data(100, 4, 6);
-        let ivf = IvfIndex::build(
-            data,
-            IvfConfig {
-                nlist: 10,
-                ..IvfConfig::default()
-            },
-        )
-        .unwrap();
-        assert!((ivf.expected_scan_fraction(1) - 0.1).abs() < 1e-9);
-        assert!((ivf.expected_scan_fraction(100) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! from a setting.
 
 /// Independent accumulators; two AVX2 registers, four SSE ones.
-pub const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// Lane sums over the full chunks of a pair, portable form: 16 independent
 /// sums, which the compiler may vectorise with whatever the target has

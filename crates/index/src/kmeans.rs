@@ -7,7 +7,7 @@ use fstore_common::{FsError, Result, Rng, Xoshiro256};
 /// Cluster `data` into `k` centroids; returns `(centroids, assignment)`.
 /// Deterministic in `seed`. Empty clusters are re-seeded from the point
 /// farthest from its centroid.
-pub fn kmeans(
+pub(crate) fn kmeans(
     data: &[Vec<f32>],
     k: usize,
     iterations: usize,

@@ -10,22 +10,23 @@
 //! * [`HnswIndex`] — hierarchical navigable small world graph.
 //!
 //! All indexes speak squared-L2 over `f32` vectors, computed by the one
-//! [`kernel`] and stored as one contiguous row-major block per index;
+//! `kernel` and stored as one contiguous row-major block per index;
 //! cosine search is L2 over unit-normalized vectors (see
 //! [`normalize_all`]).
 
-pub mod flat;
-pub mod hnsw;
-pub mod ivf;
-pub mod kernel;
-pub mod kmeans;
-pub mod recall;
+#![warn(unreachable_pub)]
+
+mod flat;
+mod hnsw;
+mod ivf;
+mod kernel;
+mod kmeans;
+mod recall;
 
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfConfig, IvfIndex};
 pub use kernel::{l2_sq, l2_sq_portable, l2_sq_rows};
-pub use kmeans::kmeans;
 pub use recall::recall_at_k;
 
 use fstore_common::{FsError, Result};

@@ -16,16 +16,17 @@
 // Index-based loops are clearer than iterator chains in the dense
 // numeric kernels below; silence the style lint crate-wide.
 #![allow(clippy::needless_range_loop)]
+#![warn(unreachable_pub)]
 
 pub mod linalg;
-pub mod logreg;
-pub mod metrics;
-pub mod mlp;
-pub mod softmax;
+mod logreg;
+mod metrics;
+mod mlp;
+mod softmax;
 
 pub use linalg::Matrix;
 pub use logreg::LogisticRegression;
-pub use metrics::{prediction_flips, ClassificationReport};
+pub use metrics::prediction_flips;
 pub use mlp::Mlp;
 pub use softmax::SoftmaxRegression;
 
@@ -56,11 +57,6 @@ impl Default for TrainConfig {
 impl TrainConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
         self
     }
 }
@@ -94,7 +90,7 @@ pub trait Classifier {
 }
 
 /// Index of the largest element (first on ties).
-pub fn argmax(xs: &[f64]) -> usize {
+pub(crate) fn argmax(xs: &[f64]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate().skip(1) {
         if x > xs[best] {

@@ -65,16 +65,12 @@ impl Matrix {
     }
 
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// `self · x` (x has len = cols).
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
             return Err(FsError::Model(format!(
                 "matvec shape mismatch: {}x{} · {}",
@@ -87,7 +83,7 @@ impl Matrix {
     }
 
     /// `selfᵀ · x` (x has len = rows).
-    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.rows {
             return Err(FsError::Model("matvec_t shape mismatch".into()));
         }
@@ -146,14 +142,14 @@ impl Matrix {
 
 /// Dense dot product.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -162,19 +158,8 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 
 /// Euclidean norm.
 #[inline]
-pub fn norm(x: &[f64]) -> f64 {
+pub(crate) fn norm(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Normalize in place; returns the original norm (no-op on zero vectors).
-pub fn normalize(x: &mut [f64]) -> f64 {
-    let n = norm(x);
-    if n > 0.0 {
-        for v in x.iter_mut() {
-            *v /= n;
-        }
-    }
-    n
 }
 
 /// Cosine similarity (0 when either vector is zero).
@@ -188,7 +173,7 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Numerically stable softmax.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
+pub(crate) fn softmax(logits: &[f64]) -> Vec<f64> {
     let m = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&x| (x - m).exp()).collect();
     let z: f64 = exps.iter().sum();
@@ -239,11 +224,7 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut y);
         assert_eq!(y, vec![3.0, 5.0]);
-        let mut v = vec![3.0, 4.0];
-        assert_eq!(normalize(&mut v), 5.0);
-        assert!((norm(&v) - 1.0).abs() < 1e-12);
-        let mut z = vec![0.0, 0.0];
-        assert_eq!(normalize(&mut z), 0.0);
+        assert_eq!(norm(&[3.0, 4.0]), 5.0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl LogisticRegression {
     }
 
     /// Probability of the positive class.
-    pub fn proba_positive(&self, x: &[f64]) -> Result<f64> {
+    pub(crate) fn proba_positive(&self, x: &[f64]) -> Result<f64> {
         if x.len() != self.weights.len() {
             return Err(FsError::Model(format!(
                 "expected {} features, got {}",
@@ -67,10 +67,6 @@ impl LogisticRegression {
             )));
         }
         Ok(sigmoid(dot(&self.weights, x) + self.bias))
-    }
-
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 
     pub fn to_json(&self) -> Result<serde_json::Value> {

@@ -4,108 +4,6 @@
 
 use fstore_common::{FsError, Result};
 
-/// Per-class precision/recall/F1 with support.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassMetrics {
-    pub class: usize,
-    pub precision: f64,
-    pub recall: f64,
-    pub f1: f64,
-    pub support: usize,
-}
-
-/// Full classification report.
-#[derive(Debug, Clone)]
-pub struct ClassificationReport {
-    pub accuracy: f64,
-    pub per_class: Vec<ClassMetrics>,
-    pub macro_f1: f64,
-    /// `confusion[truth][pred]`.
-    pub confusion: Vec<Vec<usize>>,
-}
-
-impl ClassificationReport {
-    /// Compute from aligned truth/prediction vectors over `num_classes`.
-    pub fn compute(truth: &[usize], preds: &[usize], num_classes: usize) -> Result<Self> {
-        if truth.len() != preds.len() || truth.is_empty() {
-            return Err(FsError::Model(format!(
-                "report needs aligned non-empty labels ({} vs {})",
-                truth.len(),
-                preds.len()
-            )));
-        }
-        if truth.iter().chain(preds).any(|&c| c >= num_classes) {
-            return Err(FsError::Model("class index out of range".into()));
-        }
-        let mut confusion = vec![vec![0usize; num_classes]; num_classes];
-        for (&t, &p) in truth.iter().zip(preds) {
-            confusion[t][p] += 1;
-        }
-        let correct: usize = (0..num_classes).map(|c| confusion[c][c]).sum();
-        let accuracy = correct as f64 / truth.len() as f64;
-
-        let mut per_class = Vec::with_capacity(num_classes);
-        for c in 0..num_classes {
-            let tp = confusion[c][c];
-            let fp: usize = (0..num_classes)
-                .filter(|&t| t != c)
-                .map(|t| confusion[t][c])
-                .sum();
-            let fn_: usize = (0..num_classes)
-                .filter(|&p| p != c)
-                .map(|p| confusion[c][p])
-                .sum();
-            let support = tp + fn_;
-            let precision = if tp + fp == 0 {
-                0.0
-            } else {
-                tp as f64 / (tp + fp) as f64
-            };
-            let recall = if support == 0 {
-                0.0
-            } else {
-                tp as f64 / support as f64
-            };
-            let f1 = if precision + recall == 0.0 {
-                0.0
-            } else {
-                2.0 * precision * recall / (precision + recall)
-            };
-            per_class.push(ClassMetrics {
-                class: c,
-                precision,
-                recall,
-                f1,
-                support,
-            });
-        }
-        let macro_f1 = per_class.iter().map(|m| m.f1).sum::<f64>() / num_classes as f64;
-        Ok(ClassificationReport {
-            accuracy,
-            per_class,
-            macro_f1,
-            confusion,
-        })
-    }
-
-    /// Accuracy over a subset of indices (slice metrics).
-    pub fn subset_accuracy(truth: &[usize], preds: &[usize], indices: &[usize]) -> Result<f64> {
-        if indices.is_empty() {
-            return Err(FsError::Model("empty slice".into()));
-        }
-        let mut hit = 0usize;
-        for &i in indices {
-            if i >= truth.len() {
-                return Err(FsError::Model(format!("slice index {i} out of range")));
-            }
-            if truth[i] == preds[i] {
-                hit += 1;
-            }
-        }
-        Ok(hit as f64 / indices.len() as f64)
-    }
-}
-
 /// **Downstream instability**: the fraction of aligned predictions that
 /// differ between two models (0 = identical behaviour, 1 = total disagreement).
 pub fn prediction_flips(a: &[usize], b: &[usize]) -> Result<f64> {
@@ -123,63 +21,6 @@ pub fn prediction_flips(a: &[usize], b: &[usize]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn perfect_predictions() {
-        let y = vec![0, 1, 2, 1, 0];
-        let r = ClassificationReport::compute(&y, &y, 3).unwrap();
-        assert_eq!(r.accuracy, 1.0);
-        assert_eq!(r.macro_f1, 1.0);
-        assert!(r.per_class.iter().all(|m| m.f1 == 1.0));
-        assert_eq!(r.confusion[1][1], 2);
-    }
-
-    #[test]
-    fn known_confusion_matrix() {
-        // truth:  0 0 0 1 1
-        // pred:   0 1 0 1 0
-        let truth = vec![0, 0, 0, 1, 1];
-        let preds = vec![0, 1, 0, 1, 0];
-        let r = ClassificationReport::compute(&truth, &preds, 2).unwrap();
-        assert!((r.accuracy - 0.6).abs() < 1e-12);
-        let c0 = &r.per_class[0];
-        assert!((c0.precision - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c0.recall - 2.0 / 3.0).abs() < 1e-12);
-        let c1 = &r.per_class[1];
-        assert!((c1.precision - 0.5).abs() < 1e-12);
-        assert!((c1.recall - 0.5).abs() < 1e-12);
-        assert_eq!(c1.support, 2);
-        assert_eq!(r.confusion, vec![vec![2, 1], vec![1, 1]]);
-    }
-
-    #[test]
-    fn absent_class_has_zero_metrics_not_nan() {
-        let truth = vec![0, 0];
-        let preds = vec![0, 0];
-        let r = ClassificationReport::compute(&truth, &preds, 2).unwrap();
-        let c1 = &r.per_class[1];
-        assert_eq!((c1.precision, c1.recall, c1.f1), (0.0, 0.0, 0.0));
-        assert_eq!(c1.support, 0);
-    }
-
-    #[test]
-    fn validation() {
-        assert!(ClassificationReport::compute(&[], &[], 2).is_err());
-        assert!(ClassificationReport::compute(&[0], &[0, 1], 2).is_err());
-        assert!(ClassificationReport::compute(&[5], &[0], 2).is_err());
-    }
-
-    #[test]
-    fn subset_accuracy_slices() {
-        let truth = vec![0, 1, 0, 1];
-        let preds = vec![0, 0, 0, 1];
-        assert_eq!(
-            ClassificationReport::subset_accuracy(&truth, &preds, &[1, 3]).unwrap(),
-            0.5
-        );
-        assert!(ClassificationReport::subset_accuracy(&truth, &preds, &[]).is_err());
-        assert!(ClassificationReport::subset_accuracy(&truth, &preds, &[9]).is_err());
-    }
 
     #[test]
     fn instability_metric() {

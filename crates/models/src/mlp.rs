@@ -99,14 +99,6 @@ impl Mlp {
         }
         (h, softmax(&logits))
     }
-
-    pub fn to_json(&self) -> Result<serde_json::Value> {
-        serde_json::to_value(self).map_err(|e| FsError::Serde(e.to_string()))
-    }
-
-    pub fn from_json(v: &serde_json::Value) -> Result<Self> {
-        serde_json::from_value(v.clone()).map_err(|e| FsError::Serde(e.to_string()))
-    }
 }
 
 impl Classifier for Mlp {
@@ -178,28 +170,29 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (xs, ys) = xor_data(100, 3);
-        let cfg = TrainConfig::default().with_seed(11).with_epochs(5);
+        let cfg = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default().with_seed(11)
+        };
         let a = Mlp::train(&xs, &ys, 2, 4, &cfg).unwrap();
         let b = Mlp::train(&xs, &ys, 2, 4, &cfg).unwrap();
         assert_eq!(a.predict_batch(&xs).unwrap(), b.predict_batch(&xs).unwrap());
-        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let (xs, ys) = xor_data(50, 4);
-        let m = Mlp::train(&xs, &ys, 2, 4, &TrainConfig::default().with_epochs(3)).unwrap();
-        let m2 = Mlp::from_json(&m.to_json().unwrap()).unwrap();
-        assert_eq!(
-            m.predict_batch(&xs).unwrap(),
-            m2.predict_batch(&xs).unwrap()
-        );
     }
 
     #[test]
     fn proba_is_distribution() {
         let (xs, ys) = xor_data(50, 5);
-        let m = Mlp::train(&xs, &ys, 2, 4, &TrainConfig::default().with_epochs(3)).unwrap();
+        let m = Mlp::train(
+            &xs,
+            &ys,
+            2,
+            4,
+            &TrainConfig {
+                epochs: 3,
+                ..TrainConfig::default()
+            },
+        )
+        .unwrap();
         let p = m.predict_proba(&xs[0]).unwrap();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }

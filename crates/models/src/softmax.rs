@@ -25,7 +25,7 @@ impl SoftmaxRegression {
 
     /// Train with optional per-example weights (slice reweighting hooks in
     /// here — the patching experiments E11/E12 use it).
-    pub fn train_weighted(
+    pub(crate) fn train_weighted(
         xs: &[Vec<f64>],
         ys: &[usize],
         sample_weights: Option<&[f64]>,
@@ -96,30 +96,6 @@ impl SoftmaxRegression {
         }
         softmax(&logits)
     }
-
-    /// Average cross-entropy loss over a batch.
-    pub fn loss(&self, xs: &[Vec<f64>], ys: &[usize]) -> Result<f64> {
-        validate_training_input(xs, ys, self.num_classes())?;
-        let mut total = 0.0;
-        for (x, &y) in xs.iter().zip(ys) {
-            let p = self.predict_proba(x)?;
-            total -= p[y].max(1e-15).ln();
-        }
-        Ok(total / xs.len() as f64)
-    }
-
-    /// Serialize parameters for the model store.
-    pub fn to_json(&self) -> Result<serde_json::Value> {
-        serde_json::to_value(self).map_err(|e| FsError::Serde(e.to_string()))
-    }
-
-    pub fn from_json(v: &serde_json::Value) -> Result<Self> {
-        serde_json::from_value(v.clone()).map_err(|e| FsError::Serde(e.to_string()))
-    }
-
-    pub fn weights(&self) -> &Matrix {
-        &self.weights
-    }
 }
 
 pub(crate) fn validate_training_input(
@@ -172,6 +148,21 @@ impl Classifier for SoftmaxRegression {
 }
 
 #[cfg(test)]
+impl SoftmaxRegression {
+    /// Mean cross-entropy: the reference the training test checks
+    /// convergence against.
+    fn loss(&self, xs: &[Vec<f64>], ys: &[usize]) -> Result<f64> {
+        validate_training_input(xs, ys, self.num_classes())?;
+        let mut total = 0.0;
+        for (x, &y) in xs.iter().zip(ys) {
+            let p = self.predict_proba(x)?;
+            total -= p[y].max(1e-15).ln();
+        }
+        Ok(total / xs.len() as f64)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -217,9 +208,9 @@ mod tests {
         let cfg = TrainConfig::default().with_seed(99);
         let a = SoftmaxRegression::train(&xs, &ys, 3, &cfg).unwrap();
         let b = SoftmaxRegression::train(&xs, &ys, 3, &cfg).unwrap();
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.weights, b.weights);
         let c = SoftmaxRegression::train(&xs, &ys, 3, &cfg.with_seed(100)).unwrap();
-        assert_ne!(a.weights(), c.weights());
+        assert_ne!(a.weights, c.weights);
     }
 
     #[test]
@@ -286,22 +277,26 @@ mod tests {
     #[test]
     fn loss_decreases_with_training() {
         let (xs, ys) = blobs(60, 7);
-        let short =
-            SoftmaxRegression::train(&xs, &ys, 3, &TrainConfig::default().with_epochs(1)).unwrap();
-        let long =
-            SoftmaxRegression::train(&xs, &ys, 3, &TrainConfig::default().with_epochs(40)).unwrap();
+        let short = SoftmaxRegression::train(
+            &xs,
+            &ys,
+            3,
+            &TrainConfig {
+                epochs: 1,
+                ..TrainConfig::default()
+            },
+        )
+        .unwrap();
+        let long = SoftmaxRegression::train(
+            &xs,
+            &ys,
+            3,
+            &TrainConfig {
+                epochs: 40,
+                ..TrainConfig::default()
+            },
+        )
+        .unwrap();
         assert!(long.loss(&xs, &ys).unwrap() < short.loss(&xs, &ys).unwrap());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let (xs, ys) = blobs(30, 8);
-        let m = SoftmaxRegression::train(&xs, &ys, 3, &TrainConfig::default()).unwrap();
-        let j = m.to_json().unwrap();
-        let m2 = SoftmaxRegression::from_json(&j).unwrap();
-        assert_eq!(
-            m.predict_batch(&xs).unwrap(),
-            m2.predict_batch(&xs).unwrap()
-        );
     }
 }

@@ -22,10 +22,8 @@ pub enum DriftAlert {
 /// One detector's output for one window.
 #[derive(Debug, Clone)]
 pub struct DriftReport {
-    pub feature: String,
     pub detector: &'static str,
     pub statistic: f64,
-    pub p_value: Option<f64>,
     pub alert: DriftAlert,
 }
 
@@ -53,7 +51,6 @@ impl Default for DriftThresholds {
 
 /// Per-feature tabular drift monitor (KS + PSI against a frozen reference).
 pub struct DriftMonitor {
-    feature: String,
     reference: Vec<f64>,
     reference_hist: Histogram,
     thresholds: DriftThresholds,
@@ -61,11 +58,7 @@ pub struct DriftMonitor {
 
 impl DriftMonitor {
     /// Fit on the reference sample (≥ 20 points to be meaningful).
-    pub fn fit(
-        feature: impl Into<String>,
-        reference: &[f64],
-        thresholds: DriftThresholds,
-    ) -> Result<Self> {
+    pub fn fit(reference: &[f64], thresholds: DriftThresholds) -> Result<Self> {
         if reference.len() < 20 {
             return Err(FsError::Monitor(format!(
                 "reference window too small ({} < 20)",
@@ -73,7 +66,6 @@ impl DriftMonitor {
             )));
         }
         Ok(DriftMonitor {
-            feature: feature.into(),
             reference_hist: Histogram::fit(reference, 10)?,
             reference: reference.to_vec(),
             thresholds,
@@ -81,7 +73,7 @@ impl DriftMonitor {
     }
 
     /// Check a live window; returns one report per detector.
-    pub fn check(&self, live: &[f64]) -> Result<Vec<DriftReport>> {
+    pub(crate) fn check(&self, live: &[f64]) -> Result<Vec<DriftReport>> {
         if live.is_empty() {
             return Err(FsError::Monitor("empty live window".into()));
         }
@@ -98,10 +90,8 @@ impl DriftMonitor {
             DriftAlert::Ok
         };
         out.push(DriftReport {
-            feature: self.feature.clone(),
             detector: "ks",
             statistic: ks,
-            p_value: Some(p),
             alert,
         });
 
@@ -120,10 +110,8 @@ impl DriftMonitor {
             DriftAlert::Ok
         };
         out.push(DriftReport {
-            feature: self.feature.clone(),
             detector: "psi",
             statistic: psi,
-            p_value: None,
             alert,
         });
         Ok(out)
@@ -145,11 +133,11 @@ impl DriftMonitor {
 pub struct EmbeddingDriftThresholds {
     /// Mean cosine similarity of live mean-vector to reference mean-vector
     /// below which we warn / go critical.
-    pub mean_cos_warn: f64,
-    pub mean_cos_critical: f64,
+    pub(crate) mean_cos_warn: f64,
+    pub(crate) mean_cos_critical: f64,
     /// MMD² levels.
-    pub mmd_warn: f64,
-    pub mmd_critical: f64,
+    pub(crate) mmd_warn: f64,
+    pub(crate) mmd_critical: f64,
 }
 
 impl Default for EmbeddingDriftThresholds {
@@ -167,18 +155,13 @@ impl Default for EmbeddingDriftThresholds {
 /// "existing FS metrics such as null value count do not capture drifts or
 /// changes in embeddings").
 pub struct EmbeddingDriftMonitor {
-    name: String,
     reference: Vec<Vec<f64>>,
     reference_mean: Vec<f64>,
     thresholds: EmbeddingDriftThresholds,
 }
 
 impl EmbeddingDriftMonitor {
-    pub fn fit(
-        name: impl Into<String>,
-        reference: &[Vec<f64>],
-        thresholds: EmbeddingDriftThresholds,
-    ) -> Result<Self> {
+    pub fn fit(reference: &[Vec<f64>], thresholds: EmbeddingDriftThresholds) -> Result<Self> {
         if reference.len() < 10 {
             return Err(FsError::Monitor(
                 "embedding reference window too small".into(),
@@ -198,7 +181,6 @@ impl EmbeddingDriftMonitor {
             *m /= reference.len() as f64;
         }
         Ok(EmbeddingDriftMonitor {
-            name: name.into(),
             reference: reference.to_vec(),
             reference_mean: mean,
             thresholds,
@@ -231,10 +213,8 @@ impl EmbeddingDriftMonitor {
             DriftAlert::Ok
         };
         let mut out = vec![DriftReport {
-            feature: self.name.clone(),
             detector: "mean_cosine",
             statistic: mean_cos,
-            p_value: None,
             alert,
         }];
 
@@ -247,10 +227,8 @@ impl EmbeddingDriftMonitor {
             DriftAlert::Ok
         };
         out.push(DriftReport {
-            feature: self.name.clone(),
             detector: "mmd",
             statistic: mmd,
-            p_value: None,
             alert,
         });
         Ok(out)
@@ -278,8 +256,7 @@ mod tests {
 
     #[test]
     fn tabular_quiet_on_same_distribution() {
-        let m =
-            DriftMonitor::fit("fare", &normals(500, 0.0, 1), DriftThresholds::default()).unwrap();
+        let m = DriftMonitor::fit(&normals(500, 0.0, 1), DriftThresholds::default()).unwrap();
         assert_eq!(
             m.alert_level(&normals(500, 0.0, 2)).unwrap(),
             DriftAlert::Ok
@@ -288,8 +265,7 @@ mod tests {
 
     #[test]
     fn tabular_alarms_on_shift() {
-        let m =
-            DriftMonitor::fit("fare", &normals(500, 0.0, 3), DriftThresholds::default()).unwrap();
+        let m = DriftMonitor::fit(&normals(500, 0.0, 3), DriftThresholds::default()).unwrap();
         assert_eq!(
             m.alert_level(&normals(500, 2.0, 4)).unwrap(),
             DriftAlert::Critical
@@ -298,7 +274,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert!(reports
             .iter()
-            .any(|r| r.detector == "ks" && r.p_value.unwrap() < 0.001));
+            .any(|r| r.detector == "ks" && r.alert == DriftAlert::Critical));
         assert!(reports
             .iter()
             .any(|r| r.detector == "psi" && r.statistic > 0.25));
@@ -306,7 +282,7 @@ mod tests {
 
     #[test]
     fn tabular_warning_band() {
-        let m = DriftMonitor::fit("f", &normals(2000, 0.0, 5), DriftThresholds::default()).unwrap();
+        let m = DriftMonitor::fit(&normals(2000, 0.0, 5), DriftThresholds::default()).unwrap();
         // modest shift → at least a warning, exact level depends on power
         let lvl = m.alert_level(&normals(2000, 0.15, 6)).unwrap();
         assert!(
@@ -317,8 +293,8 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(DriftMonitor::fit("f", &[1.0; 5], DriftThresholds::default()).is_err());
-        let m = DriftMonitor::fit("f", &normals(50, 0.0, 7), DriftThresholds::default()).unwrap();
+        assert!(DriftMonitor::fit(&[1.0; 5], DriftThresholds::default()).is_err());
+        let m = DriftMonitor::fit(&normals(50, 0.0, 7), DriftThresholds::default()).unwrap();
         assert!(m.check(&[]).is_err());
     }
 
@@ -337,7 +313,6 @@ mod tests {
     #[test]
     fn embedding_quiet_on_same() {
         let m = EmbeddingDriftMonitor::fit(
-            "emb",
             &embed_sample(100, 4, 0.0, 8),
             EmbeddingDriftThresholds::default(),
         )
@@ -351,7 +326,6 @@ mod tests {
     #[test]
     fn embedding_alarms_on_semantic_rotation() {
         let m = EmbeddingDriftMonitor::fit(
-            "emb",
             &embed_sample(100, 4, 0.0, 10),
             EmbeddingDriftThresholds::default(),
         )
@@ -366,13 +340,11 @@ mod tests {
     #[test]
     fn embedding_validation() {
         assert!(EmbeddingDriftMonitor::fit(
-            "e",
             &embed_sample(5, 4, 0.0, 12),
             EmbeddingDriftThresholds::default()
         )
         .is_err());
         let m = EmbeddingDriftMonitor::fit(
-            "e",
             &embed_sample(50, 4, 0.0, 13),
             EmbeddingDriftThresholds::default(),
         )

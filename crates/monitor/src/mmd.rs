@@ -7,7 +7,7 @@ use fstore_common::{FsError, Result};
 /// kernel. `bandwidth = None` uses the median heuristic over the pooled
 /// pairwise distances. Returns a non-negative score; 0 ⇔ same distribution
 /// (in the kernel's RKHS).
-pub fn mmd_rbf(x: &[Vec<f64>], y: &[Vec<f64>], bandwidth: Option<f64>) -> Result<f64> {
+pub(crate) fn mmd_rbf(x: &[Vec<f64>], y: &[Vec<f64>], bandwidth: Option<f64>) -> Result<f64> {
     if x.is_empty() || y.is_empty() {
         return Err(FsError::Monitor("MMD requires non-empty samples".into()));
     }

@@ -1,14 +1,12 @@
 //! Patching: acting on what monitoring found (paper §3.1.3 and §4,
 //! "End-to-End Model Patching Through Data").
 //!
-//! Three data-management levers from Orr et al.'s proof of concept:
+//! Two data-management levers from Orr et al.'s proof of concept:
 //!
 //! * **targeted augmentation** — oversample an underperforming slice with
 //!   feature-space jitter (ARDA/model-patching style);
 //! * **slice reweighting** — per-example weights for trainers that support
 //!   them (slice-based learning's cheap cousin);
-//! * **weak supervision** — a Snorkel-style label model that denoises
-//!   multiple noisy labeling sources into training labels;
 //!
 //! plus the embedding-ecosystem lever the paper argues is special:
 //! **embedding patching** — correct the embedding rows of the bad slice
@@ -73,128 +71,6 @@ pub fn reweight_slice(n: usize, slice: &[usize], weight: f64) -> Result<Vec<f64>
         w[i] = weight;
     }
     Ok(w)
-}
-
-/// A Snorkel-style label model over noisy binary labeling sources.
-///
-/// Sources vote `Some(class)` or abstain (`None`). The model estimates
-/// per-source accuracies from agreement with the current consensus
-/// (hard-EM for a few rounds, initialized at majority vote) and produces
-/// weighted-vote probabilistic labels.
-#[derive(Debug, Clone)]
-pub struct LabelModel {
-    pub source_accuracy: Vec<f64>,
-    num_classes: usize,
-}
-
-impl LabelModel {
-    /// Fit on a votes matrix: `votes[source][example]`.
-    pub fn fit(votes: &[Vec<Option<usize>>], num_classes: usize, rounds: usize) -> Result<Self> {
-        if votes.is_empty() || votes[0].is_empty() {
-            return Err(FsError::Monitor(
-                "label model needs sources and examples".into(),
-            ));
-        }
-        let n = votes[0].len();
-        if votes.iter().any(|v| v.len() != n) {
-            return Err(FsError::Monitor("ragged votes matrix".into()));
-        }
-        if num_classes < 2 {
-            return Err(FsError::Monitor("need at least 2 classes".into()));
-        }
-        for v in votes.iter().flatten().flatten() {
-            if *v >= num_classes {
-                return Err(FsError::Monitor(format!("vote {v} out of class range")));
-            }
-        }
-
-        let mut model = LabelModel {
-            source_accuracy: vec![0.7; votes.len()],
-            num_classes,
-        };
-        for _ in 0..rounds.max(1) {
-            let consensus: Vec<Option<usize>> = (0..n)
-                .map(|i| model.predict_one(votes, i).map(|(c, _)| c))
-                .collect();
-            for (s, svotes) in votes.iter().enumerate() {
-                let mut agree = 1.0f64; // +1 smoothing
-                let mut total = 2.0f64;
-                for (v, c) in svotes.iter().zip(&consensus) {
-                    if let (Some(v), Some(c)) = (v, c) {
-                        total += 1.0;
-                        if v == c {
-                            agree += 1.0;
-                        }
-                    }
-                }
-                // clamp away from 0.5 degeneracy and 1.0 overconfidence
-                model.source_accuracy[s] = (agree / total).clamp(0.05, 0.95);
-            }
-        }
-        Ok(model)
-    }
-
-    /// Weighted-vote label for example `i`: `(class, confidence)`; `None`
-    /// when every source abstained.
-    fn predict_one(&self, votes: &[Vec<Option<usize>>], i: usize) -> Option<(usize, f64)> {
-        let mut scores = vec![0.0f64; self.num_classes];
-        let mut any = false;
-        for (s, svotes) in votes.iter().enumerate() {
-            if let Some(c) = svotes[i] {
-                any = true;
-                let a = self.source_accuracy[s];
-                // log-odds weight of a source with accuracy a
-                let w = (a / (1.0 - a)).ln();
-                scores[c] += w;
-            }
-        }
-        if !any {
-            return None;
-        }
-        let best = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(c, _)| c)
-            .unwrap();
-        let total: f64 = scores.iter().map(|s| s.exp()).sum();
-        Some((best, scores[best].exp() / total))
-    }
-
-    /// Probabilistic labels for the whole matrix.
-    pub fn predict(&self, votes: &[Vec<Option<usize>>]) -> Result<Vec<Option<(usize, f64)>>> {
-        if votes.len() != self.source_accuracy.len() {
-            return Err(FsError::Monitor("source count mismatch".into()));
-        }
-        let n = votes[0].len();
-        Ok((0..n).map(|i| self.predict_one(votes, i)).collect())
-    }
-
-    /// Plain majority vote baseline (`None` on full abstention; ties to the
-    /// lower class id).
-    pub fn majority_vote(votes: &[Vec<Option<usize>>], num_classes: usize) -> Vec<Option<usize>> {
-        let n = votes.first().map_or(0, Vec::len);
-        (0..n)
-            .map(|i| {
-                let mut counts = vec![0usize; num_classes];
-                let mut any = false;
-                for svotes in votes {
-                    if let Some(c) = svotes[i] {
-                        counts[c] += 1;
-                        any = true;
-                    }
-                }
-                any.then(|| {
-                    counts
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                        .map(|(c, _)| c)
-                        .unwrap()
-                })
-            })
-            .collect()
-    }
 }
 
 /// Patches embedding rows and republishes — the §3.1.3 / E12 mechanism.
@@ -322,84 +198,6 @@ mod tests {
         assert_eq!(w, vec![1.0, 5.0, 1.0, 5.0]);
         assert!(reweight_slice(2, &[9], 2.0).is_err());
         assert!(reweight_slice(2, &[0], 0.0).is_err());
-    }
-
-    /// 3 sources over 60 examples: two 90%-accurate, one adversarial (30%).
-    fn noisy_votes(seed: u64) -> (Vec<Vec<Option<usize>>>, Vec<usize>) {
-        let mut rng = Xoshiro256::seeded(seed);
-        let truth: Vec<usize> = (0..60).map(|_| rng.below(2) as usize).collect();
-        let source = |acc: f64, rng: &mut Xoshiro256| -> Vec<Option<usize>> {
-            truth
-                .iter()
-                .map(|&t| {
-                    if rng.chance(0.1) {
-                        None // abstain
-                    } else if rng.chance(acc) {
-                        Some(t)
-                    } else {
-                        Some(1 - t)
-                    }
-                })
-                .collect()
-        };
-        let votes = vec![
-            source(0.9, &mut rng),
-            source(0.9, &mut rng),
-            source(0.3, &mut rng),
-        ];
-        (votes, truth)
-    }
-
-    #[test]
-    fn label_model_learns_source_quality() {
-        let (votes, truth) = noisy_votes(3);
-        let model = LabelModel::fit(&votes, 2, 5).unwrap();
-        assert!(
-            model.source_accuracy[0] > 0.75,
-            "{:?}",
-            model.source_accuracy
-        );
-        assert!(model.source_accuracy[1] > 0.75);
-        assert!(
-            model.source_accuracy[2] < 0.5,
-            "adversarial source must be downweighted"
-        );
-
-        let labels = model.predict(&votes).unwrap();
-        let mut lm_correct = 0;
-        let mut mv_correct = 0;
-        let mv = LabelModel::majority_vote(&votes, 2);
-        let mut n = 0;
-        for i in 0..truth.len() {
-            if let (Some((c, conf)), Some(m)) = (labels[i], mv[i]) {
-                n += 1;
-                assert!((0.0..=1.0).contains(&conf));
-                if c == truth[i] {
-                    lm_correct += 1;
-                }
-                if m == truth[i] {
-                    mv_correct += 1;
-                }
-            }
-        }
-        assert!(n > 30);
-        assert!(
-            lm_correct >= mv_correct,
-            "label model ({lm_correct}) must not lose to majority vote ({mv_correct})"
-        );
-        assert!(lm_correct as f64 / n as f64 > 0.8);
-    }
-
-    #[test]
-    fn label_model_validation() {
-        assert!(LabelModel::fit(&[], 2, 3).is_err());
-        assert!(LabelModel::fit(&[vec![]], 2, 3).is_err());
-        assert!(LabelModel::fit(&[vec![Some(0)], vec![Some(0), Some(1)]], 2, 3).is_err());
-        assert!(LabelModel::fit(&[vec![Some(5)]], 2, 3).is_err());
-        assert!(LabelModel::fit(&[vec![Some(0)]], 1, 3).is_err());
-        let m = LabelModel::fit(&[vec![Some(0), None]], 2, 1).unwrap();
-        assert_eq!(m.predict(&[vec![Some(0), None]]).unwrap()[1], None);
-        assert!(m.predict(&[vec![Some(0)], vec![Some(0)]]).is_err());
     }
 
     #[test]

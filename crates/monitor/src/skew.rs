@@ -2,17 +2,15 @@
 //! training-deployment data skew"): compare the offline distribution a
 //! model trained on against the values the online store is serving now.
 
-use crate::drift::{DriftAlert, DriftMonitor, DriftReport, DriftThresholds};
+use crate::drift::{DriftAlert, DriftMonitor, DriftThresholds};
 use fstore_common::{FsError, Result, Value};
 use fstore_storage::{OfflineStore, OnlineStore, ScanRequest};
 
 /// Skew check result for one feature.
 #[derive(Debug, Clone)]
 pub struct SkewReport {
-    pub feature: String,
     pub training_rows: usize,
     pub serving_rows: usize,
-    pub reports: Vec<DriftReport>,
     pub alert: DriftAlert,
 }
 
@@ -48,18 +46,16 @@ pub fn skew_report(
             "feature `{feature}` is not being served"
         )));
     }
-    let monitor = DriftMonitor::fit(feature, &training, thresholds)?;
-    let reports = monitor.check(&serving)?;
-    let alert = reports
+    let monitor = DriftMonitor::fit(&training, thresholds)?;
+    let alert = monitor
+        .check(&serving)?
         .iter()
         .map(|r| r.alert)
         .max()
         .unwrap_or(DriftAlert::Ok);
     Ok(SkewReport {
-        feature: feature.to_string(),
         training_rows: training.len(),
         serving_rows: serving.len(),
-        reports,
         alert,
     })
 }

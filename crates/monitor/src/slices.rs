@@ -8,27 +8,9 @@ use std::collections::BTreeMap;
 
 /// A named subpopulation: row indices into an evaluation set.
 #[derive(Debug, Clone)]
-pub struct SliceSpec {
-    pub name: String,
-    pub indices: Vec<usize>,
-}
-
-impl SliceSpec {
-    /// Build from a predicate over per-row metadata.
-    pub fn from_predicate<T>(
-        name: impl Into<String>,
-        rows: &[T],
-        pred: impl Fn(&T) -> bool,
-    ) -> Self {
-        SliceSpec {
-            name: name.into(),
-            indices: rows
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| pred(r).then_some(i))
-                .collect(),
-        }
-    }
+pub(crate) struct SliceSpec {
+    pub(crate) name: String,
+    pub(crate) indices: Vec<usize>,
 }
 
 /// Per-slice performance relative to the full population.
@@ -37,13 +19,12 @@ pub struct SliceMetrics {
     pub name: String,
     pub support: usize,
     pub accuracy: f64,
-    pub overall_accuracy: f64,
     /// `overall − slice` (positive = slice underperforms).
     pub gap: f64,
 }
 
 /// Evaluate explicit slices against predictions.
-pub fn slice_metrics(
+pub(crate) fn slice_metrics(
     truth: &[usize],
     preds: &[usize],
     slices: &[SliceSpec],
@@ -78,7 +59,6 @@ pub fn slice_metrics(
                 name: s.name.clone(),
                 support: s.indices.len(),
                 accuracy: acc,
-                overall_accuracy: overall,
                 gap: overall - acc,
             })
         })
@@ -204,13 +184,6 @@ mod tests {
         assert_eq!(m[0].accuracy, 1.0);
         assert_eq!(m[1].accuracy, 0.5);
         assert!((m[1].gap - 0.25).abs() < 1e-12, "overall 0.75 − slice 0.5");
-    }
-
-    #[test]
-    fn from_predicate_builder() {
-        let rows = vec![1, 5, 2, 8];
-        let s = SliceSpec::from_predicate("big", &rows, |&x| x > 3);
-        assert_eq!(s.indices, vec![1, 3]);
     }
 
     #[test]

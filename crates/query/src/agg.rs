@@ -102,15 +102,6 @@ impl AggFunc {
             AggFunc::Last => AggAccumulator::Last(None),
         }
     }
-
-    /// One-shot aggregation of a batch of values.
-    pub fn apply(&self, values: &[Value]) -> Value {
-        let mut acc = self.accumulator();
-        for v in values {
-            acc.push(v);
-        }
-        acc.finish()
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,6 +206,15 @@ impl AggAccumulator {
 mod tests {
     use super::*;
 
+    /// One-shot aggregation of a batch through a streaming accumulator.
+    fn apply(f: &AggFunc, values: &[Value]) -> Value {
+        let mut acc = f.accumulator();
+        for v in values {
+            acc.push(v);
+        }
+        acc.finish()
+    }
+
     fn ints(xs: &[i64]) -> Vec<Value> {
         xs.iter().map(|&i| Value::Int(i)).collect()
     }
@@ -236,12 +236,12 @@ mod tests {
     #[test]
     fn basic_aggregates() {
         let vs = ints(&[1, 2, 3, 4]);
-        assert_eq!(AggFunc::Count.apply(&vs), Value::Int(4));
-        assert_eq!(AggFunc::Sum.apply(&vs), Value::Float(10.0));
-        assert_eq!(AggFunc::Avg.apply(&vs), Value::Float(2.5));
-        assert_eq!(AggFunc::Min.apply(&vs), Value::Int(1));
-        assert_eq!(AggFunc::Max.apply(&vs), Value::Int(4));
-        assert_eq!(AggFunc::Last.apply(&vs), Value::Int(4));
+        assert_eq!(apply(&AggFunc::Count, &vs), Value::Int(4));
+        assert_eq!(apply(&AggFunc::Sum, &vs), Value::Float(10.0));
+        assert_eq!(apply(&AggFunc::Avg, &vs), Value::Float(2.5));
+        assert_eq!(apply(&AggFunc::Min, &vs), Value::Int(1));
+        assert_eq!(apply(&AggFunc::Max, &vs), Value::Int(4));
+        assert_eq!(apply(&AggFunc::Last, &vs), Value::Int(4));
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
                 if !numeric && f.output_type(*ty) == ValueType::Float {
                     continue; // numeric-only aggregates; the registry refuses them
                 }
-                let got = f.apply(vs).value_type();
+                let got = apply(&f, vs).value_type();
                 assert_eq!(got, Some(f.output_type(*ty)), "{f:?} over {ty:?}");
             }
         }
@@ -281,11 +281,11 @@ mod tests {
     #[test]
     fn nulls_ignored_except_count_all() {
         let vs = vec![Value::Int(2), Value::Null, Value::Int(4), Value::Null];
-        assert_eq!(AggFunc::Count.apply(&vs), Value::Int(2));
-        assert_eq!(AggFunc::CountAll.apply(&vs), Value::Int(4));
-        assert_eq!(AggFunc::Avg.apply(&vs), Value::Float(3.0));
+        assert_eq!(apply(&AggFunc::Count, &vs), Value::Int(2));
+        assert_eq!(apply(&AggFunc::CountAll, &vs), Value::Int(4));
+        assert_eq!(apply(&AggFunc::Avg, &vs), Value::Float(3.0));
         assert_eq!(
-            AggFunc::Last.apply(&vs),
+            apply(&AggFunc::Last, &vs),
             Value::Int(4),
             "null is not a new observation"
         );
@@ -294,19 +294,19 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let vs: Vec<Value> = vec![];
-        assert_eq!(AggFunc::Count.apply(&vs), Value::Int(0));
-        assert_eq!(AggFunc::CountAll.apply(&vs), Value::Int(0));
-        assert_eq!(AggFunc::Sum.apply(&vs), Value::Null);
-        assert_eq!(AggFunc::Avg.apply(&vs), Value::Null);
-        assert_eq!(AggFunc::Min.apply(&vs), Value::Null);
-        assert_eq!(AggFunc::Quantile(0.5).apply(&vs), Value::Null);
-        assert_eq!(AggFunc::Last.apply(&vs), Value::Null);
+        assert_eq!(apply(&AggFunc::Count, &vs), Value::Int(0));
+        assert_eq!(apply(&AggFunc::CountAll, &vs), Value::Int(0));
+        assert_eq!(apply(&AggFunc::Sum, &vs), Value::Null);
+        assert_eq!(apply(&AggFunc::Avg, &vs), Value::Null);
+        assert_eq!(apply(&AggFunc::Min, &vs), Value::Null);
+        assert_eq!(apply(&AggFunc::Quantile(0.5), &vs), Value::Null);
+        assert_eq!(apply(&AggFunc::Last, &vs), Value::Null);
     }
 
     #[test]
     fn stddev_is_sample_std() {
         let vs = ints(&[1, 3]);
-        assert_eq!(AggFunc::StdDev.apply(&vs), Value::Float(2f64.sqrt()));
+        assert_eq!(apply(&AggFunc::StdDev, &vs), Value::Float(2f64.sqrt()));
     }
 
     #[test]
@@ -317,13 +317,13 @@ mod tests {
             Value::from("a"),
             Value::Null,
         ];
-        assert_eq!(AggFunc::CountDistinct.apply(&vs), Value::Int(2));
+        assert_eq!(apply(&AggFunc::CountDistinct, &vs), Value::Int(2));
     }
 
     #[test]
     fn quantile_matches_exact_on_big_batch() {
         let vs: Vec<Value> = (0..10_000).map(|i| Value::Float(i as f64)).collect();
-        let v = AggFunc::Quantile(0.9).apply(&vs);
+        let v = apply(&AggFunc::Quantile(0.9), &vs);
         let x = v.as_f64().unwrap();
         assert!((x - 9_000.0).abs() < 200.0, "p90 {x}");
     }
@@ -331,8 +331,8 @@ mod tests {
     #[test]
     fn min_max_on_strings() {
         let vs = vec![Value::from("pear"), Value::from("apple")];
-        assert_eq!(AggFunc::Min.apply(&vs), Value::from("apple"));
-        assert_eq!(AggFunc::Max.apply(&vs), Value::from("pear"));
+        assert_eq!(apply(&AggFunc::Min, &vs), Value::from("apple"));
+        assert_eq!(apply(&AggFunc::Max, &vs), Value::from("pear"));
     }
 
     #[test]
@@ -349,25 +349,14 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Incremental accumulation ≡ one-shot apply.
-            #[test]
-            fn incremental_equals_batch(xs in proptest::collection::vec(-1000i64..1000, 0..200)) {
-                let vs = ints(&xs);
-                for f in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max, AggFunc::StdDev, AggFunc::CountDistinct, AggFunc::Last] {
-                    let mut acc = f.accumulator();
-                    for v in &vs { acc.push(v); }
-                    prop_assert_eq!(acc.finish(), f.apply(&vs));
-                }
-            }
-
             /// Sum equals the naive sum; min/max equal naive extremes.
             #[test]
             fn agrees_with_naive(xs in proptest::collection::vec(-1000i64..1000, 1..200)) {
                 let vs = ints(&xs);
                 let sum: i64 = xs.iter().sum();
-                prop_assert_eq!(AggFunc::Sum.apply(&vs), Value::Float(sum as f64));
-                prop_assert_eq!(AggFunc::Min.apply(&vs), Value::Int(*xs.iter().min().unwrap()));
-                prop_assert_eq!(AggFunc::Max.apply(&vs), Value::Int(*xs.iter().max().unwrap()));
+                prop_assert_eq!(apply(&AggFunc::Sum, &vs), Value::Float(sum as f64));
+                prop_assert_eq!(apply(&AggFunc::Min, &vs), Value::Int(*xs.iter().min().unwrap()));
+                prop_assert_eq!(apply(&AggFunc::Max, &vs), Value::Int(*xs.iter().max().unwrap()));
             }
         }
     }

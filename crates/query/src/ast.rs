@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Binary operators, grouped by family for type checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -22,19 +22,19 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    pub fn is_arithmetic(self) -> bool {
+    pub(crate) fn is_arithmetic(self) -> bool {
         matches!(
             self,
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
         )
     }
-    pub fn is_comparison(self) -> bool {
+    pub(crate) fn is_comparison(self) -> bool {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
     }
-    pub fn is_logical(self) -> bool {
+    pub(crate) fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
 }
@@ -61,7 +61,7 @@ impl fmt::Display for BinOp {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     Neg,
     Not,
     IsNull,
@@ -71,7 +71,7 @@ pub enum UnOp {
 /// An expression tree. Column references are by name at parse time and are
 /// bound to indices when compiled against a schema (see [`crate::program`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     Literal(Value),
     Column(String),
     Unary {
@@ -98,7 +98,7 @@ pub enum Expr {
 impl Expr {
     /// Column names referenced anywhere in the tree (sorted, deduplicated) —
     /// used by the registry to record feature→source-column lineage.
-    pub fn referenced_columns(&self) -> Vec<String> {
+    pub(crate) fn referenced_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
         self.walk(&mut |e| {
             if let Expr::Column(c) = e {

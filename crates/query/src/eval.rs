@@ -11,14 +11,14 @@ use fstore_common::{FsError, Result, Value};
 
 /// Environment an expression is evaluated in: resolves column names to the
 /// current row's values.
-pub trait Env {
+pub(crate) trait Env {
     fn get(&self, column: &str) -> Result<Value>;
 }
 
 /// An `Env` over a schema-ordered row slice with a resolver built once.
-pub struct RowEnv<'a> {
-    pub schema: &'a fstore_common::Schema,
-    pub row: &'a [Value],
+pub(crate) struct RowEnv<'a> {
+    pub(crate) schema: &'a fstore_common::Schema,
+    pub(crate) row: &'a [Value],
 }
 
 impl Env for RowEnv<'_> {
@@ -33,7 +33,7 @@ impl Env for RowEnv<'_> {
 }
 
 /// Evaluate `expr` in `env`.
-pub fn eval(expr: &Expr, env: &dyn Env) -> Result<Value> {
+pub(crate) fn eval(expr: &Expr, env: &dyn Env) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column(name) => env.get(name),
@@ -301,7 +301,7 @@ fn eval_call(func: &str, args: &[Expr], env: &dyn Env) -> Result<Value> {
 /// value. Runs at compile time so per-row evaluation never recomputes
 /// literal arithmetic (`fare * (60 * 60)` → `fare * 3600`). Safe because
 /// evaluation is deterministic and total on typed expressions.
-pub fn fold_constants(expr: Expr) -> Expr {
+pub(crate) fn fold_constants(expr: Expr) -> Expr {
     struct EmptyEnv;
     impl Env for EmptyEnv {
         fn get(&self, column: &str) -> Result<Value> {

@@ -4,13 +4,13 @@ use fstore_common::{FsError, Result};
 
 /// A token with its byte offset (for error reporting).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
-    pub pos: usize,
+pub(crate) struct Token {
+    pub(crate) kind: TokenKind,
+    pub(crate) pos: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     Int(i64),
     Float(f64),
     Str(String),
@@ -49,7 +49,7 @@ pub enum TokenKind {
 }
 
 /// Tokenize `src`; returns tokens ending with `Eof`.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

@@ -17,14 +17,15 @@
 //! assert_eq!(v, Value::Float(30.0));
 //! ```
 
-pub mod agg;
-pub mod ast;
-pub mod eval;
-pub mod lexer;
-pub mod parser;
-pub mod program;
-pub mod types;
+#![warn(unreachable_pub)]
 
-pub use agg::{AggAccumulator, AggFunc};
-pub use ast::{BinOp, Expr, UnOp};
+mod agg;
+mod ast;
+mod eval;
+mod lexer;
+mod parser;
+mod program;
+mod types;
+
+pub use agg::{AggAccumulator, AggFunc, MomentsOut};
 pub use program::Program;

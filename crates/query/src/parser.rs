@@ -6,7 +6,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use fstore_common::{FsError, Result, Value};
 
 /// Parse an expression source string into an AST.
-pub fn parse(src: &str) -> Result<Expr> {
+pub(crate) fn parse(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     let e = p.or_expr()?;

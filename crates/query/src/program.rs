@@ -8,12 +8,10 @@ use fstore_common::{Result, Schema, Value, ValueType};
 
 /// A feature expression compiled against a source schema.
 ///
-/// The original source text is retained for provenance (the registry stores
-/// it so a feature's definition is always reproducible), together with the
-/// inferred output type and the set of source columns the feature reads.
+/// It keeps the inferred output type and the set of source columns the
+/// feature reads.
 #[derive(Debug, Clone)]
 pub struct Program {
-    source: String,
     expr: Expr,
     schema: Schema,
     output_type: Option<ValueType>,
@@ -28,17 +26,11 @@ impl Program {
         let inputs = expr.referenced_columns();
         let expr = fold_constants(expr);
         Ok(Program {
-            source: src.to_string(),
             expr,
             schema: schema.clone(),
             output_type,
             inputs,
         })
-    }
-
-    /// The original expression text.
-    pub fn source(&self) -> &str {
-        &self.source
     }
 
     /// The inferred output type (`None` = the constant `NULL`).
@@ -51,10 +43,6 @@ impl Program {
         &self.inputs
     }
 
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// Evaluate over one schema-ordered row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         eval(
@@ -64,11 +52,6 @@ impl Program {
                 row,
             },
         )
-    }
-
-    /// Evaluate over many rows.
-    pub fn eval_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<Value>> {
-        rows.iter().map(|r| self.eval(r)).collect()
     }
 }
 
@@ -88,9 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn compile_records_provenance() {
+    fn compile_infers_type_and_inputs() {
         let p = Program::compile("fare * coalesce(trips, 1)", &schema()).unwrap();
-        assert_eq!(p.source(), "fare * coalesce(trips, 1)");
         assert_eq!(p.output_type(), Some(ValueType::Float));
         assert_eq!(p.inputs(), &["fare".to_string(), "trips".to_string()]);
     }
@@ -100,31 +82,6 @@ mod tests {
         assert!(Program::compile("fare +", &schema()).is_err());
         assert!(Program::compile("ghost + 1", &schema()).is_err());
         assert!(Program::compile("city + 1", &schema()).is_err());
-    }
-
-    #[test]
-    fn eval_batch() {
-        let p = Program::compile("trips * 2", &schema()).unwrap();
-        let rows = vec![
-            vec![
-                Value::Null,
-                Value::Int(1),
-                Value::from("a"),
-                Value::Bool(false),
-                Value::Timestamp(Timestamp::EPOCH),
-            ],
-            vec![
-                Value::Null,
-                Value::Int(3),
-                Value::from("b"),
-                Value::Bool(true),
-                Value::Timestamp(Timestamp::EPOCH),
-            ],
-        ];
-        assert_eq!(
-            p.eval_batch(&rows).unwrap(),
-            vec![Value::Int(2), Value::Int(6)]
-        );
     }
 
     mod properties {

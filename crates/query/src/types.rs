@@ -9,10 +9,10 @@ use fstore_common::{FsError, Result, Schema, ValueType};
 
 /// The inferred type of an expression. `None` means "untyped null" (the
 /// literal `NULL`), which unifies with anything.
-pub type InferredType = Option<ValueType>;
+pub(crate) type InferredType = Option<ValueType>;
 
 /// Infer the result type of `expr` over `schema`, or fail with a plan error.
-pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<InferredType> {
+pub(crate) fn infer_type(expr: &Expr, schema: &Schema) -> Result<InferredType> {
     match expr {
         Expr::Literal(v) => Ok(v.value_type()),
         Expr::Column(name) => match schema.field(name) {
@@ -231,7 +231,7 @@ fn fmt_ty(t: InferredType) -> String {
 }
 
 /// Unify two inferred types (None unifies with anything; Int widens to Float).
-pub fn unify(a: InferredType, b: InferredType) -> Option<InferredType> {
+pub(crate) fn unify(a: InferredType, b: InferredType) -> Option<InferredType> {
     match (a, b) {
         (None, t) | (t, None) => Some(t),
         (Some(x), Some(y)) if x == y => Some(Some(x)),

@@ -23,8 +23,7 @@ use crate::codec::{self, FullSnapshot};
 use fstore_common::rng::{Rng, Xoshiro256};
 use fstore_common::{FsError, Result};
 use fstore_durable::{LeaderParts, SnapshotCache};
-use fstore_embed::EmbeddingDb;
-use fstore_serve::{Clock, FeatureClient, IndexCatalog, RetryPolicy, ServeEngine, ServingMetrics};
+use fstore_serve::{Clock, FeatureClient, RetryPolicy, ServeEngine, ServingMetrics};
 use fstore_storage::{OfflineDb, OnlineStore};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,7 +41,7 @@ pub struct SyncReport {
     /// The leader's replication epoch when it answered.
     pub leader_epoch: u64,
     /// `leader_epoch - applied_epoch` after the round.
-    pub lag: u64,
+    pub(crate) lag: u64,
 }
 
 /// A replica of one leader's serving state.
@@ -326,21 +325,13 @@ impl Follower {
         &self.parts.online
     }
 
-    pub fn embeddings(&self) -> &EmbeddingDb {
-        &self.parts.embeddings
-    }
-
-    pub fn indexes(&self) -> &Arc<IndexCatalog> {
-        &self.parts.indexes
-    }
-
     /// The follower's components, in the shape a [`ReplLeader`] takes —
     /// the handles are shared (snapshot cells and `Arc`s), not copied, so
     /// a leader built over them continues exactly where the follower
     /// stopped.
     ///
     /// [`ReplLeader`]: crate::ReplLeader
-    pub fn parts(&self) -> LeaderParts {
+    pub(crate) fn parts(&self) -> LeaderParts {
         self.parts.clone()
     }
 

@@ -6,13 +6,13 @@
 //! snapshot publications (`SnapshotCell`), which makes replication a
 //! matter of shipping publications rather than shipping mutations:
 //!
-//! * [`leader`] — [`ReplLeader`] opens a bounded in-memory
+//! * `leader` — [`ReplLeader`] opens a bounded in-memory
 //!   [`PubLog`](fstore_common::PubLog) on its components' publication
 //!   stream, whose one publish tap diffs each new snapshot against the
 //!   last and appends epoch-tagged deltas. It implements the serve crate's
 //!   `ReplProvider`, so a leader is just an ordinary server with three
 //!   extra endpoints.
-//! * [`follower`] — [`Follower`] bootstraps from a
+//! * `follower` — [`Follower`] bootstraps from a
 //!   full snapshot at replication epoch E, then replays deltas E+1..now
 //!   into its own cells *at the leader's component epochs*. A follower
 //!   that lags past the leader's retention window, or finds itself ahead
@@ -39,13 +39,11 @@
 //! delta. A publication the WAL refuses is never replicated: the stream
 //! fail-stops until the durable leader is reopened.
 
-pub mod follower;
-pub mod leader;
+#![warn(unreachable_pub)]
+
+mod follower;
+mod leader;
 
 pub use follower::{Follower, SyncHandle, SyncReport};
-pub use fstore_durable::codec::{
-    self, EmbeddingsDelta, FullSnapshot, IndexBuild, IndexDelta, OfflineDelta, OnlineDelta,
-    OnlineRows, TableAppend, TableRepr, VersionRepr,
-};
-pub use fstore_durable::{LeaderParts, SnapshotCache};
+pub use fstore_durable::{codec, LeaderParts, SnapshotCache};
 pub use leader::ReplLeader;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Why a request was refused admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitReject {
+pub(crate) enum AdmitReject {
     /// The bounded queue is full; the request was shed.
     Overloaded,
     /// The server is draining toward shutdown.
@@ -25,14 +25,18 @@ pub enum AdmitReject {
 /// The submission side of the worker queue. Cheap to clone; one per
 /// connection thread.
 #[derive(Clone)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     tx: Sender<Job>,
     draining: Arc<AtomicBool>,
     metrics: Arc<ServingMetrics>,
 }
 
 impl AdmissionController {
-    pub fn new(tx: Sender<Job>, draining: Arc<AtomicBool>, metrics: Arc<ServingMetrics>) -> Self {
+    pub(crate) fn new(
+        tx: Sender<Job>,
+        draining: Arc<AtomicBool>,
+        metrics: Arc<ServingMetrics>,
+    ) -> Self {
         AdmissionController {
             tx,
             draining,
@@ -43,7 +47,7 @@ impl AdmissionController {
     /// Admit `job` or refuse it without blocking. A refused job's ticket
     /// is disarmed, not answered: the caller answers the slot with the
     /// refusal.
-    pub fn submit(&self, job: Job) -> Result<(), AdmitReject> {
+    pub(crate) fn submit(&self, job: Job) -> Result<(), AdmitReject> {
         if self.draining.load(Ordering::Acquire) {
             self.metrics.record_rejected_draining();
             job.ticket.disarm();
@@ -64,12 +68,7 @@ impl AdmissionController {
         }
     }
 
-    /// Jobs currently admitted but not yet claimed by a worker.
-    pub fn queue_depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 }
@@ -98,7 +97,7 @@ mod tests {
         assert_eq!(ctl.submit(job()), Ok(()));
         assert_eq!(ctl.submit(job()), Err(AdmitReject::Overloaded));
         assert_eq!(metrics.shed_count(), 1);
-        assert_eq!(ctl.queue_depth(), 1);
+        assert_eq!(ctl.tx.len(), 1);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::time::Duration;
 pub struct WriteAck {
     /// The publication epoch (log sequence) the write landed at; `0` for
     /// admin acks (promote/demote), which publish nothing.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The leader term the acknowledging node held when it applied the
     /// request.
     pub term: u64,
@@ -231,7 +231,7 @@ impl<T: Transport + ?Sized> StoreApi for T {
 // scatter-gather paths) decodes through these.
 
 /// Decode a [`Response::Features`] answer.
-pub fn expect_features(response: Response) -> Result<WireVector, ClientError> {
+pub(crate) fn expect_features(response: Response) -> Result<WireVector, ClientError> {
     match response {
         Response::Features(v) => Ok(v),
         Response::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -240,7 +240,7 @@ pub fn expect_features(response: Response) -> Result<WireVector, ClientError> {
 }
 
 /// Decode a [`Response::FeaturesBatch`] answer.
-pub fn expect_features_batch(response: Response) -> Result<Vec<WireVector>, ClientError> {
+pub(crate) fn expect_features_batch(response: Response) -> Result<Vec<WireVector>, ClientError> {
     match response {
         Response::FeaturesBatch(vs) => Ok(vs),
         Response::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -271,7 +271,7 @@ pub fn expect_embedding(response: Response) -> Result<EmbeddingRead, ClientError
 /// lifted into the typed [`ClientError::NotLeader`] — the server encodes
 /// its current term as the error message (`current_term=N`), and this is
 /// the one place that parses it back out.
-pub fn expect_put_ack(response: Response) -> Result<WriteAck, ClientError> {
+pub(crate) fn expect_put_ack(response: Response) -> Result<WriteAck, ClientError> {
     match response {
         Response::PutAck { epoch, term } => Ok(WriteAck { epoch, term }),
         Response::Error {
@@ -290,7 +290,7 @@ pub fn expect_put_ack(response: Response) -> Result<WriteAck, ClientError> {
 }
 
 /// Decode a [`Response::Neighbors`] answer.
-pub fn expect_neighbors(response: Response) -> Result<Neighbors, ClientError> {
+pub(crate) fn expect_neighbors(response: Response) -> Result<Neighbors, ClientError> {
     match response {
         Response::Neighbors {
             table_version,
@@ -309,22 +309,20 @@ pub fn expect_neighbors(response: Response) -> Result<Neighbors, ClientError> {
 // ------------------------------------------------------------ the builder
 
 /// The validated way to construct a [`FailoverClient`] — endpoints, then
-/// socket timeouts and deadline budget, then retry policy, then breaker
-/// tuning. One endpoint or several (leader first), the result is the same
-/// type: it connects lazily, retries idempotent requests per the retry
-/// policy ([`RetryPolicy::default`] unless set), and keeps a circuit
-/// breaker per endpoint ([`BreakerConfig::default`] unless set). A bare
+/// socket timeouts, then retry policy. One endpoint or several (leader
+/// first), the result is the same type: it connects lazily, retries
+/// idempotent requests per the retry policy ([`RetryPolicy::default`]
+/// unless set), and keeps a circuit breaker per endpoint
+/// ([`BreakerConfig::default`]). A bare
 /// connection with no retries is
 /// [`FeatureClient::connect_with`](crate::FeatureClient::connect_with).
 ///
 /// ```no_run
 /// use fstore_serve::{ClientBuilder, RetryPolicy, StoreApi};
-/// use std::time::Duration;
 ///
 /// let mut client = ClientBuilder::new()
 ///     .endpoint("127.0.0.1:7600")
 ///     .endpoint("127.0.0.1:7601") // follower: reads fail over to it
-///     .deadline_budget(Duration::from_millis(250))
 ///     .retry(RetryPolicy::default())
 ///     .build()
 ///     .unwrap();
@@ -336,7 +334,6 @@ pub struct ClientBuilder {
     endpoints: Vec<String>,
     config: ClientConfig,
     retry: Option<RetryPolicy>,
-    breakers: Option<BreakerConfig>,
 }
 
 impl ClientBuilder {
@@ -348,16 +345,6 @@ impl ClientBuilder {
     /// followers after.
     pub fn endpoint(mut self, addr: impl Into<String>) -> Self {
         self.endpoints.push(addr.into());
-        self
-    }
-
-    /// Append several endpoints in preference order.
-    pub fn endpoints<I, S>(mut self, addrs: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.endpoints.extend(addrs.into_iter().map(Into::into));
         self
     }
 
@@ -379,22 +366,9 @@ impl ClientBuilder {
         self
     }
 
-    /// Wrap every request in a server-side deadline budget (see
-    /// [`Request::WithDeadline`]).
-    pub fn deadline_budget(mut self, budget: Duration) -> Self {
-        self.config.deadline_budget = Some(budget);
-        self
-    }
-
     /// Retry transient failures of idempotent requests per `policy`.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Per-endpoint circuit-breaker tuning.
-    pub fn breakers(mut self, config: BreakerConfig) -> Self {
-        self.breakers = Some(config);
         self
     }
 
@@ -403,21 +377,13 @@ impl ClientBuilder {
     /// degenerate configs):
     ///
     /// * no endpoints — nothing to connect to;
-    /// * a zero deadline budget — every request would be shed at dequeue;
     /// * a retry policy with zero attempts, a multiplier below 1, jitter
     ///   outside `[0, 1]`, or an inverted backoff envelope
-    ///   (`base > max`) — the backoff curve would be nonsense;
-    /// * a breaker config with a zero failure threshold — the breaker
-    ///   could never close.
+    ///   (`base > max`) — the backoff curve would be nonsense.
     pub fn build(self) -> fstore_common::Result<FailoverClient> {
         if self.endpoints.is_empty() {
             return Err(FsError::InvalidArgument(
                 "client builder needs at least one endpoint".into(),
-            ));
-        }
-        if self.config.deadline_budget == Some(Duration::ZERO) {
-            return Err(FsError::InvalidArgument(
-                "deadline budget must be positive".into(),
             ));
         }
         if let Some(policy) = &self.retry {
@@ -442,20 +408,12 @@ impl ClientBuilder {
                 ));
             }
         }
-        if let Some(breakers) = &self.breakers {
-            if breakers.failure_threshold == 0 {
-                return Err(FsError::InvalidArgument(
-                    "breaker failure threshold must be positive".into(),
-                ));
-            }
-        }
-
         let addrs: Vec<&str> = self.endpoints.iter().map(String::as_str).collect();
         Ok(FailoverClient::connect(
             &addrs,
             self.config,
             self.retry.unwrap_or_default(),
-            self.breakers.unwrap_or_default(),
+            BreakerConfig::default(),
         ))
     }
 }
@@ -468,11 +426,6 @@ mod tests {
     #[test]
     fn builder_refuses_degenerate_configs() {
         assert!(ClientBuilder::new().build().is_err(), "no endpoints");
-        assert!(ClientBuilder::new()
-            .endpoint("127.0.0.1:1")
-            .deadline_budget(Duration::ZERO)
-            .build()
-            .is_err());
         assert!(ClientBuilder::new()
             .endpoint("127.0.0.1:1")
             .retry(RetryPolicy {
@@ -506,49 +459,24 @@ mod tests {
             })
             .build()
             .is_err());
-        assert!(ClientBuilder::new()
-            .endpoint("127.0.0.1:1")
-            .breakers(BreakerConfig {
-                failure_threshold: 0,
-                ..BreakerConfig::default()
-            })
-            .build()
-            .is_err());
     }
 
     #[test]
     fn every_valid_builder_config_yields_a_failover_client() {
         // The client connects lazily, so every shape builds without a
         // live server.
-        let tuned = BreakerConfig {
-            failure_threshold: 7,
-            ..BreakerConfig::default()
-        };
         let configs = [
-            (ClientBuilder::new().endpoint("127.0.0.1:1"), 3),
-            (
-                ClientBuilder::new()
-                    .endpoint("127.0.0.1:1")
-                    .retry(RetryPolicy::default()),
-                3,
-            ),
-            (
-                ClientBuilder::new().endpoint("127.0.0.1:1").breakers(tuned),
-                7,
-            ),
-            (
-                ClientBuilder::new()
-                    .endpoints(["127.0.0.1:1", "127.0.0.1:2"])
-                    .retry(RetryPolicy::default())
-                    .breakers(tuned),
-                7,
-            ),
+            ClientBuilder::new().endpoint("127.0.0.1:1"),
+            ClientBuilder::new()
+                .endpoint("127.0.0.1:1")
+                .retry(RetryPolicy::default()),
+            ClientBuilder::new()
+                .endpoint("127.0.0.1:1")
+                .endpoint("127.0.0.1:2")
+                .retry(RetryPolicy::default()),
         ];
-        for (builder, threshold) in configs {
-            let wanted = builder.endpoints.clone();
-            let client: FailoverClient = builder.build().unwrap();
-            assert_eq!(client.endpoints(), wanted, "endpoints in given order");
-            assert_eq!(client.breaker_config().failure_threshold, threshold);
+        for builder in configs {
+            let _: FailoverClient = builder.build().unwrap();
         }
     }
 

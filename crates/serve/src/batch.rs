@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// A finished job's answer, waiting in its slot of the connection's
 /// outbox until it reaches the head.
-pub enum Reply {
+pub(crate) enum Reply {
     /// A feature read, encoded by the worker straight from the store into
     /// a frame from the server's pool; whoever sends it copies it into
     /// the run and returns the buffer. Read frames are small and uniform,
@@ -39,28 +39,28 @@ pub enum Reply {
 pub struct Job {
     pub request: Request,
     /// The reply slot reserved for this request on its connection.
-    pub ticket: Ticket,
+    pub(crate) ticket: Ticket,
     /// When admission accepted the job; latency is measured from here so
     /// queue wait shows up in the percentiles.
-    pub accepted_at: Instant,
+    pub(crate) accepted_at: Instant,
     /// The client's deadline for this job, if it sent a budget
     /// (`Request::WithDeadline`). A worker that dequeues the job after
     /// this instant sheds it with `DeadlineExceeded` instead of running
     /// it — the caller has already given up.
-    pub deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
 }
 
 /// A coalesced group of single-entity lookups: same group, same features.
 /// The key is not copied out — it is read off the first member.
-pub struct FeatureBatch {
+pub(crate) struct FeatureBatch {
     /// The member jobs (never empty); every request is `GetFeatures` for
     /// this batch's `(group, features)`.
-    pub jobs: Vec<Job>,
+    pub(crate) jobs: Vec<Job>,
 }
 
 impl FeatureBatch {
     /// The `(group, features)` every member shares.
-    pub fn key(&self) -> (&str, &[String]) {
+    pub(crate) fn key(&self) -> (&str, &[String]) {
         match &self.jobs[0].request {
             Request::GetFeatures {
                 group, features, ..
@@ -73,15 +73,15 @@ impl FeatureBatch {
 /// A coalesced group of vector searches: same table, same k, same options.
 /// The batch resolves one index snapshot, and each member runs its own
 /// search against it.
-pub struct SearchBatch {
+pub(crate) struct SearchBatch {
     /// The member jobs (never empty); every request is `SearchNearest` for
     /// this batch's `(table, k, options)`.
-    pub jobs: Vec<Job>,
+    pub(crate) jobs: Vec<Job>,
 }
 
 impl SearchBatch {
     /// The `(table, k, options)` every member shares.
-    pub fn key(&self) -> (&str, u32, SearchOptions) {
+    pub(crate) fn key(&self) -> (&str, u32, SearchOptions) {
         match &self.jobs[0].request {
             Request::SearchNearest {
                 table, k, options, ..
@@ -92,19 +92,19 @@ impl SearchBatch {
 }
 
 /// The worker's execution plan for one drain.
-pub struct Plan {
+pub(crate) struct Plan {
     /// Coalesced `GetFeatures` groups of two or more.
-    pub batches: Vec<FeatureBatch>,
+    pub(crate) batches: Vec<FeatureBatch>,
     /// Coalesced `SearchNearest` groups of two or more.
-    pub searches: Vec<SearchBatch>,
+    pub(crate) searches: Vec<SearchBatch>,
     /// Every `PutOnline`, in arrival order: one write group, of any size.
-    pub writes: Vec<Job>,
+    pub(crate) writes: Vec<Job>,
     /// Everything else, executed one by one.
-    pub singles: Vec<Job>,
+    pub(crate) singles: Vec<Job>,
 }
 
 /// Claim up to `max - 1` additional queued jobs without blocking.
-pub fn drain(rx: &Receiver<Job>, first: Job, max: usize) -> Vec<Job> {
+pub(crate) fn drain(rx: &Receiver<Job>, first: Job, max: usize) -> Vec<Job> {
     let mut jobs = vec![first];
     while jobs.len() < max {
         match rx.try_recv() {
@@ -121,7 +121,7 @@ pub fn drain(rx: &Receiver<Job>, first: Job, max: usize) -> Vec<Job> {
 /// compared in place: a drain is at most `max_batch` jobs over a handful
 /// of distinct keys, so the scan is short and planning allocates per
 /// group, not per job.
-pub fn plan(jobs: Vec<Job>) -> Plan {
+pub(crate) fn plan(jobs: Vec<Job>) -> Plan {
     let mut batches: Vec<FeatureBatch> = Vec::new();
     let mut searches: Vec<SearchBatch> = Vec::new();
     let mut writes = Vec::new();

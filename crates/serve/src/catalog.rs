@@ -63,7 +63,7 @@ pub struct IndexSnapshot {
     /// swapped in later.
     pub generation: u64,
     /// Index family label (`"flat"`, `"ivf"`, `"hnsw"`).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// The full build instructions, so replication can ship them to a
     /// follower for a deterministic rebuild.
     pub spec: IndexSpec,
@@ -74,15 +74,11 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.index.dim()
     }
 }
@@ -125,12 +121,12 @@ impl std::error::Error for CatalogError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// The embedding-table version the snapshot was built from.
-    pub table_version: u32,
+    pub(crate) table_version: u32,
     /// The snapshot's swap generation — the catalog [`ReadEpoch`] it was
     /// published at.
-    pub index_generation: u64,
+    pub(crate) index_generation: u64,
     /// Ascending by squared-L2 distance.
-    pub hits: Vec<WireHit>,
+    pub(crate) hits: Vec<WireHit>,
 }
 
 /// The catalog's published map: table name → live index snapshot.
@@ -159,13 +155,13 @@ impl IndexCatalog {
     }
 
     /// The embedding store this catalog indexes.
-    pub fn store(&self) -> EmbeddingDb {
+    pub(crate) fn store(&self) -> EmbeddingDb {
         self.store.clone()
     }
 
     /// Wire swap/staleness reporting into the server's metrics. Called by
     /// `conn::start`; harmless to call again (last attachment wins).
-    pub fn attach_metrics(&self, metrics: Arc<ServingMetrics>) {
+    pub(crate) fn attach_metrics(&self, metrics: Arc<ServingMetrics>) {
         *self.metrics.lock() = Some(metrics);
         // Back-publish snapshots built before the server started.
         self.publish_all_statuses();
@@ -225,7 +221,7 @@ impl IndexCatalog {
 
     /// Observe every map publication, alongside the existing observers (a
     /// leader's publication stream taps in here; see
-    /// [`fstore_common::snapshot::PublishHook`]).
+    /// `fstore_common::snapshot::PublishHook`).
     pub fn add_publish_hook(&self, hook: impl Fn(&Versioned<IndexMap>) + Send + Sync + 'static) {
         self.snapshots.add_publish_hook(hook);
     }
@@ -248,7 +244,7 @@ impl IndexCatalog {
 
     /// The live snapshot for a table, if one has been built. The returned
     /// `Arc` stays valid across any number of subsequent swaps.
-    pub fn snapshot(&self, table: &str) -> Option<Arc<IndexSnapshot>> {
+    pub(crate) fn snapshot(&self, table: &str) -> Option<Arc<IndexSnapshot>> {
         let name = table.rsplit_once("@v").map_or(table, |(n, _)| n);
         self.snapshots.load().get(name).cloned()
     }
@@ -260,7 +256,7 @@ impl IndexCatalog {
     }
 
     /// The catalog's publication epoch; bumps once per successful swap.
-    pub fn epoch(&self) -> ReadEpoch {
+    pub(crate) fn epoch(&self) -> ReadEpoch {
         self.snapshots.epoch()
     }
 
@@ -301,7 +297,7 @@ impl IndexCatalog {
     /// error is the table-level failure (no snapshot); inner results are
     /// per-query.
     #[allow(clippy::type_complexity)]
-    pub fn search_many(
+    pub(crate) fn search_many(
         &self,
         table: &str,
         queries: &[&[f32]],
@@ -373,7 +369,7 @@ impl IndexCatalog {
 
     /// Recompute and push one table's status into the attached metrics.
     /// No-op when metrics are not attached or the table has no snapshot.
-    pub fn publish_status(&self, table: &str) {
+    pub(crate) fn publish_status(&self, table: &str) {
         let Some(metrics) = self.metrics.lock().clone() else {
             return;
         };

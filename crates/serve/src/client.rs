@@ -321,7 +321,10 @@ impl FeatureClient {
     /// caller may start bursts on other connections, which is how one
     /// thread keeps several servers busy at once. Accepts borrowed or
     /// owned requests alike.
-    pub fn send_many<R: Borrow<Request>>(&mut self, requests: &[R]) -> Result<(), ClientError> {
+    pub(crate) fn send_many<R: Borrow<Request>>(
+        &mut self,
+        requests: &[R],
+    ) -> Result<(), ClientError> {
         self.buf.clear();
         let budget = self.deadline_budget;
         for request in requests {
@@ -337,7 +340,7 @@ impl FeatureClient {
 
     /// The read half of [`call_many`](Self::call_many): read `count`
     /// responses in request order.
-    pub fn recv_many(&mut self, count: usize) -> Result<Vec<Response>, ClientError> {
+    pub(crate) fn recv_many(&mut self, count: usize) -> Result<Vec<Response>, ClientError> {
         let mut responses = Vec::with_capacity(count);
         for _ in 0..count {
             responses.push(self.read_response()?);
@@ -361,7 +364,7 @@ impl FeatureClient {
     /// `seq <= repl_epoch` is already folded into the payload.
     ///
     /// The frame is read into one owned buffer and the payload sliced out
-    /// of it zero-copy ([`Response::decode_frame`]) — a multi-megabyte
+    /// of it zero-copy (`Response::decode_frame`) — a multi-megabyte
     /// bootstrap costs one allocation, not frame-plus-payload copies.
     pub fn repl_snapshot(&mut self) -> Result<(u64, Bytes), ClientError> {
         self.buf.clear();
@@ -393,23 +396,6 @@ impl FeatureClient {
             } => Ok((repl_epoch, payload)),
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             _ => Err(ClientError::UnexpectedResponse("ReplSnapshot")),
-        }
-    }
-
-    /// The deltas published after `from_epoch`.
-    pub fn repl_deltas(&mut self, from_epoch: u64) -> Result<DeltaBatch, ClientError> {
-        match self.call(&Request::ReplDeltas { from_epoch })? {
-            Response::ReplDeltas {
-                leader_epoch,
-                lagged,
-                deltas,
-            } => Ok(DeltaBatch {
-                leader_epoch,
-                lagged,
-                deltas,
-            }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::UnexpectedResponse("ReplDeltas")),
         }
     }
 

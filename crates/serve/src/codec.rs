@@ -2,8 +2,8 @@
 //! primitives for everything that encodes or decodes length-prefixed
 //! binary structures — [`Request`]/[`Response`] payloads (via
 //! [`Reader`]), CRC-guarded durable blocks (`fstore_durable` re-exports
-//! the [`crc_block`] helpers), pooled frame buffers ([`FramePool`]),
-//! vectored frame writes ([`write_frame_vectored`]), and the
+//! the [`crc_block`] helpers), pooled frame buffers (`FramePool`),
+//! vectored frame writes (`write_frame_vectored`), and the
 //! per-connection [`FrameReader`] that carries partial frames across
 //! socket reads without a per-frame allocation.
 //!
@@ -55,7 +55,7 @@ impl std::error::Error for WireError {}
 /// A bounds-checked decode cursor over one frame payload. All integers
 /// are big-endian; every failure is a typed [`WireError`], never a panic.
 ///
-/// Constructed [`shared`](Reader::shared) over a [`Bytes`] frame, blob
+/// Constructed `shared` over a [`Bytes`] frame, blob
 /// fields ([`take_blob`](Reader::take_blob)) come back as zero-copy
 /// slices of that frame; constructed [`new`](Reader::new) over a plain
 /// slice they are copied out once.
@@ -77,7 +77,7 @@ impl<'a> Reader<'a> {
 
     /// A cursor over a shared frame: blob fields alias the frame's
     /// storage instead of copying.
-    pub fn shared(frame: &'a Bytes) -> Reader<'a> {
+    pub(crate) fn shared(frame: &'a Bytes) -> Reader<'a> {
         Reader {
             full: frame.as_slice(),
             pos: 0,
@@ -120,16 +120,16 @@ impl<'a> Reader<'a> {
         Ok(self.take_u64()? as i64)
     }
 
-    pub fn take_f32(&mut self) -> Result<f32, WireError> {
+    pub(crate) fn take_f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_bits(self.take_u32()?))
     }
 
-    pub fn take_f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn take_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// A `u32` length that must still be plausible within one frame.
-    pub fn take_len(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn take_len(&mut self) -> Result<usize, WireError> {
         let n = self.take_u32()? as usize;
         if n > MAX_FRAME_LEN {
             return Err(WireError::Oversized(n));
@@ -154,7 +154,7 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
-    pub fn take_f32_seq(&mut self) -> Result<Vec<f32>, WireError> {
+    pub(crate) fn take_f32_seq(&mut self) -> Result<Vec<f32>, WireError> {
         let n = self.take_len()?;
         let mut items = Vec::with_capacity(n.min(65_536));
         for _ in 0..n {
@@ -220,7 +220,7 @@ pub fn put_frame(buf: &mut BytesMut, encode: impl FnOnce(&mut BytesMut)) {
 /// Write `payload` as one frame — `u32` big-endian length, then bytes —
 /// with a single vectored syscall in the common case, so the payload is
 /// never copied into a contiguous header+body staging buffer.
-pub fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     assert!(
         payload.len() <= MAX_FRAME_LEN,
         "frame exceeds MAX_FRAME_LEN"
@@ -272,7 +272,7 @@ pub enum FrameEvent<'a> {
 /// be decoded zero-copy via [`Reader::shared`] and kept past the next
 /// read without ballooning the connection's reusable buffer.
 #[derive(Debug)]
-pub enum OwnedFrameEvent {
+pub(crate) enum OwnedFrameEvent {
     Frame(Bytes),
     Eof,
     TooLarge { declared: usize },
@@ -332,17 +332,17 @@ impl FrameReader {
     }
 
     /// Unparsed bytes currently buffered (already read off the socket).
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.end - self.start
     }
 
     /// Drain the count of buffer allocations/growths since the last call.
-    pub fn take_allocs(&mut self) -> u64 {
+    pub(crate) fn take_allocs(&mut self) -> u64 {
         std::mem::take(&mut self.allocs)
     }
 
     /// Drain the count of bytes read off the socket since the last call.
-    pub fn take_bytes_rx(&mut self) -> u64 {
+    pub(crate) fn take_bytes_rx(&mut self) -> u64 {
         std::mem::take(&mut self.bytes_rx)
     }
 
@@ -482,7 +482,7 @@ impl FrameReader {
     /// the payload, filled straight off the socket. For big transfers
     /// (snapshot bootstrap) this replaces frame-vec-plus-payload-copy
     /// with one buffer that blob fields then slice zero-copy.
-    pub fn read_frame_owned(
+    pub(crate) fn read_frame_owned(
         &mut self,
         socket: &TcpStream,
         max_len: usize,
@@ -577,7 +577,7 @@ impl Default for FrameReader {
 /// buffer that ballooned past `max_retained_capacity` (one huge snapshot
 /// response) is dropped rather than pinned in memory forever.
 #[derive(Debug)]
-pub struct FramePool {
+pub(crate) struct FramePool {
     free: Mutex<Vec<BytesMut>>,
     max_pooled: usize,
     max_retained_capacity: usize,
@@ -586,7 +586,7 @@ pub struct FramePool {
 }
 
 impl FramePool {
-    pub fn new(max_pooled: usize, max_retained_capacity: usize) -> FramePool {
+    pub(crate) fn new(max_pooled: usize, max_retained_capacity: usize) -> FramePool {
         FramePool {
             free: Mutex::new(Vec::with_capacity(max_pooled.min(64))),
             max_pooled,
@@ -597,7 +597,7 @@ impl FramePool {
     }
 
     /// A cleared buffer, reused when the free list has one.
-    pub fn get(&self) -> BytesMut {
+    pub(crate) fn get(&self) -> BytesMut {
         if let Some(buf) = self.free.lock().pop() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return buf;
@@ -607,7 +607,7 @@ impl FramePool {
     }
 
     /// Return a buffer for reuse; oversize or surplus buffers are dropped.
-    pub fn put(&self, mut buf: BytesMut) {
+    pub(crate) fn put(&self, mut buf: BytesMut) {
         if buf.capacity() > self.max_retained_capacity {
             return;
         }
@@ -618,11 +618,11 @@ impl FramePool {
         }
     }
 
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 }

@@ -62,7 +62,7 @@ use crate::batch::{self, Job, Reply};
 use crate::codec::{FrameEvent, FramePool, FrameReader};
 use crate::metrics::ServingMetrics;
 use crate::outbox::Outbox;
-pub use crate::outbox::Ticket;
+pub(crate) use crate::outbox::Ticket;
 use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME_LEN};
 use crate::server::ServeConfig;
 use crossbeam::channel::{bounded, Receiver};
@@ -111,7 +111,7 @@ pub trait Handler: Send + Sync + 'static {
 
 /// One thread's outlet for its drains — a worker's, or a reader's when
 /// it serves inline: it records each finished job, deposits its reply in
-/// the job's outbox slot, and sends on [`flush`](Self::flush).
+/// the job's outbox slot, and sends on `flush`.
 pub struct Drain<'a> {
     rx: &'a Receiver<Job>,
     metrics: &'a ServingMetrics,
@@ -124,7 +124,7 @@ pub struct Drain<'a> {
 impl Drain<'_> {
     /// Record one finished job and deposit its reply; it is sent at the
     /// next flush.
-    pub fn answer(&mut self, job: Job, reply: Reply, ok: bool) {
+    pub(crate) fn answer(&mut self, job: Job, reply: Reply, ok: bool) {
         let latency_ms = job.accepted_at.elapsed().as_secs_f64() * 1e3;
         self.metrics.record(job.request.endpoint(), latency_ms, ok);
         if let Some(outbox) = job.ticket.answer(reply) {
@@ -134,7 +134,7 @@ impl Drain<'_> {
         }
     }
 
-    /// [`answer`](Self::answer) with a typed response.
+    /// `answer` with a typed response.
     pub fn answer_typed(&mut self, job: Job, response: Response) {
         // E21's embedding phase asserts this stays flat: a response whose
         // vector owns a private buffer means the store path copied.
@@ -149,29 +149,29 @@ impl Drain<'_> {
 
     /// Send what was answered since the last flush, connection by
     /// connection.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for outbox in self.touched.drain(..) {
             outbox.flush();
         }
     }
 
     /// The server's pool for [`Reply::Frame`] buffers.
-    pub fn pool(&self) -> &FramePool {
+    pub(crate) fn pool(&self) -> &FramePool {
         &self.pool
     }
 
-    pub fn metrics(&self) -> &ServingMetrics {
+    pub(crate) fn metrics(&self) -> &ServingMetrics {
         self.metrics
     }
 
     /// Jobs admitted but not yet claimed by a worker. Reading it locks
     /// the job queue.
-    pub fn queue_depth(&self) -> u32 {
+    pub(crate) fn queue_depth(&self) -> u32 {
         self.rx.len() as u32
     }
 
     /// Whether the server is draining toward shutdown.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 }
@@ -198,13 +198,6 @@ impl ServerHandle {
 
     pub fn metrics(&self) -> Arc<ServingMetrics> {
         Arc::clone(&self.metrics)
-    }
-
-    /// Jobs admitted but not yet claimed by a worker.
-    pub fn queue_depth(&self) -> usize {
-        self.admission
-            .as_ref()
-            .map_or(0, AdmissionController::queue_depth)
     }
 
     /// Graceful shutdown: refuse new work, finish every admitted job, then

@@ -45,7 +45,7 @@ impl Default for BreakerConfig {
 
 /// Observable breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Healthy: traffic flows, failures are counted.
     Closed,
     /// Tripped: traffic is refused until the cooldown elapses.
@@ -57,7 +57,7 @@ pub enum BreakerState {
 
 /// A per-endpoint circuit breaker (closed → open → half-open → closed).
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     consecutive_failures: u32,
     /// `Some(when)` while open/half-open: the instant the breaker tripped.
@@ -67,7 +67,7 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         CircuitBreaker {
             config,
             consecutive_failures: 0,
@@ -77,7 +77,7 @@ impl CircuitBreaker {
     }
 
     /// The state as of `now`.
-    pub fn state(&self, now: Instant) -> BreakerState {
+    pub(crate) fn state(&self, now: Instant) -> BreakerState {
         match self.opened_at {
             None => BreakerState::Closed,
             Some(at) if now.duration_since(at) >= self.config.open_cooldown => {
@@ -90,7 +90,7 @@ impl CircuitBreaker {
     /// Whether a call may proceed at `now`. Half-open admits only one
     /// probe at a time; callers that get `true` must report the outcome
     /// via [`CircuitBreaker::record_success`] / [`CircuitBreaker::record_failure`].
-    pub fn allow(&mut self, now: Instant) -> bool {
+    pub(crate) fn allow(&mut self, now: Instant) -> bool {
         match self.state(now) {
             BreakerState::Closed => true,
             BreakerState::Open => false,
@@ -106,7 +106,7 @@ impl CircuitBreaker {
     }
 
     /// A call succeeded: close the circuit and forget past failures.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
         self.opened_at = None;
         self.probing = false;
@@ -114,7 +114,7 @@ impl CircuitBreaker {
 
     /// A call failed at `now`: count it, trip the breaker at the
     /// threshold, and re-open on a failed half-open probe.
-    pub fn record_failure(&mut self, now: Instant) {
+    pub(crate) fn record_failure(&mut self, now: Instant) {
         self.probing = false;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         if self.consecutive_failures >= self.config.failure_threshold || self.opened_at.is_some() {
@@ -122,10 +122,6 @@ impl CircuitBreaker {
             // cooldown from this failure.
             self.opened_at = Some(now);
         }
-    }
-
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
     }
 }
 
@@ -334,7 +330,7 @@ impl FailoverClient {
     /// and backoff (the private `run` loop holds the outcome rules).
     /// Non-idempotent requests get exactly one attempt, and a transport
     /// failure of one is sealed as [`ClientError::WriteFailed`] (see
-    /// [`crate::retry::seal_write_failure`]).
+    /// `crate::retry::seal_write_failure`).
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.run(
             None,
@@ -361,7 +357,7 @@ impl FailoverClient {
 
     /// The write half of [`call_many`](Self::call_many): pick the
     /// healthiest endpoint and put the whole burst on its connection
-    /// ([`FeatureClient::send_many`]) without waiting for an answer. The
+    /// (`FeatureClient::send_many`) without waiting for an answer. The
     /// returned token must go to [`finish_many`](Self::finish_many) with
     /// the same requests, with no other call on this client in between
     /// (the token names an endpoint by its place in the list). A caller
@@ -389,7 +385,7 @@ impl FailoverClient {
     ///   typed pushback: admission sheds job by job, so a shed read can sit
     ///   beside an applied write, and each answer belongs to its own
     ///   request. If the burst was lost, the failure is sealed
-    ///   ([`crate::retry::seal_write_failure`]).
+    ///   (`crate::retry::seal_write_failure`).
     pub fn finish_many<R: Borrow<Request>>(
         &mut self,
         started: StartedBurst,
@@ -429,16 +425,6 @@ impl FailoverClient {
                 None => error,
             },
         )
-    }
-
-    /// Expose the breaker config (tests construct matching breakers).
-    pub fn breaker_config(&self) -> BreakerConfig {
-        self.breaker_config
-    }
-
-    /// The current endpoint list, in preference order.
-    pub fn endpoints(&self) -> Vec<String> {
-        self.endpoints.iter().map(|e| e.addr.clone()).collect()
     }
 
     /// Replace the endpoint list (leader first). Endpoints that stay in
@@ -513,7 +499,7 @@ mod tests {
         assert!(!b.allow(later), "…but only one");
         b.record_success();
         assert_eq!(b.state(later), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
+        assert_eq!(b.consecutive_failures, 0);
     }
 
     #[test]

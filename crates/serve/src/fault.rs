@@ -46,9 +46,7 @@ pub struct Faults {
 
     // Observability for assertions.
     connections_refused: AtomicU64,
-    connections_opened: AtomicU64,
     frames_corrupted: AtomicU64,
-    frames_cut: AtomicU64,
 }
 
 impl Faults {
@@ -84,16 +82,8 @@ impl Faults {
         self.connections_refused.load(Ordering::Acquire)
     }
 
-    pub fn connections_opened(&self) -> u64 {
-        self.connections_opened.load(Ordering::Acquire)
-    }
-
     pub fn frames_corrupted(&self) -> u64 {
         self.frames_corrupted.load(Ordering::Acquire)
-    }
-
-    pub fn frames_cut(&self) -> u64 {
-        self.frames_cut.load(Ordering::Acquire)
     }
 
     fn stalled(&self) -> bool {
@@ -148,7 +138,6 @@ impl FaultyProxy {
                             let _ = client.shutdown(Shutdown::Both);
                             continue;
                         };
-                        faults.connections_opened.fetch_add(1, Ordering::AcqRel);
                         spawn_pumps(client, server, faults.clone(), conn_seed);
                     }
                 })
@@ -271,7 +260,6 @@ fn pump_frames(mut from: TcpStream, mut to: TcpStream, faults: &Faults, mut rng:
         if cut_pm > 0 && rng.below(1000) < cut_pm {
             // Forward the prefix and half the payload, then vanish: the
             // client is left holding a truncated frame.
-            faults.frames_cut.fetch_add(1, Ordering::AcqRel);
             let _ = to.write_all(&prefix);
             let _ = to.write_all(&payload[..len / 2]);
             break;

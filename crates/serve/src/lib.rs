@@ -6,7 +6,7 @@
 //! tier needs:
 //!
 //! * [`codec`] — the shared byte-level substrate: zero-copy decode
-//!   cursors over pooled `Bytes` frames, a [`codec::FramePool`] free-list
+//!   cursors over pooled `Bytes` frames, a `codec::FramePool` free-list
 //!   of encode buffers, vectored frame writes, and the per-connection
 //!   [`codec::FrameReader`] that carries partial frames across reads
 //!   without per-frame allocation.
@@ -19,7 +19,7 @@
 //!   a lone read on an idle connection is served by its reader thread,
 //!   under a free worker state. Each connection's replies leave in order
 //!   through its outbox.
-//! * [`server`] — [`ServeEngine`], the handler of a feature server, and
+//! * `server` — [`ServeEngine`], the handler of a feature server, and
 //!   its fenced [`WriteState`].
 //! * [`catalog`] — per-table ANN index snapshots behind atomically
 //!   swappable `Arc`s: background rebuild + swap while search traffic
@@ -28,7 +28,7 @@
 //!   lookups that share `(group, features)` into one batch serve, and
 //!   vector searches that share `(table, k, options)` into one batch
 //!   whose members each run their own search over one shared snapshot.
-//! * [`admission`] — the bounded queue *is* the admission limit; overflow
+//! * `admission` — the bounded queue *is* the admission limit; overflow
 //!   is shed immediately with a distinct `Overloaded` error, and shutdown
 //!   drains admitted work before the pool exits.
 //! * [`metrics`] — per-endpoint counters and p50/p95/p99 latency from
@@ -43,50 +43,47 @@
 //!   per-request deadline budgets; also the E14 load generator.
 //! * [`retry`] — jittered exponential backoff with idempotency-aware
 //!   failure classification, pushback detection and write sealing.
-//! * [`failover`] — [`failover::FailoverClient`], the one resilient
+//! * `failover` — [`failover::FailoverClient`], the one resilient
 //!   client: an ordered endpoint list (leader first, then followers, or a
 //!   single endpoint) behind per-endpoint circuit breakers, with
 //!   reconnect, retry and backoff. Every burst it sends is settled by one
 //!   rule, request by request.
 //! * `fault` (feature `testing`) — a deterministic fault-injecting TCP
 //!   proxy for chaos tests and the E18 experiment.
-//! * [`repl`] — the [`repl::ReplProvider`] seam: a leader built with
+//! * `repl` — the [`repl::ReplProvider`] seam: a leader built with
 //!   `fstore-repl` answers the `Repl*` endpoints through it, so followers
 //!   can bootstrap from a snapshot and stream epoch-tagged deltas.
 
-pub mod admission;
+#![warn(unreachable_pub)]
+
+mod admission;
 pub mod api;
 pub mod batch;
 pub mod catalog;
 pub mod client;
 pub mod codec;
 pub mod conn;
-pub mod failover;
+mod failover;
 #[cfg(feature = "testing")]
 pub mod fault;
 pub mod metrics;
 mod outbox;
 pub mod protocol;
-pub mod repl;
+mod repl;
 pub mod retry;
-pub mod server;
+mod server;
 
-pub use admission::{AdmissionController, AdmitReject};
 pub use api::{ClientBuilder, StoreApi, Transport, WriteAck};
 pub use catalog::{CatalogError, IndexCatalog, IndexMap, IndexSnapshot, IndexSpec, SearchOutcome};
 pub use client::{ClientConfig, ClientError, DeltaBatch, EmbeddingRead, FeatureClient, Neighbors};
-pub use codec::{
-    put_frame, write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, Reader,
-};
+pub use codec::{put_frame, FrameEvent, FrameReader};
 pub use conn::{start, ServerHandle};
-pub use failover::{
-    BreakerConfig, BreakerState, CircuitBreaker, FailoverClient, FailoverStats, StartedBurst,
-};
+pub use failover::{BreakerConfig, FailoverClient, FailoverStats, StartedBurst};
 #[cfg(feature = "testing")]
-pub use fault::{Faults, FaultyProxy};
+pub use fault::Faults;
 pub use metrics::{
-    ControlSnapshot, Endpoint, EndpointSnapshot, IndexStatus, MetricsSnapshot, ServingMetrics,
-    TierSnapshot, WireSnapshot,
+    ControlSnapshot, EndpointSnapshot, IndexStatus, MetricsSnapshot, ServingMetrics, TierSnapshot,
+    WireSnapshot,
 };
 pub use protocol::{
     write_frame, ErrorCode, Request, Response, SearchOptions, WireDelta, WireError, WireHit,
@@ -95,6 +92,6 @@ pub use protocol::{
 pub use repl::{ReplLogState, ReplProvider};
 pub use retry::{classify, ErrorClass, RetryPolicy};
 pub use server::{
-    atomic_clock, fixed_clock, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig,
-    ServeConfigBuilder, ServeEngine, WriteProvider, WriteState,
+    fixed_clock, Clock, OnlineWrite, PromoteHook, ReadScratch, ServeConfig, ServeConfigBuilder,
+    ServeEngine, WriteProvider, WriteState,
 };

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 /// The wire endpoints, used as metric labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
+pub(crate) enum Endpoint {
     Health = 0,
     GetFeatures = 1,
     GetFeaturesBatch = 2,
@@ -29,7 +29,7 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    pub const ALL: [Endpoint; 11] = [
+    pub(crate) const ALL: [Endpoint; 11] = [
         Endpoint::Health,
         Endpoint::GetFeatures,
         Endpoint::GetFeaturesBatch,
@@ -43,7 +43,7 @@ impl Endpoint {
         Endpoint::Promote,
     ];
 
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Endpoint::Health => "health",
             Endpoint::GetFeatures => "get_features",
@@ -119,8 +119,8 @@ pub struct IndexStatus {
     /// How many versions the live store has advanced past the snapshot
     /// (0 = the snapshot is fresh).
     pub staleness: u32,
-    pub len: usize,
-    pub dim: usize,
+    pub(crate) len: usize,
+    pub(crate) dim: usize,
 }
 
 /// Shared serving metrics; every handle clones an `Arc` of this.
@@ -257,7 +257,7 @@ impl ServingMetrics {
 
     /// Record one finished request with its end-to-end latency (queue wait
     /// plus handling), in milliseconds.
-    pub fn record(&self, endpoint: Endpoint, latency_ms: f64, ok: bool) {
+    pub(crate) fn record(&self, endpoint: Endpoint, latency_ms: f64, ok: bool) {
         let m = &self.endpoints[endpoint as usize];
         m.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
@@ -266,28 +266,28 @@ impl ServingMetrics {
         m.latency.lock().push(latency_ms);
     }
 
-    pub fn record_shed(&self) {
+    pub(crate) fn record_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn record_rejected_draining(&self) {
+    pub(crate) fn record_rejected_draining(&self) {
         self.rejected_draining.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record that one coalesced batch carried `size` single requests.
-    pub fn record_batch(&self, size: usize) {
+    pub(crate) fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
     }
 
     /// Record one successful index snapshot swap.
-    pub fn record_index_swap(&self) {
+    pub(crate) fn record_index_swap(&self) {
         self.index_swaps.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Publish (or refresh) one table's live index status.
-    pub fn set_index_status(&self, table: impl Into<String>, status: IndexStatus) {
+    pub(crate) fn set_index_status(&self, table: impl Into<String>, status: IndexStatus) {
         self.index_status.lock().insert(table.into(), status);
     }
 
@@ -306,24 +306,24 @@ impl ServingMetrics {
     }
 
     /// Record one job shed at dequeue because its deadline had expired.
-    pub fn record_deadline_shed(&self) {
+    pub(crate) fn record_deadline_shed(&self) {
         self.deadline_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one frame refused for exceeding the request-frame ceiling.
-    pub fn record_frame_too_large(&self) {
+    pub(crate) fn record_frame_too_large(&self) {
         self.frames_too_large.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one connection cut because a started frame stalled past the
     /// frame read budget.
-    pub fn record_frame_timeout(&self) {
+    pub(crate) fn record_frame_timeout(&self) {
         self.frame_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one connection closed because its reader thread could not
     /// be spawned.
-    pub fn record_spawn_refusal(&self) {
+    pub(crate) fn record_spawn_refusal(&self) {
         self.spawn_refusals.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -357,7 +357,7 @@ impl ServingMetrics {
     /// Record receive-side wire traffic: `bytes` on the socket (headers
     /// included), `frames` complete frames, and `allocs` read-buffer
     /// (re)allocations taken to hold them.
-    pub fn record_wire_rx(&self, bytes: u64, frames: u64, allocs: u64) {
+    pub(crate) fn record_wire_rx(&self, bytes: u64, frames: u64, allocs: u64) {
         self.wire_bytes_rx.fetch_add(bytes, Ordering::Relaxed);
         self.wire_frames_rx.fetch_add(frames, Ordering::Relaxed);
         if allocs > 0 {
@@ -368,7 +368,7 @@ impl ServingMetrics {
 
     /// Record send-side wire traffic: `bytes` on the socket (headers
     /// included) carrying `frames` frames in `writes` socket writes.
-    pub fn record_wire_tx(&self, bytes: u64, frames: u64, writes: u64) {
+    pub(crate) fn record_wire_tx(&self, bytes: u64, frames: u64, writes: u64) {
         self.wire_bytes_tx.fetch_add(bytes, Ordering::Relaxed);
         self.wire_frames_tx.fetch_add(frames, Ordering::Relaxed);
         self.wire_writes_tx.fetch_add(writes, Ordering::Relaxed);
@@ -376,20 +376,14 @@ impl ServingMetrics {
 
     /// The shared encode-buffer pool workers draw feature-read frames
     /// from.
-    pub fn frame_pool(&self) -> Arc<FramePool> {
+    pub(crate) fn frame_pool(&self) -> Arc<FramePool> {
         Arc::clone(&self.frame_pool)
     }
 
     /// Record one embedding response that copied its vector instead of
     /// sharing the store's block.
-    pub fn record_embed_copy(&self) {
+    pub(crate) fn record_embed_copy(&self) {
         self.embed_copies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative embedding responses that copied their vector; flat across
-    /// a steady-state window ⇒ the embedding read path is zero-copy.
-    pub fn embed_copies(&self) -> u64 {
-        self.embed_copies.load(Ordering::Relaxed)
     }
 
     /// Register the tiered-storage stats source polled by [`Self::snapshot`]
@@ -399,7 +393,7 @@ impl ServingMetrics {
     }
 
     /// The tier section alone (`None` when no tiered store is attached).
-    pub fn tier_snapshot(&self) -> Option<TierSnapshot> {
+    pub(crate) fn tier_snapshot(&self) -> Option<TierSnapshot> {
         let provider = self.tier_provider.lock().clone();
         provider.map(|p| p())
     }
@@ -414,7 +408,7 @@ impl ServingMetrics {
     }
 
     /// The control section alone (`None` when no control plane is attached).
-    pub fn control_snapshot(&self) -> Option<ControlSnapshot> {
+    pub(crate) fn control_snapshot(&self) -> Option<ControlSnapshot> {
         let provider = self.control_provider.lock().clone();
         provider.map(|p| p())
     }
@@ -426,10 +420,6 @@ impl ServingMetrics {
         self.wire_payload_allocs.load(Ordering::Relaxed)
     }
 
-    pub fn wire_frames_rx(&self) -> u64 {
-        self.wire_frames_rx.load(Ordering::Relaxed)
-    }
-
     pub fn wal_appends(&self) -> u64 {
         self.wal_appends.load(Ordering::Relaxed)
     }
@@ -438,20 +428,8 @@ impl ServingMetrics {
         self.wal_fsyncs.load(Ordering::Relaxed)
     }
 
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoint_count.load(Ordering::Relaxed)
-    }
-
     pub fn deadline_shed_count(&self) -> u64 {
         self.deadline_shed.load(Ordering::Relaxed)
-    }
-
-    pub fn frames_too_large_count(&self) -> u64 {
-        self.frames_too_large.load(Ordering::Relaxed)
     }
 
     pub fn frame_timeout_count(&self) -> u64 {
@@ -464,7 +442,7 @@ impl ServingMetrics {
 
     /// Epochs the follower is behind the leader, as of the last sync (0 when
     /// caught up — or when this process is not a follower at all).
-    pub fn repl_lag(&self) -> u64 {
+    pub(crate) fn repl_lag(&self) -> u64 {
         self.repl_leader_epoch
             .load(Ordering::Relaxed)
             .saturating_sub(self.repl_applied_epoch.load(Ordering::Relaxed))
@@ -478,7 +456,7 @@ impl ServingMetrics {
         self.shed.load(Ordering::Relaxed)
     }
 
-    pub fn requests(&self, endpoint: Endpoint) -> u64 {
+    pub(crate) fn requests(&self, endpoint: Endpoint) -> u64 {
         self.endpoints[endpoint as usize]
             .requests
             .load(Ordering::Relaxed)
@@ -575,8 +553,8 @@ pub struct EndpointSnapshot {
     pub p50_ms: Option<f64>,
     pub p95_ms: Option<f64>,
     pub p99_ms: Option<f64>,
-    pub mean_ms: Option<f64>,
-    pub max_ms: Option<f64>,
+    pub(crate) mean_ms: Option<f64>,
+    pub(crate) max_ms: Option<f64>,
 }
 
 /// Full metrics snapshot; serializes to the JSON dumped by
@@ -585,33 +563,33 @@ pub struct EndpointSnapshot {
 pub struct MetricsSnapshot {
     pub endpoints: BTreeMap<String, EndpointSnapshot>,
     pub shed: u64,
-    pub rejected_draining: u64,
+    pub(crate) rejected_draining: u64,
     pub batches: u64,
     pub batched_requests: u64,
     pub index_swaps: u64,
     pub indexes: BTreeMap<String, IndexStatus>,
-    pub repl_applied_epoch: u64,
-    pub repl_leader_epoch: u64,
-    pub repl_lag: u64,
-    pub repl_snapshot_fallbacks: u64,
-    pub deadline_shed: u64,
-    pub frames_too_large: u64,
-    pub frame_timeouts: u64,
+    pub(crate) repl_applied_epoch: u64,
+    pub(crate) repl_leader_epoch: u64,
+    pub(crate) repl_lag: u64,
+    pub(crate) repl_snapshot_fallbacks: u64,
+    pub(crate) deadline_shed: u64,
+    pub(crate) frames_too_large: u64,
+    pub(crate) frame_timeouts: u64,
     /// Connections closed unanswered because no reader thread could be
     /// spawned for them.
     pub spawn_refusals: u64,
-    pub repl_consecutive_failures: u64,
-    pub wal_appends: u64,
+    pub(crate) repl_consecutive_failures: u64,
+    pub(crate) wal_appends: u64,
     pub wal_fsyncs: u64,
-    pub wal_bytes: u64,
-    pub checkpoint_count: u64,
-    pub last_recovery_ms: u64,
-    pub recovered_epoch: u64,
+    pub(crate) wal_bytes: u64,
+    pub(crate) checkpoint_count: u64,
+    pub(crate) last_recovery_ms: u64,
+    pub(crate) recovered_epoch: u64,
     pub wire: WireSnapshot,
     /// Tiered embedding storage (`None` when no tiered store is attached).
     pub tier: Option<TierSnapshot>,
     /// Shard control plane (`None` when no control plane is attached).
-    pub control: Option<ControlSnapshot>,
+    pub(crate) control: Option<ControlSnapshot>,
 }
 
 /// The wire hot path at snapshot time: socket traffic, frame counts, the
@@ -620,16 +598,16 @@ pub struct MetricsSnapshot {
 /// allocations per request).
 #[derive(Debug, Clone, Serialize)]
 pub struct WireSnapshot {
-    pub bytes_rx: u64,
-    pub bytes_tx: u64,
-    pub frames_rx: u64,
+    pub(crate) bytes_rx: u64,
+    pub(crate) bytes_tx: u64,
+    pub(crate) frames_rx: u64,
     pub frames_tx: u64,
     /// Socket writes that carried `frames_tx` (fewer under pipelining:
     /// replies answered together leave in one write).
     pub writes_tx: u64,
     pub payload_allocs: u64,
-    pub pool_hits: u64,
-    pub pool_misses: u64,
+    pub(crate) pool_hits: u64,
+    pub(crate) pool_misses: u64,
     /// `None` until the pool has been drawn from at least once.
     pub pool_hit_rate: Option<f64>,
     /// Embedding responses that copied their vector instead of sharing the
@@ -689,42 +667,6 @@ pub struct ControlSnapshot {
     /// Fences (demote messages) still awaiting delivery to a demoted
     /// endpoint — nonzero while an old leader is down or unreachable.
     pub pending_fences: u64,
-}
-
-impl TierSnapshot {
-    /// Fold another node's tier section into this one (the shard router's
-    /// cluster-wide passthrough). Counters and gauges add; rates are
-    /// recomputed from the summed counters; quantiles keep the worst
-    /// (maximum) estimate, which is the honest cluster-level bound.
-    pub fn merge(&mut self, other: &TierSnapshot) {
-        self.budget_bytes += other.budget_bytes;
-        self.resident_bytes += other.resident_bytes;
-        self.pinned_bytes += other.pinned_bytes;
-        self.peak_resident_bytes += other.peak_resident_bytes;
-        self.spilled_bytes += other.spilled_bytes;
-        self.spilled_versions += other.spilled_versions;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        let reads = self.cache_hits + self.cache_misses;
-        self.hit_rate = if reads > 0 {
-            Some(self.cache_hits as f64 / reads as f64)
-        } else {
-            None
-        };
-        self.faults += other.faults;
-        self.fault_p50_ms = max_opt(self.fault_p50_ms, other.fault_p50_ms);
-        self.fault_p99_ms = max_opt(self.fault_p99_ms, other.fault_p99_ms);
-        self.evictions += other.evictions;
-        self.demotions += other.demotions;
-    }
-}
-
-fn max_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }
 
 #[cfg(test)]
@@ -798,7 +740,6 @@ mod tests {
         assert_eq!(snap.spawn_refusals, 1);
         assert_eq!(snap.repl_consecutive_failures, 3);
         assert_eq!(m.deadline_shed_count(), 2);
-        assert_eq!(m.frames_too_large_count(), 1);
         assert_eq!(m.frame_timeout_count(), 1);
         // A successful round resets the failure streak.
         m.set_repl_consecutive_failures(0);
@@ -821,8 +762,6 @@ mod tests {
         assert_eq!(snap.recovered_epoch, 17);
         assert_eq!(m.wal_appends(), 2);
         assert_eq!(m.wal_fsyncs(), 1);
-        assert_eq!(m.wal_bytes(), 128);
-        assert_eq!(m.checkpoint_count(), 1);
         // And they render in the JSON dump.
         let v: serde_json::Value = serde_json::from_str(&m.dump_json()).unwrap();
         assert_eq!(v["wal_appends"].as_u64(), Some(2));
@@ -852,7 +791,6 @@ mod tests {
         assert_eq!(snap.wire.pool_hits, 1);
         assert_eq!(snap.wire.pool_hit_rate, Some(0.5));
         assert_eq!(m.wire_payload_allocs(), 1);
-        assert_eq!(m.wire_frames_rx(), 2);
         // And the section renders in the JSON dump.
         let v: serde_json::Value = serde_json::from_str(&m.dump_json()).unwrap();
         assert_eq!(v["wire"]["frames_rx"].as_u64(), Some(2));
@@ -883,37 +821,6 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&m.dump_json()).unwrap();
         assert_eq!(v["tier"]["cache_hits"].as_u64(), Some(9));
         assert_eq!(v["tier"]["budget_bytes"].as_u64(), Some(1024));
-    }
-
-    #[test]
-    fn tier_snapshots_merge_across_nodes() {
-        let mut a = TierSnapshot {
-            budget_bytes: 100,
-            resident_bytes: 80,
-            cache_hits: 30,
-            cache_misses: 10,
-            hit_rate: Some(0.75),
-            fault_p99_ms: Some(1.5),
-            demotions: 2,
-            ..TierSnapshot::default()
-        };
-        let b = TierSnapshot {
-            budget_bytes: 100,
-            resident_bytes: 50,
-            cache_hits: 10,
-            cache_misses: 10,
-            hit_rate: Some(0.5),
-            fault_p99_ms: Some(4.0),
-            demotions: 1,
-            ..TierSnapshot::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.budget_bytes, 200);
-        assert_eq!(a.resident_bytes, 130);
-        assert_eq!(a.cache_hits, 40);
-        assert_eq!(a.hit_rate, Some(40.0 / 60.0));
-        assert_eq!(a.fault_p99_ms, Some(4.0));
-        assert_eq!(a.demotions, 3);
     }
 
     #[test]
@@ -957,7 +864,7 @@ mod tests {
     #[test]
     fn embed_copy_counter_flows_into_the_wire_section() {
         let m = ServingMetrics::new();
-        assert_eq!(m.embed_copies(), 0);
+        assert_eq!(m.snapshot().wire.embed_copies, 0);
         m.record_embed_copy();
         let snap = m.snapshot();
         assert_eq!(snap.wire.embed_copies, 1);

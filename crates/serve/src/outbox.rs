@@ -392,7 +392,7 @@ impl Outbox {
 /// Answer it once; a ticket dropped unanswered answers `Internal "worker
 /// dropped the request"` in its slot, so a lost job never stalls the
 /// replies behind it.
-pub struct Ticket {
+pub(crate) struct Ticket {
     outbox: Option<Arc<Outbox>>,
     seq: u64,
 }

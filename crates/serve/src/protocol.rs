@@ -21,10 +21,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 use fstore_common::{ComponentKind, DeltaRecord, Duration, Timestamp, Value, VectorBuf};
 use fstore_core::{FeatureVector, RowSink};
 
-pub use crate::codec::{
-    write_frame_vectored, FrameEvent, FramePool, FrameReader, OwnedFrameEvent, WireError,
-    MAX_FRAME_LEN,
-};
+pub(crate) use crate::codec::write_frame_vectored;
+pub use crate::codec::{FrameEvent, FrameReader, WireError, MAX_FRAME_LEN};
 
 /// Why a request was refused, carried on the wire inside
 /// [`Response::Error`].
@@ -203,7 +201,7 @@ pub enum Request {
 
 impl Request {
     /// Endpoint label for metrics.
-    pub fn endpoint(&self) -> crate::metrics::Endpoint {
+    pub(crate) fn endpoint(&self) -> crate::metrics::Endpoint {
         use crate::metrics::Endpoint;
         match self {
             Request::Health => Endpoint::Health,
@@ -583,7 +581,7 @@ pub enum Response {
     /// Replication: a full state snapshot (opaque, `fstore-repl`-encoded)
     /// captured at replication epoch `repl_epoch`. The payload is [`Bytes`]
     /// so a snapshot decoded from an owned frame
-    /// ([`Response::decode_frame`]) aliases that frame instead of copying
+    /// (`Response::decode_frame`) aliases that frame instead of copying
     /// multiple megabytes.
     ReplSnapshot {
         repl_epoch: u64,
@@ -730,7 +728,7 @@ impl Response {
     /// payload) alias the frame's storage instead of copying.
     ///
     /// [`ReplSnapshot`]: Response::ReplSnapshot
-    pub fn decode_frame(frame: &Bytes) -> Result<Self, WireError> {
+    pub(crate) fn decode_frame(frame: &Bytes) -> Result<Self, WireError> {
         Self::decode_reader(Reader::shared(frame))
     }
 

@@ -59,7 +59,11 @@ pub fn classify(error: &ClientError) -> ErrorClass {
 /// while a failure after dispatch leaves the outcome unknown. Idempotent
 /// requests and typed server refusals (which prove non-application by
 /// themselves) pass through untouched.
-pub fn seal_write_failure(request: &Request, dispatched: bool, error: ClientError) -> ClientError {
+pub(crate) fn seal_write_failure(
+    request: &Request,
+    dispatched: bool,
+    error: ClientError,
+) -> ClientError {
     if request.is_idempotent() || classify(&error) != ErrorClass::Transport {
         return error;
     }

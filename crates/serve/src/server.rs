@@ -15,7 +15,7 @@ use fstore_core::{stale_error, FeatureServer, StaleRefused};
 use fstore_embed::{EmbeddingDb, EmbeddingStore};
 use fstore_storage::FeatureId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, Ordering};
+
 use std::sync::Arc;
 
 /// Server tuning knobs.
@@ -172,11 +172,6 @@ pub fn fixed_clock(now: Timestamp) -> Clock {
     Arc::new(move || now)
 }
 
-/// A clock backed by a shared atomic; advance it from outside the server.
-pub fn atomic_clock(millis: Arc<AtomicI64>) -> Clock {
-    Arc::new(move || Timestamp::millis(millis.load(Ordering::Acquire)))
-}
-
 /// One entity's feature values on their way into the online store,
 /// borrowed from whoever holds them (a `PutOnline` request, a caller's
 /// slice of `(&str, Value)` pairs).
@@ -276,7 +271,7 @@ impl WriteState {
 
     /// Install a write provider at `term` (startup wiring for a node that
     /// begins life as the leader).
-    pub fn install(&self, provider: Arc<dyn WriteProvider>, term: u64) {
+    pub(crate) fn install(&self, provider: Arc<dyn WriteProvider>, term: u64) {
         let mut inner = self.inner.lock();
         inner.provider = Some(provider);
         inner.term = term;
@@ -284,7 +279,7 @@ impl WriteState {
 
     /// Register the hook [`Request::Promote`] runs to turn this node into
     /// a leader.
-    pub fn set_promote_hook(&self, hook: PromoteHook) {
+    pub(crate) fn set_promote_hook(&self, hook: PromoteHook) {
         *self.promote_hook.lock() = Some(hook);
     }
 
@@ -378,7 +373,7 @@ impl WriteState {
     /// `term`. Idempotent for a node already leading at `term` or above;
     /// a stale term is refused so a delayed promote frame can never
     /// regress leadership.
-    pub fn promote(&self, term: u64) -> Response {
+    pub(crate) fn promote(&self, term: u64) -> Response {
         let mut inner = self.inner.lock();
         if term < inner.term {
             return Self::not_leader(inner.term);
@@ -415,7 +410,7 @@ impl WriteState {
     /// A demote carrying a term *below* the node's current one is stale
     /// (it predates a newer promotion) and is refused without touching
     /// the provider.
-    pub fn demote(&self, term: u64) -> Response {
+    pub(crate) fn demote(&self, term: u64) -> Response {
         let mut inner = self.inner.lock();
         if term < inner.term {
             return Self::not_leader(inner.term);
@@ -524,7 +519,7 @@ impl ServeEngine {
         Arc::clone(&self.writes)
     }
 
-    pub fn now(&self) -> Timestamp {
+    pub(crate) fn now(&self) -> Timestamp {
         (self.clock)()
     }
 

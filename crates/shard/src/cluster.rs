@@ -15,8 +15,7 @@ use crate::router::{RouterClient, RouterConfig};
 use fstore_common::{EntityKey, FsError, Result, Timestamp, Value};
 use fstore_repl::{Follower, LeaderParts, ReplLeader, SyncHandle};
 use fstore_serve::{
-    start, Clock, ControlSnapshot, PromoteHook, ServeConfig, ServerHandle, TierSnapshot,
-    WriteProvider,
+    start, Clock, ControlSnapshot, PromoteHook, ServeConfig, ServerHandle, WriteProvider,
 };
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -235,7 +234,7 @@ impl ShardCluster {
 
     /// The leader owning `key`: route a seed write the same way the
     /// router will route the read back.
-    pub fn leader_for(&self, key: &str) -> Arc<ReplLeader> {
+    pub(crate) fn leader_for(&self, key: &str) -> Arc<ReplLeader> {
         self.leader(self.shard_for(key))
     }
 
@@ -259,30 +258,6 @@ impl ShardCluster {
             .iter()
             .filter_map(|n| n.leader_server.as_ref().map(|s| s.addr()))
             .collect()
-    }
-
-    /// Cluster-wide `tier` metrics: every live node's tier section merged
-    /// per [`TierSnapshot::merge`] (counters add, rates are recomputed,
-    /// quantiles keep the worst node's estimate). `None` when no node has
-    /// a tiered embedding store attached — the passthrough is optional,
-    /// like the tier itself.
-    pub fn tier_metrics(&self) -> Option<TierSnapshot> {
-        let mut merged: Option<TierSnapshot> = None;
-        for node in &self.nodes {
-            let servers = node
-                .leader_server
-                .iter()
-                .chain(node.followers.iter().map(|f| &f.server));
-            for server in servers {
-                if let Some(tier) = server.metrics().tier_snapshot() {
-                    match merged.as_mut() {
-                        Some(m) => m.merge(&tier),
-                        None => merged = Some(tier),
-                    }
-                }
-            }
-        }
-        merged
     }
 
     /// Kill `shard`'s leader server (the process stays; the socket dies).
@@ -361,11 +336,6 @@ impl ShardCluster {
         )
     }
 
-    /// The wall-clock the cluster's servers were started with.
-    pub fn clock(&self) -> Clock {
-        self.clock.clone()
-    }
-
     /// Block until every (unpromoted) follower has applied its leader's
     /// last published delta, or `timeout` elapses. Tests seed data after
     /// the cluster starts, so they call this before asserting follower
@@ -442,52 +412,5 @@ fn shard_config(template: &ServeConfig) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         ..template.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The tier passthrough is absent until a node exposes a tier section
-    /// and sums across nodes once they do.
-    #[test]
-    fn tier_metrics_merge_across_nodes() {
-        let clock = fstore_serve::fixed_clock(Timestamp::EPOCH);
-        let cluster = ShardCluster::start(
-            ClusterConfig {
-                shards: 2,
-                followers: 0,
-                ..ClusterConfig::default()
-            },
-            clock,
-        )
-        .unwrap();
-        assert!(cluster.tier_metrics().is_none(), "no tier attached yet");
-
-        for (i, node) in cluster.nodes.iter().enumerate() {
-            let snap = TierSnapshot {
-                budget_bytes: 100,
-                resident_bytes: 40 + i as u64,
-                cache_hits: 9,
-                cache_misses: 1,
-                fault_p99_ms: Some(1.0 + i as f64),
-                demotions: 2,
-                ..TierSnapshot::default()
-            };
-            node.leader_server
-                .as_ref()
-                .unwrap()
-                .metrics()
-                .set_tier_provider(move || snap.clone());
-        }
-        let merged = cluster.tier_metrics().expect("both nodes report");
-        assert_eq!(merged.budget_bytes, 200);
-        assert_eq!(merged.resident_bytes, 81);
-        assert_eq!(merged.cache_hits, 18);
-        assert_eq!(merged.hit_rate, Some(0.9));
-        assert_eq!(merged.fault_p99_ms, Some(2.0), "worst node's estimate");
-        assert_eq!(merged.demotions, 4);
-        cluster.shutdown();
     }
 }

@@ -19,15 +19,14 @@
 //! and operators.
 
 use crate::map::{ShardId, ShardMap};
-use fstore_common::{SnapshotCell, Versioned};
+use fstore_common::SnapshotCell;
 use fstore_serve::{
     ClientConfig, ClientError, ControlSnapshot, ErrorCode, FeatureClient, StoreApi,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Control-plane tuning.
@@ -35,10 +34,10 @@ use std::time::Duration;
 pub struct ControlPlaneConfig {
     /// Consecutive failed probes before a leader is declared dead and its
     /// shard promoted.
-    pub failure_threshold: u32,
+    pub(crate) failure_threshold: u32,
     /// Socket deadlines for probe connections — tight, so a dead leader
     /// costs a probe round milliseconds, not the client default seconds.
-    pub probe: ClientConfig,
+    pub(crate) probe: ClientConfig,
 }
 
 impl Default for ControlPlaneConfig {
@@ -60,9 +59,9 @@ impl Default for ControlPlaneConfig {
 pub struct PromotionEvent {
     pub shard: ShardId,
     /// The leader endpoint that stopped answering.
-    pub demoted: String,
+    pub(crate) demoted: String,
     /// The follower endpoint now preferred.
-    pub promoted: String,
+    pub(crate) promoted: String,
     /// The map version the promotion published.
     pub map_version: u64,
     /// The leader term the promotion granted — every routed write to the
@@ -90,7 +89,7 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    pub fn new(map: ShardMap, config: ControlPlaneConfig) -> Arc<Self> {
+    pub(crate) fn new(map: ShardMap, config: ControlPlaneConfig) -> Arc<Self> {
         Arc::new(ControlPlane {
             map: SnapshotCell::new(map),
             config,
@@ -107,19 +106,9 @@ impl ControlPlane {
         self.map.load()
     }
 
-    /// The current map with its publication epoch.
-    pub fn current(&self) -> Versioned<ShardMap> {
-        self.map.read()
-    }
-
     /// The current map's version — what routers poll to notice changes.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.map.load().version()
-    }
-
-    /// Promotions performed so far, oldest first.
-    pub fn promotions(&self) -> Vec<PromotionEvent> {
-        self.promotions.lock().clone()
     }
 
     /// Promote `shard`'s first follower to preferred endpoint, bump its
@@ -131,7 +120,7 @@ impl ControlPlane {
     /// granted term) and a `Demote` fence to the old one (so a revived
     /// zombie refuses writes stamped with its stale term). Both are
     /// retried every probe round until acked.
-    pub fn promote(&self, shard: ShardId) -> Option<PromotionEvent> {
+    pub(crate) fn promote(&self, shard: ShardId) -> Option<PromotionEvent> {
         // Serialize topology changes through the cell's updater so two
         // concurrent promotions cannot both derive from the same base map.
         let (_, event) = self.map.update(|map, _| {
@@ -320,55 +309,6 @@ impl ControlPlane {
                 as u64,
         }
     }
-
-    /// Run [`probe_once`](Self::probe_once) every `interval` on a
-    /// background thread until the handle is stopped.
-    pub fn start(self: &Arc<Self>, interval: Duration) -> ControlHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let control = Arc::clone(self);
-        let stop2 = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Acquire) {
-                control.probe_once();
-                // Sleep in slices so stop() returns promptly.
-                let mut left = interval;
-                while !stop2.load(Ordering::Acquire) && left > Duration::ZERO {
-                    let slice = left.min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    left = left.saturating_sub(slice);
-                }
-            }
-        });
-        ControlHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-/// Stops the probe loop when dropped or [`stop`](ControlHandle::stop)ped.
-pub struct ControlHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl ControlHandle {
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for ControlHandle {
-    fn drop(&mut self) {
-        self.halt();
-    }
 }
 
 #[cfg(test)]
@@ -395,14 +335,14 @@ mod tests {
             control.map().shard(ShardId(0)).unwrap().leader(),
             "127.0.0.1:2"
         );
-        assert_eq!(control.promotions(), vec![event]);
+        assert_eq!(control.promotions.lock().clone(), vec![event]);
     }
 
     #[test]
     fn promote_without_a_follower_is_refused() {
         let control = ControlPlane::new(two_replica_map(), ControlPlaneConfig::default());
         assert!(control.promote(ShardId(1)).is_none());
-        assert!(control.promotions().is_empty());
+        assert!(control.promotions.lock().clone().is_empty());
     }
 
     #[test]

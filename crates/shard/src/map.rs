@@ -24,7 +24,7 @@ use fstore_common::hash::fx_hash_one;
 /// Virtual nodes each shard contributes to the ring. 64 keeps the
 /// max/min load ratio under ~2 for realistic key counts while the ring
 /// stays small enough to rebuild on every topology change.
-pub const VNODES_PER_SHARD: usize = 64;
+pub(crate) const VNODES_PER_SHARD: usize = 64;
 
 /// Identifies one shard (stable across promotions and resharding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,7 +43,7 @@ pub struct ShardInfo {
     pub id: ShardId,
     /// `endpoints[0]` is the leader (writes and preferred reads); the rest
     /// are followers a `FailoverClient` may fall back to.
-    pub endpoints: Vec<String>,
+    pub(crate) endpoints: Vec<String>,
     /// The shard's leader term — bumped by every promotion, stamped onto
     /// every routed write, and checked by the serving node before it
     /// applies one. A node seeing a write with an older term than its own
@@ -63,7 +63,7 @@ impl ShardInfo {
     }
 
     /// The current leader endpoint.
-    pub fn leader(&self) -> &str {
+    pub(crate) fn leader(&self) -> &str {
         &self.endpoints[0]
     }
 }
@@ -117,12 +117,12 @@ impl ShardMap {
         &self.shards
     }
 
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The shard info for `id`, if the map knows it.
-    pub fn shard(&self, id: ShardId) -> Option<&ShardInfo> {
+    pub(crate) fn shard(&self, id: ShardId) -> Option<&ShardInfo> {
         self.shards.iter().find(|s| s.id == id)
     }
 

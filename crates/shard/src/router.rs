@@ -393,7 +393,7 @@ fn answer_parts(
 }
 
 impl RouterClient {
-    pub fn new(control: Arc<ControlPlane>, config: RouterConfig) -> Self {
+    pub(crate) fn new(control: Arc<ControlPlane>, config: RouterConfig) -> Self {
         let mut router = RouterClient {
             map: control.map(),
             control,
@@ -402,11 +402,6 @@ impl RouterClient {
         };
         router.bind_clients();
         router
-    }
-
-    /// The map this router last routed with.
-    pub fn map(&self) -> Arc<ShardMap> {
-        Arc::clone(&self.map)
     }
 
     /// Failover counters per shard (ascending shard id) — how often reads
@@ -424,7 +419,7 @@ impl RouterClient {
     /// Adopt the control plane's current map if it moved. Shards present
     /// in both maps keep their client (connections, breaker history);
     /// their endpoint order is rebound to the new map.
-    pub fn refresh(&mut self) {
+    pub(crate) fn refresh(&mut self) {
         if self.control.version() == self.map.version() {
             return;
         }
@@ -827,7 +822,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            router.map().version(),
+            router.map.version(),
             1,
             "the router still holds the old map"
         );
@@ -839,7 +834,7 @@ mod tests {
         );
         assert!(matches!(results[1], Ok(Response::Features(_))));
         assert_eq!(
-            router.map().version(),
+            router.map.version(),
             event.map_version,
             "re-sent on the new map"
         );

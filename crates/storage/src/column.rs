@@ -7,18 +7,18 @@ use fstore_common::{FsError, Result, Timestamp, Value, ValueType};
 /// Fields are crate-visible so the on-disk segment format (`crate::disk`)
 /// can persist and reconstruct the words directly.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NullBitmap {
+pub(crate) struct NullBitmap {
     pub(crate) words: Vec<u64>,
     pub(crate) len: usize,
     pub(crate) null_count: usize,
 }
 
 impl NullBitmap {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NullBitmap::default()
     }
 
-    pub fn push(&mut self, valid: bool) {
+    pub(crate) fn push(&mut self, valid: bool) {
         let (word, bit) = (self.len / 64, self.len % 64);
         if word == self.words.len() {
             self.words.push(0);
@@ -31,20 +31,16 @@ impl NullBitmap {
         self.len += 1;
     }
 
-    pub fn is_valid(&self, i: usize) -> bool {
+    pub(crate) fn is_valid(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn null_count(&self) -> usize {
+    pub(crate) fn null_count(&self) -> usize {
         self.null_count
     }
 }
@@ -52,7 +48,7 @@ impl NullBitmap {
 /// A typed column. Null slots hold a default in the data vector and a zero
 /// bit in the bitmap, so dense numeric scans never branch on an enum.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Column {
+pub(crate) enum Column {
     Int {
         data: Vec<i64>,
         nulls: NullBitmap,
@@ -76,7 +72,7 @@ pub enum Column {
 }
 
 impl Column {
-    pub fn new(ty: ValueType) -> Self {
+    pub(crate) fn new(ty: ValueType) -> Self {
         match ty {
             ValueType::Int => Column::Int {
                 data: Vec::new(),
@@ -101,7 +97,7 @@ impl Column {
         }
     }
 
-    pub fn value_type(&self) -> ValueType {
+    pub(crate) fn value_type(&self) -> ValueType {
         match self {
             Column::Int { .. } => ValueType::Int,
             Column::Float { .. } => ValueType::Float,
@@ -111,15 +107,11 @@ impl Column {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nulls().len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn null_count(&self) -> usize {
+    pub(crate) fn null_count(&self) -> usize {
         self.nulls().null_count()
     }
 
@@ -135,7 +127,7 @@ impl Column {
 
     /// Append a value; `Null` is accepted by every column, `Int` widens into
     /// `Float` columns (mirroring [`Value::fits`]).
-    pub fn push(&mut self, v: &Value) -> Result<()> {
+    pub(crate) fn push(&mut self, v: &Value) -> Result<()> {
         match (self, v) {
             (Column::Int { data, nulls }, Value::Int(i)) => {
                 data.push(*i);
@@ -195,7 +187,7 @@ impl Column {
     }
 
     /// Read row `i` back as a [`Value`].
-    pub fn get(&self, i: usize) -> Value {
+    pub(crate) fn get(&self, i: usize) -> Value {
         if !self.nulls().is_valid(i) {
             return Value::Null;
         }
@@ -206,45 +198,6 @@ impl Column {
             Column::Str { data, .. } => Value::Str(data[i].clone()),
             Column::Timestamp { data, .. } => Value::Timestamp(Timestamp::millis(data[i])),
         }
-    }
-
-    /// Non-null numeric view of the column (Int/Float/Bool/Timestamp → f64),
-    /// used by the profiler and drift monitors.
-    pub fn numeric_values(&self) -> Vec<f64> {
-        let nulls = self.nulls();
-        let mut out = Vec::with_capacity(self.len() - self.null_count());
-        match self {
-            Column::Int { data, .. } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if nulls.is_valid(i) {
-                        out.push(x as f64);
-                    }
-                }
-            }
-            Column::Float { data, .. } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if nulls.is_valid(i) {
-                        out.push(x);
-                    }
-                }
-            }
-            Column::Bool { data, .. } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if nulls.is_valid(i) {
-                        out.push(if x { 1.0 } else { 0.0 });
-                    }
-                }
-            }
-            Column::Timestamp { data, .. } => {
-                for (i, &x) in data.iter().enumerate() {
-                    if nulls.is_valid(i) {
-                        out.push(x as f64);
-                    }
-                }
-            }
-            Column::Str { .. } => {}
-        }
-        out
     }
 }
 
@@ -302,21 +255,5 @@ mod tests {
         let err = c.push(&Value::from("x")).unwrap_err();
         assert!(err.to_string().contains("Int"));
         assert_eq!(c.len(), 0, "failed push must not grow the column");
-    }
-
-    #[test]
-    fn numeric_values_skip_nulls() {
-        let mut c = Column::new(ValueType::Int);
-        for v in [Value::Int(1), Value::Null, Value::Int(3)] {
-            c.push(&v).unwrap();
-        }
-        assert_eq!(c.numeric_values(), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn numeric_values_empty_for_strings() {
-        let mut c = Column::new(ValueType::Str);
-        c.push(&Value::from("a")).unwrap();
-        assert!(c.numeric_values().is_empty());
     }
 }

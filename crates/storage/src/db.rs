@@ -68,7 +68,7 @@ impl OfflineDb {
 
     /// Observe every publication, alongside the existing observers (a
     /// leader's publication stream taps in here; see
-    /// [`fstore_common::snapshot::PublishHook`]).
+    /// `fstore_common::snapshot::PublishHook`).
     pub fn add_publish_hook(
         &self,
         hook: impl Fn(&Versioned<OfflineStore>) + Send + Sync + 'static,

@@ -13,17 +13,17 @@
 //! lookups); experiment **E1** measures the latency contrast that motivates
 //! keeping both.
 
-pub mod column;
-pub mod db;
-pub mod disk;
-pub mod offline;
-pub mod online;
-pub mod predicate;
-pub mod segment;
+#![warn(unreachable_pub)]
 
-pub use column::{Column, NullBitmap};
+mod column;
+mod db;
+mod disk;
+mod offline;
+mod online;
+mod predicate;
+mod segment;
+
 pub use db::OfflineDb;
 pub use offline::{OfflineStore, ScanRequest, ScanResult, ScanStats, TableConfig};
 pub use online::{FeatureId, OnlineEntry, OnlineStore, OnlineStoreStats};
 pub use predicate::{CmpOp, Predicate};
-pub use segment::{Segment, SegmentBuilder, ZoneMap};

@@ -14,17 +14,17 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default number of rows per sealed segment.
-pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
+pub(crate) const DEFAULT_SEGMENT_ROWS: usize = 4096;
 
 /// Configuration supplied when creating a table.
 #[derive(Debug, Clone)]
 pub struct TableConfig {
-    pub schema: Schema,
+    pub(crate) schema: Schema,
     /// Column (must be `Timestamp`-typed) used for partition routing and
     /// `as_of` filtering. Tables without one live in a single partition.
-    pub time_column: Option<String>,
+    pub(crate) time_column: Option<String>,
     /// Rows per segment before the open segment is sealed.
-    pub segment_rows: usize,
+    pub(crate) segment_rows: usize,
 }
 
 impl TableConfig {
@@ -70,13 +70,13 @@ pub(crate) struct Table {
 #[derive(Debug, Clone, Default)]
 pub struct ScanRequest {
     /// Inclusive partition date range.
-    pub date_range: Option<(Date, Date)>,
+    pub(crate) date_range: Option<(Date, Date)>,
     /// Only rows whose time column is `<= as_of` (requires a time column).
-    pub as_of: Option<Timestamp>,
+    pub(crate) as_of: Option<Timestamp>,
     /// Conjunctive column predicates.
-    pub predicates: Vec<Predicate>,
+    pub(crate) predicates: Vec<Predicate>,
     /// Columns to return, in order (`None` = all).
-    pub projection: Option<Vec<String>>,
+    pub(crate) projection: Option<Vec<String>>,
 }
 
 impl ScanRequest {
@@ -109,18 +109,17 @@ impl ScanRequest {
 /// access path, not just the answer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    pub partitions_total: usize,
-    pub partitions_scanned: usize,
-    pub segments_total: usize,
-    pub segments_scanned: usize,
+    pub(crate) partitions_total: usize,
+    pub(crate) partitions_scanned: usize,
+    pub(crate) segments_total: usize,
+    pub(crate) segments_scanned: usize,
     pub rows_scanned: usize,
-    pub rows_matched: usize,
+    pub(crate) rows_matched: usize,
 }
 
-/// Scan output: projected schema, materialized rows, and access-path stats.
+/// Scan output: materialized rows and access-path stats.
 #[derive(Debug, Clone)]
 pub struct ScanResult {
-    pub schema: Schema,
     pub rows: Vec<Vec<Value>>,
     pub stats: ScanStats,
 }
@@ -205,10 +204,6 @@ impl OfflineStore {
 
     pub fn num_rows(&self, table: &str) -> Result<usize> {
         Ok(self.table(table)?.rows)
-    }
-
-    pub fn partition_dates(&self, table: &str) -> Result<Vec<Date>> {
-        Ok(self.table(table)?.partitions.keys().copied().collect())
     }
 
     /// The table's configured time column, if any.
@@ -326,15 +321,13 @@ impl OfflineStore {
         }
         let date_lo = req.date_range.map(|(lo, _)| lo);
 
-        let out_schema = match &req.projection {
-            Some(cols) => {
-                let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                schema.project(&refs)?
-            }
-            None => schema.clone(),
-        };
         let proj_idx: Vec<usize> = match &req.projection {
-            Some(cols) => cols.iter().map(|c| schema.index_of(c).unwrap()).collect(),
+            Some(cols) => {
+                // Refuses unknown and repeated columns before any row is read.
+                let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+                schema.project(&refs)?;
+                cols.iter().map(|c| schema.index_of(c).unwrap()).collect()
+            }
             None => (0..schema.len()).collect(),
         };
 
@@ -380,11 +373,7 @@ impl OfflineStore {
                 }
             }
         }
-        Ok(ScanResult {
-            schema: out_schema,
-            rows,
-            stats,
-        })
+        Ok(ScanResult { rows, stats })
     }
 
     /// Convenience: all values of one column (post-filter), for profilers.
@@ -402,6 +391,14 @@ impl OfflineStore {
             .into_iter()
             .map(|mut r| r.pop().unwrap())
             .collect())
+    }
+}
+
+#[cfg(test)]
+impl OfflineStore {
+    /// The table's partitions, for tests that check how rows were placed.
+    pub(crate) fn partition_dates(&self, table: &str) -> Result<Vec<Date>> {
+        Ok(self.table(table)?.partitions.keys().copied().collect())
     }
 }
 
@@ -569,7 +566,6 @@ mod tests {
         let res = s
             .scan("trips", &ScanRequest::all().project(&["fare", "trip_id"]))
             .unwrap();
-        assert_eq!(res.schema.fields()[0].name, "fare");
         assert_eq!(res.rows[0], vec![Value::Float(0.0), Value::Int(0)]);
         assert!(s
             .scan("trips", &ScanRequest::all().project(&["ghost"]))

@@ -101,10 +101,10 @@ fn find(row: &[Slot], id: FeatureId) -> Option<&OnlineEntry> {
 /// Hit/miss/write counters (monotonic, lock-free).
 #[derive(Debug, Default)]
 pub struct OnlineStoreStats {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub writes: AtomicU64,
-    pub expired: AtomicU64,
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    pub(crate) writes: AtomicU64,
+    pub(crate) expired: AtomicU64,
 }
 
 impl OnlineStoreStats {

@@ -31,9 +31,9 @@ impl fmt::Display for CmpOp {
 /// `column <op> literal`, SQL three-valued: a null cell never matches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    pub column: String,
-    pub op: CmpOp,
-    pub value: Value,
+    pub(crate) column: String,
+    pub(crate) op: CmpOp,
+    pub(crate) value: Value,
 }
 
 impl Predicate {
@@ -46,7 +46,7 @@ impl Predicate {
     }
 
     /// Row-level evaluation.
-    pub fn matches(&self, cell: &Value) -> bool {
+    pub(crate) fn matches(&self, cell: &Value) -> bool {
         if cell.is_null() || self.value.is_null() {
             return false;
         }
@@ -64,7 +64,7 @@ impl Predicate {
     /// Segment-level pruning: can any value in `[min, max]` match?
     /// Conservative — returns `true` when unsure (e.g. `Ne`, or missing
     /// zone-map bounds).
-    pub fn may_match_range(&self, min: Option<&Value>, max: Option<&Value>) -> bool {
+    pub(crate) fn may_match_range(&self, min: Option<&Value>, max: Option<&Value>) -> bool {
         let (Some(min), Some(max)) = (min, max) else {
             return true;
         };

@@ -10,17 +10,17 @@ use fstore_common::{FsError, Result, Schema, Value};
 
 /// Per-column min/max (by [`Value::total_cmp`], ignoring nulls) + null count.
 #[derive(Debug, Clone)]
-pub struct ZoneMap {
-    pub min: Option<Value>,
-    pub max: Option<Value>,
-    pub null_count: usize,
+pub(crate) struct ZoneMap {
+    pub(crate) min: Option<Value>,
+    pub(crate) max: Option<Value>,
+    pub(crate) null_count: usize,
 }
 
 /// An immutable, sealed batch of rows. Fields are crate-visible so the
 /// on-disk segment format (`crate::disk`) can persist columns and zone maps
 /// and reconstruct a sealed segment without replaying rows.
 #[derive(Debug, Clone)]
-pub struct Segment {
+pub(crate) struct Segment {
     pub(crate) schema: Schema,
     pub(crate) columns: Vec<Column>,
     pub(crate) zone_maps: Vec<ZoneMap>,
@@ -28,30 +28,17 @@ pub struct Segment {
 }
 
 impl Segment {
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows
     }
 
-    pub fn column(&self, idx: usize) -> &Column {
+    pub(crate) fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
-    }
-
-    pub fn zone_map(&self, idx: usize) -> &ZoneMap {
-        &self.zone_maps[idx]
-    }
-
-    /// Materialize row `i`.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(i)).collect()
     }
 
     /// Can this segment possibly contain a row matching all `predicates`?
     /// Unknown predicate columns are ignored (conservative).
-    pub fn may_match(&self, predicates: &[Predicate]) -> bool {
+    pub(crate) fn may_match(&self, predicates: &[Predicate]) -> bool {
         predicates
             .iter()
             .all(|p| match self.schema.index_of(&p.column) {
@@ -64,7 +51,7 @@ impl Segment {
     }
 
     /// Indices of rows matching all predicates (row-level evaluation).
-    pub fn matching_rows(&self, predicates: &[Predicate]) -> Vec<usize> {
+    pub(crate) fn matching_rows(&self, predicates: &[Predicate]) -> Vec<usize> {
         let bound: Vec<(usize, &Predicate)> = predicates
             .iter()
             .filter_map(|p| self.schema.index_of(&p.column).map(|i| (i, p)))
@@ -90,14 +77,14 @@ impl Segment {
 /// snapshot may share the open builder with the writer, which then clones it
 /// before mutating (cost bounded by the table's `segment_rows`).
 #[derive(Debug, Clone)]
-pub struct SegmentBuilder {
+pub(crate) struct SegmentBuilder {
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
 }
 
 impl SegmentBuilder {
-    pub fn new(schema: Schema) -> Self {
+    pub(crate) fn new(schema: Schema) -> Self {
         let columns = schema.fields().iter().map(|f| Column::new(f.ty)).collect();
         SegmentBuilder {
             schema,
@@ -106,22 +93,22 @@ impl SegmentBuilder {
         }
     }
 
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.rows
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows == 0
     }
 
     /// Read back row `i` from the (still open) builder — lets scans see
     /// not-yet-sealed rows without forcing a flush.
-    pub fn peek_row(&self, i: usize) -> Vec<Value> {
+    pub(crate) fn peek_row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.get(i)).collect()
     }
 
     /// Append a schema-checked row. On error the builder is unchanged.
-    pub fn push_row(&mut self, row: &[Value]) -> Result<()> {
+    pub(crate) fn push_row(&mut self, row: &[Value]) -> Result<()> {
         self.schema.check_row(row)?;
         for (c, v) in self.columns.iter_mut().zip(row) {
             c.push(v).expect("schema check guarantees pushes succeed");
@@ -131,7 +118,7 @@ impl SegmentBuilder {
     }
 
     /// Seal into an immutable segment, computing zone maps.
-    pub fn finish(self) -> Result<Segment> {
+    pub(crate) fn finish(self) -> Result<Segment> {
         if self.rows == 0 {
             return Err(FsError::Storage("refusing to seal an empty segment".into()));
         }
@@ -201,7 +188,7 @@ mod tests {
         let s = sample_segment();
         assert_eq!(s.num_rows(), 3);
         assert_eq!(
-            s.row(1),
+            s.columns.iter().map(|c| c.get(1)).collect::<Vec<_>>(),
             vec![Value::Int(2), Value::Null, Value::from("nyc")]
         );
     }
@@ -224,15 +211,15 @@ mod tests {
     #[test]
     fn zone_maps_computed() {
         let s = sample_segment();
-        let zm_id = s.zone_map(0);
+        let zm_id = &s.zone_maps[0];
         assert_eq!(zm_id.min, Some(Value::Int(1)));
         assert_eq!(zm_id.max, Some(Value::Int(3)));
         assert_eq!(zm_id.null_count, 0);
-        let zm_fare = s.zone_map(1);
+        let zm_fare = &s.zone_maps[1];
         assert_eq!(zm_fare.min, Some(Value::Float(10.0)));
         assert_eq!(zm_fare.max, Some(Value::Float(30.0)));
         assert_eq!(zm_fare.null_count, 1);
-        let zm_city = s.zone_map(2);
+        let zm_city = &s.zone_maps[2];
         assert_eq!(zm_city.min, Some(Value::from("nyc")));
         assert_eq!(zm_city.max, Some(Value::from("sf")));
     }
@@ -273,9 +260,9 @@ mod tests {
         let mut b = SegmentBuilder::new(schema);
         b.push_row(&[Value::Null]).unwrap();
         let s = b.finish().unwrap();
-        assert_eq!(s.zone_map(0).min, None);
-        assert_eq!(s.zone_map(0).max, None);
-        assert_eq!(s.zone_map(0).null_count, 1);
+        assert_eq!(s.zone_maps[0].min, None);
+        assert_eq!(s.zone_maps[0].max, None);
+        assert_eq!(s.zone_maps[0].null_count, 1);
         // pruning on an all-null column: no bounds → conservative true,
         // but row-level match is false.
         let p = Predicate::new("x", CmpOp::Eq, 1i64);

@@ -10,13 +10,13 @@ use std::collections::BTreeMap;
 /// A finalized window value, ready for the dual write.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowEmit {
-    pub feature: String,
-    pub entity: EntityKey,
-    pub window_start: Timestamp,
-    pub window_end: Timestamp,
-    pub value: Value,
+    pub(crate) feature: String,
+    pub(crate) entity: EntityKey,
+    pub(crate) window_start: Timestamp,
+    pub(crate) window_end: Timestamp,
+    pub(crate) value: Value,
     /// Number of events that contributed.
-    pub events: u64,
+    pub(crate) events: u64,
 }
 
 struct OpenWindow {
@@ -27,7 +27,7 @@ struct OpenWindow {
 /// watermark that trails the maximum seen event time by the allowed
 /// lateness. Windows are finalized (emitted exactly once) when the
 /// watermark passes their end; events arriving after their window closed
-/// are counted in [`StreamAggregator::late_dropped`] and discarded.
+/// are counted in `StreamAggregator::late_dropped` and discarded.
 pub struct StreamAggregator {
     feature: String,
     func: AggFunc,
@@ -37,7 +37,6 @@ pub struct StreamAggregator {
     open: BTreeMap<(Timestamp, Timestamp), OpenWindow>,
     max_event_time: Option<Timestamp>,
     late_dropped: u64,
-    events_seen: u64,
 }
 
 impl StreamAggregator {
@@ -56,30 +55,24 @@ impl StreamAggregator {
             open: BTreeMap::new(),
             max_event_time: None,
             late_dropped: 0,
-            events_seen: 0,
         })
     }
 
-    pub fn feature(&self) -> &str {
+    pub(crate) fn feature(&self) -> &str {
         &self.feature
     }
 
     /// Current watermark: max event time minus allowed lateness.
-    pub fn watermark(&self) -> Option<Timestamp> {
+    pub(crate) fn watermark(&self) -> Option<Timestamp> {
         self.max_event_time.map(|t| t - self.allowed_lateness)
     }
 
-    pub fn late_dropped(&self) -> u64 {
+    pub(crate) fn late_dropped(&self) -> u64 {
         self.late_dropped
     }
 
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
     /// Ingest one event; returns any windows the advancing watermark closed.
-    pub fn push(&mut self, event: &Event) -> Vec<WindowEmit> {
-        self.events_seen += 1;
+    pub(crate) fn push(&mut self, event: &Event) -> Vec<WindowEmit> {
         // Drop events already behind the watermark's closed windows.
         if let Some(w) = self.watermark() {
             if self
@@ -132,7 +125,7 @@ impl StreamAggregator {
     }
 
     /// Force-close every open window (end of stream).
-    pub fn flush(&mut self) -> Vec<WindowEmit> {
+    pub(crate) fn flush(&mut self) -> Vec<WindowEmit> {
         let mut out = Vec::new();
         let open = std::mem::take(&mut self.open);
         for ((end, start), win) in open {

@@ -8,7 +8,7 @@ use fstore_common::{EntityKey, Timestamp, Value};
 pub struct Event {
     pub entity: EntityKey,
     pub event_time: Timestamp,
-    pub value: Value,
+    pub(crate) value: Value,
 }
 
 impl Event {

@@ -9,11 +9,13 @@
 //! allowed lateness are counted and dropped, never silently merged into a
 //! closed window.
 
-pub mod aggregator;
-pub mod event;
-pub mod pipeline;
-pub mod runtime;
-pub mod window;
+#![warn(unreachable_pub)]
+
+mod aggregator;
+mod event;
+mod pipeline;
+mod runtime;
+mod window;
 
 pub use aggregator::{StreamAggregator, WindowEmit};
 pub use event::Event;

@@ -9,7 +9,7 @@ use fstore_storage::{OfflineDb, OnlineStore, TableConfig};
 use std::sync::Arc;
 
 /// Schema of the offline log every streaming feature writes to.
-pub fn stream_log_schema() -> Schema {
+pub(crate) fn stream_log_schema() -> Schema {
     Schema::new(vec![
         FieldDef::not_null("entity", ValueType::Str),
         FieldDef::not_null("window_start", ValueType::Timestamp),
@@ -27,7 +27,7 @@ pub struct StreamPipelineReport {
     pub windows_emitted: u64,
     pub late_dropped: u64,
     pub online_writes: u64,
-    pub offline_rows: u64,
+    pub(crate) offline_rows: u64,
 }
 
 /// Wires a [`StreamAggregator`] to the dual datastore.
@@ -77,10 +77,6 @@ impl StreamPipeline {
 
     pub fn report(&self) -> StreamPipelineReport {
         self.report
-    }
-
-    pub fn log_table(&self) -> &str {
-        &self.log_table
     }
 
     /// Ingest one event; performs the dual write for any closed windows and

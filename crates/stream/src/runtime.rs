@@ -62,15 +62,6 @@ impl StreamRuntime {
             .clone()
     }
 
-    /// Send one event from this handle.
-    pub fn send(&self, event: Event) -> Result<()> {
-        self.sender
-            .as_ref()
-            .ok_or_else(|| FsError::Stream("runtime already shut down".into()))?
-            .send(event)
-            .map_err(|_| FsError::Stream("stream worker terminated".into()))
-    }
-
     /// Close the stream and wait for the worker; returns the final report.
     /// Safe even while producer handles from [`StreamRuntime::sender`] are
     /// still alive — their next `send` fails once the worker exits.
@@ -154,7 +145,9 @@ mod tests {
         let rt = StreamRuntime::spawn(pipeline, 4);
         // an external producer handle that outlives the runtime
         let tx = rt.sender();
-        rt.send(Event::new("u", Timestamp::EPOCH, 1.0)).unwrap();
+        rt.sender()
+            .send(Event::new("u", Timestamp::EPOCH, 1.0))
+            .unwrap();
         let report = rt.shutdown().unwrap(); // must not deadlock on `tx`
         assert_eq!(report.events_in, 1);
         // the worker is gone: the straggler's send now fails
@@ -168,7 +161,9 @@ mod tests {
         let pipeline = make_pipeline(&online, &offline, "g");
         let rt = StreamRuntime::spawn(pipeline, 64);
         for i in 0..10 {
-            rt.send(Event::new("u", Timestamp::millis(i), 1.0)).unwrap();
+            rt.sender()
+                .send(Event::new("u", Timestamp::millis(i), 1.0))
+                .unwrap();
         }
         let report = rt.shutdown().unwrap();
         assert_eq!(

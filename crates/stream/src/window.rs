@@ -21,7 +21,7 @@ impl WindowSpec {
         WindowSpec::Sliding { size, slide }
     }
 
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match *self {
             WindowSpec::Tumbling { size } if size.is_positive() => Ok(()),
             WindowSpec::Sliding { size, slide } if size.is_positive() && slide.is_positive() => {
@@ -39,14 +39,14 @@ impl WindowSpec {
         }
     }
 
-    pub fn size(&self) -> Duration {
+    pub(crate) fn size(&self) -> Duration {
         match *self {
             WindowSpec::Tumbling { size } | WindowSpec::Sliding { size, .. } => size,
         }
     }
 
     /// Window start timestamps that contain instant `t`, ascending.
-    pub fn assign(&self, t: Timestamp) -> Vec<Timestamp> {
+    pub(crate) fn assign(&self, t: Timestamp) -> Vec<Timestamp> {
         match *self {
             WindowSpec::Tumbling { size } => {
                 let s = size.as_millis();
@@ -69,7 +69,7 @@ impl WindowSpec {
     }
 
     /// End (exclusive) of a window beginning at `start`.
-    pub fn end_of(&self, start: Timestamp) -> Timestamp {
+    pub(crate) fn end_of(&self, start: Timestamp) -> Timestamp {
         start + self.size()
     }
 }

@@ -50,13 +50,13 @@ struct Shard {
 /// Counters and gauges at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub hits: u64,
+    pub(crate) hits: u64,
     pub misses: u64,
     pub inserts: u64,
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     pub resident_bytes: u64,
     pub peak_resident_bytes: u64,
-    pub pinned_bytes: u64,
+    pub(crate) pinned_bytes: u64,
     /// Inserts that gave up making room and went over budget, because
     /// nothing cached could be evicted (everything pinned, or more faults
     /// in flight than the budget holds).
@@ -265,31 +265,6 @@ impl BlockCache {
         }
     }
 
-    /// Drop every block of `segment` (promotion or segment GC), pinned or
-    /// not — the caller owns the segment's lifecycle.
-    pub fn remove_segment(&self, segment: u64) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            let keys: Vec<BlockKey> = shard
-                .map
-                .keys()
-                .filter(|k| k.segment == segment)
-                .copied()
-                .collect();
-            let mut freed = 0u64;
-            for key in keys {
-                if let Some(e) = shard.map.remove(&key) {
-                    freed += e.bytes;
-                }
-            }
-            if freed > 0 {
-                shard.bytes -= freed;
-                self.add_resident(-(freed as i64));
-            }
-            // Stale ring slots are lazily reaped by the clock sweep.
-        }
-    }
-
     /// Retarget the byte budget (the tier demoter shrinks the cache as
     /// resident tables grow). Shrinking does not evict eagerly; the next
     /// inserts do.
@@ -297,7 +272,7 @@ impl BlockCache {
         self.budget.store(budget_bytes, Ordering::Relaxed);
     }
 
-    pub fn budget(&self) -> u64 {
+    pub(crate) fn budget(&self) -> u64 {
         self.budget.load(Ordering::Relaxed)
     }
 
@@ -434,26 +409,6 @@ mod tests {
         assert_eq!(c.get(key(1, 0)).unwrap().len(), 16);
         // The third and fourth inserts found nothing to evict.
         assert_eq!(c.stats().overshoot_inserts, 2);
-    }
-
-    #[test]
-    fn remove_segment_frees_its_blocks_only() {
-        let c = BlockCache::new(4096, 2);
-        for i in 0..4 {
-            c.insert(key(1, i), block(16, 1.0));
-            c.insert(key(2, i), block(16, 2.0));
-        }
-        c.remove_segment(1);
-        assert!(c.get(key(1, 0)).is_none());
-        assert_eq!(c.get(key(2, 0)).unwrap()[0], 2.0);
-        assert_eq!(c.resident_bytes(), c.recount_bytes());
-        assert_eq!(c.resident_bytes(), 4 * 64);
-        // The clock still works over the stale ring slots.
-        c.set_budget(128);
-        for i in 10..20 {
-            c.insert(key(3, i), block(16, 3.0));
-        }
-        assert_eq!(c.resident_bytes(), c.recount_bytes());
     }
 
     #[test]

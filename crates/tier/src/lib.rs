@@ -7,14 +7,14 @@
 //! bounded hot-block cache, per the MLKV / geo-distributed-serving
 //! tiering argument (PAPERS.md):
 //!
-//! * [`segment`] — block-aligned `"FSEG"` files (an `"FSEB"`-derived
+//! * `segment` — block-aligned `"FSEG"` files (an `"FSEB"`-derived
 //!   format sharing [`fstore_durable::fseb::BlobHeader`]): a CRC-guarded
 //!   metadata header plus fixed-geometry row blocks, each with its own
 //!   CRC, read individually via `FileExt::read_at` — a vector fault never
 //!   loads a whole version.
-//! * [`cache`] — [`BlockCache`]: sharded, clock-evicting, byte-budgeted
+//! * `cache` — [`BlockCache`]: sharded, clock-evicting, byte-budgeted
 //!   cache of decoded blocks with pin support and exact accounting.
-//! * [`pager`] — [`SpilledTable`] (the [`fstore_embed::VectorPager`]
+//! * `pager` — `SpilledTable` (the [`fstore_embed::VectorPager`]
 //!   implementation gluing segment + cache under an `EmbeddingTable`) and
 //!   [`TieredEmbeddings`], the residency policy: a publication hook wakes
 //!   a background demoter that spills unpinned versions when resident
@@ -27,10 +27,11 @@
 //! blocks through the cache without code changes. Stats flow into the
 //! `tier` section of `ServingMetrics` via a polled provider.
 
-pub mod cache;
-pub mod pager;
-pub mod segment;
+#![warn(unreachable_pub)]
+
+mod cache;
+mod pager;
+mod segment;
 
 pub use cache::{BlockCache, BlockKey, CacheStats};
-pub use pager::{SpilledTable, TierConfig, TierStats, TieredEmbeddings};
-pub use segment::Segment;
+pub use pager::{TierConfig, TierStats, TieredEmbeddings};

@@ -44,9 +44,9 @@ const CACHE_SHARDS: usize = 8;
 #[derive(Debug, Clone)]
 pub struct TierConfig {
     /// Directory segment files are written to.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// RAM budget for embedding bytes: resident tables + cached blocks.
-    pub budget_bytes: u64,
+    pub(crate) budget_bytes: u64,
     /// Target payload bytes per segment block (one fault's granularity).
     pub block_bytes: usize,
 }
@@ -79,7 +79,7 @@ pub struct TierStats {
 }
 
 impl TierStats {
-    pub fn new(cache: Arc<BlockCache>, budget_bytes: u64) -> TierStats {
+    pub(crate) fn new(cache: Arc<BlockCache>, budget_bytes: u64) -> TierStats {
         TierStats {
             cache,
             budget: AtomicU64::new(budget_bytes),
@@ -95,7 +95,7 @@ impl TierStats {
     }
 
     /// Record one disk fault and its latency.
-    pub fn record_fault(&self, elapsed: Duration) {
+    pub(crate) fn record_fault(&self, elapsed: Duration) {
         self.faults.fetch_add(1, Ordering::Relaxed);
         let ms = elapsed.as_secs_f64() * 1e3;
         let mut q = self.fault_quantiles.lock();
@@ -105,7 +105,7 @@ impl TierStats {
 
     /// Fold the current resident total into the peak watermark. Called
     /// after every fault insert and demoter pass, and at snapshot time.
-    pub fn note_resident(&self) -> u64 {
+    pub(crate) fn note_resident(&self) -> u64 {
         let resident =
             self.resident_table_bytes.load(Ordering::Relaxed) + self.cache.resident_bytes();
         self.peak_resident.fetch_max(resident, Ordering::Relaxed);
@@ -138,16 +138,12 @@ impl TierStats {
             demotions: self.demotions.load(Ordering::Relaxed),
         }
     }
-
-    pub fn cache(&self) -> &Arc<BlockCache> {
-        &self.cache
-    }
 }
 
 /// A spilled version's pager: segment rows served through the shared
 /// block cache.
 #[derive(Debug)]
-pub struct SpilledTable {
+pub(crate) struct SpilledTable {
     segment: Arc<Segment>,
     segment_id: u64,
     cache: Arc<BlockCache>,
@@ -156,7 +152,7 @@ pub struct SpilledTable {
 }
 
 impl SpilledTable {
-    pub fn new(
+    pub(crate) fn new(
         segment: Arc<Segment>,
         segment_id: u64,
         cache: Arc<BlockCache>,
@@ -173,14 +169,6 @@ impl SpilledTable {
             stats,
             rows,
         }
-    }
-
-    pub fn segment(&self) -> &Arc<Segment> {
-        &self.segment
-    }
-
-    pub fn segment_id(&self) -> u64 {
-        self.segment_id
     }
 }
 
@@ -253,7 +241,7 @@ struct TierInner {
     next_segment_id: AtomicU64,
     demoter: DemoterState,
     /// Serializes demotion passes: the background demoter and explicit
-    /// `demote_now`/`demote_version` callers would otherwise race on the
+    /// `demote_now` callers would otherwise race on the
     /// same version's temp segment file.
     pass_lock: Mutex<()>,
     last_error: Mutex<Option<String>>,
@@ -502,29 +490,6 @@ impl TieredEmbeddings {
         self.inner.demote_pass()
     }
 
-    /// Demote one specific version regardless of watermarks. Refuses
-    /// pinned versions (the latest of a name, or index-referenced).
-    pub fn demote_version(&self, name: &str, version: u32) -> Result<()> {
-        {
-            let _guard = self.inner.pass_lock.lock();
-            let store = self.inner.db.snapshot();
-            let pinned = self.inner.pin_set(&store);
-            let v = store.get(name, version)?;
-            if v.table.is_spilled() {
-                return Ok(());
-            }
-            if pinned.contains(&v.qualified_name()) {
-                return Err(FsError::InvalidArgument(format!(
-                    "{} is pinned (latest or index-referenced); refusing to demote",
-                    v.qualified_name()
-                )));
-            }
-            let v = Arc::new(v.clone());
-            self.inner.demote_version_inner(&v)?;
-        }
-        self.inner.demote_pass().map(|_| ())
-    }
-
     /// Shared tier stats (for metrics providers and assertions).
     pub fn stats(&self) -> Arc<TierStats> {
         Arc::clone(&self.inner.stats)
@@ -666,25 +631,16 @@ mod tests {
         tier.shutdown();
     }
 
-    /// Under budget nothing spills; `demote_version` still can, but
-    /// refuses the pinned latest.
+    /// Under budget nothing spills.
     #[test]
-    fn under_budget_nothing_moves_and_pins_hold() {
+    fn under_budget_nothing_moves() {
         let db = EmbeddingDb::new();
         publish(&db, "emb", 16, 8, 1);
         publish(&db, "emb", 16, 8, 2);
         let tier = TieredEmbeddings::attach(&db, TierConfig::new(tmp("pin"), 1 << 20)).unwrap();
         assert_eq!(tier.demote_now().unwrap(), 0);
         assert!(!db.snapshot().get("emb", 1).unwrap().table.is_spilled());
-
-        assert!(tier.demote_version("emb", 2).is_err(), "latest is pinned");
-        tier.demote_version("emb", 1).unwrap();
-        assert!(db.snapshot().get("emb", 1).unwrap().table.is_spilled());
-        // Idempotent on an already-spilled version.
-        tier.demote_version("emb", 1).unwrap();
-        let snap = tier.stats().snapshot();
-        assert_eq!(snap.spilled_versions, 1);
-        assert!(snap.spilled_bytes > 0);
+        assert_eq!(tier.stats().snapshot().spilled_versions, 0);
         tier.shutdown();
     }
 

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// File magic for tier segments.
-pub const SEGMENT_MAGIC: &[u8; 4] = b"FSEG";
+pub(crate) const SEGMENT_MAGIC: &[u8; 4] = b"FSEG";
 
 /// Data blocks start on this alignment.
 const DATA_ALIGN: u64 = 4096;
@@ -46,7 +46,7 @@ struct SegmentMeta {
 /// An open segment: metadata resident, vectors on disk, blocks served
 /// individually through [`Segment::read_block`].
 #[derive(Debug)]
-pub struct Segment {
+pub(crate) struct Segment {
     file: File,
     path: PathBuf,
     meta: SegmentMeta,
@@ -73,7 +73,7 @@ impl Segment {
     ///
     /// Rows stream out one block buffer at a time — demotion never
     /// re-materializes the version.
-    pub fn write(path: &Path, version: &EmbeddingVersion, block_bytes: usize) -> Result<()> {
+    pub(crate) fn write(path: &Path, version: &EmbeddingVersion, block_bytes: usize) -> Result<()> {
         let table = &version.table;
         let dim = table.dim();
         let keys: Vec<String> = table.keys().into_iter().map(str::to_string).collect();
@@ -144,7 +144,7 @@ impl Segment {
 
     /// Open a segment, validating magic, metadata CRC, and the file size
     /// against the declared geometry.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Segment> {
+    pub(crate) fn open(path: impl Into<PathBuf>) -> Result<Segment> {
         let path = path.into();
         let file = File::open(&path).map_err(|e| io_err("open", &path, e))?;
         let mut fixed = [0u8; 12];
@@ -203,62 +203,49 @@ impl Segment {
         })
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.meta.blob.dim
     }
 
     /// Number of rows (vectors) in the segment.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.meta.blob.keys.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.meta.blob.keys.is_empty()
-    }
-
     /// Entity keys in row order.
-    pub fn keys(&self) -> &[String] {
+    pub(crate) fn keys(&self) -> &[String] {
         &self.meta.blob.keys
     }
 
-    /// The blob identity (name, version, provenance, consumers, …).
-    pub fn blob_header(&self) -> &BlobHeader {
-        &self.meta.blob
-    }
-
-    pub fn rows_per_block(&self) -> usize {
+    pub(crate) fn rows_per_block(&self) -> usize {
         self.meta.rows_per_block as usize
     }
 
-    pub fn num_blocks(&self) -> usize {
+    pub(crate) fn num_blocks(&self) -> usize {
         self.block_crcs.len()
     }
 
     /// The block holding `row` and the row's float offset inside it.
-    pub fn locate_row(&self, row: usize) -> (usize, usize) {
+    pub(crate) fn locate_row(&self, row: usize) -> (usize, usize) {
         let rpb = self.rows_per_block();
         (row / rpb, (row % rpb) * self.dim())
     }
 
     /// Rows in block `i` (the last block may be short).
-    pub fn block_rows(&self, block: usize) -> usize {
+    pub(crate) fn block_rows(&self, block: usize) -> usize {
         let rpb = self.rows_per_block();
         (self.len() - block * rpb).min(rpb)
     }
 
     /// Total on-disk vector payload bytes.
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         (self.len() * self.dim() * 4) as u64
     }
 
     /// Fault one block from disk: a single `read_at` of the block's
     /// payload, CRC-verified, decoded to `f32`s straight into one shared
     /// allocation the cache can hold.
-    pub fn read_block(&self, block: usize) -> Result<Arc<[f32]>> {
+    pub(crate) fn read_block(&self, block: usize) -> Result<Arc<[f32]>> {
         if block >= self.num_blocks() {
             return Err(FsError::InvalidArgument(format!(
                 "block {block} out of range ({} blocks)",
@@ -325,9 +312,9 @@ mod tests {
         assert_eq!(seg.len(), 37);
         assert_eq!(seg.rows_per_block(), 2);
         assert_eq!(seg.num_blocks(), 19);
-        assert_eq!(seg.blob_header().name, "emb");
-        assert_eq!(seg.blob_header().version, 7);
-        assert_eq!(seg.blob_header().consumers, vec!["ranker".to_string()]);
+        assert_eq!(seg.meta.blob.name, "emb");
+        assert_eq!(seg.meta.blob.version, 7);
+        assert_eq!(seg.meta.blob.consumers, vec!["ranker".to_string()]);
         for (row, key) in seg.keys().to_vec().iter().enumerate() {
             let (block, off) = seg.locate_row(row);
             let data = seg.read_block(block).unwrap();

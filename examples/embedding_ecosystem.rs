@@ -156,7 +156,7 @@ fn main() -> Result<()> {
     let sample: Vec<Vec<f64>> = (0..200)
         .map(|e| t2.get_f64(&Corpus::entity_name(e)).unwrap())
         .collect();
-    let monitor = EmbeddingDriftMonitor::fit("ent", &sample, EmbeddingDriftThresholds::default())?;
+    let monitor = EmbeddingDriftMonitor::fit(&sample, EmbeddingDriftThresholds::default())?;
     // live window: same entities, but the upstream encoder changed — every
     // vector shifted along one semantic direction (marginals barely move)
     let live: Vec<Vec<f64>> = sample

@@ -158,7 +158,7 @@ fn main() -> Result<()> {
     // and a tabular drift monitor over the same feed
     let ref_vals: Vec<f64> = (0..500).map(|i| f64::from(i % 50)).collect();
     let drifted: Vec<f64> = ref_vals.iter().map(|v| v * 1.8 + 10.0).collect();
-    let monitor = DriftMonitor::fit("eta_gps_quality", &ref_vals, DriftThresholds::default())?;
+    let monitor = DriftMonitor::fit(&ref_vals, DriftThresholds::default())?;
     println!(
         "    drift on healthy window:  {:?}",
         monitor.alert_level(&ref_vals)?

@@ -76,43 +76,32 @@ pub use fstore_tier as tier;
 /// The most commonly used types, importable in one line.
 pub mod prelude {
     pub use fstore_common::{
-        Date, Duration, EntityKey, FieldDef, FsError, ReadEpoch, Result, Rng, Schema, SimClock,
-        SnapshotCell, Timestamp, Value, ValueType, Xoshiro256, Zipf,
+        Date, Duration, EntityKey, FieldDef, FsError, ReadEpoch, Result, Rng, Schema, Timestamp,
+        Value, ValueType, Xoshiro256, Zipf,
     };
     pub use fstore_core::{
         naive_latest_join, point_in_time_join, FeatureServer, FeatureSpec, FeatureStore,
-        LabelEvent, MaterializationScheduler, Materializer, ModelArtifact, ModelStore, PitFeature,
-        StalenessPolicy,
+        LabelEvent, PitFeature,
     };
-    pub use fstore_durable::{
-        DurableConfig, DurableLeader, FsyncPolicy, RecoveryReport, SnapshotCache,
-    };
+    pub use fstore_durable::{DurableConfig, DurableLeader};
     pub use fstore_embed::{
         eigenspace_overlap, knn_overlap, semantic_displacement, Corpus, CorpusConfig, EmbeddingDb,
-        EmbeddingStore, EmbeddingTable, KgSgnsConfig, PcaModel, PpmiConfig, QuantizedTable,
-        SgnsConfig,
+        EmbeddingStore, EmbeddingTable, KgSgnsConfig, PcaModel, QuantizedTable, SgnsConfig,
     };
     pub use fstore_index::{
         recall_at_k, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, SearchParams,
-        VectorIndex,
     };
     pub use fstore_models::{
-        prediction_flips, ClassificationReport, Classifier, LogisticRegression, Mlp,
-        SoftmaxRegression, TrainConfig,
+        prediction_flips, Classifier, LogisticRegression, SoftmaxRegression, TrainConfig,
     };
     pub use fstore_monitor::{
-        augment_slice, discover_slices, mmd_rbf, reweight_slice, skew_report, DriftAlert,
-        DriftMonitor, EmbeddingDriftMonitor, EmbeddingPatcher, LabelModel, SliceSpec,
+        skew_report, DriftAlert, DriftMonitor, EmbeddingDriftMonitor, EmbeddingPatcher,
     };
-    pub use fstore_query::{AggFunc, Program};
+    pub use fstore_query::AggFunc;
     pub use fstore_serve::{
-        ClientBuilder, FailoverClient, FeatureClient, IndexCatalog, IndexSpec, SearchOptions,
-        ServeConfig, ServeEngine, ServingMetrics, StoreApi, WireVector,
+        FeatureClient, IndexSpec, SearchOptions, ServeConfig, ServeEngine, StoreApi,
     };
-    pub use fstore_shard::{ClusterConfig, RouterClient, ShardCluster, ShardId, ShardMap};
-    pub use fstore_storage::{
-        CmpOp, OfflineDb, OfflineStore, OnlineStore, Predicate, ScanRequest, TableConfig,
-    };
+    pub use fstore_shard::{ClusterConfig, RouterClient, ShardCluster};
+    pub use fstore_storage::{OfflineDb, OfflineStore, OnlineStore, ScanRequest, TableConfig};
     pub use fstore_stream::{Event, StreamAggregator, StreamPipeline, StreamRuntime, WindowSpec};
-    pub use fstore_tier::{BlockCache, TierConfig, TieredEmbeddings};
 }
