@@ -202,7 +202,6 @@ pub struct WalWriter {
     commits_since_sync: u32,
     appends: u64,
     fsyncs: u64,
-    bytes: u64,
     /// File length after the last complete append; a failed append is cut
     /// back to it.
     end: u64,
@@ -241,7 +240,6 @@ impl WalWriter {
             commits_since_sync: 0,
             appends: 0,
             fsyncs: 0,
-            bytes: 0,
             end,
             poisoned: false,
             buf: Vec::new(),
@@ -306,7 +304,6 @@ impl WalWriter {
             Ok(fsynced) => {
                 self.end += bytes;
                 self.appends += records;
-                self.bytes += bytes;
                 Ok(AppendInfo { bytes, fsynced })
             }
             Err(e) => {
@@ -593,7 +590,7 @@ mod tests {
         assert!(matches!(refused, Err(FsError::Storage(_))));
         let again = w.append_group(1, ComponentKind::Online, 0, &["x"]);
         assert!(again.unwrap_err().to_string().contains("refuses appends"));
-        assert_eq!((w.appends(), w.bytes), (0, 0));
+        assert_eq!(w.appends(), 0);
     }
 
     #[test]

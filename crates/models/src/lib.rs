@@ -33,7 +33,7 @@ pub use softmax::SoftmaxRegression;
 use fstore_common::Result;
 
 /// Mini-batch SGD hyper-parameters shared by all trainers.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     pub epochs: usize,
     pub learning_rate: f64,

@@ -3,10 +3,9 @@
 //! products, power iteration is built on these in `fstore-embed`).
 
 use fstore_common::{FsError, Result, Rng};
-use serde::{Deserialize, Serialize};
 
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -5,10 +5,9 @@
 use crate::linalg::{axpy, softmax, Matrix};
 use crate::{Classifier, TrainConfig};
 use fstore_common::{FsError, Result, Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// `softmax(W2 · tanh(W1 x + b1) + b2)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     w1: Matrix, // h x d
     b1: Vec<f64>,
@@ -176,6 +175,7 @@ mod tests {
         };
         let a = Mlp::train(&xs, &ys, 2, 4, &cfg).unwrap();
         let b = Mlp::train(&xs, &ys, 2, 4, &cfg).unwrap();
+        assert_eq!((&a.w1, &a.b1, &a.w2, &a.b2), (&b.w1, &b.b1, &b.w2, &b.b2));
         assert_eq!(a.predict_batch(&xs).unwrap(), b.predict_batch(&xs).unwrap());
     }
 

@@ -3,10 +3,9 @@
 use crate::linalg::{axpy, dot, softmax, Matrix};
 use crate::{Classifier, TrainConfig};
 use fstore_common::{FsError, Result, Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// Softmax regression: `P(y|x) = softmax(Wx + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SoftmaxRegression {
     weights: Matrix, // k x d
     bias: Vec<f64>,  // k

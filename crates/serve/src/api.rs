@@ -15,8 +15,8 @@
 //!   blanket-implemented for every [`Transport`] via the shared response
 //!   decoders, so the encode/decode logic exists exactly once.
 //! * [`ClientBuilder`] — the validated way to construct a
-//!   [`FailoverClient`]: endpoints → socket timeouts and deadline budget →
-//!   retry policy → breaker tuning. Validation mirrors
+//!   [`FailoverClient`]: endpoints → socket timeouts → retry policy.
+//!   Validation mirrors
 //!   [`ServeConfig::builder`]: a configuration that would silently
 //!   degenerate is refused instead of constructed.
 //!

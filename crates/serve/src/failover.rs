@@ -169,7 +169,7 @@ pub struct FailoverClient {
 impl FailoverClient {
     /// `addrs` in preference order — leader first, then followers.
     /// [`ClientBuilder`](crate::ClientBuilder) is the validated path to
-    /// the same type: it checks the policy and breaker config first.
+    /// the same type: it checks the retry policy first.
     #[doc(hidden)]
     pub fn connect(
         addrs: &[&str],
@@ -536,6 +536,17 @@ mod tests {
             BreakerState::Closed,
             "streak broken by a success never trips"
         );
+    }
+
+    #[test]
+    fn builder_keeps_endpoints_in_given_order() {
+        let client = crate::ClientBuilder::new()
+            .endpoint("127.0.0.1:2")
+            .endpoint("127.0.0.1:1")
+            .build()
+            .unwrap();
+        let addrs: Vec<&str> = client.endpoints.iter().map(|e| e.addr.as_str()).collect();
+        assert_eq!(addrs, ["127.0.0.1:2", "127.0.0.1:1"], "leader first");
     }
 
     /// An endpoint that accepts one connection, reads the first bytes of

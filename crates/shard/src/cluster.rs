@@ -115,9 +115,7 @@ pub struct ShardCluster {
 impl ShardCluster {
     /// Start `config.shards` shard leaders (plus followers) on ephemeral
     /// ports, build the shard map, and stand up the control plane. The
-    /// probe loop is *not* started — call
-    /// `cluster.control().start(interval)` or drive `probe_once` from the
-    /// test.
+    /// probe loop is *not* started — drive `probe_once` from the test.
     pub fn start(config: ClusterConfig, clock: Clock) -> Result<ShardCluster> {
         assert!(config.shards > 0, "a cluster needs at least one shard");
         let mut nodes = Vec::with_capacity(config.shards);

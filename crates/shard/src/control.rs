@@ -75,7 +75,8 @@ pub struct ControlPlane {
     config: ControlPlaneConfig,
     /// Consecutive failed probes per shard, reset by any success.
     strikes: Mutex<HashMap<u32, u32>>,
-    promotions: Mutex<Vec<PromotionEvent>>,
+    /// Promotions performed.
+    promotions: AtomicU64,
     /// Promote commands awaiting delivery: shard id → (new leader
     /// endpoint, granted term). Retried every probe round until acked, so
     /// a promote lost to a transient connect failure still lands.
@@ -94,7 +95,7 @@ impl ControlPlane {
             map: SnapshotCell::new(map),
             config,
             strikes: Mutex::new(HashMap::new()),
-            promotions: Mutex::new(Vec::new()),
+            promotions: AtomicU64::new(0),
             pending_promotes: Mutex::new(HashMap::new()),
             pending_fences: Mutex::new(HashMap::new()),
             probe_rounds: AtomicU64::new(0),
@@ -147,7 +148,7 @@ impl ControlPlane {
             self.pending_fences
                 .lock()
                 .insert(event.demoted.clone(), event.term);
-            self.promotions.lock().push(event.clone());
+            self.promotions.fetch_add(1, Ordering::AcqRel);
         }
         event
     }
@@ -292,7 +293,7 @@ impl ControlPlane {
         let map = self.map();
         ControlSnapshot {
             probe_rounds: self.probe_rounds.load(Ordering::Acquire),
-            promotions: self.promotions.lock().len() as u64,
+            promotions: self.promotions.load(Ordering::Acquire),
             map_version: map.version(),
             strikes: self
                 .strikes
@@ -335,14 +336,14 @@ mod tests {
             control.map().shard(ShardId(0)).unwrap().leader(),
             "127.0.0.1:2"
         );
-        assert_eq!(control.promotions.lock().clone(), vec![event]);
+        assert_eq!(control.snapshot().promotions, 1);
     }
 
     #[test]
     fn promote_without_a_follower_is_refused() {
         let control = ControlPlane::new(two_replica_map(), ControlPlaneConfig::default());
         assert!(control.promote(ShardId(1)).is_none());
-        assert!(control.promotions.lock().clone().is_empty());
+        assert_eq!(control.snapshot().promotions, 0);
     }
 
     #[test]
