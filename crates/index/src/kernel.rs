@@ -7,7 +7,9 @@
 //! lane `i + 8`, then `i + 4`, `i + 2`, `i + 1`. Every implementation
 //! follows that lane assignment and that tree, so all of them return the
 //! same bits for the same input on every host, and an index rebuilt on a
-//! follower from shipped build instructions is the leader's index.
+//! follower from shipped build instructions is the leader's index —
+//! whatever the core count of either host, since the HNSW build's threads
+//! decide nothing about the graph.
 //!
 //! That is also why there is **no FMA**: a fused multiply-add rounds once
 //! where mul + add round twice, so a host that fused would build a

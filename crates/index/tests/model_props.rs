@@ -3,7 +3,14 @@
 //! duplicate vectors and tied distances are the common case, not the
 //! corner — the order among ties is part of the answer (sharded top-k
 //! merges and follower rebuilds rely on it).
+//!
+//! And the HNSW graph against the model of a graph that loses no row:
+//! every row is reachable on the base layer from the entry point, so a
+//! search wide enough finds each one.
 
+mod common;
+
+use fstore_common::{Rng, Xoshiro256};
 use fstore_index::{
     l2_sq_portable, FlatIndex, Hit, HnswConfig, HnswIndex, IvfConfig, IvfIndex, SearchParams,
     VectorIndex,
@@ -58,4 +65,54 @@ proptest! {
             naive(&rows, &query, rows.len())
         );
     }
+}
+
+/// `n` rows uniform in the unit cube, or around `clusters` centres.
+fn seeded_rows(n: usize, dim: usize, clusters: usize, seed: u64) -> Vec<Vec<f32>> {
+    if clusters == 0 {
+        let mut rng = Xoshiro256::seeded(seed);
+        let row = |_| (0..dim).map(|_| rng.next_f64() as f32).collect();
+        (0..n).map(row).collect()
+    } else {
+        common::clustered(n, 0, dim, clusters, seed).0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_hnsw_row_is_reachable_and_finds_itself(
+        n in 1usize..500,
+        dim in 1usize..9,
+        clusters in 0usize..12,
+        seed in any::<u64>(),
+        m in 2usize..10,
+        ef_construction in 1usize..64,
+    ) {
+        let rows = seeded_rows(n, dim, clusters, seed);
+        let config = HnswConfig { m, ef_construction, ..HnswConfig::default() };
+        let hnsw = HnswIndex::build(rows.clone(), config).unwrap();
+        prop_assert_eq!(hnsw.unreached(), Vec::<usize>::new());
+        // A walk as wide as the index expands every node it reaches.
+        let everything = SearchParams::with_ef(n);
+        for (id, row) in rows.iter().enumerate() {
+            let (hit, distance) = hnsw.search(row, 1, &everything).unwrap()[0];
+            prop_assert!(hit == id || distance == 0.0, "row {} found {} at {}", id, hit, distance);
+        }
+    }
+}
+
+/// E9's `--quick` rows and build settings: a build that lets a node lose its
+/// last base-layer in-link left one of these rows unreachable.
+#[test]
+fn e9_quick_hnsw_leaves_no_row_unreached() {
+    let (rows, _queries) = common::clustered(20_000, 100, 32, 64, 91);
+    let config = HnswConfig {
+        m: 16,
+        ef_construction: 64,
+        ..HnswConfig::default()
+    };
+    let hnsw = HnswIndex::build(rows, config).unwrap();
+    assert_eq!(hnsw.unreached(), Vec::<usize>::new());
 }

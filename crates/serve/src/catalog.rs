@@ -689,6 +689,42 @@ mod tests {
     }
 
     #[test]
+    fn a_replica_rebuilds_the_leaders_hnsw() {
+        use fstore_common::{Rng, Xoshiro256};
+        // Enough rows that the build inserts them in batches of many.
+        let mut rng = Xoshiro256::seeded(9);
+        let mut vector = || (0..8).map(|_| rng.normal() as f32).collect::<Vec<f32>>();
+        let rows: Vec<(String, Vec<f32>)> =
+            (0..1_500).map(|i| (format!("e{i}"), vector())).collect();
+        let queries: Vec<Vec<f32>> = (0..64).map(|_| vector()).collect();
+        let borrowed: Vec<(&str, Vec<f32>)> =
+            rows.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let spec = IndexSpec::Hnsw(HnswConfig {
+            m: 8,
+            ef_construction: 32,
+            ..HnswConfig::default()
+        });
+        let leader = IndexCatalog::new(store_with("emb", &borrowed));
+        let built = leader.build("emb", &spec).unwrap();
+        let follower = IndexCatalog::new(store_with("emb", &borrowed));
+        follower
+            .install_replica("emb", &spec, built.built_from_version, built.generation)
+            .unwrap();
+        for ef in [1, 16, 64] {
+            let params = SearchParams::with_ef(ef);
+            for q in &queries {
+                let want = leader.search("emb", q, 10, &params).unwrap();
+                let got = follower.search("emb", q, 10, &params).unwrap();
+                assert_eq!(got.hits, want.hits, "ef {ef}");
+                assert_eq!(
+                    (got.table_version, got.index_generation),
+                    (want.table_version, want.index_generation)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn publish_hook_observes_swaps() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let catalog = IndexCatalog::new(grid_store());
